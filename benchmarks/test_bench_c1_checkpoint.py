@@ -73,7 +73,7 @@ class TestCheckpointCost:
         headline = {}
         for ram_words in RAM_SIZES:
             soc = SoC(SoCConfig(n_cores=2, ram_words=ram_words,
-                                quantum=8, backend="fast"),
+                                quantum=8, backend="compiled"),
                       {0: PREFIX_HEAVY, 1: PREFIX_HEAVY})
             soc.run(until=2000)
             snap, save_s = _timed(lambda: checkpoint(soc))
@@ -81,7 +81,7 @@ class TestCheckpointCost:
 
             def _restore():
                 fresh = SoC(SoCConfig(n_cores=2, ram_words=ram_words,
-                                      quantum=8, backend="fast"),
+                                      quantum=8, backend="compiled"),
                             {0: PREFIX_HEAVY, 1: PREFIX_HEAVY})
                 fresh.restore(Snapshot.from_dict(payload))
                 return fresh
@@ -107,7 +107,7 @@ class TestCheckpointCost:
 
 class TestRewindLatency:
     def test_rewind_beats_rerun_from_reset(self, show, record_bench):
-        soc = SoC(SoCConfig(n_cores=1, quantum=8, backend="fast"),
+        soc = SoC(SoCConfig(n_cores=1, quantum=8, backend="compiled"),
                   {0: LONG_LOOP})
         dbg = Debugger(soc)
         dbg.enable_time_travel(interval=2000.0, capacity=16)
@@ -123,7 +123,7 @@ class TestRewindLatency:
         assert landed <= target
 
         def _rerun():
-            cold = SoC(SoCConfig(n_cores=1, quantum=8, backend="fast"),
+            cold = SoC(SoCConfig(n_cores=1, quantum=8, backend="compiled"),
                        {0: LONG_LOOP})
             cold.start()
             while True:
@@ -152,7 +152,7 @@ class TestWarmCampaign:
         from repro.snap.warm import cold_run_job, warm_run_job
 
         programs = {0: PREFIX_HEAVY}
-        config = SoCConfig(n_cores=1, quantum=8, backend="fast")
+        config = SoCConfig(n_cores=1, quantum=8, backend="compiled")
         base = SoC(config, programs)
         base.run(until=9000)  # past the fill prefix, before the read-back
         snap = checkpoint(base)

@@ -2,8 +2,8 @@
 """Differential fuzzing, end to end: generate -> compare -> shrink -> pin.
 
 Sweeps seeded random scenarios through every execution path the repo
-has -- the mini-C interpreter and all four ISS backends (reference,
-fast, compiled, vector) -- and compares final register files, RAM,
+has -- the mini-C interpreter and all three ISS backends (reference,
+compiled, vector) -- and compares final register files, RAM,
 cycle counts and the exact bus-access order.  Any divergence is
 automatically minimized by the shrinker and printed as a ready-to-pin
 pytest regression for ``tests/test_fuzz_regressions.py``.

@@ -578,7 +578,7 @@ def _c_div(left: Any, right: Any) -> Any:
     if isinstance(left, int) and isinstance(right, int):
         # C semantics: truncation toward zero, wrapped to the 32-bit word
         # (the single overflow case, INT_MIN / -1, wraps back to INT_MIN
-        # exactly like the ISS's div -- see repro.vp.iss._div32).
+        # exactly like the ISS's div -- see repro.vp.isa._div32).
         quotient = abs(left) // abs(right)
         if (left >= 0) != (right >= 0):
             quotient = -quotient

@@ -10,6 +10,9 @@ workers re-importing job functions by name.  What moved here is the
 - a break with several jobs in flight cannot name its killer, so every
   interrupted job comes back as a ``suspect`` completion (in tag order)
   for the engine to refund and re-run in isolated width-1 pools;
+- a submission refused because the pool already broke (a worker died
+  after the last drain) is interrupted by that same break: the tag is
+  held back and blamed with the in-flight jobs at the next drain;
 - :meth:`cancel` (timeout enforcement) can only tear the whole pool
   down, so it reports every other in-flight tag as collateral.
 
@@ -46,6 +49,7 @@ class ForkPoolBackend(ExecutorBackend):
         self._pool: Optional[ProcessPoolExecutor] = None
         self._futures: Dict[Future, int] = {}
         self._tags: Dict[int, Future] = {}
+        self._refused: List[int] = []
 
     # ------------------------------------------------------------------
     def _ensure_pool(self) -> ProcessPoolExecutor:
@@ -60,6 +64,7 @@ class ForkPoolBackend(ExecutorBackend):
         pool, self._pool = self._pool, None
         self._futures.clear()
         self._tags.clear()
+        self._refused.clear()
         if pool is None:
             return
         processes = list(getattr(pool, "_processes", {}).values())
@@ -72,16 +77,24 @@ class ForkPoolBackend(ExecutorBackend):
 
     # ------------------------------------------------------------------
     def submit(self, tag: int, job: Job) -> None:
-        future = self._ensure_pool().submit(
-            execute_payload, (job.ref, job.config, job.seed))
+        try:
+            future = self._ensure_pool().submit(
+                execute_payload, (job.ref, job.config, job.seed))
+        except BrokenProcessPool:
+            # A worker died since the last drain and the pool refuses new
+            # work: the tag is an innocent sibling of that break.
+            self._refused.append(tag)
+            return
         self._futures[future] = tag
         self._tags[tag] = future
 
     def drain(self, timeout: Optional[float]) -> List[Completion]:
-        if not self._futures:
+        if not self._futures and not self._refused:
             return []
-        finished, _ = wait(set(self._futures), timeout=timeout,
-                           return_when=FIRST_COMPLETED)
+        finished = set()
+        if self._futures:
+            finished, _ = wait(set(self._futures), timeout=timeout,
+                               return_when=FIRST_COMPLETED)
         completions: List[Completion] = []
         broken: List[int] = []
         for future in finished:
@@ -97,8 +110,9 @@ class ForkPoolBackend(ExecutorBackend):
             completions.append(Completion(
                 tag, STATUS_OK if status == "ok" else STATUS_ERROR,
                 payload, elapsed))
-        if broken:
-            survivors = sorted(self._futures.values())
+        if broken or self._refused:
+            survivors = sorted(list(self._futures.values())
+                               + self._refused)
             self._kill_pool()
             if len(broken) == 1 and not survivors:
                 # Alone in the pool: blame is certain.
@@ -113,7 +127,8 @@ class ForkPoolBackend(ExecutorBackend):
 
     def cancel(self, tags: Sequence[int]) -> List[int]:
         doomed = set(tags)
-        collateral = sorted(tag for tag in self._tags if tag not in doomed)
+        collateral = sorted(tag for tag in list(self._tags) + self._refused
+                            if tag not in doomed)
         # Hung workers cannot be cancelled individually: replace the
         # whole pool, reporting the innocent in-flight tags for requeue.
         self._kill_pool()

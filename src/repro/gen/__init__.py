@@ -1,8 +1,8 @@
 """repro.gen -- differential fuzzer + parametric scenario generator.
 
 Industrializes the repo's bug-finding (ROADMAP item 4): the repo has
-five execution paths that must agree bit-for-bit -- the mini-C
-interpreter plus the reference/fast/compiled/vector ISS backends -- and
+four execution paths that must agree bit-for-bit -- the mini-C
+interpreter plus the reference/compiled/vector ISS backends -- and
 every past differential campaign found real bugs.  This package
 generates the campaigns instead of hand-writing them:
 

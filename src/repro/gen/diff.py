@@ -1,7 +1,7 @@
-"""Differential harness: one scenario, five execution paths, zero drift.
+"""Differential harness: one scenario, four execution paths, zero drift.
 
 A *firmware* scenario runs on the reference ISS backend (``quantum=1``,
-the event-exact oracle) and on every batching backend (fast, compiled,
+the event-exact oracle) and on every batching backend (compiled,
 vector) at the scenario's quantum; the harness compares final register
 files, pcs, halt/interrupt state, cycle and instruction counts, final
 simulation time, the full RAM image and the exact bus access *sequence*
@@ -26,7 +26,7 @@ from repro.gen.expr import RESULT_ADDR, generate_expr_scenario
 from repro.gen.firmware import generate_scenario
 from repro.vp import SoC, SoCConfig, assemble
 
-BATCHING_BACKENDS = ("fast", "compiled", "vector")
+BATCHING_BACKENDS = ("compiled", "vector")
 
 # Snapshot fields a batching run must reproduce bit-for-bit.
 COMPARED_FIELDS = ("regs", "pc", "halted", "interrupts_enabled", "in_isr",

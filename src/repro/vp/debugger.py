@@ -100,7 +100,7 @@ class Debugger:
         # between kernel events, so every core must retire at most one
         # instruction per event while a debugger is attached (breakpoints
         # poll `core.pc` between events).  This forces quantum=1 behavior
-        # on the ISS fast path until detach().
+        # on the ISS batching tiers until detach().
         self.soc.acquire_sync()
         self._attached = True
 

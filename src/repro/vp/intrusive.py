@@ -56,7 +56,7 @@ class HardwareProbe:
         # Sync-boundary contract: the probe samples pc/registers before
         # every instruction of the core under debug, so that core must
         # run per-instruction (the stall hook alone already forces this
-        # on the ISS fast path; the explicit request documents it and
+        # on the ISS batching tiers; the explicit request documents it and
         # keeps the core synchronous even with a zero-cost monitor).
         self.core.acquire_sync()
         self._attached = True

@@ -49,15 +49,40 @@ THREE_REG_OPS = {"add", "sub", "mul", "div", "and", "or", "xor", "shl",
 BRANCH_OPS = {"beq", "bne", "blt", "bge"}
 NO_ARG_OPS = {"nop", "halt", "ret", "ei", "di", "iret"}
 
-# Classification used by the ISS's temporally-decoupled fast path: LOCAL_OPS
-# touch nothing outside the register file and may be batched into one kernel
-# event; SYNC_OPS are observable interactions (bus traffic, interrupt-mode
-# changes, halt) that force a synchronization boundary.
+# Classification used by the ISS's temporally-decoupled batching tiers:
+# LOCAL_OPS touch nothing outside the register file and may be batched into
+# one kernel event; every other op (bus traffic, interrupt-mode changes,
+# halt) is an observable interaction that forces a synchronization
+# boundary.  CONTROL_OPS are local but end a compiled superblock.
 CONTROL_OPS = BRANCH_OPS | {"jmp", "jal", "jr", "ret"}
-MEM_OPS = {"lw", "sw", "swap"}
-SYNC_OPS = MEM_OPS | {"halt", "ei", "di", "iret"}
 LOCAL_OPS = (THREE_REG_OPS | CONTROL_OPS
              | {"addi", "li", "mov", "nop"})
+
+# Simulated cycles per instruction: mul/div 3, memory 2, everything else 1.
+CYCLES = {"mul": 3, "div": 3, "lw": 2, "sw": 2, "swap": 2}
+DEFAULT_CYCLES = 1
+
+_MASK32 = 0xFFFFFFFF
+
+
+def _to_signed32(value: int) -> int:
+    """Reduce to the signed 32-bit two's-complement image (the word size
+    of every register, data word and immediate)."""
+    value &= _MASK32
+    return value - 0x1_0000_0000 if value & 0x8000_0000 else value
+
+
+def _div_trunc(a: int, b: int) -> int:
+    """Pure-integer division truncating toward zero (no float detour, so
+    operands beyond 2**53 stay exact)."""
+    q = abs(a) // abs(b)
+    return -q if (a < 0) != (b < 0) else q
+
+
+def _div32(a: int, b: int) -> int:
+    """``div``: truncating 32-bit division.  The single overflow case,
+    INT_MIN / -1, wraps back to INT_MIN as on real 32-bit hardware."""
+    return _to_signed32(_div_trunc(a, b))
 
 
 class AsmError(Exception):
@@ -110,14 +135,6 @@ def _parse_register(token: str, line_no: int, line: str) -> int:
     if not 0 <= index < REGISTER_COUNT:
         raise AsmError(f"register out of range {token!r}", line_no, line)
     return index
-
-
-def _wrap_word(value: int) -> int:
-    """The signed 32-bit two's-complement image (the ISS word size --
-    duplicated here rather than imported so isa stays import-cycle-free
-    below iss/jit)."""
-    value &= 0xFFFFFFFF
-    return value - 0x1_0000_0000 if value & 0x8000_0000 else value
 
 
 def _check_target(value: int, op: str, line_no: int, line: str) -> int:
@@ -191,7 +208,7 @@ def assemble(source: str) -> AsmProgram:
             if data_cursor is None:
                 raise AsmError(".word before .org", line_no, raw)
             for token in rest.replace(",", " ").split():
-                program.data[data_cursor] = _wrap_word(int(token, 0))
+                program.data[data_cursor] = _to_signed32(int(token, 0))
                 data_cursor += 1
             continue
         if data_cursor is not None:
@@ -229,13 +246,13 @@ def _encode(op: str, operands: List[str], line_no: int, raw: str,
             raise AsmError("addi needs rd, ra, imm", line_no, raw)
         rd = _parse_register(operands[0], line_no, raw)
         ra = _parse_register(operands[1], line_no, raw)
-        imm = _wrap_word(resolve(_parse_imm(operands[2], line_no, raw)))
+        imm = _to_signed32(resolve(_parse_imm(operands[2], line_no, raw)))
         return Instr("addi", (rd, ra, imm), line_no)
     if op == "li":
         if len(operands) != 2:
             raise AsmError("li needs rd, imm", line_no, raw)
         rd = _parse_register(operands[0], line_no, raw)
-        imm = _wrap_word(resolve(_parse_imm(operands[1], line_no, raw)))
+        imm = _to_signed32(resolve(_parse_imm(operands[1], line_no, raw)))
         return Instr("li", (rd, imm), line_no)
     if op == "mov":
         if len(operands) != 2:
@@ -248,7 +265,7 @@ def _encode(op: str, operands: List[str], line_no: int, raw: str,
             raise AsmError(f"{op} needs reg, imm(reg)", line_no, raw)
         reg = _parse_register(operands[0], line_no, raw)
         imm, base = _parse_mem_operand(operands[1], line_no, raw)
-        return Instr(op, (reg, _wrap_word(resolve(imm)), base), line_no)
+        return Instr(op, (reg, _to_signed32(resolve(imm)), base), line_no)
     if op in BRANCH_OPS:
         if len(operands) != 3:
             raise AsmError(f"{op} needs ra, rb, label", line_no, raw)
@@ -271,6 +288,6 @@ def _encode(op: str, operands: List[str], line_no: int, raw: str,
     raise AsmError(f"unknown mnemonic {op!r}", line_no, raw)
 
 
-__all__ = ["AsmError", "AsmProgram", "BRANCH_OPS", "CONTROL_OPS", "Instr",
-           "LINK_REGISTER", "LOCAL_OPS", "MEM_OPS", "REGISTER_COUNT",
-           "STACK_REGISTER", "SYNC_OPS", "THREE_REG_OPS", "assemble"]
+__all__ = ["AsmError", "AsmProgram", "BRANCH_OPS", "CONTROL_OPS", "CYCLES",
+           "DEFAULT_CYCLES", "Instr", "LINK_REGISTER", "LOCAL_OPS",
+           "REGISTER_COUNT", "STACK_REGISTER", "THREE_REG_OPS", "assemble"]

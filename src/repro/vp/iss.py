@@ -11,17 +11,29 @@ simulator between events instead), while the intrusive hardware-probe
 model injects per-core stalls -- the timing perturbation that creates
 Heisenbugs (section VII).
 
-Temporal decoupling (the fast path)
------------------------------------
+Temporal decoupling (the batching tiers)
+----------------------------------------
 Paying one kernel event per retired instruction makes the ISS, not the
 modeled workload, dominate wall-clock time.  Like SystemC/TLM2 loosely
 timed platforms, the core therefore batches *local* progress -- straight
 runs of ALU/branch instructions that touch nothing outside the register
-file -- into a single ``yield Delay(total)``, bounded by a configurable
-time ``quantum``.  Each :class:`AsmProgram` is pre-decoded once into
-dispatch-ready handler closures (the *decode cache*, invalidated when the
-program object or its length changes; call :func:`invalidate_decode`
+file (:data:`repro.vp.isa.LOCAL_OPS`) -- into a single kernel wakeup,
+bounded by a configurable time ``quantum``.  Each :class:`AsmProgram` is
+decoded once into a per-pc ``batchable`` table plus lazily compiled
+superblocks (:mod:`repro.vp.jit`; the *decode cache*, invalidated when
+the program object or its length changes; call :func:`invalidate_decode`
 after editing instructions in place).
+
+Backend tiers (``Cpu(backend=...)`` / ``SoCConfig.backend``):
+
+- ``"reference"`` -- one instruction, one kernel event, executed by
+  :meth:`Cpu._execute`: the independent oracle every other tier is
+  checked against;
+- ``"compiled"`` (the default) -- chains of superblock-compiled batches
+  (:func:`repro.vp.lanes.run_superblock_chain`);
+- ``"vector"`` -- lane-lockstep batches for cores sharing one program
+  (:mod:`repro.vp.lanes`), degrading to ``"compiled"`` for cores with no
+  lane group.
 
 Cycle counts are bit-identical to the per-instruction reference path:
 batches accumulate exactly the per-instruction cycle costs, and every
@@ -32,8 +44,8 @@ re-enters the kernel at the precise reference cycle:
 - mode changes (``ei``/``di``/``iret``/``halt``);
 - an open interrupt window (interrupts enabled, outside an ISR, with an
   irq vector configured) -- the reference path samples ``irq`` before
-  every instruction, so the fast path degrades to it;
-- an installed ``stall_hook`` or any ``post_instr_hook`` observer;
+  every instruction, so the batching tiers degrade to it;
+- an installed ``stall_hook`` or any post-instruction hook;
 - kernel :class:`~repro.desim.SimObserver` instrumentation (the obs
   probes see the identical per-instruction event stream);
 - subscribers on ``pc_signal`` (debugger signal watchpoints);
@@ -50,48 +62,32 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 from repro.desim import Delay, Signal, Simulator
+from repro.vp import jit
 from repro.vp.bus import Bus
-from repro.vp.isa import (AsmProgram, BRANCH_OPS, Instr, LINK_REGISTER,
-                          REGISTER_COUNT)
+from repro.vp.isa import (AsmProgram, CYCLES, DEFAULT_CYCLES, Instr,
+                          LINK_REGISTER, LOCAL_OPS, REGISTER_COUNT, _div32,
+                          _to_signed32)
+from repro.vp.lanes import run_superblock_chain
 
-CYCLES = {"mul": 3, "div": 3, "lw": 2, "sw": 2, "swap": 2}
-DEFAULT_CYCLES = 1
 DEFAULT_QUANTUM = 64
 
-# Execution backend tiers (see Cpu.__init__, repro.vp.jit and
-# repro.vp.lanes): "reference" is the event-exact per-instruction
-# oracle, "fast" the closure-dispatch batcher, "compiled" the
-# superblock-compiled batcher, "vector" the lane-lockstep tier that
-# retires superblock batches for all convergent homogeneous cores in
-# one step (degrading to "compiled" for cores with no lane group).
-BACKENDS = ("reference", "fast", "compiled", "vector")
-DEFAULT_BACKEND = "fast"
+BACKENDS = ("reference", "compiled", "vector")
+DEFAULT_BACKEND = "compiled"
 
 _MASK32 = 0xFFFFFFFF
 
-
-def _div_trunc(a: int, b: int) -> int:
-    """Pure-integer division truncating toward zero (no float detour, so
-    operands beyond 2**53 stay exact)."""
-    q = abs(a) // abs(b)
-    return -q if (a < 0) != (b < 0) else q
-
-
-def _div32(a: int, b: int) -> int:
-    """``div``: truncating 32-bit division.  The single overflow case,
-    INT_MIN / -1, wraps back to INT_MIN as on real 32-bit hardware."""
-    return _to_signed32(_div_trunc(a, b))
+# Register-file invariant: every register always holds the *canonical*
+# signed 32-bit image of its value (-2**31 .. 2**31-1).  Every writer
+# that can leave that range wraps (add/sub/mul/div, addi, li, loads);
+# writers that cannot (bitwise ops, compares, mov of a canonical source,
+# link writes) store raw.  slt and the blt/bge tests then compare the
+# signed-32 images by construction -- no masking needed at compare sites.
+# The compiled backend (repro.vp.jit) relies on the same invariant.
 
 
 def _unsigned_lt(a: int, b: int) -> int:
     """``sltu``: compare the 32-bit two's-complement images."""
     return 1 if (a & _MASK32) < (b & _MASK32) else 0
-
-
-def _to_signed32(value: int) -> int:
-    """Reduce to the signed 32-bit two's-complement image."""
-    value &= _MASK32
-    return value - 0x1_0000_0000 if value & 0x8000_0000 else value
 
 
 def _shl32(a: int, b: int) -> int:
@@ -125,159 +121,23 @@ class CoreState:
 # decode cache
 # ---------------------------------------------------------------------------
 
-class _BatchFault(Exception):
-    """A fault raised inside a compiled handler.  Carries the detail text
-    without the core name (decoded programs are shared across cores); the
-    batch executor prefixes the name when surfacing it."""
-
-
-_JIT_BLOCK_FAULT = None
-
-
-def _jit_block_fault():
-    """The jit backend's BlockFault class, imported lazily exactly once
-    (repro.vp.jit imports this module at top level, so the reverse import
-    must stay deferred -- and out of the per-batch hot path)."""
-    global _JIT_BLOCK_FAULT
-    if _JIT_BLOCK_FAULT is None:
-        from repro.vp.jit import BlockFault
-        _JIT_BLOCK_FAULT = BlockFault
-    return _JIT_BLOCK_FAULT
-
-
-# Register-file invariant: every register always holds the *canonical*
-# signed 32-bit image of its value (-2**31 .. 2**31-1).  Every writer
-# that can leave that range wraps (add/sub/mul/div, addi, li, loads);
-# writers that cannot (bitwise ops, compares, mov of a canonical source,
-# link writes) store raw.  slt and the blt/bge tests then compare the
-# signed-32 images by construction -- no masking needed at compare sites.
-# The wrap form ((x + 2**31) & 0xFFFFFFFF) - 2**31 is branchless and is
-# the same expression the compiled backend (repro.vp.jit) inlines.
-_BINOPS = {
-    "add": lambda a, b: ((a + b + 0x8000_0000) & _MASK32) - 0x8000_0000,
-    "sub": lambda a, b: ((a - b + 0x8000_0000) & _MASK32) - 0x8000_0000,
-    "mul": lambda a, b: ((a * b + 0x8000_0000) & _MASK32) - 0x8000_0000,
-    "and": lambda a, b: a & b,
-    "or": lambda a, b: a | b,
-    "xor": lambda a, b: a ^ b,
-    "shl": _shl32,
-    "shr": _shr32,
-    "slt": lambda a, b: 1 if a < b else 0,
-    "sltu": _unsigned_lt,
-    "seq": lambda a, b: 1 if a == b else 0,
-}
-
-_BRANCH_TESTS = {
-    "beq": lambda a, b: a == b,
-    "bne": lambda a, b: a != b,
-    "blt": lambda a, b: a < b,
-    "bge": lambda a, b: a >= b,
-}
-
-
-def _compile_handler(instr: Instr, pc: int):
-    """Compile one batchable instruction to a closure ``handler(regs) ->
-    next_pc`` mutating the register file in place.
-
-    ``regs[0]`` is hardwired to zero by construction (every write path
-    guards index 0), so operand reads use the raw list.  Handlers for
-    ``rd == r0`` still evaluate their operands -- a ``div`` by zero must
-    fault exactly like the reference path.
-    """
-    op = instr.op
-    args = instr.args
-    nxt = pc + 1
-    if op == "div":
-        rd, ra, rb = args
-
-        def div_handler(regs, rd=rd, ra=ra, rb=rb, nxt=nxt, pc=pc):
-            b = regs[rb]
-            if b == 0:
-                raise _BatchFault(f"division by zero at pc={pc}")
-            value = _div32(regs[ra], b)
-            if rd:
-                regs[rd] = value
-            return nxt
-        return div_handler
-    if op in _BINOPS:
-        rd, ra, rb = args
-        fn = _BINOPS[op]
-        if rd:
-            def bin_handler(regs, rd=rd, ra=ra, rb=rb, nxt=nxt, fn=fn):
-                regs[rd] = fn(regs[ra], regs[rb])
-                return nxt
-        else:
-            def bin_handler(regs, ra=ra, rb=rb, nxt=nxt, fn=fn):
-                fn(regs[ra], regs[rb])
-                return nxt
-        return bin_handler
-    if op == "addi":
-        rd, ra, imm = args
-        if rd:
-            return lambda regs, rd=rd, ra=ra, imm=imm, nxt=nxt: (
-                regs.__setitem__(
-                    rd, ((regs[ra] + imm + 0x8000_0000) & _MASK32)
-                    - 0x8000_0000), nxt)[1]
-        return lambda regs, nxt=nxt: nxt
-    if op == "li":
-        rd, imm = args
-        imm = _to_signed32(imm)  # out-of-range immediates wrap at decode
-        if rd:
-            return lambda regs, rd=rd, imm=imm, nxt=nxt: (
-                regs.__setitem__(rd, imm), nxt)[1]
-        return lambda regs, nxt=nxt: nxt
-    if op == "mov":
-        rd, ra = args
-        if rd:
-            return lambda regs, rd=rd, ra=ra, nxt=nxt: (
-                regs.__setitem__(rd, regs[ra]), nxt)[1]
-        return lambda regs, nxt=nxt: nxt
-    if op in BRANCH_OPS:
-        ra, rb, target = args
-        test = _BRANCH_TESTS[op]
-        return lambda regs, ra=ra, rb=rb, t=target, nxt=nxt, test=test: (
-            t if test(regs[ra], regs[rb]) else nxt)
-    if op == "jmp":
-        target = args[0]
-        return lambda regs, t=target: t
-    if op == "jal":
-        target = args[0]
-
-        def jal_handler(regs, t=target, link=nxt):
-            regs[LINK_REGISTER] = link
-            return t
-        return jal_handler
-    if op == "jr":
-        ra = args[0]
-        return lambda regs, ra=ra: regs[ra]
-    if op == "ret":
-        return lambda regs: regs[LINK_REGISTER]
-    if op == "nop":
-        return lambda regs, nxt=nxt: nxt
-    return None  # boundary op: executed on the reference path
-
-
 class DecodedProgram:
     """Dispatch-ready decode of one :class:`AsmProgram`.
 
-    Three parallel tables indexed by pc: per-instruction ``cycles``,
-    whether the instruction is ``batchable`` (no observable interaction),
-    and the compiled ``handlers`` (``None`` at sync boundaries).  The
-    superblock cache of the compiled backend (:mod:`repro.vp.jit`) hangs
-    off the same object, so one decode invalidation drops both tiers.
+    A per-pc ``batchable`` table (no observable interaction) plus the
+    lazily built superblock caches of the compiled and vector tiers
+    (:mod:`repro.vp.jit`), which hang off the same object, so one decode
+    invalidation drops every tier.
     """
 
-    __slots__ = ("n", "cycles", "batchable", "handlers", "_source_list",
-                 "_superblocks", "_laneblocks")
+    __slots__ = ("n", "batchable", "_source_list", "_superblocks",
+                 "_laneblocks")
 
     def __init__(self, program: AsmProgram) -> None:
         instrs = program.instructions
         self._source_list = instrs
         self.n = len(instrs)
-        self.cycles = [CYCLES.get(i.op, DEFAULT_CYCLES) for i in instrs]
-        self.handlers = [_compile_handler(instr, pc)
-                         for pc, instr in enumerate(instrs)]
-        self.batchable = [h is not None for h in self.handlers]
+        self.batchable = [instr.op in LOCAL_OPS for instr in instrs]
         self._superblocks = None
         self._laneblocks = None
 
@@ -287,7 +147,7 @@ class DecodedProgram:
         return (program.instructions is self._source_list
                 and len(program.instructions) == self.n)
 
-    def superblocks(self):
+    def superblocks(self) -> jit.SuperBlockCache:
         """The lazily built superblock cache for the compiled backend.
 
         Salted with :data:`repro.vp.jit.JIT_SALT` (a digest of the
@@ -296,17 +156,15 @@ class DecodedProgram:
         version, exactly like an in-place program edit invalidates the
         decode itself.
         """
-        from repro.vp import jit
         cache = self._superblocks
         if cache is None or cache.salt != jit.JIT_SALT:
             cache = self._superblocks = jit.SuperBlockCache(
                 self._source_list, self.batchable)
         return cache
 
-    def lane_superblocks(self):
+    def lane_superblocks(self) -> jit.LaneBlockCache:
         """The lane-vectorized superblock cache (the vector backend's
         tier), lazily built and salted exactly like :meth:`superblocks`."""
-        from repro.vp import jit
         cache = self._laneblocks
         if cache is None or cache.salt != jit.JIT_SALT:
             cache = self._laneblocks = jit.LaneBlockCache(
@@ -337,8 +195,8 @@ def invalidate_decode(program: AsmProgram) -> None:
     :meth:`DecodedProgram.matches`, which compares against the live
     instruction list -- an in-place edit keeps that list identical, so
     an unlinked-but-unpoisoned decode would keep matching and the core
-    would keep executing stale handlers and stale compiled superblocks
-    (scalar and lane caches both hang off the decode).  Clearing
+    would keep executing stale compiled superblocks (scalar and lane
+    caches both hang off the decode).  Clearing
     ``_source_list`` makes every future ``matches()`` fail, forcing a
     re-decode, and drops both compiled-tier caches with it.
     """
@@ -377,17 +235,16 @@ class Cpu:
         self.cycle_count = 0
         self.instr_count = 0
         # Temporal decoupling: max simulated cycles executed per kernel
-        # event on the fast path; 1 forces the per-instruction reference
-        # path (see module docstring for the sync-boundary rules).
+        # wakeup on the batching tiers; 1 forces the per-instruction
+        # reference path (see module docstring for the sync-boundary
+        # rules).
         if quantum < 1:
             raise ValueError(f"quantum must be >= 1, got {quantum}")
         self.quantum = quantum
-        # Execution backend tier.  "reference" pins the event-exact
-        # per-instruction path regardless of quantum; "fast" is the
-        # decode-cache closure batcher; "compiled" retires whole
-        # superblocks per generated-function call (repro.vp.jit).  All
-        # three are bit-identical; the sync-boundary rules above apply
-        # unchanged to both batching tiers.
+        # Execution backend tier (see module docstring).  "reference"
+        # pins the event-exact per-instruction path regardless of
+        # quantum; all tiers are bit-identical and the sync-boundary
+        # rules apply unchanged to both batching tiers.
         if backend not in BACKENDS:
             raise ValueError(f"backend must be one of {sorted(BACKENDS)}, "
                              f"got {backend!r}")
@@ -414,7 +271,7 @@ class Cpu:
         # Hooks called on interrupt entry ("enter") and on iret ("iret").
         # Both happen only on the reference path (vectoring requires an
         # open irq window and iret is never batchable), so the checks
-        # cost nothing on the decoupled fast path.
+        # cost nothing on the batching tiers.
         self._irq_hooks: List[Callable[["Cpu", str], None]] = []
         # Outstanding synchronization requests: while > 0 the core runs
         # per-instruction regardless of `quantum` (debugger contract).
@@ -461,21 +318,6 @@ class Cpu:
 
     def remove_irq_hook(self, hook: Callable[["Cpu", str], None]) -> None:
         self._irq_hooks.remove(hook)
-
-    @property
-    def post_instr_hook(self) -> Optional[Callable[["Cpu", Instr], None]]:
-        """Backward-compat view: the most recently installed hook."""
-        return self._post_instr_hooks[-1] if self._post_instr_hooks else None
-
-    @post_instr_hook.setter
-    def post_instr_hook(
-            self, hook: Optional[Callable[["Cpu", Instr], None]]) -> None:
-        # Assignment used to clobber any previously installed observer;
-        # it now appends (None clears all hooks).
-        if hook is None:
-            self._post_instr_hooks.clear()
-        else:
-            self._post_instr_hooks.append(hook)
 
     # ------------------------------------------------------------------
     def acquire_sync(self) -> None:
@@ -580,7 +422,7 @@ class Cpu:
                 if stall > 0:
                     self._wait_state = "stall"
                     yield Delay(stall)
-            # Fast-path eligibility: no observable interaction may fall
+            # Batching eligibility: no observable interaction may fall
             # inside a batch (module docstring lists the boundary rules).
             elif (self.quantum > 1 and self.backend != "reference"
                     and self._sync_requests == 0
@@ -591,77 +433,50 @@ class Cpu:
                 decoded = self._decoded
                 if decoded is None or not decoded.matches(program):
                     decoded = self._decoded = decode_program(program)
-                if decoded.batchable[self.pc] and lane_group is not None \
-                        and self.backend == "vector":
-                    # Lane-lockstep tier: one group step retires this
-                    # batch for every convergent lane (twins by state
-                    # copy, distinct lanes through the lane-compiled
-                    # superblocks); divergent lanes were simply not
-                    # collected and rejoin at the next common pc.  The
-                    # early pc commit (before the delays) publishes the
-                    # parked state a later-waking leader reads.
-                    result = lane_group.step(self, decoded)
-                    self.pc = result.pc
-                    lane_group.park(self)
-                    self._wait_state = "lane"
-                    # Single kernel event per batch (see the consume path
-                    # above): the end-of-batch wakeup is a reference-path
-                    # cycle and per-core priority pins tied-time order.
-                    yield Delay(result.total)
-                    total = result.total
-                    self.cycle_count += total
-                    self.instr_count += result.count
-                    self.pc_signal.write(self.pc)
-                    if result.fault is not None:
-                        raise RuntimeError(f"{self.name}: {result.fault}")
-                    continue
-                if decoded.batchable[self.pc] \
-                        and self.backend in ("compiled", "vector"):
+                if decoded.batchable[self.pc]:
+                    if lane_group is not None and self.backend == "vector":
+                        # Lane-lockstep tier: one group step retires this
+                        # batch for every convergent lane (twins by state
+                        # copy, distinct lanes through the lane-compiled
+                        # superblocks); divergent lanes were simply not
+                        # collected and rejoin at the next common pc.  The
+                        # early pc commit (before the delay) publishes the
+                        # parked state a later-waking leader reads.
+                        result = lane_group.step(self, decoded)
+                        self.pc = result.pc
+                        lane_group.park(self)
+                        self._wait_state = "lane"
+                        # Single kernel event per batch (see the consume
+                        # path above): the end-of-batch wakeup is a
+                        # reference-path cycle and per-core priority pins
+                        # tied-time order.
+                        yield Delay(result.total)
+                        total = result.total
+                        self.cycle_count += total
+                        self.instr_count += result.count
+                        self.pc_signal.write(self.pc)
+                        if result.fault is not None:
+                            raise RuntimeError(
+                                f"{self.name}: {result.fault}")
+                        continue
                     # Superblock tier: one generated-function call per
                     # basic block, chained until the quantum budget is
                     # spent or a sync boundary is reached.  The quantum
                     # rounds up to block granularity -- legal because
                     # blocks contain no observable interaction, so every
-                    # wakeup still lands on a reference-path cycle and
-                    # tied-time ordering is pinned by core priority.
-                    block_fault = _jit_block_fault()
-                    sblocks = decoded.superblocks()
-                    get_block = sblocks.get
-                    batchable = decoded.batchable
-                    regs = self.regs
-                    quantum = self.quantum
-                    pc = self.pc
-                    total = 0
-                    count = 0
-                    cost = 0
-                    fault = None
-                    while True:
-                        block = get_block(pc)
-                        try:
-                            if block.dynamic:
-                                # Loop superblock: retires whole
-                                # iterations until the remaining budget
-                                # is spent or the loop exits.
-                                pc, bcycles, bcount = block.fn(
-                                    regs, quantum - total)
-                                total += bcycles
-                                count += bcount
-                            else:
-                                pc = block.fn(regs)
-                                total += block.cycles
-                                count += block.count
-                        except block_fault as error:
-                            total += error.cycles
-                            count += error.count
-                            cost = error.cost
-                            pc = error.pc
-                            fault = RuntimeError(
-                                f"{self.name}: {error.detail}")
-                            break
-                        cost = block.last_cost
-                        if (total >= quantum or not 0 <= pc < n
-                                or not batchable[pc]):
-                            break
+                    # wakeup still lands on a reference-path cycle.
+                    pc, total, count, cost, fault = run_superblock_chain(
+                        decoded, self.regs, self.pc, self.quantum)
+                    # Two kernel events per batch: the final instruction's
+                    # delay is issued separately so that every batch yield
+                    # is scheduled at a simulation time where the
+                    # reference path also scheduled one.  Time alignment
+                    # alone is not enough for tied-time ordering -- the
+                    # batch's first wakeup carries a seq from batch
+                    # *start*, older than the reference path's -- which is
+                    # why core processes run at a fixed per-core kernel
+                    # priority (see __init__): tied wakeups order by
+                    # (time, priority), not history.
                     self._wait_state = "batch"
                     if total > cost:
                         yield Delay(total - cost)
@@ -671,61 +486,7 @@ class Cpu:
                     self.pc = pc
                     self.pc_signal.write(pc)
                     if fault is not None:
-                        raise fault
-                    continue
-                if decoded.batchable[self.pc]:
-                    # Execute a quantum-bounded run of local instructions
-                    # in place, then re-enter the kernel exactly once.
-                    handlers = decoded.handlers
-                    cycles_tab = decoded.cycles
-                    batchable = decoded.batchable
-                    regs = self.regs
-                    quantum = self.quantum
-                    pc = self.pc
-                    total = 0
-                    count = 0
-                    cost = 0
-                    fault = None
-                    while True:
-                        cost = cycles_tab[pc]
-                        try:
-                            pc = handlers[pc](regs)
-                        except BaseException as error:  # noqa: BLE001
-                            # The reference path charges the faulting
-                            # instruction before raising; match it, and
-                            # surface the error only after the batch
-                            # delay so it fires at the reference cycle.
-                            total += cost
-                            count += 1
-                            fault = error
-                            break
-                        total += cost
-                        count += 1
-                        if (total >= quantum or not 0 <= pc < n
-                                or not batchable[pc]):
-                            break
-                    # Two kernel events per batch, not one: the final
-                    # instruction's delay is issued separately so that
-                    # every fast-path yield is scheduled at a simulation
-                    # time where the reference path also scheduled one.
-                    # Time alignment alone is not enough for tied-time
-                    # ordering -- the batch's first wakeup carries a seq
-                    # from batch *start*, older than the reference path's
-                    # -- which is why core processes run at a fixed
-                    # per-core kernel priority (see __init__): tied
-                    # wakeups order by (time, priority), not history.
-                    self._wait_state = "batch"
-                    if total > cost:
-                        yield Delay(total - cost)
-                    yield Delay(cost)
-                    self.cycle_count += total
-                    self.instr_count += count
-                    self.pc = pc
-                    self.pc_signal.write(pc)
-                    if fault is not None:
-                        if isinstance(fault, _BatchFault):
-                            raise RuntimeError(f"{self.name}: {fault}")
-                        raise fault
+                        raise RuntimeError(f"{self.name}: {fault}")
                     continue
             # Reference path: one instruction, one kernel event.
             instr = program.instructions[self.pc]
@@ -868,6 +629,6 @@ class Cpu:
         self.pc = next_pc
 
 
-__all__ = ["BACKENDS", "CoreState", "Cpu", "CYCLES", "DEFAULT_BACKEND",
+__all__ = ["BACKENDS", "CoreState", "Cpu", "DEFAULT_BACKEND",
            "DEFAULT_QUANTUM", "DecodedProgram", "decode_program",
            "invalidate_decode"]

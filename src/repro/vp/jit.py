@@ -1,9 +1,9 @@
-"""Superblock-compiled ISS backend (``SoCConfig.backend = "compiled"``).
+"""Superblock-compiled ISS backend (``SoCConfig.backend = "compiled"``,
+the default).
 
-The temporally-decoupled fast path (repro.vp.iss) already batches local
-instructions into one kernel event, but still pays one Python closure
-dispatch per retired instruction.  This module removes that last per-
-instruction cost: each *superblock* -- a maximal run of batchable
+Temporal decoupling (repro.vp.iss) batches local instructions into one
+kernel event; this module removes the per-instruction interpretation
+cost inside a batch: each *superblock* -- a maximal run of batchable
 instructions from an entry pc up to and including the first control
 transfer (or up to the first synchronization boundary) -- is compiled
 once into a single generated-Python function that keeps live registers
@@ -13,7 +13,8 @@ conditional branch back to its own leader, the hot-loop shape) is
 compiled to an internal ``while`` that retires *many iterations* per
 call, bounded by the caller's remaining quantum budget.
 
-Correctness contract (the reference and fast paths are the oracles):
+Correctness contract (the reference path, ``Cpu._execute``, is the
+oracle):
 
 - **Sync boundaries are never compiled.**  Blocks only ever contain
   LOCAL_OPS (register-file-only work); bus ops, mode changes and every
@@ -25,8 +26,8 @@ Correctness contract (the reference and fast paths are the oracles):
   lazily: additive chains defer it (sum masking commutes with mod
   2**32), while every wrap-sensitive use (signed compares, shifts,
   division, backedges, block exits and faulting points) sees the
-  canonical image.  This is only correct because the interpreter paths
-  wrap too -- the unbounded-arithmetic fix this backend depends on.
+  canonical image.  This is only correct because the reference path
+  wraps too -- the unbounded-arithmetic fix this backend depends on.
 - **Faults surface at the reference cycle.**  A ``div`` by zero writes
   back all architectural state retired before the faulting instruction,
   then raises :class:`BlockFault` carrying the exact cycle/instruction
@@ -51,8 +52,9 @@ from __future__ import annotations
 import hashlib
 from typing import Callable, List, Optional, Sequence, Set, Tuple
 
-from repro.vp.isa import BRANCH_OPS, Instr, LINK_REGISTER, THREE_REG_OPS
-from repro.vp.iss import CYCLES, DEFAULT_CYCLES, _div32, _to_signed32
+from repro.vp.isa import (BRANCH_OPS, CONTROL_OPS, CYCLES, DEFAULT_CYCLES,
+                          Instr, LINK_REGISTER, THREE_REG_OPS, _div32,
+                          _to_signed32)
 
 # Cap on instructions fused into one block: bounds generated-function
 # size and the quantum overshoot of a batch that ends mid-block.
@@ -60,10 +62,6 @@ MAX_BLOCK_INSTRS = 64
 
 # Branch mnemonics to the Python comparison on canonical signed images.
 _BRANCH_PY = {"beq": "==", "bne": "!=", "blt": "<", "bge": ">="}
-
-# Control transfers terminate a superblock (they are still batchable --
-# the executor chains into the next block at the returned pc).
-_CONTROL = BRANCH_OPS | {"jmp", "jal", "jr", "ret"}
 
 
 def _compute_salt() -> str:
@@ -164,7 +162,7 @@ class _Emitter:
 
     ``canon[r]`` records whether local ``r{r}`` currently holds the
     canonical signed-32 image; locals loaded from the register file are
-    canonical by the register-file invariant (see repro.vp.iss._BINOPS).
+    canonical by the register-file invariant (see repro.vp.iss).
     """
 
     def __init__(self, loads: Sequence[int]) -> None:
@@ -341,7 +339,7 @@ def compile_superblock(instrs: Sequence[Instr], batchable: Sequence[bool],
     while pc < n and len(run) < MAX_BLOCK_INSTRS and batchable[pc]:
         instr = instrs[pc]
         run.append(instr)
-        if instr.op in _CONTROL:
+        if instr.op in CONTROL_OPS:
             terminator = instr
             pc += 1
             break
@@ -377,15 +375,17 @@ def compile_superblock(instrs: Sequence[Instr], batchable: Sequence[bool],
     body_pc = start
     for instr in run:
         cost = CYCLES.get(instr.op, DEFAULT_CYCLES)
-        if instr.op in _CONTROL:
+        if instr.op in CONTROL_OPS:
             break
         if dynamic:
             fault_charge = (f"_t + {cycles_total + cost}, "
                             f"_n + {count + 1}")
             fault_writeback = "__FAULT_WRITEBACK__"
-        else:
+        elif instr.op == "div":  # the only op that can fault
             fault_charge = f"{cycles_total + cost}, {count + 1}"
             fault_writeback = emitter.fault_writeback_here()
+        else:
+            fault_charge = fault_writeback = ""
         emitter.emit(instr, body_pc, fault_charge, fault_writeback)
         cycles_total += cost
         count += 1

@@ -27,7 +27,7 @@ Two tiers inside a vector step:
   trip count differs simply comes back with its own exit pc/charge and
   is finalized there (*split on divergence*).
 
-Lanes split off to the scalar fast/compiled path -- and transparently
+Lanes split off to the scalar compiled path -- and transparently
 rejoin at the next common leader pc -- at every divergence point: bus
 ops, an open irq window, a watched ``pc_signal``, stall or post-instr
 hooks, an outstanding sync request, a mismatched decode, or simply a
@@ -53,7 +53,7 @@ a leader can never read (or write) a lane that is mid-instruction.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.vp.jit import BlockFault
 
@@ -79,11 +79,17 @@ class LaneResult:
 
 
 def run_superblock_chain(decoded, regs: List[int], pc: int,
-                         quantum: int) -> LaneResult:
+                         quantum: int) -> Tuple[int, int, int, int,
+                                                Optional[str]]:
     """Retire one quantum-bounded batch of scalar superblocks starting
-    at ``pc`` -- the same chain the compiled backend runs inline in
-    :meth:`repro.vp.iss.Cpu._run`, reused here for solo lanes and for
-    the twins-share-one-execution tier."""
+    at ``pc`` -- the one chain loop behind the compiled backend
+    (:meth:`repro.vp.iss.Cpu._run`), solo lanes and the
+    twins-share-one-execution tier.
+
+    Returns ``(pc, total, count, cost, fault)``, the leading fields of a
+    :class:`LaneResult` (a plain tuple: the compiled backend calls this
+    once per batch).  A fault ends the batch with the exact
+    reference-path charge and its detail text in ``fault``."""
     sblocks = decoded.superblocks()
     get_block = sblocks.get
     batchable = decoded.batchable
@@ -102,12 +108,11 @@ def run_superblock_chain(decoded, regs: List[int], pc: int,
                 total += block.cycles
                 count += block.count
         except BlockFault as error:
-            return LaneResult(error.pc, total + error.cycles,
-                              count + error.count, error.cost,
-                              error.detail)
+            return (error.pc, total + error.cycles, count + error.count,
+                    error.cost, error.detail)
         cost = block.last_cost
         if total >= quantum or not 0 <= pc < n or not batchable[pc]:
-            return LaneResult(pc, total, count, cost)
+            return pc, total, count, cost, None
 
 
 def run_lane_chain(decoded, lanes: List[List[int]], pc: int,
@@ -209,7 +214,7 @@ class LaneGroup:
         pending :class:`LaneResult` to consume at its own wake-up.
 
         The caller (the core loop) has already verified the global
-        fast-path guard and ``decoded.batchable[cpu.pc]``.
+        batching guard and ``decoded.batchable[cpu.pc]``.
         """
         parked = self._parked
         parked[cpu._lane_id] = False
@@ -224,7 +229,8 @@ class LaneGroup:
 
         if len(members) == 1:
             self.solo_steps += 1
-            return run_superblock_chain(decoded, cpu.regs, pc, quantum)
+            return LaneResult(*run_superblock_chain(decoded, cpu.regs, pc,
+                                                    quantum))
 
         self.windows += 1
         self.lanes_retired += len(members)
@@ -241,7 +247,8 @@ class LaneGroup:
 
         backups = {id(m): list(m.regs) for m in members}
         if len(reps) == 1:
-            results = [run_superblock_chain(decoded, cpu.regs, pc, quantum)]
+            results = [LaneResult(*run_superblock_chain(decoded, cpu.regs,
+                                                        pc, quantum))]
         else:
             try:
                 self.vector_calls += 1
@@ -256,7 +263,8 @@ class LaneGroup:
                 self.fallbacks += 1
                 for member in members:
                     member.regs[:] = backups[id(member)]
-                return run_superblock_chain(decoded, cpu.regs, pc, quantum)
+                return LaneResult(*run_superblock_chain(decoded, cpu.regs,
+                                                        pc, quantum))
 
         leader_result = None
         for group, result in zip(reps, results):

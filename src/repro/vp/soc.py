@@ -54,17 +54,18 @@ class SoCConfig:
     n_semaphores: int = 16
     irq_vector: Optional[int] = None  # per-core ISR entry (instruction index)
     # Temporal-decoupling quantum for every core: max simulated cycles a
-    # core may batch into one kernel event on the ISS fast path.  1 forces
-    # the historical per-instruction execution; debuggers and observers
-    # force the same per-instruction behavior regardless of this value.
+    # core may batch into one kernel wakeup on the ISS batching tiers.
+    # 1 forces the historical per-instruction execution; debuggers and
+    # observers force the same per-instruction behavior regardless of
+    # this value.
     quantum: int = DEFAULT_QUANTUM
     # Execution backend tier for every core: "reference" pins the
-    # event-exact per-instruction path (the oracle), "fast" batches via
-    # pre-decoded closures, "compiled" retires whole superblocks per
-    # generated-Python call (repro.vp.jit), "vector" steps homogeneous
-    # cores in lockstep -- one superblock batch per step for every
-    # convergent lane (repro.vp.lanes), splitting lanes to the scalar
-    # path on divergence.  All tiers are bit-identical; the batching
+    # event-exact per-instruction path (the oracle), "compiled" (the
+    # default) retires whole superblocks per generated-Python call
+    # (repro.vp.jit), "vector" steps homogeneous cores in lockstep --
+    # one superblock batch per step for every convergent lane
+    # (repro.vp.lanes), splitting lanes to the scalar path on
+    # divergence.  All tiers are bit-identical; the batching
     # tiers round the quantum up to superblock granularity.
     backend: str = DEFAULT_BACKEND
 
@@ -370,7 +371,7 @@ class SoC:
 
         Legacy delegate of :meth:`instrument`.  Returns the
         :class:`~repro.sanitize.RaceSanitizer`; ``detach()`` on it
-        restores the ISS fast path.
+        restores the ISS batching tiers.
         """
         return self.instrument(
             sanitizer={"sink": sink, "metrics": metrics}).detector
@@ -428,8 +429,8 @@ class Instrumentation:
 
     def detach(self) -> None:
         """Release the intrusive attachments: the sanitizer detaches
-        fully (restoring the ISS fast path) and the kernel observers of
-        probe and injector are removed.  Tracer hooks are passive and
+        fully (restoring the ISS batching tiers) and the kernel observers
+        of probe and injector are removed.  Tracer hooks are passive and
         remain installed."""
         if self.detector is not None:
             self.detector.detach()

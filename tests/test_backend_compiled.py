@@ -19,8 +19,7 @@ from repro.vp.iss import BACKENDS, Cpu, DEFAULT_BACKEND, decode_program
 from repro.vp.jit import (BlockFault, JIT_SALT, MAX_BLOCK_INSTRS,
                          SuperBlockCache, compile_superblock)
 
-ALL_RUNS = [("reference", 1), ("fast", 64), ("compiled", 64),
-            ("vector", 64)]
+ALL_RUNS = [("reference", 1), ("compiled", 64), ("vector", 64)]
 
 
 def _soc(asm, backend, quantum, n_cores=1):
@@ -328,13 +327,17 @@ class TestInvalidateDecode:
 
 class TestBackendSelection:
     def test_backend_names(self):
-        assert BACKENDS == ("reference", "fast", "compiled", "vector")
-        assert DEFAULT_BACKEND in BACKENDS
+        assert BACKENDS == ("reference", "compiled", "vector")
+        assert DEFAULT_BACKEND == "compiled"
 
     def test_invalid_backend_rejected(self):
+        # Unknown names are rejected, the deleted "fast" tier included.
         from repro.desim.kernel import Simulator
-        with pytest.raises(ValueError, match="backend"):
-            Cpu(Simulator(), None, assemble("halt\n"), backend="turbo")
+        for name in ("turbo", "fast"):
+            with pytest.raises(ValueError, match="backend"):
+                Cpu(Simulator(), None, assemble("halt\n"), backend=name)
+            with pytest.raises(ValueError, match="backend"):
+                SoCConfig(backend=name)
 
     def test_reference_backend_disables_batching(self):
         # The reference backend pins the per-instruction path even with a

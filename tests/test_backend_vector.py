@@ -106,9 +106,9 @@ class TestLaneCodegen:
         scalar_out = []
         for seed in seeds:
             regs = list(seed)
-            result = run_superblock_chain(decoded, regs, 2, quantum)
-            scalar_out.append((regs, result.pc, result.total,
-                              result.count, result.cost))
+            pc, total, count, cost, _fault = run_superblock_chain(
+                decoded, regs, 2, quantum)
+            scalar_out.append((regs, pc, total, count, cost))
         lanes = [list(seed) for seed in seeds]
         results = run_lane_chain(decoded, lanes, 2, quantum)
         vector_out = [(lane, r.pc, r.total, r.count, r.cost)

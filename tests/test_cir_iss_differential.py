@@ -5,7 +5,7 @@ arithmetic that overflows the 32-bit word.
 
 Both execution paths model the same 32-bit target, so for every (op, a, b)
 the interpreted C expression and the assembled firmware must agree bit
-for bit -- on every ISS backend (reference, fast, compiled, vector).  Any
+for bit -- on every ISS backend (reference, compiled, vector).  Any
 divergence here is exactly the class of bug that makes a program "work
 in simulation, fail on hardware" (or vice versa).
 """
@@ -20,8 +20,7 @@ from repro.vp import SoC, SoCConfig
 RESULT_ADDR = 200
 
 # (backend, quantum) legs every ISS-side check runs under.
-BACKEND_RUNS = [("reference", 1), ("fast", 64), ("compiled", 64),
-                ("vector", 64)]
+BACKEND_RUNS = [("reference", 1), ("compiled", 64), ("vector", 64)]
 
 
 def _wrap32(value: int) -> int:
@@ -34,7 +33,7 @@ def interp_binop(op: str, a: int, b: int) -> int:
     return run_program(parse(source), args=[a, b]).return_value
 
 
-def iss_binop(op_mnemonic: str, a: int, b: int, backend: str = "fast",
+def iss_binop(op_mnemonic: str, a: int, b: int, backend: str = "compiled",
               quantum: int = 64) -> int:
     """Run one reg-reg ALU op on the ISS; operands are materialized with
     li (the assembler accepts negative immediates)."""
@@ -188,7 +187,7 @@ class TestRandomChainSweep:
             assert soc.mem(RESULT_ADDR) == model, f"backend {backend!r}"
 
 
-def iss_mod(a: int, b: int, backend: str = "fast",
+def iss_mod(a: int, b: int, backend: str = "compiled",
             quantum: int = 64) -> int:
     """``a % b`` the way a compiler lowers it for this ISA (there is no
     mod instruction): ``a - (a/b)*b`` -- each step wrapping to the

@@ -17,11 +17,12 @@ import pytest
 
 from repro.core.serde import ReproDeprecationWarning
 from repro.farm import (
-    FAILURE_CRASH, FAILURE_TIMEOUT, Campaign, Executor, ResultCache,
-    SharedDirectoryCache, TieredCache, as_cache_tier, fork_available,
-    job_key, make_backend, require_fork, resolve_executor, run_campaign,
-    shutdown_daemons,
+    FAILURE_CRASH, FAILURE_TIMEOUT, Campaign, Executor, ForkPoolBackend,
+    ResultCache, SharedDirectoryCache, TieredCache, as_cache_tier,
+    fork_available, job_key, make_backend, require_fork, resolve_executor,
+    run_campaign, shutdown_daemons,
 )
+from repro.farm.backends.base import STATUS_SUSPECT
 from repro.farm.backends.daemon import warm_worker_pids
 from repro.farm.backends.shards import (
     JobPlanner, ShardedPlanner, make_planner,
@@ -421,6 +422,52 @@ class TestDaemonBackend:
         assert failure.kind == FAILURE_TIMEOUT and failure.attempts == 1
         # no collateral: the sibling completed, nothing was requeued
         assert result.outcomes[1].attempts == 1
+
+
+# ---------------------------------------------------------------------------
+# Fork backend: a pool that broke between drains
+# ---------------------------------------------------------------------------
+
+def _fork_pool_refusing_submit():
+    """A width-2 fork pool whose worker died (``job_die``, tag 0) before
+    the engine's next drain, then asked to start ``job_cube`` (tag 1):
+    the pool refuses that submission with ``BrokenProcessPool``."""
+    backend = ForkPoolBackend(2)
+    backend.submit(0, Job.build(job_die))
+    deadline = time.monotonic() + 30.0
+    while not backend._pool._broken:
+        assert time.monotonic() < deadline, "worker never died"
+        time.sleep(0.01)
+    backend.submit(1, Job.build(job_cube, config={"x": 3}))
+    return backend
+
+
+@needs_fork
+class TestForkPoolBreakBetweenDrains:
+    def test_refused_submit_is_blamed_at_next_drain(self):
+        backend = _fork_pool_refusing_submit()
+        try:
+            completions = []
+            deadline = time.monotonic() + 30.0
+            while len(completions) < 2:
+                assert time.monotonic() < deadline, completions
+                completions += backend.drain(1.0)
+            # Both tags take the pool-break blame path: the engine
+            # refunds them and re-runs each alone, where the crash is
+            # attributable.
+            assert sorted((c.tag, c.status) for c in completions) == \
+                [(0, STATUS_SUSPECT), (1, STATUS_SUSPECT)]
+            assert backend.drain(0.1) == []
+        finally:
+            backend.teardown()
+
+    def test_refused_submit_is_collateral_of_a_cancel(self):
+        backend = _fork_pool_refusing_submit()
+        try:
+            assert backend.cancel([0]) == [1]
+            assert backend.drain(0.1) == []
+        finally:
+            backend.teardown()
 
 
 # ---------------------------------------------------------------------------

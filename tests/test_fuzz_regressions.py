@@ -2,10 +2,11 @@
 
 Every divergence the fuzzer finds lands here twice: once as the fix in
 the code under test, once as a shrinker-minimized scenario asserting
-the five execution paths agree forever after.
+the four execution paths (the mini-C interpreter and the reference,
+compiled and vector ISS backends) agree forever after.
 
-The development campaign for this harness (200 seeds x interp + 4 ISS
-backends) found **no backend divergence** -- but it did catch two bugs
+The development campaign for this harness (200 seeds x interp + every
+ISS backend) found **no backend divergence** -- but it did catch two bugs
 in the *harness's own* early scenario generator, pinned below:
 
 1. an ``iret``-style ISR that acked the timer but not the INTC; the
@@ -17,17 +18,18 @@ in the *harness's own* early scenario generator, pinned below:
    (``test_nonterminating_scenario_is_rejected_not_diverged``).
 
 The pipeline itself is proven against a planted backend bug: ``xor`` is
-broken in the fast tier's decode-time op table (the reference path
-inlines its ops and the compiled tier generates its own source, so only
-the fast tier drifts), then the real harness finds it, the real
-shrinker minimizes it, and the emitted regression pins it.
+broken in the superblock emitter of :mod:`repro.vp.jit` (the reference
+path executes its own ops, and the emitter is the one implementation
+behind both batching tiers, so exactly the compiled and vector legs
+drift), then the real harness finds it, the real shrinker minimizes it,
+and the emitted regression pins it.
 """
 
 import random
 
 import pytest
 
-import repro.vp.iss as iss
+import repro.vp.jit as jit
 from repro.gen import (
     compare_scenario,
     differential_job,
@@ -39,18 +41,26 @@ from repro.gen import (
 
 
 @pytest.fixture
-def broken_fast_xor():
-    """Plant a wrong ``xor`` in the fast tier's decode-time op table."""
-    good = iss._BINOPS["xor"]
-    iss._BINOPS["xor"] = lambda a, b: (a ^ b) ^ 1
+def broken_jit_xor():
+    """Plant a wrong ``xor`` in the superblock emitter: every compiled
+    ``xor`` into a real register flips the result's low bit."""
+    good = jit._Emitter.emit
+
+    def emit(self, instr, pc, fault_charge, fault_writeback):
+        good(self, instr, pc, fault_charge, fault_writeback)
+        rd = instr.args[0] if instr.op == "xor" else 0
+        if rd:
+            self.body.append(f"r{rd} = r{rd} ^ 1")
+
+    jit._Emitter.emit = emit
     try:
         yield
     finally:
-        iss._BINOPS["xor"] = good
+        jit._Emitter.emit = good
 
 
 class TestShrinkToRegressionPipeline:
-    def test_planted_bug_is_found_shrunk_and_pinned(self, broken_fast_xor):
+    def test_planted_bug_is_found_shrunk_and_pinned(self, broken_jit_xor):
         # 1. the fuzzer finds the planted bug within a handful of seeds
         found = None
         for seed in range(20):
@@ -59,7 +69,8 @@ class TestShrinkToRegressionPipeline:
                 found = result
                 break
         assert found is not None, "planted xor bug not found in 20 seeds"
-        assert all(m["backend"] == "fast" for m in found["mismatches"])
+        assert {m["backend"] for m in found["mismatches"]} == \
+            {"compiled", "vector"}
 
         # 2. the shrinker minimizes it while re-checking every edit
         scenario = found["scenario"]
@@ -109,8 +120,8 @@ class TestHarnessSelfChecks:
 
 # Minimized by repro.gen.shrink from the planted-xor hunt (seed 2 of the
 # development campaign, 34 lines -> 3).  Kept pinned: this exact shape
-# -- a decode-time table op inside an irq scenario -- is the cheapest
-# witness that all four backends agree on the op tables.
+# -- a batchable ALU op inside an irq scenario -- is the cheapest
+# witness that every backend agrees on it.
 PINNED_XOR_SCENARIO = {
     "kind": "firmware", "seed": 2, "family": "irq", "quantum": 128,
     "ram_words": 2048,

@@ -166,13 +166,13 @@ class TestBackendDowngrade:
         for kwargs in ({"obs": True}, {"faults": FaultPlan()},
                        {"obs": True, "sanitizer": True,
                         "faults": FaultPlan()}):
-            soc = make_soc()   # default backend "fast" batches
+            soc = make_soc()   # default backend "compiled" batches
             handle = soc.instrument(**kwargs)
             assert handle.metrics.counter("backend.downgrade").value \
                 == 1, kwargs
 
     def test_no_downgrade_without_batching_to_lose(self):
-        for backend, quantum in (("reference", 64), ("fast", 1)):
+        for backend, quantum in (("reference", 64), ("compiled", 1)):
             soc = SoC(SoCConfig(n_cores=1, ram_words=256, quantum=quantum,
                                 backend=backend), {0: FIRMWARE})
             handle = soc.instrument(obs=True)

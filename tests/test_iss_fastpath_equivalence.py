@@ -3,14 +3,14 @@ against the ``quantum=1`` reference path.
 
 Every scenario runs the same firmware once per backend -- the reference
 (``quantum=1``, the historical one-event-per-instruction behavior), the
-closure-dispatch fast path and the superblock-compiled backend -- and
+superblock-compiled backend and the lane-lockstep vector backend -- and
 asserts identical final ``CoreState``, ``cycle_count``, ``instr_count``,
 final simulation time, RAM image, and the exact bus access *sequence*
 (order included).  Scenarios cover randomized straight-line/branchy/
 loopy/overflowing programs, loads/stores, multi-core races on shared
 memory, timer interrupts, and active stall hooks.
 
-Set ``REPRO_ISS_BACKEND=fast``, ``=compiled`` or ``=vector`` to restrict
+Set ``REPRO_ISS_BACKEND=compiled`` or ``=vector`` to restrict
 the batching side of the comparison to one backend (the CI equivalence
 matrix); ``=reference`` degrades the suite to a reference-path smoke run.
 """
@@ -27,7 +27,7 @@ FAST_QUANTUM = 64
 
 # The batching backends under test, optionally filtered by the CI matrix.
 _FILTER = os.environ.get("REPRO_ISS_BACKEND")
-BATCHING_BACKENDS = [name for name in ("fast", "compiled", "vector")
+BATCHING_BACKENDS = [name for name in ("compiled", "vector")
                      if _FILTER in (None, "", name)]
 
 # Fields a batching run must reproduce bit-for-bit.
@@ -40,7 +40,7 @@ _COMPARED = ("states", "cycles", "instrs", "pc_signals", "now", "ram",
 # ---------------------------------------------------------------------------
 
 def _run_one(programs, n_cores, quantum, irq_vector=None, setup=None,
-             probe_core=None, max_events=500_000, backend="fast"):
+             probe_core=None, max_events=500_000, backend="compiled"):
     config = SoCConfig(n_cores=n_cores, quantum=quantum,
                        irq_vector=irq_vector, backend=backend)
     soc = SoC(config, dict(programs))

@@ -3,9 +3,10 @@ observability subsystem.
 
 Each test class pins one bug:
 
-1. ``Cpu.post_instr_hook`` was a single slot -- installing a second
-   observer silently clobbered the first (a ``Tracer`` would evict a
-   profiler, or vice versa).
+1. The per-instruction observer was a single slot -- installing a
+   second observer silently clobbered the first (a ``Tracer`` would
+   evict a profiler, or vice versa).  ``Cpu.add_post_instr_hook`` now
+   appends to a list.
 2. ``Simulator._finish`` re-raised a process error while ``_running``
    was still True, and ``done.trigger(None)``-style payloads let
    ``WaitProcess`` waiters mistake a crash for a clean exit.
@@ -62,29 +63,6 @@ class TestPostInstrHookStacking:
         # ...and the tracer installed earlier still saw the calls.
         assert [e.kind for e in tracer.call_history(0)] == \
             ["call", "ret", "call", "ret"]
-
-    def test_legacy_assignment_appends_instead_of_clobbering(self):
-        soc = SoC(SoCConfig(n_cores=1), {0: CALL_ASM})
-        core = soc.cores[0]
-        first, second = [], []
-        core.post_instr_hook = lambda cpu, instr: first.append(instr.op)
-        core.post_instr_hook = lambda cpu, instr: second.append(instr.op)
-        # The property view reports the most recent hook...
-        assert core.post_instr_hook is not None
-        soc.run()
-        # ...but both assigned observers keep receiving instructions.
-        assert len(first) == core.instr_count
-        assert first == second
-
-    def test_assigning_none_clears_all_hooks(self):
-        soc = SoC(SoCConfig(n_cores=1), {0: CALL_ASM})
-        core = soc.cores[0]
-        seen = []
-        core.post_instr_hook = lambda cpu, instr: seen.append(instr.op)
-        core.post_instr_hook = None
-        assert core.post_instr_hook is None
-        soc.run()
-        assert seen == []
 
     def test_remove_post_instr_hook(self):
         soc = SoC(SoCConfig(n_cores=1), {0: CALL_ASM})

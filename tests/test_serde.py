@@ -42,7 +42,7 @@ def _task_graph():
 
 
 def _snapshot():
-    soc = SoC(SoCConfig(n_cores=1, backend="fast", quantum=8),
+    soc = SoC(SoCConfig(n_cores=1, backend="compiled", quantum=8),
               {0: COUNTER})
     soc.run(until=30)
     return soc.checkpoint(note="serde")

@@ -64,7 +64,7 @@ send:
 """
 
 
-def _soc(n_cores=1, backend="fast", quantum=8, programs=None, **kw):
+def _soc(n_cores=1, backend="compiled", quantum=8, programs=None, **kw):
     config = SoCConfig(n_cores=n_cores, backend=backend, quantum=quantum,
                        **kw)
     return SoC(config, programs or {i: COUNTER for i in range(n_cores)})

@@ -1,7 +1,7 @@
 """Snapshot determinism differentials across every ISS backend.
 
 Extends the `test_iss_fastpath_equivalence` style to checkpoint/restore:
-for each backend (`reference|fast|compiled|vector`, filtered by the CI's
+for each backend (`reference|compiled|vector`, filtered by the CI's
 ``REPRO_ISS_BACKEND`` matrix variable) a workload is checkpointed at
 cycle N, restored into a *fresh* platform, and run to completion.  The
 restored run must be **bit-identical** to the uninterrupted run: same
@@ -24,7 +24,7 @@ from repro.vp import SoC, SoCConfig, assemble
 from repro.vp.trace import Tracer
 
 _FILTER = os.environ.get("REPRO_ISS_BACKEND")
-BACKENDS = [name for name in ("reference", "fast", "compiled", "vector")
+BACKENDS = [name for name in ("reference", "compiled", "vector")
             if _FILTER in (None, "", name)]
 
 FAST_QUANTUM = 16

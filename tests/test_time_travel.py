@@ -26,7 +26,7 @@ loop:
 
 
 def _soc(quantum=8):
-    return SoC(SoCConfig(n_cores=1, quantum=quantum, backend="fast"),
+    return SoC(SoCConfig(n_cores=1, quantum=quantum, backend="compiled"),
                {0: LOOP})
 
 

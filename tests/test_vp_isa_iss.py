@@ -173,7 +173,7 @@ class TestIss:
         # bits of operands beyond 2**53.  Registers are now truly 32 bits
         # wide, so such operands can no longer reach an architectural
         # div -- the guard lives on at the helper level.
-        from repro.vp.iss import _div_trunc
+        from repro.vp.isa import _div_trunc
         a = 2 ** 60 + 1
         assert _div_trunc(a, 3) == a // 3
         assert _div_trunc(-a, 3) == -(a // 3)
