@@ -51,11 +51,14 @@ class Event:
         """
         self.trigger_count += 1
         self.last_payload = payload
-        waiters, self._waiters = self._waiters, []
-        for resume in waiters:
-            resume(payload)
-        for callback in list(self._callbacks):
-            callback(payload)
+        waiters = self._waiters
+        if waiters:
+            self._waiters = []
+            for resume in waiters:
+                resume(payload)
+        if self._callbacks:
+            for callback in list(self._callbacks):
+                callback(payload)
 
     @property
     def has_waiters(self) -> bool:
@@ -102,11 +105,12 @@ class Signal:
         if new == old:
             return
         self._value = new
-        self.changed.trigger((old, new))
+        change = (old, new)
+        self.changed.trigger(change)
         if not old and new:
-            self.posedge.trigger((old, new))
+            self.posedge.trigger(change)
         elif old and not new:
-            self.negedge.trigger((old, new))
+            self.negedge.trigger(change)
 
     def force(self, new: Any) -> None:
         """Write without firing events (debugger back-door, used for state
@@ -119,10 +123,10 @@ class Signal:
         change/edge events.  The ISS fast path polls this: an observed
         ``pc_signal`` forces per-instruction synchronization so signal
         watchpoints see every intermediate value."""
-        for event in (self.changed, self.posedge, self.negedge):
-            if event._waiters or event._callbacks:
-                return True
-        return False
+        changed, posedge, negedge = self.changed, self.posedge, self.negedge
+        return bool(changed._waiters or changed._callbacks
+                    or posedge._waiters or posedge._callbacks
+                    or negedge._waiters or negedge._callbacks)
 
     def __repr__(self) -> str:
         return f"Signal({self.name!r}, value={self._value!r})"

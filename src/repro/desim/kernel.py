@@ -16,8 +16,8 @@ virtual platform reproduces concurrency bugs reliably.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from typing import Any, Callable, Generator, List, Optional
+from dataclasses import dataclass
+from typing import Any, Callable, Generator, Iterator, List, Optional, Tuple
 
 from repro.desim.events import Event
 
@@ -47,9 +47,11 @@ class ProcessFailed(Exception):
 class SimObserver:
     """Observer interface for kernel-level instrumentation.
 
-    Subclass and override any subset; the kernel invokes observers only
-    when at least one is installed, so an un-observed :class:`Simulator`
-    pays a single truthiness check per event and stays dependency-free.
+    Subclass and override any subset.  The kernel calls only the hooks
+    an observer overrides: each hook has its own dispatch list, so an
+    un-observed :class:`Simulator` (or one whose observers ignore a
+    hook) pays a single truthiness check per hook site and stays
+    dependency-free.
     """
 
     def on_schedule(self, sim: "Simulator", item: "_ScheduledItem") -> None:
@@ -71,13 +73,17 @@ class SimObserver:
 
 @dataclass(frozen=True)
 class Delay:
-    """Scheduling request: resume the process after ``duration`` time units."""
+    """Scheduling request: resume the process after ``duration`` time units.
+
+    Frozen, so one instance can be shared: hot loops yield a prebuilt
+    ``Delay`` per duration instead of allocating one per resume.
+    """
 
     duration: float
 
     def __post_init__(self) -> None:
-        if self.duration < 0:
-            raise ValueError(f"negative delay: {self.duration}")
+        if not self.duration >= 0:  # also rejects NaN
+            raise ValueError(f"delay must be >= 0, got {self.duration}")
 
 
 @dataclass(frozen=True)
@@ -167,16 +173,20 @@ class Process:
         return f"Process({self.name!r}, pid={self.pid}, {state})"
 
 
-@dataclass(order=True)
+@dataclass(eq=False, slots=True)
 class _ScheduledItem:
+    """A queued action.  The heap holds ``(time, priority, seq, item)``
+    entries, so ``heapq`` orders them with C tuple comparisons; ``seq``
+    is unique, so the item itself is never compared."""
+
     time: float
     priority: int
     seq: int
-    action: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
+    action: Callable[[], None]
+    cancelled: bool = False
     # Set once the item has been popped for execution, so a late cancel()
     # cannot corrupt the simulator's live pending counter.
-    consumed: bool = field(default=False, compare=False)
+    consumed: bool = False
 
 
 class Simulator:
@@ -188,7 +198,7 @@ class Simulator:
 
     def __init__(self) -> None:
         self.now: float = 0.0
-        self._queue: List[_ScheduledItem] = []
+        self._queue: List[Tuple[float, int, int, _ScheduledItem]] = []
         self._seq = 0
         self._running = False
         self.processes: List[Process] = []
@@ -196,6 +206,7 @@ class Simulator:
         # Live count of queued, non-cancelled items (pending is O(1)).
         self._pending_count = 0
         self._observers: List[SimObserver] = []
+        self._dispatch_hooks()
 
     # ------------------------------------------------------------------
     # observers
@@ -203,16 +214,37 @@ class Simulator:
     def add_observer(self, observer: SimObserver) -> SimObserver:
         """Install a :class:`SimObserver`; returns it for chaining."""
         self._observers.append(observer)
+        self._dispatch_hooks()
         return observer
 
     def remove_observer(self, observer: SimObserver) -> None:
         self._observers.remove(observer)
+        self._dispatch_hooks()
+
+    def _dispatch_hooks(self) -> None:
+        """Rebuild the per-hook dispatch lists: the bound hooks of every
+        observer that overrides :class:`SimObserver`'s no-op.  The lists
+        are replaced, never mutated, so a hook that adds or removes an
+        observer does not disturb the loop calling it; the change
+        applies from the next hook site on."""
+        def overriding(name: str) -> List[Callable[..., None]]:
+            default = getattr(SimObserver, name)
+            hooks = (getattr(observer, name) for observer in self._observers)
+            return [hook for hook in hooks
+                    if getattr(hook, "__func__", None) is not default]
+
+        self._on_schedule = overriding("on_schedule")
+        self._on_execute = overriding("on_execute")
+        self._on_process_resume = overriding("on_process_resume")
+        self._on_process_yield = overriding("on_process_yield")
+        self._on_process_finish = overriding("on_process_finish")
 
     @property
     def has_observers(self) -> bool:
-        """True when kernel instrumentation is installed.  The ISS fast
-        path polls this: observers must see the per-instruction event
-        stream, so batching is disabled while any are attached."""
+        """True when any observer is installed, whichever hooks it
+        overrides.  The ISS fast path polls this: observers must see the
+        per-instruction event stream, so batching is disabled while any
+        are attached."""
         return bool(self._observers)
 
     # ------------------------------------------------------------------
@@ -221,15 +253,18 @@ class Simulator:
     def at(self, time: float, action: Callable[[], None],
            priority: int = 0) -> _ScheduledItem:
         """Schedule a bare callback at an absolute time."""
-        if time < self.now:
+        if not time >= self.now:  # also rejects NaN
+            if time != time:
+                raise ValueError("cannot schedule at a NaN time")
             raise ValueError(f"cannot schedule in the past: {time} < {self.now}")
         self._seq += 1
-        item = _ScheduledItem(time, priority, self._seq, action)
-        heapq.heappush(self._queue, item)
+        seq = self._seq
+        item = _ScheduledItem(time, priority, seq, action)
+        heapq.heappush(self._queue, (time, priority, seq, item))
         self._pending_count += 1
-        if self._observers:
-            for observer in self._observers:
-                observer.on_schedule(self, item)
+        if self._on_schedule:
+            for hook in self._on_schedule:
+                hook(self, item)
         return item
 
     def after(self, delay: float, action: Callable[[], None],
@@ -268,22 +303,25 @@ class Simulator:
             proc._rearm_epoch = expected
             proc._rearm_busy = True
             self._seq += 1
+            seq = self._seq
+            time = self.now + delay
+            priority = proc.priority
             item = proc._rearm_item
             if item is None:
-                item = _ScheduledItem(self.now + delay, proc.priority,
-                                      self._seq, proc._rearm_action)
+                item = _ScheduledItem(time, priority, seq,
+                                      proc._rearm_action)
                 proc._rearm_item = item
             else:
-                item.time = self.now + delay
-                item.priority = proc.priority
-                item.seq = self._seq
+                item.time = time
+                item.priority = priority
+                item.seq = seq
                 item.cancelled = False
                 item.consumed = False
-            heapq.heappush(self._queue, item)
+            heapq.heappush(self._queue, (time, priority, seq, item))
             self._pending_count += 1
-            if self._observers:
-                for observer in self._observers:
-                    observer.on_schedule(self, item)
+            if self._on_schedule:
+                for hook in self._on_schedule:
+                    hook(self, item)
             return
         self.at(self.now + delay,
                 lambda: self._step(proc, value, expected),
@@ -299,15 +337,15 @@ class Simulator:
         proc._epoch += 1
         proc._waiting_on = None
         proc._resume_handle = None
-        if self._observers:
-            for observer in self._observers:
-                observer.on_process_resume(self, proc)
+        if self._on_process_resume:
+            for hook in self._on_process_resume:
+                hook(self, proc)
         try:
             if proc._pending_interrupt is not None:
                 exc = proc._pending_interrupt
                 proc._pending_interrupt = None
                 request = proc.body.throw(exc)
-            elif isinstance(value, ProcessFailed):
+            elif value is not None and isinstance(value, ProcessFailed):
                 # The process we waited on died: re-throw its failure here.
                 request = proc.body.throw(value)
             else:
@@ -321,10 +359,13 @@ class Simulator:
         except BaseException as error:  # noqa: BLE001 - surfaced to waiters
             self._finish(proc, error=error)
             return
-        if self._observers:
-            for observer in self._observers:
-                observer.on_process_yield(self, proc, request)
-        self._dispatch_request(proc, request)
+        if self._on_process_yield:
+            for hook in self._on_process_yield:
+                hook(self, proc, request)
+        if request.__class__ is Delay:  # the dominant request: no detour
+            self._schedule_resume(proc, None, request.duration)
+        else:
+            self._dispatch_request(proc, request)
 
     def _dispatch_request(self, proc: Process, request: Any) -> None:
         if isinstance(request, Delay):
@@ -362,9 +403,9 @@ class Simulator:
         proc.alive = False
         proc.result = result
         proc.error = error
-        if self._observers:
-            for observer in self._observers:
-                observer.on_process_finish(self, proc)
+        if self._on_process_finish:
+            for hook in self._on_process_finish:
+                hook(self, proc)
         if error is not None:
             # Waiters receive a ProcessFailed payload (thrown into them on
             # resume) instead of a silent None, then the error surfaces out
@@ -390,31 +431,41 @@ class Simulator:
         """Run until the queue drains, ``until`` is reached, or the event
         budget is exhausted.  Returns the final simulation time.
 
+        ``max_events=0`` executes nothing; a negative budget raises
+        :class:`ValueError`.
+
         If a process dies with an uncaught exception it is re-raised here,
         with ``_running`` reset so the simulator stays usable: the caller
         can catch the error and ``run()`` again to let ``WaitProcess``
         waiters observe the :class:`ProcessFailed` payload.
         """
-        self._running = True
         budget = max_events
+        if budget is not None:
+            if budget < 0:
+                raise ValueError(f"max_events must be >= 0, got {budget}")
+            if budget == 0:
+                return self.now
+        queue = self._queue
+        heappop = heapq.heappop
+        self._running = True
         try:
-            while self._queue and self._running:
-                item = self._queue[0]
+            while queue and self._running:
+                time, _priority, _seq, item = queue[0]
                 if item.cancelled:
-                    heapq.heappop(self._queue)
+                    heappop(queue)
                     continue
-                if until is not None and item.time > until:
+                if until is not None and time > until:
                     self.now = until
                     break
-                heapq.heappop(self._queue)
+                heappop(queue)
                 item.consumed = True
                 self._pending_count -= 1
-                self.now = item.time
+                self.now = time
                 self.event_count += 1
                 item.action()
-                if self._observers:
-                    for observer in self._observers:
-                        observer.on_execute(self, item)
+                if self._on_execute:
+                    for hook in self._on_execute:
+                        hook(self, item)
                 if budget is not None:
                     budget -= 1
                     if budget <= 0:
@@ -436,17 +487,17 @@ class Simulator:
         is frozen and can be inspected consistently (paper section VII).
         """
         while self._queue:
-            item = heapq.heappop(self._queue)
+            time, _priority, _seq, item = heapq.heappop(self._queue)
             if item.cancelled:
                 continue
             item.consumed = True
             self._pending_count -= 1
-            self.now = item.time
+            self.now = time
             self.event_count += 1
             item.action()
-            if self._observers:
-                for observer in self._observers:
-                    observer.on_execute(self, item)
+            if self._on_execute:
+                for hook in self._on_execute:
+                    hook(self, item)
             return True
         return False
 
@@ -466,9 +517,22 @@ class Simulator:
         Lazily discards cancelled items from the heap top instead of
         sorting the whole queue.
         """
-        while self._queue and self._queue[0].cancelled:
+        while self._queue and self._queue[0][3].cancelled:
             heapq.heappop(self._queue)
-        return self._queue[0].time if self._queue else None
+        return self._queue[0][0] if self._queue else None
+
+    def queued_items(self) -> Iterator[_ScheduledItem]:
+        """Yield every queued, non-cancelled item, in no particular order
+        (checkpointing claims them without knowing the heap layout)."""
+        for entry in self._queue:
+            if not entry[3].cancelled:
+                yield entry[3]
+
+    def clear_queue(self) -> None:
+        """Drop every queued item (checkpoint restore rebuilds the queue
+        from scratch)."""
+        self._queue.clear()
+        self._pending_count = 0
 
 
 __all__ = ["Delay", "Interrupted", "Process", "ProcessFailed", "SimObserver",

@@ -188,9 +188,7 @@ def _claims(soc: Any, injector: Any) -> List[Dict[str, Any]]:
                 "injection only")
 
     entries = []
-    for item in sim._queue:
-        if item.cancelled or item.consumed:
-            continue
+    for item in sim.queued_items():
         owner = owners.pop(id(item), None)
         if owner is None:
             raise SnapshotError(
@@ -372,8 +370,7 @@ def restore(snapshot: "Snapshot", soc: Any,
             proc.alive = False
             proc.body.close()
     sim.processes = []
-    sim._queue.clear()
-    sim._pending_count = 0
+    sim.clear_queue()
     sim.now = data["time"]
     sim.event_count = data["event_count"]
     soc._started = True

@@ -76,6 +76,11 @@ DEFAULT_BACKEND = "compiled"
 
 _MASK32 = 0xFFFFFFFF
 
+# The reference path yields one shared, frozen Delay per op cost instead
+# of allocating one per retired instruction.
+_OP_DELAYS = {op: Delay(cycles) for op, cycles in CYCLES.items()}
+_DEFAULT_DELAY = Delay(DEFAULT_CYCLES)
+
 # Register-file invariant: every register always holds the *canonical*
 # signed 32-bit image of its value (-2**31 .. 2**31-1).  Every writer
 # that can leave that range wraps (add/sub/mul/div, addi, li, loads);
@@ -490,9 +495,10 @@ class Cpu:
                     continue
             # Reference path: one instruction, one kernel event.
             instr = program.instructions[self.pc]
-            cycles = CYCLES.get(instr.op, DEFAULT_CYCLES)
+            delay = _OP_DELAYS.get(instr.op, _DEFAULT_DELAY)
+            cycles = delay.duration
             self._wait_state = "ref"
-            yield Delay(cycles)
+            yield delay
             self.cycle_count += cycles
             self.instr_count += 1
             self._execute(instr)

@@ -16,7 +16,13 @@ Each test class pins one bug:
 4. ``Process.interrupt`` during a ``Delay`` left the original timer
    queued; without the resume-epoch guard the stale wakeup resumed the
    process a second time.
+5. ``Simulator.run(max_events=0)`` executed one event: the budget was
+   only checked after an action ran.
+6. NaN times were accepted by ``Delay`` and ``Simulator.at`` (every
+   comparison with NaN is False) and then broke the heap order silently.
 """
+
+import math
 
 import time
 
@@ -305,3 +311,76 @@ class TestPendingIsCheap:
         large = min(time_queries(10_000) for _ in range(3))
         assert large < small * 50 + 1e-3, \
             f"pending looks O(n): {small:.6f}s @10 vs {large:.6f}s @10k"
+
+
+class TestEventBudget:
+    """Bug 5: ``max_events`` is an exact budget, including zero."""
+
+    @staticmethod
+    def _sim_with_work():
+        sim = Simulator()
+        fired = []
+        for t in range(3):
+            sim.at(t, lambda t=t: fired.append(t))
+        return sim, fired
+
+    def test_zero_budget_executes_nothing(self):
+        sim, fired = self._sim_with_work()
+        assert sim.run(max_events=0) == 0
+        assert fired == [] and sim.event_count == 0 and sim.pending == 3
+
+    def test_zero_budget_does_not_advance_to_until(self):
+        sim, fired = self._sim_with_work()
+        assert sim.run(until=10, max_events=0) == 0
+        assert fired == []
+
+    def test_negative_budget_raises(self):
+        sim, fired = self._sim_with_work()
+        with pytest.raises(ValueError, match="max_events"):
+            sim.run(max_events=-1)
+        assert fired == [] and sim.pending == 3
+        sim.run()  # the simulator stays usable
+        assert fired == [0, 1, 2]
+
+    def test_positive_budget_is_exact(self):
+        sim, fired = self._sim_with_work()
+        sim.run(max_events=2)
+        assert fired == [0, 1]
+        sim.run(max_events=1)
+        assert fired == [0, 1, 2]
+
+
+class TestNaNTimesRejected:
+    """Bug 6: a NaN time is a documented ``ValueError``, never a queue
+    entry."""
+
+    def test_nan_delay_rejected(self):
+        with pytest.raises(ValueError):
+            Delay(math.nan)
+
+    def test_nan_at_rejected(self):
+        sim = Simulator()
+        with pytest.raises(ValueError, match="NaN"):
+            sim.at(math.nan, lambda: None)
+        with pytest.raises(ValueError, match="NaN"):
+            sim.after(math.nan, lambda: None)
+        assert sim.pending == 0
+
+    def test_nan_start_delay_rejected(self):
+        sim = Simulator()
+
+        def body():
+            yield Delay(1)
+        with pytest.raises(ValueError):
+            sim.spawn(body(), start_delay=math.nan)
+
+    def test_nan_delay_yield_fails_the_process(self):
+        sim = Simulator()
+
+        def body():
+            yield Delay(1)
+            yield Delay(math.nan)
+        sim.spawn(body())
+        with pytest.raises(ValueError):
+            sim.run()
+        assert sim.pending == 0

@@ -15,12 +15,14 @@ from pathlib import Path
 
 import pytest
 
-from repro.desim import Delay, Simulator, WaitEvent
+from repro.desim import Delay, SimObserver, Simulator, WaitEvent
 from repro.desim.events import Event
+from repro.faults import FaultPlan
 from repro.obs import (
     Counter, Gauge, Histogram, KernelProbe, MetricsRegistry, NullSink,
     TraceSink, observe,
 )
+from repro.vp.soc import SoC, SoCConfig
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -462,3 +464,144 @@ class TestUnobservedOverhead:
         elapsed, events = self._run_once(None)
         assert events >= 5000
         assert elapsed < 2.0, f"{events} events took {elapsed:.2f}s"
+
+
+# ----------------------------------------------------------------------
+# Per-hook observer dispatch
+# ----------------------------------------------------------------------
+class _Recorder(SimObserver):
+    """Overrides every hook and counts its calls."""
+
+    def __init__(self):
+        self.calls = {"schedule": 0, "execute": 0, "resume": 0,
+                      "yield": 0, "finish": 0}
+
+    def on_schedule(self, sim, item):
+        self.calls["schedule"] += 1
+
+    def on_execute(self, sim, item):
+        self.calls["execute"] += 1
+
+    def on_process_resume(self, sim, proc):
+        self.calls["resume"] += 1
+
+    def on_process_yield(self, sim, proc, request):
+        self.calls["yield"] += 1
+
+    def on_process_finish(self, sim, proc):
+        self.calls["finish"] += 1
+
+
+class _FinishOnly(SimObserver):
+    def __init__(self):
+        self.finished = []
+
+    def on_process_finish(self, sim, proc):
+        self.finished.append(proc.name)
+
+
+def _three_workers(sim, steps=4):
+    def worker():
+        for _ in range(steps):
+            yield Delay(1)
+    for index in range(3):
+        sim.spawn(worker(), name=f"w{index}")
+
+
+class TestObserverDispatch:
+    """The kernel calls each hook only on observers that override it,
+    while ``has_observers`` keeps meaning "any observer is installed"."""
+
+    def test_full_observer_sees_every_call(self):
+        sim = Simulator()
+        recorder = sim.add_observer(_Recorder())
+        probe = observe(sim)
+        _three_workers(sim)
+        sim.run()
+        # 3 workers x (spawn + 4 Delays): 5 schedules, 5 resumes, 4
+        # yields and one finish each.
+        assert sim.event_count == 15
+        assert recorder.calls == {"schedule": 15, "execute": 15,
+                                  "resume": 15, "yield": 12, "finish": 3}
+        metrics = probe.metrics
+        assert probe.events_executed == sim.event_count
+        assert metrics.counter("kernel.events").value == sim.event_count
+        assert metrics.counter("kernel.resumes").value == 15
+        assert metrics.counter("kernel.finishes").value == 3
+
+    def test_only_overridden_hooks_are_dispatched(self):
+        sim = Simulator()
+        finish_only = sim.add_observer(_FinishOnly())
+        assert sim.has_observers
+        assert sim._on_process_finish == [finish_only.on_process_finish]
+        assert not (sim._on_schedule or sim._on_execute
+                    or sim._on_process_resume or sim._on_process_yield)
+        _three_workers(sim)
+        sim.run()
+        assert finish_only.finished == ["w0", "w1", "w2"]
+
+    def test_bare_observer_dispatches_nothing_but_still_observes(self):
+        sim = Simulator()
+        observer = sim.add_observer(SimObserver())
+        assert sim.has_observers
+        assert not (sim._on_schedule or sim._on_execute
+                    or sim._on_process_resume or sim._on_process_yield
+                    or sim._on_process_finish)
+        sim.remove_observer(observer)
+        assert not sim.has_observers
+
+    def test_observer_added_mid_run_starts_receiving(self):
+        sim = Simulator()
+        recorder = _Recorder()
+        _three_workers(sim)
+        sim.run(until=2)
+        before = sim.event_count
+        sim.add_observer(recorder)
+        sim.run()
+        assert recorder.calls["execute"] == sim.event_count - before > 0
+        assert recorder.calls["finish"] == 3
+
+    def test_observer_added_by_an_action_sees_that_event_on(self):
+        sim = Simulator()
+        recorder = _Recorder()
+        _three_workers(sim)
+        sim.at(2.5, lambda: sim.add_observer(recorder))
+        sim.run()
+        # Events at t=3 and t=4 (3 workers each) plus the adding action.
+        assert recorder.calls["execute"] == 7
+        assert recorder.calls["finish"] == 3
+
+    def test_removed_observer_stops_receiving(self):
+        sim = Simulator()
+        recorder = sim.add_observer(_Recorder())
+        _three_workers(sim)
+        sim.at(2.5, lambda: sim.remove_observer(recorder))
+        sim.run()
+        # Events at t=0, 1 and 2; the removing action is not seen.
+        assert recorder.calls["execute"] == 9
+        assert recorder.calls["finish"] == 0
+        assert not sim.has_observers
+
+    def test_finish_only_fault_injector_keeps_cores_on_reference_path(self):
+        """A FaultInjector overrides only ``on_process_finish``, yet its
+        presence must still force the per-instruction path (fault bit
+        flips land between two reference-path instructions)."""
+        firmware = """
+            li r1, 0
+            li r2, 200
+        loop:
+            addi r1, r1, 1
+            blt r1, r2, loop
+            halt
+        """
+        soc = SoC(SoCConfig(n_cores=2, quantum=64, backend="compiled"),
+                  {0: firmware, 1: firmware})
+        injector = soc.instrument(faults=FaultPlan()).injector
+        assert soc.sim.has_observers
+        assert soc.sim._on_process_finish == [injector.on_process_finish]
+        soc.run()
+        retired = sum(core.instr_count for core in soc.cores)
+        # One kernel event per retired instruction, plus each core's
+        # first activation: nothing was batched.
+        assert retired == 2 * (2 + 2 * 200 + 1)
+        assert soc.sim.event_count == retired + len(soc.cores)
