@@ -67,9 +67,9 @@ def run_experiment():
     try:
         serial, serial_seconds = run_sweep(Executor(jobs=1))
         parallel, parallel_seconds = run_sweep(
-            Executor(jobs=WORKERS, cache_dir=cache_dir))
+            Executor(jobs=WORKERS, cache=cache_dir))
         warm, warm_seconds = run_sweep(
-            Executor(jobs=WORKERS, cache_dir=cache_dir))
+            Executor(jobs=WORKERS, cache=cache_dir))
     finally:
         shutil.rmtree(cache_dir, ignore_errors=True)
     return (serial, serial_seconds, parallel, parallel_seconds,

@@ -1,6 +1,6 @@
 """F2 (farm backends): warm daemon workers amortize per-campaign setup.
 
-A fork pool pays its dispatch tax on every campaign: fresh worker
+A cold worker pays its dispatch tax on the first campaign: fresh worker
 processes, cold module memos, cold decode caches.  The persistent
 daemon backend keeps the same worker processes alive across campaigns,
 so anything a job memoizes at module level (here: assembled programs
@@ -8,17 +8,14 @@ and their ISS decode caches) is already hot when the next sweep lands.
 
 This bench runs a 50-job decode-heavy sweep (each job assembles and
 executes its own 400-instruction program, memoized per worker process)
-four ways -- cold fork pool, daemon warm-up pass, warm daemon pass,
-serial inline reference -- and a skewed sleep-mix sweep under static
-vs work-stealing shard schedules.  Asserted shapes:
+three ways -- daemon cold start, warm daemon pass, serial inline
+reference.  Asserted shapes:
 
-- every backend/shard combination reproduces the inline aggregate
+- cold and warm daemon sweeps reproduce the inline aggregate
   byte-for-byte (the portable claim, asserted unconditionally);
 - with >= 2 usable CPUs the warm daemon sweep is >= 2x faster than the
-  cold fork-pool sweep; on 1-CPU containers (CI) the ratio is recorded
-  and only parity-bounded, per the F1 precedent;
-- work-stealing beats a static shard partition on a skewed job mix
-  (sleep-based, so the shape holds at any CPU count).
+  cold-start daemon sweep; on 1-CPU containers (CI) the ratio is
+  recorded and only parity-bounded, per the F1 precedent.
 """
 
 from __future__ import annotations
@@ -45,9 +42,9 @@ def build_source(seed: int) -> str:
 
 
 # Module-level memo: persists inside daemon workers across campaigns,
-# is rebuilt from scratch inside every fresh fork pool.  The assembled
-# program object also carries the ISS decode cache, so a warm worker
-# skips both the parse and the per-instruction decode.
+# is empty in every freshly spawned worker.  The assembled program
+# object also carries the ISS decode cache, so a warm worker skips both
+# the parse and the per-instruction decode.
 _PROGRAMS = {}
 
 
@@ -61,11 +58,6 @@ def decode_job(config, seed):
     return {"seed": seed, "sum": soc.mem(8)}
 
 
-def sleep_job(config, seed):
-    time.sleep(config["seconds"])
-    return {"seed": seed}
-
-
 def run_decode_sweep(name: str, **policy):
     campaign = Campaign.build(name, **policy)
     for seed in range(JOBS):
@@ -75,40 +67,18 @@ def run_decode_sweep(name: str, **policy):
     return result, time.perf_counter() - started
 
 
-def run_sleep_sweep(name: str, **policy):
-    # Skewed mix: the first shard's jobs are 20x more expensive, so a
-    # static partition leaves one worker idle while the other grinds.
-    campaign = Campaign.build(name, **policy)
-    for seed in range(8):
-        seconds = 0.2 if seed < 4 else 0.01
-        campaign.add(sleep_job, config={"seconds": seconds}, seed=seed)
-    started = time.perf_counter()
-    result = campaign.run().raise_on_failure()
-    return result, time.perf_counter() - started
-
-
 def run_experiment():
     shutdown_daemons()  # measure a true daemon cold start
-    _PROGRAMS.clear()   # the parent memo must not leak into fork workers
-    fork_cold, fork_seconds = run_decode_sweep(
-        "f2-fork", jobs=WORKERS, backend="fork")
+    _PROGRAMS.clear()   # the parent memo must not leak into new workers
     daemon_cold, daemon_cold_seconds = run_decode_sweep(
         "f2-daemon-cold", jobs=WORKERS, backend="daemon")
     daemon_warm, daemon_warm_seconds = run_decode_sweep(
         "f2-daemon-warm", jobs=WORKERS, backend="daemon")
     serial, serial_seconds = run_decode_sweep("f2-serial")
-
-    static, static_seconds = run_sleep_sweep(
-        "f2-static", jobs=WORKERS, shards=WORKERS, steal=False)
-    stolen, stolen_seconds = run_sleep_sweep(
-        "f2-stolen", jobs=WORKERS, shards=WORKERS, steal=True)
     return {
-        "fork": (fork_cold, fork_seconds),
         "daemon_cold": (daemon_cold, daemon_cold_seconds),
         "daemon_warm": (daemon_warm, daemon_warm_seconds),
         "serial": (serial, serial_seconds),
-        "static": (static, static_seconds),
-        "stolen": (stolen, stolen_seconds),
     }
 
 
@@ -116,57 +86,36 @@ def test_bench_f2_backend_dispatch(benchmark, show, record_bench):
     runs = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
     cpus = len(os.sched_getaffinity(0))
 
-    fork_cold, fork_seconds = runs["fork"]
     daemon_cold, daemon_cold_seconds = runs["daemon_cold"]
     daemon_warm, daemon_warm_seconds = runs["daemon_warm"]
     serial, serial_seconds = runs["serial"]
-    static, static_seconds = runs["static"]
-    stolen, stolen_seconds = runs["stolen"]
 
-    warm_ratio = fork_seconds / max(daemon_warm_seconds, 1e-9)
-    steal_speedup = static_seconds / max(stolen_seconds, 1e-9)
+    warm_ratio = daemon_cold_seconds / max(daemon_warm_seconds, 1e-9)
 
-    show(f"F2: {JOBS}-job decode-heavy sweep, fork pool vs daemons",
-         [["fork pool (cold)", f"{fork_seconds:.2f}s", "1.00x"],
-          ["daemon (cold start)", f"{daemon_cold_seconds:.2f}s",
-           f"{fork_seconds / max(daemon_cold_seconds, 1e-9):.2f}x"],
+    show(f"F2: {JOBS}-job decode-heavy sweep, cold vs warm daemons",
+         [["daemon (cold start)", f"{daemon_cold_seconds:.2f}s", "1.00x"],
           ["daemon (warm)", f"{daemon_warm_seconds:.2f}s",
            f"{warm_ratio:.2f}x"],
           ["serial inline", f"{serial_seconds:.2f}s",
-           f"{fork_seconds / max(serial_seconds, 1e-9):.2f}x"]],
-         ["backend", "wall", "vs cold fork"])
-    show("F2: skewed sleep mix, static shards vs work stealing",
-         [["static partition", f"{static_seconds:.2f}s", "1.00x"],
-          ["work stealing", f"{stolen_seconds:.2f}s",
-           f"{steal_speedup:.2f}x"]],
-         ["schedule", "wall", "speedup"])
+           f"{daemon_cold_seconds / max(serial_seconds, 1e-9):.2f}x"]],
+         ["backend", "wall", "vs cold daemon"])
 
-    # Claim shape 1: the backend never changes the answer.  Every
-    # combination -- cold fork, cold/warm daemons, static and stolen
-    # shard schedules -- is byte-identical to the inline reference.
+    # Claim shape 1: the backend never changes the answer.  Cold and
+    # warm daemon sweeps are byte-identical to the inline reference.
     reference = serial.aggregate_json()
-    assert fork_cold.aggregate_json() == reference
     assert daemon_cold.aggregate_json() == reference
     assert daemon_warm.aggregate_json() == reference
-    assert stolen.aggregate_json() == static.aggregate_json()
 
     # Claim shape 2: warm daemons amortize dispatch + decode.  With real
     # parallelism available the warm pass must be >= 2x faster than the
-    # cold fork pool; on 1-CPU containers the ratio is recorded but only
+    # cold start; on 1-CPU containers the ratio is recorded but only
     # parity-bounded (F1 precedent: byte-identity is the portable claim).
     if cpus >= WORKERS:
         assert warm_ratio >= 2.0
     else:
         assert warm_ratio > 0.5
 
-    # Claim shape 3: stealing beats a static partition on a skewed mix.
-    # Sleep-based jobs parallelize at any CPU count, so this shape is
-    # asserted unconditionally (with slack for scheduler jitter).
-    assert steal_speedup > 1.2
-    assert stolen.stats()["failed"] == 0
-
-    record_bench(warm_ratio=warm_ratio, steal_speedup=steal_speedup,
-                 cpus=cpus, fork_seconds=fork_seconds,
+    record_bench(warm_ratio=warm_ratio, cpus=cpus,
                  daemon_cold_seconds=daemon_cold_seconds,
                  daemon_warm_seconds=daemon_warm_seconds,
                  serial_seconds=serial_seconds)

@@ -39,13 +39,13 @@ def run_experiment():
         started = time.perf_counter()
         parallel = run_fuzz_campaign(
             PROGRAMS, base_seed=BASE_SEED,
-            executor=Executor(jobs=WORKERS, cache_dir=cache_dir))
+            executor=Executor(jobs=WORKERS, cache=cache_dir))
         parallel_seconds = time.perf_counter() - started
 
         started = time.perf_counter()
         warm = run_fuzz_campaign(
             PROGRAMS, base_seed=BASE_SEED,
-            executor=Executor(jobs=1, cache_dir=cache_dir))
+            executor=Executor(jobs=1, cache=cache_dir))
         warm_seconds = time.perf_counter() - started
     finally:
         shutil.rmtree(cache_dir, ignore_errors=True)

@@ -58,25 +58,17 @@ def main() -> None:
     parser.add_argument("--jobs", type=int, default=None, metavar="N",
                         help="evaluate candidates on N farm workers")
     parser.add_argument("--cache", default=None, metavar="DIR",
-                        help="farm result-cache directory (repeatable: "
-                             "first=local tier, later=shared tiers)",
-                        action="append")
+                        help="farm result-cache directory")
     parser.add_argument("--backend", default=None,
-                        choices=["inline", "fork", "daemon"],
+                        choices=["inline", "daemon"],
                         help="farm executor backend (default: auto)")
-    parser.add_argument("--shards", type=int, default=None, metavar="S",
-                        help="work-stealing shards over the job list")
     args = parser.parse_args()
     executor = None
     if args.jobs is not None or args.cache is not None \
-            or args.backend is not None or args.shards is not None:
+            or args.backend is not None:
         from repro.farm import Executor
-        cache = None
-        if args.cache:
-            cache = args.cache[0] if len(args.cache) == 1 else args.cache
-        executor = Executor(jobs=args.jobs or 1, cache=cache,
-                            backend=args.backend or "auto",
-                            shards=args.shards)
+        executor = Executor(jobs=args.jobs or 1, cache=args.cache,
+                            backend=args.backend or "auto")
 
     print("Model in: 5-actor SDF audio path; CIC generated automatically")
     app = app_factory()

@@ -20,8 +20,7 @@ entry point a downstream user would actually adopt:
 # faults.plan, ...) can `from repro.core.serde import serde` without
 # dragging in -- or cycling through -- the whole tool-flow stack.
 from repro.core.serde import (
-    ReproDeprecationWarning, SerdeError, canonical_json, json_roundtrip,
-    serde, serde_tag,
+    SerdeError, canonical_json, json_roundtrip, serde, serde_tag,
     dump as serde_dump, dumps as serde_dumps,
     load as serde_load, loads as serde_loads,
 )
@@ -55,8 +54,8 @@ def __dir__():
 
 __all__ = [
     "Application", "ApplicationKind", "DesignFlow", "PlatformDescription",
-    "ReproDeprecationWarning", "SerdeError", "UnifiedReport",
-    "canonical_json", "geometric_mean", "json_roundtrip", "serde",
+    "SerdeError", "UnifiedReport", "canonical_json", "geometric_mean",
+    "json_roundtrip", "serde",
     "serde_dump", "serde_dumps", "serde_load", "serde_loads", "serde_tag",
     "speedup_curve", "summarize_speedups",
 ]

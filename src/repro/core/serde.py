@@ -14,18 +14,13 @@ payload speaks the same bytes:
   pair under a stable *tag* and integer *version*;
 - :func:`dump` / :func:`load` -- envelope codec:
   ``{"$serde": tag, "$version": n, "data": obj.to_dict()}`` round-trips
-  through any JSON channel back to the object, with a hard version check
-  (or the class's own ``serde_upgrade`` migration hook);
+  through any JSON channel back to the object, with a hard version
+  check;
 - :func:`dumps` / :func:`loads` -- the same, as canonical JSON text.
 
 Registration is *lazy-loadable*: the registry maps each tag to the
 class's durable ``module:qualname`` reference, so a fresh worker process
 can decode an envelope without the defining module pre-imported.
-
-Also home to :class:`ReproDeprecationWarning`, the category every
-deprecated repo entrypoint warns with -- tier-1 CI promotes exactly this
-category to an error, so internal code can never quietly keep calling a
-legacy surface.
 """
 
 from __future__ import annotations
@@ -37,15 +32,6 @@ from typing import Any, Callable, Dict, Optional, Tuple, Type
 SERDE_KEY = "$serde"
 VERSION_KEY = "$version"
 DATA_KEY = "data"
-
-
-class ReproDeprecationWarning(DeprecationWarning):
-    """Deprecation category for legacy repo entrypoints.
-
-    Kept distinct from the stdlib category so the test suite can promote
-    *our* deprecations to errors (catching internal use of legacy
-    surfaces) without exploding on unrelated library warnings.
-    """
 
 
 class SerdeError(ValueError):
@@ -171,11 +157,9 @@ def dump(obj: Any) -> Dict[str, Any]:
 def load(payload: Dict[str, Any]) -> Any:
     """Decode an envelope back into its object.
 
-    The payload version must match the registered version; classes that
-    define ``serde_upgrade(data, version) -> data`` (classmethod) get a
-    chance to migrate older payloads, otherwise a mismatch is a hard
-    :class:`SerdeError` -- wire payloads and cache entries must never be
-    silently reinterpreted across schema changes.
+    The payload version must match the registered version; a mismatch
+    is a hard :class:`SerdeError` -- wire payloads and cache entries
+    must never be silently reinterpreted across schema changes.
     """
     if not isinstance(payload, dict) or SERDE_KEY not in payload:
         raise SerdeError(f"not a serde envelope: {payload!r}")
@@ -187,13 +171,9 @@ def load(payload: Dict[str, Any]) -> Any:
     if not isinstance(data, dict):
         raise SerdeError(f"serde envelope {tag!r} carries no data dict")
     if got != version:
-        upgrade = getattr(cls, "serde_upgrade", None)
-        if upgrade is None:
-            raise SerdeError(
-                f"serde tag {tag!r}: payload version {got!r} != "
-                f"registered version {version} and "
-                f"{cls.__name__} defines no serde_upgrade hook")
-        data = upgrade(data, got)
+        raise SerdeError(
+            f"serde tag {tag!r}: payload version {got!r} != "
+            f"registered version {version}")
     return cls.from_dict(data)
 
 
@@ -217,7 +197,7 @@ def is_envelope(payload: Any) -> bool:
 
 
 __all__ = [
-    "DATA_KEY", "ReproDeprecationWarning", "SERDE_KEY", "SerdeError",
-    "VERSION_KEY", "canonical_json", "dump", "dumps", "is_envelope",
-    "json_roundtrip", "load", "loads", "serde", "serde_tag",
+    "DATA_KEY", "SERDE_KEY", "SerdeError", "VERSION_KEY", "canonical_json",
+    "dump", "dumps", "is_envelope", "json_roundtrip", "load", "loads",
+    "serde", "serde_tag",
 ]

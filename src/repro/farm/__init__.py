@@ -1,17 +1,15 @@
 """repro.farm -- deterministic parallel campaign engine.
 
-Shards batches of named pure functions (``fn(config, seed) -> result``)
-across pluggable execution backends -- the in-process oracle, fork
-pools, persistent worker daemons -- with tiered content-addressed
-result caching, per-job timeout/retry/crash containment, optional
-work-stealing shard scheduling, and ordered byte-identical aggregation:
-every backend combination's aggregate equals the serial one
+Runs batches of named pure functions (``fn(config, seed) -> result``)
+on one of two execution backends -- the in-process oracle or persistent
+worker daemons -- with a content-addressed result cache, per-job
+timeout/retry/crash containment, and ordered byte-identical
+aggregation: every backend's aggregate equals the serial one
 bit-for-bit.
 
     from repro.farm import Campaign
 
-    campaign = Campaign.build("sweep", jobs=4, backend="daemon",
-                              cache=".farm")
+    campaign = Campaign.build("sweep", jobs=4, cache=".farm")
     for seed in range(16):
         campaign.add(evaluate_point, config={"p": 0.1}, seed=seed)
     result = campaign.run().raise_on_failure()
@@ -19,16 +17,12 @@ bit-for-bit.
 """
 
 from repro.farm.backends import (
-    BackendCapabilities, Completion, DaemonBackend, ExecutorBackend,
-    ForkPoolBackend, InlineBackend, fork_available, make_backend,
-    require_fork, shutdown_daemons,
+    Completion, DaemonBackend, ExecutorBackend, InlineBackend,
+    fork_available, make_backend, require_fork, shutdown_daemons,
 )
-from repro.farm.cache import (
-    CacheTier, ResultCache, SharedDirectoryCache, TieredCache,
-    as_cache_tier,
-)
+from repro.farm.cache import ResultCache, as_cache_tier
 from repro.farm.engine import (
-    Campaign, CampaignResult, Executor, resolve_executor, run_campaign,
+    Campaign, CampaignResult, Executor, resolve_executor,
 )
 from repro.farm.job import (
     FAILURE_CRASH, FAILURE_ERROR, FAILURE_TIMEOUT, Job, JobFailure,
@@ -37,12 +31,11 @@ from repro.farm.job import (
 )
 
 __all__ = [
-    "BackendCapabilities", "Campaign", "CampaignResult", "CacheTier",
-    "Completion", "DaemonBackend", "Executor", "ExecutorBackend",
-    "FAILURE_CRASH", "FAILURE_ERROR", "FAILURE_TIMEOUT",
-    "ForkPoolBackend", "InlineBackend", "Job", "JobFailure", "JobOutcome",
-    "ResultCache", "SharedDirectoryCache", "TieredCache", "as_cache_tier",
-    "canonical_json", "fork_available", "func_ref", "job_key",
-    "json_roundtrip", "make_backend", "require_fork", "resolve_executor",
-    "resolve_ref", "run_campaign", "shutdown_daemons", "source_salt",
+    "Campaign", "CampaignResult", "Completion", "DaemonBackend",
+    "Executor", "ExecutorBackend", "FAILURE_CRASH", "FAILURE_ERROR",
+    "FAILURE_TIMEOUT", "InlineBackend", "Job", "JobFailure", "JobOutcome",
+    "ResultCache", "as_cache_tier", "canonical_json", "fork_available",
+    "func_ref", "job_key", "json_roundtrip", "make_backend",
+    "require_fork", "resolve_executor", "resolve_ref", "shutdown_daemons",
+    "source_salt",
 ]

@@ -1,7 +1,7 @@
 """Persistent worker daemons behind the ExecutorBackend protocol.
 
-A fork pool pays its startup tax every campaign: new interpreters
-(well, forked images), cold decode caches, cold superblock JITs, cold
+A per-campaign process pool would pay its startup tax every campaign:
+new forked images, cold decode caches, cold superblock JITs, cold
 module-level memos.  This backend keeps a module-global pool of
 long-lived worker processes connected over ``socketpair`` pipes, so the
 *same* worker processes serve campaign after campaign and everything a
@@ -23,8 +23,8 @@ there is no pickling anywhere in this backend.
 
 Liveness: each worker runs exactly one job at a time, so a dead socket
 *is* an attributable crash -- the backend reports ``crash`` for the tag
-the worker carried, replaces the worker, and the engine's existing
-JobFailure/refund machinery does the rest.  Idle workers are
+the worker carried, replaces the worker, and the engine's retry budget
+does the rest.  Idle workers are
 heartbeat-pinged on acquisition and silently replaced if dead.
 """
 
@@ -42,8 +42,7 @@ from typing import Any, Dict, List, Optional, Sequence
 from repro.core.serde import canonical_json
 from repro.farm.backends.base import (
     STATUS_CRASH, STATUS_ERROR, STATUS_OK,
-    BackendCapabilities, Completion, ExecutorBackend, execute_payload,
-    require_fork,
+    Completion, ExecutorBackend, execute_payload, require_fork,
 )
 from repro.farm.job import Job
 
@@ -250,10 +249,6 @@ def warm_worker_pids(count: int) -> List[int]:
 class DaemonBackend(ExecutorBackend):
     """Campaign-facing view over ``width`` persistent workers."""
 
-    capabilities = BackendCapabilities(kind="daemon", timeout_kill=True,
-                                       warm_state=True,
-                                       attributable_crash=True)
-
     def __init__(self, width: int) -> None:
         require_fork("the daemon backend")
         if width < 1:
@@ -333,17 +328,15 @@ class DaemonBackend(ExecutorBackend):
                 float(frame.get("elapsed") or 0.0)))
         return completions
 
-    def cancel(self, tags: Sequence[int]) -> List[int]:
-        # Daemon workers run one job each, so a timed-out job is killed
-        # with surgical precision: no siblings are interrupted, hence no
-        # collateral to refund.
+    def cancel(self, tags: Sequence[int]) -> None:
+        # Daemon workers run one job each, so killing a timed-out job's
+        # worker interrupts no sibling.
         for tag in tags:
             worker = self._busy.pop(tag, None)
             if worker is None:
                 continue
             fresh = self._replace(worker)
             self._free.append(fresh)
-        return []
 
     def teardown(self) -> None:
         # Busy workers at teardown are wedged (the engine only tears

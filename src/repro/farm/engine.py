@@ -1,21 +1,17 @@
-"""The campaign engine: deterministic job execution over pluggable backends.
+"""The campaign engine: deterministic job execution over two backends.
 
 A :class:`Campaign` dispatches its jobs through an
 :class:`~repro.farm.backends.ExecutorBackend` -- the in-process
-``inline`` oracle, the per-campaign ``fork`` pool, or persistent
-``daemon`` workers -- optionally scheduled through work-stealing shards
-(:mod:`repro.farm.backends.shards`), and guarantees:
+``inline`` oracle or persistent ``daemon`` workers -- and guarantees:
 
 - **ordered aggregation** -- outcomes are merged in job-submission
-  order, so any backend/shard combination's aggregate is byte-identical
-  to the serial one no matter which worker finished first;
+  order, so any backend's aggregate is byte-identical to the serial one
+  no matter which worker finished first;
 - **content-addressed caching** -- completed points are skipped on
-  re-runs and resumed sweeps, through any :class:`CacheTier` stack
-  (see :mod:`repro.farm.cache`);
+  re-runs and resumed sweeps (see :mod:`repro.farm.cache`);
 - **failure containment** -- a job that raises, exceeds its timeout or
   takes its worker down yields a structured :class:`JobFailure` in its
-  submission slot (crashed workers are replaced; unattributable pool
-  breaks re-run every suspect in isolation); the rest of the sweep
+  submission slot (crashed workers are replaced); the rest of the sweep
   completes;
 - **observability** -- per-job ``farm.*`` counters and histograms plus
   progress instants into any obs sink.  These are wall-clock
@@ -26,37 +22,31 @@ Normalization rule: every result -- freshly computed, worker-returned
 or cache-rehydrated -- passes through one JSON round-trip before it
 enters an outcome, so all three are indistinguishable and
 ``CampaignResult.aggregate_json()`` is byte-identical across backends,
-worker counts, shard schedules and warm-cache re-runs.
+worker counts and warm-cache re-runs.
 
 The one construction surface is ``Campaign.build(...)`` /
-``Campaign.resume(...)``; ``run_campaign`` and ``Campaign.from_manifest``
-survive as thin delegates that raise
-:class:`~repro.core.serde.ReproDeprecationWarning` (see DESIGN.md for
-the removal schedule).
+``Campaign.resume(...)``.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
-from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from collections import deque
+from dataclasses import dataclass, replace
+from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, \
+    Tuple
 
-from repro.core.serde import ReproDeprecationWarning
 from repro.farm.backends import (
-    STATUS_CRASH, STATUS_ERROR, STATUS_OK, STATUS_SUSPECT,
-    ExecutorBackend, make_backend, require_fork,
+    STATUS_ERROR, STATUS_OK, make_backend, require_fork,
 )
-from repro.farm.backends.base import execute_payload as _execute_payload
-from repro.farm.backends.shards import JobPlanner, make_planner
-from repro.farm.cache import CacheLike, CacheTier, as_cache_tier
+from repro.farm.cache import CacheLike, ResultCache, as_cache_tier
 from repro.farm.job import (
     FAILURE_CRASH, FAILURE_ERROR, FAILURE_TIMEOUT, Job, JobFailure,
     JobOutcome, canonical_json, json_roundtrip, resolve_ref, source_salt,
 )
 from repro.obs.metrics import MetricsRegistry
 
-_BACKEND_NAMES = ("auto", "inline", "fork", "daemon")
+_BACKEND_NAMES = ("auto", "inline", "daemon")
 
 
 @dataclass
@@ -66,24 +56,19 @@ class Executor:
     farm telemetry.
 
     ``jobs=1`` (the default) resolves to the in-process reference
-    backend; any multi-process backend requires every job function --
-    and every function named inside job configs -- to be a module-level
-    importable function.
+    backend and ``jobs>1`` to persistent daemon workers, which require
+    every job function -- and every function named inside job configs --
+    to be a module-level importable function.
 
     ``cache`` accepts anything :func:`repro.farm.cache.as_cache_tier`
-    does: a directory path, a ready :class:`CacheTier`, or a list of
-    tiers (local first, shared/remote last).  ``cache_dir`` is the
-    legacy spelling of a single local path and is kept as an alias.
+    does: ``None``, a directory path or a ready :class:`ResultCache`.
     """
 
     jobs: int = 1
-    backend: str = "auto"             # auto | inline | fork | daemon
+    backend: str = "auto"             # auto | inline | daemon
     cache: CacheLike = None
-    cache_dir: Optional[str] = None   # legacy alias for cache=<path>
     timeout: Optional[float] = None   # wall seconds per job attempt
     retries: int = 1                  # extra attempts after a failure
-    shards: Optional[int] = None      # work-stealing shards (None = FIFO)
-    steal: bool = True                # False = static shard partition
     sink: Optional[Any] = None
     metrics: Optional[MetricsRegistry] = None
     salt: str = ""                    # campaign-level cache salt
@@ -98,27 +83,21 @@ class Executor:
         if self.backend not in _BACKEND_NAMES:
             raise ValueError(f"unknown backend {self.backend!r} "
                              f"(expected one of {_BACKEND_NAMES})")
-        if self.shards is not None and self.shards < 1:
-            raise ValueError(f"shards must be >= 1, got {self.shards}")
-        if self.cache is not None and self.cache_dir is not None:
-            raise ValueError("give either cache= or the legacy "
-                             "cache_dir=, not both")
 
     # ------------------------------------------------------------------
     def resolved_backend(self) -> str:
         """The concrete backend name ``auto`` resolves to."""
         if self.backend != "auto":
             return self.backend
-        return "inline" if self.jobs <= 1 else "fork"
+        return "inline" if self.jobs <= 1 else "daemon"
 
     def width(self) -> int:
         """Worker slots the resolved backend will run."""
         return 1 if self.resolved_backend() == "inline" else self.jobs
 
-    def cache_tier(self) -> Optional[CacheTier]:
-        """The composed cache stack (None when caching is off)."""
-        spec = self.cache if self.cache is not None else self.cache_dir
-        return as_cache_tier(spec)
+    def cache_tier(self) -> Optional[ResultCache]:
+        """The result cache (None when caching is off)."""
+        return as_cache_tier(self.cache)
 
     def campaign(self, name: str = "campaign") -> "Campaign":
         return Campaign(name, executor=self)
@@ -130,8 +109,6 @@ def resolve_executor(executor: Optional[Executor] = None, *,
                      cache: CacheLike = None,
                      timeout: Optional[float] = None,
                      retries: Optional[int] = None,
-                     shards: Optional[int] = None,
-                     steal: Optional[bool] = None,
                      salt: Optional[str] = None,
                      sink: Optional[Any] = None,
                      metrics: Optional[MetricsRegistry] = None,
@@ -141,22 +118,18 @@ def resolve_executor(executor: Optional[Executor] = None, *,
 
     Returns ``None`` when nothing was requested (callers keep their
     serial fast paths); otherwise merges the keyword overrides onto
-    ``executor`` (or a fresh default one).  A ``cache=`` override on an
-    executor that carried a legacy ``cache_dir`` replaces it.
+    ``executor`` (or a fresh default one).
     """
     overrides: Dict[str, Any] = {}
     for key, value in (("jobs", jobs), ("backend", backend),
                        ("cache", cache), ("timeout", timeout),
-                       ("retries", retries), ("shards", shards),
-                       ("steal", steal), ("salt", salt), ("sink", sink),
-                       ("metrics", metrics)):
+                       ("retries", retries), ("salt", salt),
+                       ("sink", sink), ("metrics", metrics)):
         if value is not None:
             overrides[key] = value
     if executor is None and not overrides:
         return None
     base = executor if executor is not None else Executor()
-    if "cache" in overrides and base.cache_dir is not None:
-        overrides.setdefault("cache_dir", None)
     return replace(base, **overrides) if overrides else base
 
 
@@ -194,7 +167,7 @@ class CampaignResult:
     def aggregate_json(self) -> str:
         """The deterministic aggregate: canonical JSON of the ordered
         result list.  Bit-for-bit identical across backends, worker
-        counts, shard schedules and cold/warm cache runs."""
+        counts and cold/warm cache runs."""
         return canonical_json(self.results)
 
     def raise_on_failure(self) -> "CampaignResult":
@@ -246,8 +219,6 @@ class Campaign:
               cache: CacheLike = None,
               timeout: Optional[float] = None,
               retries: Optional[int] = None,
-              shards: Optional[int] = None,
-              steal: Optional[bool] = None,
               salt: Optional[str] = None,
               sink: Optional[Any] = None,
               metrics: Optional[MetricsRegistry] = None) -> "Campaign":
@@ -263,15 +234,14 @@ class Campaign:
         """
         resolved = resolve_executor(
             executor, jobs=jobs, backend=backend, cache=cache,
-            timeout=timeout, retries=retries, shards=shards, steal=steal,
-            salt=salt, sink=sink, metrics=metrics)
+            timeout=timeout, retries=retries, salt=salt, sink=sink,
+            metrics=metrics)
         if resume_from is None:
             return cls(name, executor=resolved)
-        tier = as_cache_tier(resume_from)
-        manifest = tier.load_manifest(name)
+        store = as_cache_tier(resume_from)
+        manifest = store.load_manifest(name)
         resolved = replace(resolved if resolved is not None else Executor(),
-                           cache=tier, cache_dir=None,
-                           salt=manifest["salt"])
+                           cache=store, salt=manifest["salt"])
         campaign = cls(name, executor=resolved)
         for spec in manifest["jobs"]:
             campaign.add(resolve_ref(spec["ref"]), config=spec["config"],
@@ -285,7 +255,7 @@ class Campaign:
         """Resume an interrupted campaign: rebuild it from the persisted
         manifest and run it against the same cache.
 
-        Completed shards are cache hits and are skipped; only the
+        Completed jobs are cache hits and are skipped; only the
         incomplete remainder executes.  The aggregate is byte-identical
         to a never-interrupted run (the normalization rule makes cached
         and fresh results indistinguishable).  ``executor`` and/or
@@ -296,24 +266,13 @@ class Campaign:
         return cls.build(name, executor=executor, resume_from=cache,
                          **policy).run()
 
-    @classmethod
-    def from_manifest(cls, cache_dir: str, name: str = "campaign",
-                      executor: Optional[Executor] = None) -> "Campaign":
-        """Deprecated alias: use ``Campaign.build(name,
-        resume_from=cache_dir, ...)``."""
-        warnings.warn(
-            "Campaign.from_manifest() is deprecated; use "
-            "Campaign.build(name, resume_from=<cache>) instead",
-            ReproDeprecationWarning, stacklevel=2)
-        return cls.build(name, executor=executor, resume_from=cache_dir)
-
     # ------------------------------------------------------------------
     def add(self, fn: Callable[[Any, int], Any], config: Any = None,
             seed: int = 0, name: Optional[str] = None) -> Job:
         """Submit one job; submission order is aggregation order."""
         job = Job.build(fn, config=config, seed=seed, name=name)
         if self.executor.resolved_backend() != "inline":
-            # Multi-process campaigns must be able to fork workers and
+            # Daemon campaigns must be able to fork workers and
             # re-import the function by name inside them; fail at
             # submission, not at the bottom of a 4-worker sweep.
             require_fork("a multi-process campaign backend")
@@ -355,9 +314,9 @@ class Campaign:
         cache = executor.cache_tier()
         if cache is not None:
             # Persist the campaign manifest *before* dispatching any
-            # work: a crash/SIGKILL/pool-break mid-sweep leaves behind
-            # the full job list, so Campaign.resume() can rebuild the
-            # identical key set and skip completed shards.
+            # work: a crash or SIGKILL mid-sweep leaves behind the full
+            # job list, so Campaign.resume() can rebuild the identical
+            # key set and skip completed jobs.
             cache.store_manifest(self.name, self.manifest())
 
         outcomes = [JobOutcome(index, job, job.key(self._salt_for(job)))
@@ -376,8 +335,7 @@ class Campaign:
             pending.append(outcome)
 
         if pending:
-            self._run_backend(pending, cache, metrics, sink,
-                              len(outcomes))
+            self._drive(pending, cache, metrics, sink, len(outcomes))
 
         result = CampaignResult(self.name, outcomes,
                                 workers=executor.width(),
@@ -389,7 +347,7 @@ class Campaign:
 
     # ------------------------------------------------------------------
     def _complete(self, outcome: JobOutcome, result: Any, elapsed: float,
-                  cache: Optional[CacheTier], metrics: MetricsRegistry,
+                  cache: Optional[ResultCache], metrics: MetricsRegistry,
                   sink: Optional[Any], total: int, done: int) -> None:
         outcome.result = json_roundtrip(result)
         outcome.elapsed = elapsed
@@ -425,138 +383,83 @@ class Campaign:
                          total=total, campaign=self.name)
 
     # ------------------------------------------------------------------
-    # the generic backend loop
+    # the backend loop
     # ------------------------------------------------------------------
-    def _run_backend(self, pending: List[JobOutcome],
-                     cache: Optional[CacheTier],
-                     metrics: MetricsRegistry, sink: Optional[Any],
-                     total: int) -> None:
+    def _drive(self, pending: List[JobOutcome],
+               cache: Optional[ResultCache], metrics: MetricsRegistry,
+               sink: Optional[Any], total: int) -> None:
+        """Run the pending jobs on the resolved backend until every one
+        has completed or exhausted its attempts."""
         executor = self.executor
-        kind = executor.resolved_backend()
         width = executor.width()
-        planner = make_planner(pending, width, executor.shards,
-                               steal=executor.steal)
-        state = {"done": total - len(pending)}
-        suspects = self._drive(planner, kind, width, cache, metrics,
-                               sink, total, state)
-        # A multi-job pool break cannot attribute blame, so the
-        # interrupted jobs come back as suspects with their attempt
-        # refunded.  Re-run each alone: at width 1 a crash is
-        # attributable, so the guilty job is charged and retried or
-        # failed without starving its innocent siblings.
-        while suspects:
-            suspect = suspects.pop(0)
-            solo = JobPlanner([suspect])
-            suspects.extend(self._drive(solo, kind, 1, cache, metrics,
-                                        sink, total, state))
-
-    def _drive(self, planner: JobPlanner, kind: str, width: int,
-               cache: Optional[CacheTier], metrics: MetricsRegistry,
-               sink: Optional[Any], total: int,
-               state: Dict[str, int]) -> List[JobOutcome]:
-        """Run the planner's jobs on one backend until it drains.
-
-        Returns the interrupted jobs of an *unattributable* pool break
-        (attempts refunded, submission order) for isolated
-        re-execution; ``[]`` once the planner is empty."""
-        executor = self.executor
-        backend = make_backend(kind, width)
-        in_process = backend.capabilities.in_process
+        backend = make_backend(executor.resolved_backend(), width)
         # The in-process oracle executes exactly once per job: there is
         # no crash or timeout to retry around, and an error is an error.
-        max_attempts = 1 if in_process else executor.retries + 1
-        enforce_timeout = executor.timeout is not None and not in_process
+        max_attempts = 1 if backend.in_process else executor.retries + 1
+        enforce_timeout = executor.timeout is not None \
+            and not backend.in_process
+        queue: Deque[JobOutcome] = deque(pending)
+        done = total - len(pending)
 
-        def retry_or_fail(outcome: JobOutcome, kind_: str,
+        def retry_or_fail(outcome: JobOutcome, kind: str,
                           message: str) -> None:
+            nonlocal done
             if outcome.attempts < max_attempts:
                 metrics.counter("farm.jobs.retried").inc()
-                planner.requeue(outcome)
+                queue.append(outcome)
             else:
-                state["done"] += 1
-                self._fail(outcome, kind_, message, metrics, sink, total,
-                           state["done"])
+                done += 1
+                self._fail(outcome, kind, message, metrics, sink, total,
+                           done)
 
-        suspects: List[JobOutcome] = []
-        in_flight: Dict[int, Tuple[JobOutcome, int, float]] = {}
-        free_slots: List[int] = list(range(width))
+        in_flight: Dict[int, Tuple[JobOutcome, float]] = {}
         try:
-            while planner.remaining or in_flight:
-                for slot in list(free_slots):
-                    if not planner.remaining:
-                        break
-                    outcome = planner.take(slot)
-                    if outcome is None:
-                        # Static shards: this slot's home shard is dry
-                        # and stealing is off; it idles until a retry
-                        # lands back home.
-                        continue
-                    free_slots.remove(slot)
+            while queue or in_flight:
+                while queue and len(in_flight) < width:
+                    outcome = queue.popleft()
                     outcome.attempts += 1
                     backend.submit(outcome.index, outcome.job)
-                    in_flight[outcome.index] = (outcome, slot,
-                                                time.monotonic())
-
-                if not in_flight:
-                    if planner.remaining:
-                        raise RuntimeError(
-                            f"campaign {self.name!r}: planner starved "
-                            f"with {planner.remaining} job(s) remaining")
-                    break
+                    in_flight[outcome.index] = (outcome, time.monotonic())
 
                 wait_timeout = None
                 if enforce_timeout:
                     now = time.monotonic()
-                    deadlines = [start + executor.timeout - now
-                                 for _, _, start in in_flight.values()]
-                    wait_timeout = max(min(deadlines), 0.01)
-                completions = backend.drain(wait_timeout)
-
+                    wait_timeout = max(min(
+                        start + executor.timeout - now
+                        for _, start in in_flight.values()), 0.01)
                 crashed = False
-                for completion in completions:
+                for completion in backend.drain(wait_timeout):
                     entry = in_flight.pop(completion.tag, None)
                     if entry is None:
                         continue
-                    outcome, slot, _start = entry
-                    free_slots.append(slot)
+                    outcome = entry[0]
                     if completion.status == STATUS_OK:
-                        state["done"] += 1
+                        done += 1
                         self._complete(outcome, completion.value,
                                        completion.elapsed, cache, metrics,
-                                       sink, total, state["done"])
+                                       sink, total, done)
                     elif completion.status == STATUS_ERROR:
                         metrics.counter("farm.errors").inc()
                         retry_or_fail(outcome, FAILURE_ERROR,
                                       completion.value)
-                    elif completion.status == STATUS_CRASH:
+                    else:  # STATUS_CRASH
                         crashed = True
                         retry_or_fail(outcome, FAILURE_CRASH,
                                       completion.value
                                       or "worker process died")
-                    else:  # STATUS_SUSPECT
-                        crashed = True
-                        outcome.attempts -= 1
-                        suspects.append(outcome)
-                free_slots.sort()
                 if crashed:
                     metrics.counter("farm.crashes").inc()
 
                 if not enforce_timeout or not in_flight:
                     continue
                 now = time.monotonic()
-                expired = [(tag, entry) for tag, entry in in_flight.items()
-                           if now - entry[2] >= executor.timeout]
+                expired = [tag for tag, (_, start) in in_flight.items()
+                           if now - start >= executor.timeout]
                 if not expired:
                     continue
-                # Kill the expired jobs.  Backends without per-job
-                # timeout-kill (the fork pool) take innocent in-flight
-                # siblings down with them; those come back as collateral
-                # and are requeued with their interrupted attempt
-                # refunded.
-                collateral = backend.cancel([tag for tag, _ in expired])
-                for tag, (outcome, slot, _start) in expired:
-                    in_flight.pop(tag, None)
-                    free_slots.append(slot)
+                backend.cancel(expired)
+                for tag in expired:
+                    outcome, _start = in_flight.pop(tag)
                     metrics.counter("farm.timeouts").inc()
                     if outcome.attempts < max_attempts:
                         # This timed-out job gets another attempt on a
@@ -565,34 +468,8 @@ class Campaign:
                     retry_or_fail(
                         outcome, FAILURE_TIMEOUT,
                         f"exceeded {executor.timeout:g}s timeout")
-                for tag in collateral:
-                    entry = in_flight.pop(tag, None)
-                    if entry is None:
-                        continue
-                    outcome, slot, _start = entry
-                    free_slots.append(slot)
-                    outcome.attempts -= 1
-                    planner.requeue(outcome)
-                free_slots.sort()
         finally:
             backend.teardown()
-        return sorted(suspects, key=lambda o: o.index)
 
 
-def run_campaign(fn: Callable[[Any, int], Any],
-                 specs: Iterable[Tuple[Any, int]],
-                 executor: Optional[Executor] = None,
-                 name: str = "campaign") -> CampaignResult:
-    """Deprecated one-shot convenience: use ``Campaign.build(name,
-    ...)`` + ``extend`` + ``run``."""
-    warnings.warn(
-        "run_campaign() is deprecated; use Campaign.build(name, "
-        "executor=..., jobs=..., cache=...) and campaign.extend(fn, "
-        "specs).run() instead", ReproDeprecationWarning, stacklevel=2)
-    campaign = Campaign.build(name, executor=executor)
-    campaign.extend(fn, specs)
-    return campaign.run()
-
-
-__all__ = ["Campaign", "CampaignResult", "Executor", "resolve_executor",
-           "run_campaign"]
+__all__ = ["Campaign", "CampaignResult", "Executor", "resolve_executor"]

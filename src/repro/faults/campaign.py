@@ -51,7 +51,7 @@ def run_fault_campaign(scenario: Callable[[Dict[str, Any], int], Any],
             ...run and summarize...
 
     Execution policy comes from ``executor=`` and/or the uniform farm
-    keywords (``jobs=``, ``backend=``, ``cache=``, ``shards=``, ...).
+    keywords (``jobs=``, ``backend=``, ``cache=``, ``timeout=``, ...).
     Results aggregate in plan order, bit-for-bit identical between
     ``jobs=1`` and any backend/worker-count combination.
     """

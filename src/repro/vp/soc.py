@@ -260,8 +260,7 @@ class SoC:
           metrics anywhere, a fresh ``MetricsRegistry`` is shared.
 
         An option key *present* in an attachment's dict always wins,
-        even when its value is ``None`` -- that is how the legacy
-        ``attach_*`` delegates reproduce their exact old behavior.
+        even when its value is ``None``.
         """
         from repro.obs.metrics import MetricsRegistry
         from repro.obs.trace import TraceSink
@@ -349,39 +348,6 @@ class SoC:
                                  metrics=metrics)
         raise TypeError(f"faults must be a FaultInjector, FaultPlan or "
                         f"plan dict, got {faults!r}")
-
-    # -- legacy single-purpose entry points: thin instrument() delegates
-    def attach_observability(self, sink, metrics=None,
-                             trace_instructions: bool = False,
-                             trace_memory: bool = True):
-        """Wire the whole platform into a shared observability sink.
-
-        Legacy delegate of :meth:`instrument`.  Returns
-        ``(tracer, probe)``.  Non-intrusive: nothing here consumes
-        simulated time.
-        """
-        handle = self.instrument(obs={
-            "sink": sink, "metrics": metrics,
-            "trace_instructions": trace_instructions,
-            "trace_memory": trace_memory})
-        return handle.tracer, handle.probe
-
-    def attach_sanitizer(self, sink=None, metrics=None):
-        """Attach a happens-before data-race sanitizer to this platform.
-
-        Legacy delegate of :meth:`instrument`.  Returns the
-        :class:`~repro.sanitize.RaceSanitizer`; ``detach()`` on it
-        restores the ISS batching tiers.
-        """
-        return self.instrument(
-            sanitizer={"sink": sink, "metrics": metrics}).detector
-
-    def attach_faults(self, injector) -> None:
-        """Register this platform's hardware-fault handlers (RAM and
-        register bit flips, stuck interrupt lines) on a
-        :class:`~repro.faults.FaultInjector`.  Legacy delegate of
-        :meth:`instrument`."""
-        self.instrument(faults=injector)
 
     # ------------------------------------------------------------------
     def signals(self) -> Dict[str, Signal]:

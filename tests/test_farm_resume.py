@@ -50,13 +50,29 @@ def _specs(n=6):
     return [({"x": x}, x) for x in range(n)]
 
 
+# Each entry damages an intact manifest (``name`` left matching) in one
+# way; every one must fail with the documented KeyError.
+DAMAGED_MANIFESTS = {
+    "salt-missing": lambda m: m.pop("salt"),
+    "salt-int": lambda m: m.update(salt=7),
+    "jobs-int": lambda m: m.update(jobs=5),
+    "job-not-dict": lambda m: m["jobs"].append("job"),
+    "job-seed-missing": lambda m: m["jobs"][0].pop("seed"),
+    "job-seed-str": lambda m: m["jobs"][0].update(seed="1"),
+    "job-seed-bool": lambda m: m["jobs"][0].update(seed=True),
+    "job-ref-int": lambda m: m["jobs"][0].update(ref=3),
+    "job-name-missing": lambda m: m["jobs"][1].pop("name"),
+    "job-config-missing": lambda m: m["jobs"][1].pop("config"),
+}
+
+
 # ---------------------------------------------------------------------------
 # Manifest persistence
 # ---------------------------------------------------------------------------
 
 class TestManifest:
     def test_run_persists_manifest_before_dispatch(self, tmp_path):
-        executor = Executor(cache_dir=str(tmp_path), salt="v3")
+        executor = Executor(cache=str(tmp_path), salt="v3")
         sweep(job_add, _specs(3), executor=executor, name="sweep")
         cache = ResultCache(str(tmp_path))
         manifest = cache.load_manifest("sweep")
@@ -72,12 +88,12 @@ class TestManifest:
             ResultCache(str(tmp_path)).load_manifest("nope")
 
     def test_manifest_files_do_not_pollute_result_keys(self, tmp_path):
-        executor = Executor(cache_dir=str(tmp_path))
+        executor = Executor(cache=str(tmp_path))
         sweep(job_add, _specs(2), executor=executor, name="sweep")
         assert len(ResultCache(str(tmp_path))) == 2  # results only
 
     def test_build_resume_from_rebuilds_identical_campaign(self, tmp_path):
-        executor = Executor(cache_dir=str(tmp_path), salt="s1")
+        executor = Executor(cache=str(tmp_path), salt="s1")
         original = Campaign("sweep", executor=executor)
         original.extend(job_add, _specs(4))
         original.run()
@@ -87,6 +103,18 @@ class TestManifest:
         result = rebuilt.run()
         assert result.cached == 4 and result.executed == 0
 
+    @pytest.mark.parametrize("damage", list(DAMAGED_MANIFESTS),
+                             ids=list(DAMAGED_MANIFESTS))
+    def test_damaged_manifest_raises_key_error(self, tmp_path, damage):
+        executor = Executor(cache=str(tmp_path))
+        sweep(job_add, _specs(2), executor=executor, name="sweep")
+        cache = ResultCache(str(tmp_path))
+        manifest = cache.load_manifest("sweep")
+        DAMAGED_MANIFESTS[damage](manifest)
+        cache.store_manifest("sweep", manifest)
+        with pytest.raises(KeyError, match="damaged campaign manifest"):
+            Campaign.build("sweep", resume_from=str(tmp_path))
+
 
 # ---------------------------------------------------------------------------
 # Resume semantics
@@ -94,7 +122,7 @@ class TestManifest:
 
 class TestResume:
     def test_resume_executes_only_incomplete_jobs(self, tmp_path):
-        executor = Executor(cache_dir=str(tmp_path))
+        executor = Executor(cache=str(tmp_path))
         full = Campaign("sweep", executor=executor)
         full.extend(job_add, _specs(6))
         # Simulate a crash after three shards: persist the full manifest
@@ -111,18 +139,18 @@ class TestResume:
         assert resumed.aggregate_json() == reference.aggregate_json()
 
     def test_resume_executor_override_keeps_cache_and_salt(self, tmp_path):
-        executor = Executor(cache_dir=str(tmp_path), salt="pinned")
+        executor = Executor(cache=str(tmp_path), salt="pinned")
         sweep(job_add, _specs(3), executor=executor, name="sweep")
         resumed = Campaign.resume(
             str(tmp_path), "sweep",
-            executor=Executor(jobs=1, cache_dir="/nonexistent", salt="x"))
-        # cache_dir and salt come from the manifest, not the override
+            executor=Executor(jobs=1, cache="/nonexistent", salt="x"))
+        # the cache and salt come from the manifest, not the override
         assert resumed.cached == 3 and resumed.executed == 0
 
     def test_sigkilled_pool_campaign_resumes_byte_identical(self, tmp_path):
         """Launch a 4-worker campaign in a subprocess, SIGKILL the whole
         process group mid-sweep, then Campaign.resume() it in-process:
-        only the incomplete shards execute and the aggregate is
+        only the incomplete jobs execute and the aggregate is
         byte-identical to a never-interrupted run."""
         cache_dir = str(tmp_path / "cache")
         gate = str(tmp_path / "gate")
@@ -137,7 +165,7 @@ class TestResume:
             from repro.farm import Campaign, Executor
             campaign = Campaign("killed",
                                 executor=Executor(jobs=4,
-                                                  cache_dir={cache_dir!r}))
+                                                  cache={cache_dir!r}))
             for x in range(8):
                 config = {{"x": x, "gate": {gate!r} if x >= 4 else None}}
                 campaign.add(jobs.job_gate, config=config, seed=x)
@@ -153,7 +181,7 @@ class TestResume:
             while len(cache) < 4:
                 assert proc.poll() is None, "campaign exited prematurely"
                 assert time.monotonic() < deadline, \
-                    f"only {len(cache)} shards cached before deadline"
+                    f"only {len(cache)} jobs cached before deadline"
                 time.sleep(0.05)
             os.killpg(proc.pid, signal.SIGKILL)
             proc.wait(timeout=30)

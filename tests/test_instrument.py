@@ -2,9 +2,7 @@
 
 One call attaches any combination of observability, the race sanitizer
 and fault injection, returning an :class:`~repro.vp.soc.Instrumentation`
-handle bundle.  The legacy ``attach_observability`` /
-``attach_sanitizer`` / ``attach_faults`` entry points are thin
-delegates and must behave exactly as before.
+handle bundle.
 """
 
 import pytest
@@ -184,46 +182,3 @@ class TestBackendDowngrade:
         handle = soc.instrument()
         assert handle.metrics is None  # no registry even created
 
-
-class TestLegacyDelegates:
-    def test_attach_observability_returns_tracer_and_probe(self):
-        soc = make_soc()
-        sink = TraceSink()
-        tracer, probe = soc.attach_observability(sink)
-        assert isinstance(tracer, Tracer)
-        assert tracer.sink is sink
-        assert probe is not None
-        soc.run()
-        assert sink.records
-
-    def test_attach_sanitizer_equivalent_to_instrument(self):
-        legacy_soc = make_soc(n_cores=2, firmware=RACY)
-        legacy = legacy_soc.attach_sanitizer()
-        legacy_soc.run()
-
-        unified_soc = make_soc(n_cores=2, firmware=RACY)
-        unified = unified_soc.instrument(
-            sanitizer={"sink": None, "metrics": None}).detector
-        unified_soc.run()
-
-        assert isinstance(legacy, RaceSanitizer)
-        assert legacy.sink is None
-        assert len(legacy.races) == len(unified.races)
-        assert legacy.checked_accesses == unified.checked_accesses
-        assert [c.cycle_count for c in legacy_soc.cores] \
-            == [c.cycle_count for c in unified_soc.cores]
-
-    def test_attach_faults_equivalent_to_instrument(self):
-        plan = FaultPlan().flip_ram(addr=20, bit=2, at=1.0)
-
-        legacy_soc = make_soc()
-        legacy_inj = FaultInjector(legacy_soc.sim, plan)
-        legacy_soc.attach_faults(legacy_inj)
-        legacy_soc.run()
-
-        unified_soc = make_soc()
-        unified_inj = unified_soc.instrument(faults=plan).injector
-        unified_soc.run()
-
-        assert len(legacy_inj.injected) == len(unified_inj.injected) == 1
-        assert legacy_soc.mem(20) == unified_soc.mem(20)

@@ -162,7 +162,7 @@ class TestE11Matrix:
         sink = TraceSink()
         metrics = MetricsRegistry()
         soc = build(RACY)
-        soc.attach_sanitizer(sink=sink, metrics=metrics)
+        soc.instrument(sanitizer={"sink": sink, "metrics": metrics})
         soc.run()
         reports = metrics.counter("race.reports").value
         assert reports > 0

@@ -2,14 +2,13 @@
 
 Every registered ``to_dict``/``from_dict`` pair must round-trip through
 the tagged envelope codec byte-for-byte; version mismatches are hard
-errors unless the class ships a ``serde_upgrade`` migration hook; tags
-are wire-stable names that can never be rebound.
+errors; tags are wire-stable names that can never be rebound.
 """
 
 import pytest
 
 from repro.core.serde import (
-    DATA_KEY, ReproDeprecationWarning, SERDE_KEY, SerdeError, VERSION_KEY,
+    DATA_KEY, SERDE_KEY, SerdeError, VERSION_KEY,
     canonical_json, dump, dumps, is_envelope, load, loads, serde, serde_tag,
 )
 from repro.faults import FaultPlan
@@ -102,7 +101,7 @@ class TestEnvelopeErrors:
     def test_version_mismatch_without_hook_is_hard_error(self):
         envelope = dump(FaultPlan(seed=1))
         envelope[VERSION_KEY] = 99
-        with pytest.raises(SerdeError, match="serde_upgrade"):
+        with pytest.raises(SerdeError, match="payload version 99"):
             load(envelope)
 
     def test_unregistered_object_has_no_tag(self):
@@ -132,37 +131,8 @@ class TestRegistry:
             class Pairless:
                 pass
 
-    def test_upgrade_hook_migrates_old_payloads(self):
-        @serde("test-serde-upgradable", version=2)
-        class Upgradable:
-            def __init__(self, value):
-                self.value = value
-
-            def to_dict(self):
-                return {"value": self.value}
-
-            @classmethod
-            def from_dict(cls, data):
-                return cls(data["value"])
-
-            @classmethod
-            def serde_upgrade(cls, data, version):
-                assert version == 1
-                return {"value": data["old_value"] * 10}
-
-        old = {SERDE_KEY: "test-serde-upgradable", VERSION_KEY: 1,
-               DATA_KEY: {"old_value": 7}}
-        assert load(old).value == 70
-        # current-version payloads bypass the hook entirely
-        assert load(dump(Upgradable(3))).value == 3
-
     def test_registered_classes_expose_tag_and_version(self):
         assert FaultPlan.__serde_tag__ == "fault-plan"
         assert FaultPlan.__serde_version__ == 1
         assert serde_tag(FaultPlan(seed=0)) == "fault-plan"
 
-
-def test_repro_deprecation_warning_category():
-    # tier-1 promotes exactly this category to an error; it must stay a
-    # DeprecationWarning subclass so stdlib tooling treats it as one.
-    assert issubclass(ReproDeprecationWarning, DeprecationWarning)
