@@ -13,11 +13,96 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.maps.mapping import Mapping, ScheduledTask
 from repro.maps.spec import PlatformSpec
 from repro.maps.taskgraph import TaskGraph
+
+
+class _ScheduleModel:
+    """One graph and platform compiled for repeated scheduling.
+
+    Tasks are numbered in ``graph.nodes`` order and PEs in platform
+    order; an assignment is a list holding each task's PE number.  The
+    model keeps the topological order, every task's duration on every
+    PE and every task's predecessors with the edge's communication cost,
+    so scoring an assignment rescans nothing.
+    """
+
+    def __init__(self, graph: TaskGraph, platform: PlatformSpec) -> None:
+        self.graph = graph
+        self.platform = platform
+        self.tasks = list(graph.nodes)
+        self.task_index = {name: i for i, name in enumerate(self.tasks)}
+        self.pe_names = [pe.name for pe in platform.pes]
+        self.pe_index = {name: i for i, name in enumerate(self.pe_names)}
+        self.order = [self.task_index[name]
+                      for name in graph.topological_order()]
+        self.durations = [[node.cost_on(pe.pe_class, pe.freq)
+                           for pe in platform.pes]
+                          for node in graph.nodes.values()]
+        self.preds = [[(self.task_index[edge.src],
+                        platform.comm_cost(edge.words))
+                       for edge in graph.in_edges(name)]
+                      for name in self.tasks]
+
+    def indices(self, assignment: Dict[str, str]) -> List[int]:
+        """Validate a task->PE dict and number it."""
+        out = [-1] * len(self.tasks)
+        for task, pe_name in assignment.items():
+            if task not in self.task_index:
+                raise KeyError(f"unknown task {task!r} in assignment")
+            if pe_name not in self.pe_index:
+                raise KeyError(f"unknown PE {pe_name!r} for task {task!r}")
+            out[self.task_index[task]] = self.pe_index[pe_name]
+        for task, pe in zip(self.tasks, out):
+            if pe < 0:
+                raise KeyError(f"task {task!r} has no PE in the assignment")
+        return out
+
+    def schedule(self, assign: List[int]
+                 ) -> Tuple[float, List[float], List[float]]:
+        """Makespan and per-task start and finish of an assignment.
+
+        Tasks run in topological order; on each PE they serialize in
+        that order; cross-PE edges pay the platform communication cost.
+        """
+        pe_free = [0.0] * len(self.pe_names)
+        start = [0.0] * len(self.tasks)
+        finish = [0.0] * len(self.tasks)
+        makespan = 0.0
+        for task in self.order:
+            pe = assign[task]
+            ready = pe_free[pe]
+            for src, comm in self.preds[task]:
+                pred_finish = finish[src]
+                if assign[src] != pe:
+                    pred_finish += comm
+                if pred_finish > ready:
+                    ready = pred_finish
+            end = ready + self.durations[task][pe]
+            start[task] = ready
+            finish[task] = end
+            pe_free[pe] = end
+            if end > makespan:
+                makespan = end
+        return makespan, start, finish
+
+    def mapping(self, assign: List[int],
+                key_order: Optional[List[str]] = None) -> Mapping:
+        """The full :class:`Mapping` of an assignment; its dict keeps
+        ``key_order`` (default: task order)."""
+        makespan, start, finish = self.schedule(assign)
+        tasks, pe_names, index = self.tasks, self.pe_names, self.task_index
+        mapping = Mapping(self.graph, self.platform, assignment={
+            task: pe_names[assign[index[task]]]
+            for task in (key_order if key_order is not None else tasks)})
+        mapping.schedule = [ScheduledTask(tasks[t], pe_names[assign[t]],
+                                          start[t], finish[t])
+                            for t in self.order]
+        mapping.makespan = makespan
+        return mapping
 
 
 def evaluate_assignment(graph: TaskGraph, platform: PlatformSpec,
@@ -26,32 +111,12 @@ def evaluate_assignment(graph: TaskGraph, platform: PlatformSpec,
 
     Tasks run in topological order; on each PE they serialize in that
     order; cross-PE edges pay the platform communication cost.  Returns a
-    full :class:`Mapping` with schedule and makespan.
+    full :class:`Mapping` with schedule and makespan.  Raises
+    :class:`KeyError` naming the task when the assignment misses a
+    task, names an unknown one or uses an unknown PE.
     """
-    pes = {pe.name: pe for pe in platform.pes}
-    for task, pe_name in assignment.items():
-        if pe_name not in pes:
-            raise KeyError(f"unknown PE {pe_name!r} for task {task!r}")
-    mapping = Mapping(graph, platform, assignment=dict(assignment))
-    pe_free: Dict[str, float] = {name: 0.0 for name in pes}
-    finish: Dict[str, float] = {}
-    for task_name in graph.topological_order():
-        node = graph.nodes[task_name]
-        pe = pes[assignment[task_name]]
-        ready = pe_free[pe.name]
-        for edge in graph.in_edges(task_name):
-            pred_finish = finish[edge.src]
-            if assignment[edge.src] != pe.name:
-                pred_finish += platform.comm_cost(edge.words)
-            ready = max(ready, pred_finish)
-        duration = node.cost_on(pe.pe_class, pe.freq)
-        end = ready + duration
-        mapping.schedule.append(ScheduledTask(task_name, pe.name, ready,
-                                              end))
-        pe_free[pe.name] = end
-        finish[task_name] = end
-        mapping.makespan = max(mapping.makespan, end)
-    return mapping
+    model = _ScheduleModel(graph, platform)
+    return model.mapping(model.indices(assignment), list(assignment))
 
 
 @dataclass
@@ -77,60 +142,57 @@ def map_task_graph_annealing(graph: TaskGraph, platform: PlatformSpec,
     Moves: reassign one random task to a random PE (respecting
     ``preferred_pe`` when the platform has a PE of that class).  Standard
     Metropolis acceptance with geometric cooling.  Deterministic for a
-    given seed.
+    given seed.  Each trial is scored on a compiled schedule model; only
+    the winning assignment becomes a :class:`Mapping`.
     """
     if not platform.pes:
         raise ValueError("platform has no PEs")
+    model = _ScheduleModel(graph, platform)
     rng = random.Random(seed)
-    tasks = list(graph.nodes)
-    pe_names = [pe.name for pe in platform.pes]
-
-    def candidate_pes(task_name: str) -> List[str]:
-        node = graph.nodes[task_name]
-        if node.preferred_pe is not None:
-            preferred = [pe.name for pe in platform.pes
-                         if pe.pe_class == node.preferred_pe]
-            if preferred:
-                return preferred
-        return pe_names
+    task_ids = list(range(len(model.tasks)))
+    all_pes = list(range(len(model.pe_names)))
+    candidates = [[i for i, pe in enumerate(platform.pes)
+                   if pe.pe_class == node.preferred_pe] or all_pes
+                  for node in graph.nodes.values()]
 
     if initial is None:
-        current = {task: rng.choice(candidate_pes(task)) for task in tasks}
+        current = [rng.choice(options) for options in candidates]
+        key_order = None
     else:
-        current = dict(initial)
-    current_mapping = evaluate_assignment(graph, platform, current)
-    best_mapping = current_mapping
-    initial_makespan = current_mapping.makespan
+        current = model.indices(initial)
+        key_order = list(initial)
+    current_cost = initial_makespan = model.schedule(current)[0]
+    best, best_cost = list(current), current_cost
 
     temperature = start_temperature
     if temperature is None:
-        temperature = max(current_mapping.makespan * 0.1, 1.0)
+        temperature = max(current_cost * 0.1, 1.0)
 
-    report = AnnealingReport(best_mapping, initial_makespan, iterations, 0, 0)
-    current_cost = current_mapping.makespan
-    for _step in range(iterations):
-        task = rng.choice(tasks)
-        options = [pe for pe in candidate_pes(task) if pe != current[task]]
+    accepted = improved = 0
+    history: List[float] = []
+    for _step in range(iterations if task_ids else 0):  # empty: no moves
+        task = rng.choice(task_ids)
+        old_pe = current[task]
+        options = [pe for pe in candidates[task] if pe != old_pe]
         if not options:
             continue
-        new_pe = rng.choice(options)
-        trial = dict(current)
-        trial[task] = new_pe
-        trial_mapping = evaluate_assignment(graph, platform, trial)
-        delta = trial_mapping.makespan - current_cost
+        current[task] = rng.choice(options)
+        trial_cost = model.schedule(current)[0]
+        delta = trial_cost - current_cost
         accept = delta <= 0 or \
             rng.random() < pow(2.718281828, -delta / max(temperature, 1e-9))
         if accept:
-            current = trial
-            current_cost = trial_mapping.makespan
-            report.accepted_moves += 1
-            if trial_mapping.makespan < best_mapping.makespan:
-                best_mapping = trial_mapping
-                report.improved_moves += 1
+            current_cost = trial_cost
+            accepted += 1
+            if trial_cost < best_cost:
+                best, best_cost = list(current), trial_cost
+                improved += 1
+        else:
+            current[task] = old_pe
         temperature *= cooling
-        report.history.append(current_cost)
-    report.best = best_mapping
-    return report
+        history.append(current_cost)
+    return AnnealingReport(model.mapping(best, key_order), initial_makespan,
+                           iterations, accepted, improved, history)
 
 
 def annealing_restart_job(config: Dict[str, object], seed: int) -> Dict[str, object]:
@@ -210,16 +272,21 @@ def map_task_graph_annealing_restarts(
 def map_task_graph_random(graph: TaskGraph, platform: PlatformSpec,
                           tries: int = 50, seed: int = 0) -> Mapping:
     """Random-restart baseline: best of ``tries`` random assignments."""
+    if tries < 1:
+        raise ValueError(f"tries must be >= 1, got {tries}")
+    if not platform.pes:
+        raise ValueError("platform has no PEs")
+    model = _ScheduleModel(graph, platform)
     rng = random.Random(seed)
-    pe_names = [pe.name for pe in platform.pes]
-    best: Optional[Mapping] = None
-    for _ in range(tries):
-        assignment = {task: rng.choice(pe_names) for task in graph.nodes}
-        mapping = evaluate_assignment(graph, platform, assignment)
-        if best is None or mapping.makespan < best.makespan:
-            best = mapping
-    assert best is not None
-    return best
+    all_pes = list(range(len(model.pe_names)))
+    best: List[int] = []
+    best_cost = 0.0
+    for attempt in range(tries):
+        assign = [rng.choice(all_pes) for _task in model.tasks]
+        cost = model.schedule(assign)[0]
+        if attempt == 0 or cost < best_cost:
+            best, best_cost = assign, cost
+    return model.mapping(best)
 
 
 __all__ = ["AnnealingReport", "RestartReport", "annealing_restart_job",

@@ -9,6 +9,7 @@ the fine-grained graphs MAPS forms after dataflow analysis.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -47,24 +48,32 @@ class TaskEdge:
 
 @serde("task-graph")
 class TaskGraph:
-    """A DAG of tasks."""
+    """A DAG of tasks.
+
+    Tasks are added only through :meth:`add_task`/:meth:`add_node` and
+    edges only through :meth:`connect`: those keep the per-task in/out
+    edge lists (in insertion order) and drop the memoized topological
+    order.  ``nodes`` and ``edges`` are for reading.
+    """
 
     def __init__(self, name: str = "taskgraph") -> None:
         self.name = name
         self.nodes: Dict[str, TaskNode] = {}
         self.edges: List[TaskEdge] = []
+        self._in: Dict[str, List[TaskEdge]] = {}
+        self._out: Dict[str, List[TaskEdge]] = {}
+        self._order: Optional[List[str]] = None
 
     def add_task(self, name: str, cost: float = 1.0, **kwargs) -> TaskNode:
-        if name in self.nodes:
-            raise ValueError(f"duplicate task {name!r}")
-        node = TaskNode(name, cost, **kwargs)
-        self.nodes[name] = node
-        return node
+        return self.add_node(TaskNode(name, cost, **kwargs))
 
     def add_node(self, node: TaskNode) -> TaskNode:
         if node.name in self.nodes:
             raise ValueError(f"duplicate task {node.name!r}")
         self.nodes[node.name] = node
+        self._in[node.name] = []
+        self._out[node.name] = []
+        self._order = None
         return node
 
     def connect(self, src: str, dst: str, words: int = 1,
@@ -74,50 +83,50 @@ class TaskGraph:
                 raise KeyError(f"unknown task {endpoint!r}")
         edge = TaskEdge(src, dst, words, label)
         self.edges.append(edge)
+        self._out[src].append(edge)
+        self._in[dst].append(edge)
+        self._order = None
         return edge
 
     # ------------------------------------------------------------------
     def predecessors(self, name: str) -> List[str]:
-        return [e.src for e in self.edges if e.dst == name]
+        return [e.src for e in self._in.get(name, ())]
 
     def successors(self, name: str) -> List[str]:
-        return [e.dst for e in self.edges if e.src == name]
+        return [e.dst for e in self._out.get(name, ())]
 
     def in_edges(self, name: str) -> List[TaskEdge]:
-        return [e for e in self.edges if e.dst == name]
+        return list(self._in.get(name, ()))
 
     def out_edges(self, name: str) -> List[TaskEdge]:
-        return [e for e in self.edges if e.src == name]
+        return list(self._out.get(name, ()))
 
     def sources(self) -> List[str]:
-        have_preds = {e.dst for e in self.edges}
-        return [n for n in self.nodes if n not in have_preds]
+        return [n for n in self.nodes if not self._in[n]]
 
     def sinks(self) -> List[str]:
-        have_succs = {e.src for e in self.edges}
-        return [n for n in self.nodes if n not in have_succs]
+        return [n for n in self.nodes if not self._out[n]]
 
     def topological_order(self) -> List[str]:
-        """Kahn's algorithm; raises on cycles (task graphs must be DAGs)."""
-        in_degree = {name: 0 for name in self.nodes}
-        for edge in self.edges:
-            in_degree[edge.dst] += 1
-        frontier = sorted(n for n, d in in_degree.items() if d == 0)
-        order: List[str] = []
-        while frontier:
-            current = frontier.pop(0)
-            order.append(current)
-            for edge in self.out_edges(current):
-                in_degree[edge.dst] -= 1
-                if in_degree[edge.dst] == 0:
-                    # Insert keeping frontier sorted for determinism.
-                    index = 0
-                    while index < len(frontier) and frontier[index] < edge.dst:
-                        index += 1
-                    frontier.insert(index, edge.dst)
-        if len(order) != len(self.nodes):
-            raise ValueError(f"task graph {self.name!r} has a cycle")
-        return order
+        """Kahn's algorithm, always releasing the smallest ready name;
+        raises on cycles (task graphs must be DAGs).  Memoized until the
+        next added task or edge; each call returns a fresh list."""
+        if self._order is None:
+            in_degree = {name: len(self._in[name]) for name in self.nodes}
+            frontier = [n for n, d in in_degree.items() if d == 0]
+            heapq.heapify(frontier)
+            order: List[str] = []
+            while frontier:
+                current = heapq.heappop(frontier)
+                order.append(current)
+                for edge in self._out[current]:
+                    in_degree[edge.dst] -= 1
+                    if in_degree[edge.dst] == 0:
+                        heapq.heappush(frontier, edge.dst)
+            if len(order) != len(self.nodes):
+                raise ValueError(f"task graph {self.name!r} has a cycle")
+            self._order = order
+        return list(self._order)
 
     def total_cost(self) -> float:
         return sum(node.cost for node in self.nodes.values())

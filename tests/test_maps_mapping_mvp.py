@@ -1,5 +1,7 @@
 """Tests for MAPS mapping, concurrency graph, MVP simulation and OSIP."""
 
+import hashlib
+
 import pytest
 
 from repro.maps import (
@@ -245,3 +247,166 @@ class TestOsip:
             task_farm_utilization(OsipModel(), 0, 10, 10)
         with pytest.raises(ValueError):
             OsipModel(dispatch_cycles=0)
+
+
+# ---------------------------------------------------------------------------
+# Annealing trajectory, pinned by digest
+# ---------------------------------------------------------------------------
+
+JPEG_SOURCE = """
+int pixels[256];
+int shifted[256];
+int coeff[256];
+int quant[256];
+int qtable[8];
+int main() {
+  int i;
+  int bits = 0;
+  for (i = 0; i < 8; i++) { qtable[i] = 5 + i * 1; }
+  for (i = 0; i < 256; i++) { pixels[i] = (i * 83 + 102) % 256; }
+  for (i = 0; i < 256; i++) { shifted[i] = pixels[i] - 128; }
+  for (i = 0; i < 256; i++) {
+    int block = i / 8;
+    int k = i % 8;
+    coeff[i] = shifted[block * 8 + k] * (8 - k) - shifted[i] / 2;
+  }
+  for (i = 0; i < 256; i++) { quant[i] = coeff[i] / qtable[i % 8]; }
+  for (i = 0; i < 256; i++) { bits += abs(quant[i]) % 16; }
+  return bits;
+}
+"""
+
+
+def jpeg_expanded_graph(split_k=4):
+    """The 27-task graph the MAPS JPEG flow maps and refines."""
+    from repro.maps import (
+        PartitionResult, partition_data_parallel, partition_function,
+    )
+    program = parse(JPEG_SOURCE)
+    result = partition_function(program)
+    expanded = result.task_graph
+    for task in result.parallelizable_tasks:
+        staged = PartitionResult(expanded, result.clusters,
+                                 result.loop_infos,
+                                 result.parallelizable_tasks, program,
+                                 "main")
+        expanded = partition_data_parallel(staged, task, split_k)
+    return expanded
+
+
+def comm_heavy_graph(prefer_dsp=()):
+    graph = TaskGraph("commheavy")
+    graph.add_task("src", cost=5)
+    for index in range(6):
+        graph.add_task(f"t{index}", cost=30 + 7 * index,
+                       preferred_pe=(PEClass.DSP if index in prefer_dsp
+                                     else None))
+        graph.connect("src", f"t{index}", words=200)
+    graph.add_task("snk", cost=5)
+    for index in range(6):
+        graph.connect(f"t{index}", "snk", words=200)
+    return graph
+
+
+def terminal_platform():
+    platform = PlatformSpec("terminal", channel_setup_cost=5.0,
+                            channel_word_cost=0.05)
+    platform.add_pe("arm0", PEClass.RISC)
+    platform.add_pe("arm1", PEClass.RISC)
+    platform.add_pe("dsp0", PEClass.DSP)
+    platform.add_pe("dsp1", PEClass.DSP)
+    return platform
+
+
+def _mapping_view(mapping):
+    return (list(mapping.assignment.items()), repr(mapping.makespan),
+            [(e.task, e.pe, repr(e.start), repr(e.finish))
+             for e in mapping.schedule])
+
+
+def _annealing_trajectories():
+    from repro.maps import map_task_graph_annealing, map_task_graph_random
+    cases = (
+        ("jpeg", jpeg_expanded_graph(), terminal_platform()),
+        ("comm-heavy", comm_heavy_graph(),
+         PlatformSpec.symmetric(4, channel_setup_cost=5.0,
+                                channel_word_cost=0.1)),
+        ("comm-heavy/dsp", comm_heavy_graph(prefer_dsp=(0, 2, 3)),
+         terminal_platform()),
+    )
+    out = []
+    for label, graph, platform in cases:
+        heft = map_task_graph(graph, platform)
+        for seed in (1, 97):
+            for initial in (dict(heft.assignment), None):
+                report = map_task_graph_annealing(
+                    graph, platform, iterations=400, seed=seed,
+                    initial=initial)
+                out.append((label, seed, initial is None,
+                            _mapping_view(report.best),
+                            repr(report.initial_makespan),
+                            report.iterations, report.accepted_moves,
+                            report.improved_moves,
+                            [repr(cost) for cost in report.history]))
+            rand = map_task_graph_random(graph, platform, tries=50,
+                                         seed=seed)
+            out.append((label, seed, "random", _mapping_view(rand)))
+    return out
+
+
+def test_annealing_trajectory_is_pinned():
+    """Best assignment (with its key order), schedule, makespan, history
+    and move counts of seeded annealing and random-mapping runs on the
+    expanded JPEG graph and the A5 comm-heavy graph are pinned by
+    digest: a schedule-model change that alters one addition, one rng
+    draw or one acceptance changes it."""
+    trajectories = _annealing_trajectories()
+    digest = hashlib.sha256(repr(trajectories).encode()).hexdigest()
+    assert len(trajectories) == 18
+    assert digest == ("ad5c949e07434ada47265688b30b4db3"
+                      "cbf79ceb449e0f491fd29be0e01228d9")
+
+
+class TestAnnealingInputs:
+    def test_empty_graph_anneals_to_empty_mapping(self):
+        from repro.maps import map_task_graph_annealing
+        graph = TaskGraph("empty")
+        platform = PlatformSpec.symmetric(2)
+        assert map_task_graph(graph, platform).makespan == 0.0
+        report = map_task_graph_annealing(graph, platform, iterations=50,
+                                          seed=3)
+        assert report.best.makespan == 0.0
+        assert report.best.assignment == {} and report.best.schedule == []
+        assert report.initial_makespan == 0.0
+        assert (report.accepted_moves, report.improved_moves) == (0, 0)
+        assert report.history == []
+
+    @pytest.mark.parametrize("assignment, task", [
+        ({"src": "pe0", "left": "pe1", "right": "pe0"}, "sink"),
+        ({"src": "pe0", "left": "pe1", "right": "pe0", "sink": "pe1",
+          "ghost": "pe0"}, "ghost"),
+    ])
+    def test_bad_assignment_names_the_task(self, assignment, task):
+        from repro.maps import evaluate_assignment, map_task_graph_annealing
+        graph = diamond()
+        platform = PlatformSpec.symmetric(2)
+        with pytest.raises(KeyError, match=f"task {task!r}"):
+            evaluate_assignment(graph, platform, assignment)
+        with pytest.raises(KeyError, match=f"task {task!r}"):
+            map_task_graph_annealing(graph, platform, iterations=10,
+                                     initial=assignment)
+
+    def test_unknown_pe_still_named(self):
+        from repro.maps import evaluate_assignment
+        with pytest.raises(KeyError, match="unknown PE 'nope'"):
+            evaluate_assignment(diamond(), PlatformSpec.symmetric(2),
+                                {"src": "nope", "left": "pe0",
+                                 "right": "pe0", "sink": "pe0"})
+
+    def test_random_mapper_rejects_zero_tries_and_no_pes(self):
+        from repro.maps import map_task_graph_random
+        with pytest.raises(ValueError, match="tries must be >= 1"):
+            map_task_graph_random(diamond(), PlatformSpec.symmetric(2),
+                                  tries=0)
+        with pytest.raises(ValueError, match="no PEs"):
+            map_task_graph_random(diamond(), PlatformSpec("bare"))

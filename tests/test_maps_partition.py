@@ -61,6 +61,108 @@ class TestTaskGraph:
         assert graph.total_cost() == 10
 
 
+def _kahn_by_filters(graph):
+    """Kahn's algorithm over edge-list filters, keeping a sorted frontier:
+    the oracle for the indexed, memoized order."""
+    in_degree = {name: 0 for name in graph.nodes}
+    for edge in graph.edges:
+        in_degree[edge.dst] += 1
+    frontier = sorted(n for n, d in in_degree.items() if d == 0)
+    order = []
+    while frontier:
+        current = frontier.pop(0)
+        order.append(current)
+        for edge in [e for e in graph.edges if e.src == current]:
+            in_degree[edge.dst] -= 1
+            if in_degree[edge.dst] == 0:
+                frontier.append(edge.dst)
+                frontier.sort()
+    if len(order) != len(graph.nodes):
+        raise ValueError("cycle")
+    return order
+
+
+def _random_dag(seed, n_tasks=24, n_edges=60, n_isolated=3):
+    """A seeded DAG with parallel edges, shuffled insertion order and
+    tasks that no edge touches."""
+    import random
+    rng = random.Random(seed)
+    names = [f"t{rng.randrange(1000):03d}_{i}" for i in range(n_tasks)]
+    graph = TaskGraph(f"dag{seed}")
+    for name in rng.sample(names, len(names)):
+        graph.add_task(name, cost=rng.randint(1, 9))
+    rank = {name: i for i, name in enumerate(names)}
+    wired = names[:n_tasks - n_isolated]
+    for _ in range(n_edges):
+        a, b = rng.sample(wired, 2)
+        if rank[a] > rank[b]:
+            a, b = b, a
+        graph.connect(a, b, words=rng.randint(1, 64))
+    return graph
+
+
+def _assert_index_matches_filters(graph):
+    for name in list(graph.nodes) + ["no-such-task"]:
+        assert graph.in_edges(name) == [e for e in graph.edges
+                                        if e.dst == name]
+        assert graph.out_edges(name) == [e for e in graph.edges
+                                         if e.src == name]
+        assert graph.predecessors(name) == [e.src for e in graph.edges
+                                            if e.dst == name]
+        assert graph.successors(name) == [e.dst for e in graph.edges
+                                          if e.src == name]
+    assert graph.sources() == [n for n in graph.nodes
+                               if n not in {e.dst for e in graph.edges}]
+    assert graph.sinks() == [n for n in graph.nodes
+                             if n not in {e.src for e in graph.edges}]
+    assert graph.topological_order() == _kahn_by_filters(graph)
+
+
+class TestTaskGraphIndex:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_index_equals_edge_filters_on_random_dags(self, seed):
+        graph = _random_dag(seed)
+        _assert_index_matches_filters(graph)
+        isolated = [n for n in graph.nodes
+                    if not graph.in_edges(n) and not graph.out_edges(n)]
+        assert len(isolated) >= 3
+
+    def test_order_is_a_fresh_copy(self):
+        graph = _random_dag(1)
+        order = graph.topological_order()
+        order.reverse()
+        assert graph.topological_order() == _kahn_by_filters(graph)
+        graph.in_edges(order[0]).clear()
+        _assert_index_matches_filters(graph)
+
+    def test_task_and_edge_added_after_memoized_order(self):
+        graph = _random_dag(2)
+        before = graph.topological_order()
+        graph.add_task("a_first")
+        assert graph.topological_order() == ["a_first"] + before \
+            == _kahn_by_filters(graph)
+        graph.connect(before[-1], "a_first", words=3)
+        _assert_index_matches_filters(graph)
+        assert graph.topological_order()[-1] == "a_first"
+        from repro.maps import TaskNode
+        graph.add_node(TaskNode("zz_last", 2.0))
+        graph.connect("zz_last", before[0])
+        _assert_index_matches_filters(graph)
+
+    def test_cycle_added_late_still_raises(self):
+        graph = _random_dag(3)
+        order = graph.topological_order()
+        graph.connect(order[-1], order[0])
+        with pytest.raises(ValueError, match="cycle"):
+            graph.topological_order()
+        with pytest.raises(ValueError, match="cycle"):
+            graph.topological_order()
+
+    def test_round_trip_rebuilds_index(self):
+        graph = _random_dag(4)
+        _assert_index_matches_filters(TaskGraph.from_dict(graph.to_dict()))
+
+
 class TestPartitionFunction:
     def test_clusters_and_edges(self):
         result = partition_function(parse(SOURCE))
