@@ -50,7 +50,7 @@ def run_pipeline(drop_p: float, reliable: bool, with_sink: bool = False,
     sink = TraceSink() if with_sink else None
     injector = None
     if plan is None and drop_p > 0:
-        plan = FaultPlan(seed=SEED).noc_drop(drop_p)
+        plan = FaultPlan(seed=SEED).drop_messages(drop_p)
     if plan is not None and not plan.empty:
         injector = FaultInjector(sim, plan, sink=sink)
         injector.attach_noc(system.noc)
@@ -122,7 +122,7 @@ def chaos_scenario(config, seed):
 def run_experiment(executor=None):
     """The drop-rate sweep as a farm fault campaign (serial in-process
     by default; any `repro.farm.Executor` shards it identically)."""
-    plans = [FaultPlan(seed=SEED).noc_drop(p) if p > 0
+    plans = [FaultPlan(seed=SEED).drop_messages(p) if p > 0
              else FaultPlan(seed=SEED) for p in DROP_PS]
     outcome = run_fault_campaign(chaos_scenario, plans,
                                  executor=executor,

@@ -11,19 +11,16 @@ entry point a downstream user would actually adopt:
 - :class:`~repro.core.flow.DesignFlow` -- routes an application through
   the right tool flow and returns a unified report;
 - :mod:`repro.core.metrics` -- common measurement helpers;
-- :mod:`repro.core.serde` -- the one versioned serialization protocol
-  shared by cache entries, campaign manifests and backend wire frames.
+- :mod:`repro.core.serde` -- canonical JSON, the one serialization
+  protocol shared by cache entries, campaign manifests and backend wire
+  frames.
 """
 
 # serde is dependency-free and imported eagerly; the design-flow facade
-# is resolved lazily (PEP 562) so low-level modules (maps.spec,
-# faults.plan, ...) can `from repro.core.serde import serde` without
-# dragging in -- or cycling through -- the whole tool-flow stack.
-from repro.core.serde import (
-    SerdeError, canonical_json, json_roundtrip, serde, serde_tag,
-    dump as serde_dump, dumps as serde_dumps,
-    load as serde_load, loads as serde_loads,
-)
+# is resolved lazily (PEP 562) so low-level modules (farm, snap, ...) can
+# `from repro.core.serde import canonical_json` without dragging in -- or
+# cycling through -- the whole tool-flow stack.
+from repro.core.serde import canonical_json, json_roundtrip
 
 _LAZY = {
     "Application": ("repro.core.application", "Application"),
@@ -54,8 +51,6 @@ def __dir__():
 
 __all__ = [
     "Application", "ApplicationKind", "DesignFlow", "PlatformDescription",
-    "SerdeError", "UnifiedReport", "canonical_json", "geometric_mean",
-    "json_roundtrip", "serde",
-    "serde_dump", "serde_dumps", "serde_load", "serde_loads", "serde_tag",
+    "UnifiedReport", "canonical_json", "geometric_mean", "json_roundtrip",
     "speedup_curve", "summarize_speedups",
 ]

@@ -432,13 +432,19 @@ class Simulator:
         budget is exhausted.  Returns the final simulation time.
 
         ``max_events=0`` executes nothing; a negative budget raises
-        :class:`ValueError`.
+        :class:`ValueError`, as does an ``until`` in the past or NaN
+        (the clock never runs backwards).
 
         If a process dies with an uncaught exception it is re-raised here,
         with ``_running`` reset so the simulator stays usable: the caller
         can catch the error and ``run()`` again to let ``WaitProcess``
         waiters observe the :class:`ProcessFailed` payload.
         """
+        if until is not None and not until >= self.now:  # also rejects NaN
+            if until != until:
+                raise ValueError("cannot run until a NaN time")
+            raise ValueError(
+                f"cannot run until the past: {until} < {self.now}")
         budget = max_events
         if budget is not None:
             if budget < 0:

@@ -26,16 +26,14 @@ from repro.farm.engine import (
 )
 from repro.farm.job import (
     FAILURE_CRASH, FAILURE_ERROR, FAILURE_TIMEOUT, Job, JobFailure,
-    JobOutcome, canonical_json, func_ref, job_key, json_roundtrip,
-    resolve_ref, source_salt,
+    JobOutcome, func_ref, job_key, resolve_ref, source_salt,
 )
 
 __all__ = [
     "Campaign", "CampaignResult", "Completion", "DaemonBackend",
     "Executor", "ExecutorBackend", "FAILURE_CRASH", "FAILURE_ERROR",
     "FAILURE_TIMEOUT", "InlineBackend", "Job", "JobFailure", "JobOutcome",
-    "ResultCache", "as_cache_tier", "canonical_json", "fork_available",
-    "func_ref", "job_key", "json_roundtrip", "make_backend",
-    "require_fork", "resolve_executor", "resolve_ref", "shutdown_daemons",
-    "source_salt",
+    "ResultCache", "as_cache_tier", "fork_available", "func_ref",
+    "job_key", "make_backend", "require_fork", "resolve_executor",
+    "resolve_ref", "shutdown_daemons", "source_salt",
 ]

@@ -36,13 +36,14 @@ from dataclasses import dataclass, replace
 from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, \
     Tuple
 
+from repro.core.serde import canonical_json, json_roundtrip
 from repro.farm.backends import (
     STATUS_ERROR, STATUS_OK, make_backend, require_fork,
 )
 from repro.farm.cache import CacheLike, ResultCache, as_cache_tier
 from repro.farm.job import (
     FAILURE_CRASH, FAILURE_ERROR, FAILURE_TIMEOUT, Job, JobFailure,
-    JobOutcome, canonical_json, json_roundtrip, resolve_ref, source_salt,
+    JobOutcome, resolve_ref, source_salt,
 )
 from repro.obs.metrics import MetricsRegistry
 

@@ -9,11 +9,9 @@ exactly this: every run is a pure function of its config and seed).
 
 Everything here is about making that contract *mechanically checkable*:
 
-- :func:`canonical_json` -- the one serialization used for cache keys
-  and aggregates (sorted keys, tight separators, no NaN), so equal
-  values always produce equal bytes; it now lives in
-  :mod:`repro.core.serde` (shared with backend wire frames) and is
-  re-exported here for compatibility;
+- every key and aggregate is built on
+  :func:`repro.core.serde.canonical_json` (sorted keys, tight
+  separators, no NaN), so equal values always produce equal bytes;
 - :func:`func_ref` / :func:`resolve_ref` -- a function's durable name
   (``module:qualname``), the form workers import it by and the form the
   cache keys hash;
@@ -32,7 +30,7 @@ from dataclasses import dataclass, field
 from importlib import import_module
 from typing import Any, Callable, Dict, Optional
 
-from repro.core.serde import canonical_json, json_roundtrip
+from repro.core.serde import canonical_json
 
 
 def func_ref(fn: Callable[..., Any]) -> str:
@@ -172,6 +170,6 @@ class JobOutcome:
 
 __all__ = [
     "FAILURE_CRASH", "FAILURE_ERROR", "FAILURE_TIMEOUT", "Job",
-    "JobFailure", "JobOutcome", "canonical_json", "func_ref",
-    "job_key", "json_roundtrip", "resolve_ref", "source_salt",
+    "JobFailure", "JobOutcome", "func_ref", "job_key", "resolve_ref",
+    "source_salt",
 ]

@@ -29,6 +29,10 @@ from repro.obs.metrics import MetricsRegistry
 
 Handler = Callable[[FaultSpec], bool]
 
+# Trace-sink track every injected fault, recovery and observed process
+# failure is emitted on.
+TRACK = "faults"
+
 
 class FaultInjector(SimObserver):
     """Applies a seeded :class:`FaultPlan` to one :class:`Simulator`.
@@ -41,14 +45,11 @@ class FaultInjector(SimObserver):
 
     def __init__(self, sim: Simulator, plan: FaultPlan,
                  sink: Optional[Any] = None,
-                 metrics: Optional[MetricsRegistry] = None,
-                 track: str = "faults",
-                 observe_kernel: bool = True) -> None:
+                 metrics: Optional[MetricsRegistry] = None) -> None:
         self.sim = sim
         self.plan = plan
         self.sink = sink
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.track = track
         self.injected: List[FaultSpec] = []
         self.unhandled: List[FaultSpec] = []
         self._handlers: Dict[Tuple[str, Any], Handler] = {}
@@ -62,8 +63,7 @@ class FaultInjector(SimObserver):
         self._stuck_records: List[Dict[str, Any]] = []
         self._soc: Any = None
         self.register("kill_process", None, self._kill_process_handler)
-        if observe_kernel:
-            sim.add_observer(self)
+        sim.add_observer(self)
         for index, spec in enumerate(plan.scheduled):
             if spec.time >= sim.now:
                 self._scheduled[index] = self.sim.at(
@@ -93,7 +93,7 @@ class FaultInjector(SimObserver):
             self.unhandled.append(spec)
             self.metrics.counter("faults.unhandled").inc()
         if self.sink is not None:
-            self.sink.instant(f"fault.{spec.kind}", track=self.track,
+            self.sink.instant(f"fault.{spec.kind}", track=TRACK,
                               ts=self.sim.now, target=spec.target,
                               applied=applied, **spec.as_dict())
 
@@ -120,7 +120,7 @@ class FaultInjector(SimObserver):
         if mttr is not None:
             self.metrics.histogram("faults.mttr").observe(mttr)
         if self.sink is not None:
-            self.sink.instant(f"recover.{action}", track=self.track,
+            self.sink.instant(f"recover.{action}", track=TRACK,
                               ts=self.sim.now, mttr=mttr, **details)
 
     # ------------------------------------------------------------------
@@ -337,7 +337,7 @@ class FaultInjector(SimObserver):
         if proc.error is not None:
             self.metrics.counter("faults.process_failures").inc()
             if self.sink is not None:
-                self.sink.instant("process_failed", track=self.track,
+                self.sink.instant("process_failed", track=TRACK,
                                   ts=sim.now, process=proc.name,
                                   error=repr(proc.error))
 

@@ -15,8 +15,6 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.core.serde import serde
-
 
 @dataclass(frozen=True)
 class FaultSpec:
@@ -54,7 +52,6 @@ class MessageRule:
     max_extra: float = 0.0  # only meaningful for "delay"
 
 
-@serde("fault-plan")
 class FaultPlan:
     """Builder for a deterministic fault campaign.
 
@@ -174,51 +171,6 @@ class FaultPlan:
         """Corrupt each transmission's payload in flight with
         probability ``p`` (detected by the reliable layer's checksum)."""
         return self._rule("corrupt", p)
-
-    # ------------------------------------------------------------------
-    # fluent aliases: the campaign-config spelling
-    # ------------------------------------------------------------------
-    def crash(self, core: int, at: float) -> "FaultPlan":
-        """Fluent alias of :meth:`crash_core`."""
-        return self.crash_core(core, at=at)
-
-    def hang(self, core: int, at: float) -> "FaultPlan":
-        """Fluent alias of :meth:`hang_core`."""
-        return self.hang_core(core, at=at)
-
-    def kill(self, process: str, at: float) -> "FaultPlan":
-        """Fluent alias of :meth:`kill_process`."""
-        return self.kill_process(process, at=at)
-
-    def flip_ram(self, addr: int, bit: int, at: float) -> "FaultPlan":
-        """Fluent alias of :meth:`flip_ram_bit`."""
-        return self.flip_ram_bit(addr, bit, at=at)
-
-    def flip_reg(self, core: int, reg: int, bit: int,
-                 at: float) -> "FaultPlan":
-        """Fluent alias of :meth:`flip_register`."""
-        return self.flip_register(core, reg, bit, at=at)
-
-    def stuck_irq(self, core: int, at: float,
-                  duration: Optional[float] = None) -> "FaultPlan":
-        """Fluent alias of :meth:`stick_interrupt`."""
-        return self.stick_interrupt(core, at=at, duration=duration)
-
-    def noc_drop(self, p: float) -> "FaultPlan":
-        """Fluent alias of :meth:`drop_messages`."""
-        return self.drop_messages(p)
-
-    def noc_duplicate(self, p: float) -> "FaultPlan":
-        """Fluent alias of :meth:`duplicate_messages`."""
-        return self.duplicate_messages(p)
-
-    def noc_delay(self, p: float, max_extra: float) -> "FaultPlan":
-        """Fluent alias of :meth:`delay_messages`."""
-        return self.delay_messages(p, max_extra)
-
-    def noc_corrupt(self, p: float) -> "FaultPlan":
-        """Fluent alias of :meth:`corrupt_messages`."""
-        return self.corrupt_messages(p)
 
     # ------------------------------------------------------------------
     # serialization: plans travel as plain JSON through farm job specs

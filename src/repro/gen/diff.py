@@ -21,7 +21,8 @@ import hashlib
 from typing import Any, Dict, List, Optional
 
 from repro.cir import parse, run_program
-from repro.farm import Campaign, Executor, canonical_json
+from repro.core.serde import canonical_json
+from repro.farm import Campaign, Executor
 from repro.gen.expr import RESULT_ADDR, generate_expr_scenario
 from repro.gen.firmware import generate_scenario
 from repro.vp import SoC, SoCConfig, assemble

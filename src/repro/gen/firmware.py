@@ -26,8 +26,6 @@ import random
 from dataclasses import dataclass, fields
 from typing import Dict, List, Optional
 
-from repro.core.serde import serde
-
 from repro.vp.soc import (INTC_BASE, MBOX_BASE, MBOX_STRIDE, SEM_BASE,
                           TIMER_BASE)
 
@@ -45,7 +43,6 @@ _EDGE_WORDS = [2 ** 31 - 1, -2 ** 31, 2 ** 31 - 17, -(2 ** 31 - 5),
 SUPERBLOCK_CAP = 64
 
 
-@serde("bias-knobs")
 @dataclass(frozen=True)
 class BiasKnobs:
     """Relative weights of the grammar's segment kinds.

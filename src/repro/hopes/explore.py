@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
+from repro.core.serde import canonical_json
 from repro.hopes.archfile import (ArchInfo, InterconnectInfo, ProcessorInfo,
                                   parse_arch_xml, to_arch_xml)
 from repro.hopes.cic import CICApplication
@@ -116,7 +117,6 @@ class ExplorationResult:
         }
 
     def to_json(self) -> str:
-        from repro.farm.job import canonical_json
         return canonical_json(self.summary())
 
 

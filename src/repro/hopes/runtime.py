@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Protocol
 
-from repro.core.serde import serde
 from repro.desim import Delay, Fifo, Resource, Simulator
 from repro.cir.interp import Interpreter
 from repro.hopes.archfile import ArchInfo, ProcessorInfo
@@ -60,7 +59,6 @@ class TaskStats:
     deadline_misses: int = 0
 
 
-@serde("execution-report")
 @dataclass
 class ExecutionReport:
     """Result of running a CIC application on a target."""

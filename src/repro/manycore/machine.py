@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.core.serde import serde
-
 
 @dataclass
 class Core:
@@ -193,7 +191,6 @@ class Machine:
         return f"Machine({self.n_cores} cores, isas={isas})"
 
 
-@serde("manycore-config")
 @dataclass
 class ManyCoreConfig:
     """A validated, JSON-pure description of a many-core chip.

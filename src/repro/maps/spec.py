@@ -17,7 +17,6 @@ from typing import List, Optional
 
 from repro.cir.nodes import Program
 from repro.cir.analysis.cost import CostWeights
-from repro.core.serde import serde
 
 
 class PEClass(Enum):
@@ -71,7 +70,6 @@ class PESpec:
         return abstract_cost / self.freq
 
 
-@serde("platform-spec")
 @dataclass
 class PlatformSpec:
     """The predefined heterogeneous MPSoC platform MAPS targets."""

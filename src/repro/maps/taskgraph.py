@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.cir.nodes import Stmt
-from repro.core.serde import serde
 from repro.maps.spec import PEClass
 
 
@@ -46,7 +45,6 @@ class TaskEdge:
     label: str = ""
 
 
-@serde("task-graph")
 class TaskGraph:
     """A DAG of tasks.
 

@@ -5,7 +5,7 @@ read-only inspection view: :func:`checkpoint` parks every core at a
 reference-path boundary and captures kernel queue + architectural state
 into a versioned, digest-sealed :class:`Snapshot`; :func:`restore`
 rebuilds the exact run -- bit-identical final RAM, registers, end time
-and bus-access order on all four ISS backends.  Powers time travel in
+and bus-access order on all three ISS backends.  Powers time travel in
 :mod:`repro.vp.debugger` and warm-started campaigns in
 :mod:`repro.snap.warm`.
 """

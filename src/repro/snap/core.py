@@ -47,7 +47,7 @@ import hashlib
 from dataclasses import asdict
 from typing import Any, Dict, List, Optional
 
-from repro.core.serde import canonical_json, json_roundtrip, serde
+from repro.core.serde import canonical_json, json_roundtrip
 
 SNAP_VERSION = "repro.snap/1"
 
@@ -484,7 +484,6 @@ def restore(snapshot: "Snapshot", soc: Any,
 # the snapshot object
 # ----------------------------------------------------------------------
 
-@serde("snapshot")
 class Snapshot:
     """One captured platform image (JSON-pure payload + content digest).
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 from typing import Any, Dict
 
-from repro.farm.job import canonical_json
+from repro.core.serde import canonical_json
 from repro.snap.core import Snapshot
 
 

@@ -394,10 +394,12 @@ class Instrumentation:
     injector: Optional[object] = None
 
     def detach(self) -> None:
-        """Release the intrusive attachments: the sanitizer detaches
-        fully (restoring the ISS batching tiers) and the kernel observers
-        of probe and injector are removed.  Tracer hooks are passive and
-        remain installed."""
+        """Release every attachment and restore the ISS batching tiers:
+        the sanitizer and the tracer detach fully and the kernel
+        observers of probe and injector are removed.  The tracer stays
+        on this handle so its recorded events remain queryable."""
+        if self.tracer is not None:
+            self.tracer.detach()
         if self.detector is not None:
             self.detector.detach()
             self.detector = None

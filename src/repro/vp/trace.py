@@ -48,7 +48,8 @@ class Tracer:
     become instants on ``vp/bus`` and ``vp/irq``.
 
     Registration is append-only (``Cpu.add_post_instr_hook``), so any
-    number of tracers and debuggers can observe one SoC simultaneously.
+    number of tracers and debuggers can observe one SoC simultaneously;
+    :meth:`detach` removes exactly this tracer's hooks.
     """
 
     def __init__(self, soc: SoC, trace_instructions: bool = False,
@@ -59,13 +60,28 @@ class Tracer:
         self.sink = sink
         self.events: List[TraceEvent] = []
         self.call_depth: Dict[int, int] = {c.core_id: 0 for c in soc.cores}
-        for core in soc.cores:
-            core.add_post_instr_hook(self._make_instr_hook())
+        self._instr_hooks = [
+            (core, core.add_post_instr_hook(self._make_instr_hook()))
+            for core in soc.cores]
         if trace_memory:
             soc.bus.observe(self._on_bus)
+        self._irq_hooks = []
         for name, signal in soc.signals().items():
             if name.endswith(".irq"):
-                signal.changed.subscribe(self._make_irq_hook(name))
+                hook = self._make_irq_hook(name)
+                signal.changed.subscribe(hook)
+                self._irq_hooks.append((signal, hook))
+
+    def detach(self) -> None:
+        """Remove every hook this tracer installed (idempotent); the
+        recorded :attr:`events` stay queryable.  With nothing left
+        observing them the cores return to their batching tiers."""
+        for core, hook in self._instr_hooks:
+            core.remove_post_instr_hook(hook)
+        for signal, hook in self._irq_hooks:
+            signal.changed.unsubscribe(hook)
+        self._instr_hooks = self._irq_hooks = []
+        self.soc.bus.unobserve(self._on_bus)
 
     def _record(self, event: TraceEvent) -> None:
         self.events.append(event)

@@ -13,10 +13,10 @@ import time
 
 import pytest
 
+from repro.core.serde import canonical_json, json_roundtrip
 from repro.farm import (
     FAILURE_CRASH, FAILURE_ERROR, FAILURE_TIMEOUT, Campaign, Executor,
-    Job, ResultCache, canonical_json, func_ref, job_key, json_roundtrip,
-    resolve_ref, source_salt,
+    Job, ResultCache, func_ref, job_key, resolve_ref, source_salt,
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import TraceSink

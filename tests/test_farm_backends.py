@@ -94,7 +94,7 @@ def fault_job(config, seed):
 
 def _fault_specs(n=6):
     return [({"plan": FaultPlan(seed=seed)
-              .flip_ram(addr=16 + seed % 8, bit=seed % 5, at=40.0 + seed)
+              .flip_ram_bit(addr=16 + seed % 8, bit=seed % 5, at=40.0 + seed)
               .to_dict()}, seed) for seed in range(n)]
 
 

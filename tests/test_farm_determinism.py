@@ -122,10 +122,10 @@ def fault_scenario(config, seed):
 def _plans():
     plans = []
     for seed in range(5):
-        plan = FaultPlan(seed=seed).flip_ram(addr=16 + seed, bit=seed,
-                                             at=50.0 + seed)
+        plan = FaultPlan(seed=seed).flip_ram_bit(addr=16 + seed, bit=seed,
+                                                 at=50.0 + seed)
         if seed % 2:
-            plan.flip_reg(core=seed % 2, reg=2, bit=1, at=10.0)
+            plan.flip_register(core=seed % 2, reg=2, bit=1, at=10.0)
         plans.append(plan)
     return plans
 

@@ -75,35 +75,13 @@ class TestFaultPlan:
 
 
 class TestFaultPlanFluentAndSerialization:
-    def test_fluent_aliases_match_long_spellings(self):
-        fluent = (FaultPlan(seed=3)
-                  .crash(1, at=10.0)
-                  .hang(2, at=20.0)
-                  .kill("worker", at=30.0)
-                  .flip_ram(addr=5, bit=3, at=7.5)
-                  .flip_reg(core=0, reg=2, bit=4, at=8.0)
-                  .stuck_irq(0, at=9.0, duration=2.0)
-                  .noc_drop(0.1)
-                  .noc_delay(0.2, max_extra=4.0))
-        long = (FaultPlan(seed=3)
-                .crash_core(1, at=10.0)
-                .hang_core(2, at=20.0)
-                .kill_process("worker", at=30.0)
-                .flip_ram_bit(addr=5, bit=3, at=7.5)
-                .flip_register(core=0, reg=2, bit=4, at=8.0)
-                .stick_interrupt(0, at=9.0, duration=2.0)
-                .drop_messages(p=0.1)
-                .delay_messages(p=0.2, max_extra=4.0))
-        assert fluent.scheduled == long.scheduled
-        assert fluent.message_rules == long.message_rules
-
     def test_dict_roundtrip_is_exact(self):
         plan = (FaultPlan(seed=11)
-                .crash(0, at=5.0)
-                .flip_ram(addr=9, bit=1, at=2.0)
+                .crash_core(0, at=5.0)
+                .flip_ram_bit(addr=9, bit=1, at=2.0)
                 .random_ram_flips(4, window=(0, 50), addr_range=(0, 64))
-                .noc_drop(0.15)
-                .noc_delay(0.05, max_extra=3.0))
+                .drop_messages(0.15)
+                .delay_messages(0.05, max_extra=3.0))
         clone = FaultPlan.from_dict(plan.to_dict())
         assert clone.seed == plan.seed
         assert clone.scheduled == plan.scheduled
@@ -111,8 +89,8 @@ class TestFaultPlanFluentAndSerialization:
         assert clone.to_dict() == plan.to_dict()
 
     def test_dict_roundtrip_survives_json(self):
-        plan = FaultPlan(seed=7).flip_ram(addr=3, bit=0, at=1.5) \
-                                .noc_duplicate(0.2)
+        plan = FaultPlan(seed=7).flip_ram_bit(addr=3, bit=0, at=1.5) \
+                                .duplicate_messages(0.2)
         wire = json.loads(json.dumps(plan.to_dict()))
         assert FaultPlan.from_dict(wire).to_dict() == plan.to_dict()
 

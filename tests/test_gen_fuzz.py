@@ -10,7 +10,8 @@ import random
 
 import pytest
 
-from repro.farm import Executor, canonical_json
+from repro.core.serde import canonical_json
+from repro.farm import Executor
 from repro.gen import (
     BiasKnobs,
     build_adversarial,

@@ -89,7 +89,7 @@ class TestInstrumentBundle:
         assert handle.detector.races  # RACY has an unguarded counter
 
     def test_faults_accepts_plan_dict_and_injector(self):
-        plan = FaultPlan().flip_ram(addr=16, bit=1, at=1.0)
+        plan = FaultPlan().flip_ram_bit(addr=16, bit=1, at=1.0)
 
         for faults in (plan, plan.to_dict(),
                        "premade"):
@@ -136,6 +136,13 @@ class TestInstrumentBundle:
         assert handle.injector is None
         handle.detach()  # idempotent
         soc.run()  # platform still runs after release
+        # Nothing stays installed: the run batches exactly like a SoC
+        # that was never instrumented.
+        plain = make_soc(n_cores=2, firmware=RACY)
+        plain.run()
+        assert soc.sim.event_count == plain.sim.event_count
+        assert [c.state() for c in soc.cores] \
+            == [c.state() for c in plain.cores]
 
 
 class TestBackendDowngrade:

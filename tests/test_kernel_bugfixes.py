@@ -20,6 +20,8 @@ Each test class pins one bug:
    only checked after an action ran.
 6. NaN times were accepted by ``Delay`` and ``Simulator.at`` (every
    comparison with NaN is False) and then broke the heap order silently.
+7. ``Simulator.run(until=t)`` with ``t < now`` rewound the clock, and
+   ``until=NaN`` was ignored: the run drained the whole queue.
 """
 
 import math
@@ -384,3 +386,37 @@ class TestNaNTimesRejected:
         with pytest.raises(ValueError):
             sim.run()
         assert sim.pending == 0
+
+
+class TestRunUntilValidated:
+    """Bug 7: ``run(until=)`` rejects a past or NaN bound, as ``at()``
+    rejects a past or NaN time."""
+
+    @staticmethod
+    def _sim_at_ten():
+        sim = Simulator()
+        fired = []
+        for t in (10, 20):
+            sim.at(t, lambda t=t: fired.append(t))
+        sim.run(until=10)
+        return sim, fired
+
+    def test_past_until_does_not_rewind_the_clock(self):
+        sim, fired = self._sim_at_ten()
+        assert sim.now == 10 and fired == [10]
+        with pytest.raises(ValueError, match="past"):
+            sim.run(until=5)
+        assert sim.now == 10 and fired == [10] and sim.pending == 1
+
+    def test_nan_until_does_not_drain_the_queue(self):
+        sim, fired = self._sim_at_ten()
+        with pytest.raises(ValueError, match="NaN"):
+            sim.run(until=math.nan)
+        assert sim.now == 10 and fired == [10] and sim.pending == 1
+
+    def test_until_now_is_a_no_op_and_the_run_continues(self):
+        sim, fired = self._sim_at_ten()
+        assert sim.run(until=10) == 10
+        assert fired == [10]
+        assert sim.run() == 20
+        assert fired == [10, 20]

@@ -159,7 +159,7 @@ class TestExactnessGuards:
     def test_fault_snapshot_demands_injector_on_restore(self):
         soc = _soc()
         injector = FaultInjector(
-            soc.sim, FaultPlan(seed=1).flip_ram(addr=40, bit=0, at=500.0))
+            soc.sim, FaultPlan(seed=1).flip_ram_bit(addr=40, bit=0, at=500.0))
         injector.attach_soc(soc)
         soc.run(until=20)
         snap = soc.checkpoint(injector=injector)
@@ -226,7 +226,7 @@ class TestMidFlightPeripherals:
 class TestInjectorStreams:
     def test_rng_stream_position_restored(self):
         soc = _soc()
-        plan = FaultPlan(seed=7).noc_drop(0.5)
+        plan = FaultPlan(seed=7).drop_messages(0.5)
         injector = FaultInjector(soc.sim, plan)
         injector.attach_soc(soc)
         # advance the noc stream to a non-initial position
@@ -236,7 +236,8 @@ class TestInjectorStreams:
         snap = soc.checkpoint(injector=injector)
 
         fresh = _soc()
-        fresh_inj = FaultInjector(fresh.sim, FaultPlan(seed=7).noc_drop(0.5))
+        fresh_inj = FaultInjector(fresh.sim,
+                                  FaultPlan(seed=7).drop_messages(0.5))
         fresh_inj.attach_soc(fresh)
         fresh.restore(snap, injector=fresh_inj)
         upstream = [injector.message_faults({"payload": 1})
@@ -247,7 +248,7 @@ class TestInjectorStreams:
 
     def test_pending_scheduled_faults_fire_after_restore(self):
         programs = {0: COUNTER}
-        plan = FaultPlan(seed=3).flip_ram(addr=40, bit=7, at=90.0)
+        plan = FaultPlan(seed=3).flip_ram_bit(addr=40, bit=7, at=90.0)
 
         ref = _soc(programs=programs)
         ref_inj = FaultInjector(ref.sim, FaultPlan.from_dict(plan.to_dict()))
