@@ -120,9 +120,9 @@ class Signal:
     @property
     def observed(self) -> bool:
         """True when anything subscribes to or waits on this signal's
-        change/edge events.  The ISS fast path polls this: an observed
-        ``pc_signal`` forces per-instruction synchronization so signal
-        watchpoints see every intermediate value."""
+        change/edge events.  An observed ``pc_signal`` is an ISS sync
+        boundary (see :mod:`repro.vp.iss`), so signal watchpoints see
+        every intermediate value."""
         changed, posedge, negedge = self.changed, self.posedge, self.negedge
         return bool(changed._waiters or changed._callbacks
                     or posedge._waiters or posedge._callbacks

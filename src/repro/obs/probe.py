@@ -31,13 +31,12 @@ class KernelProbe(SimObserver):
     dwell histograms; both are optional and a probe with neither is a
     cheap no-op.
 
-    Contract with the ISS fast path: while any :class:`SimObserver` is
-    installed, virtual-platform cores disable temporal decoupling and
-    retire one instruction per kernel event, so the probe observes the
-    exact per-instruction event ordering of an un-instrumented
-    ``quantum=1`` run (at per-instruction cost).  Scheduled items may be
-    recycled by the kernel's re-arm fast path, so observers must not key
-    state off item identity.
+    Contract with the ISS fast path: an installed :class:`SimObserver`
+    is a sync boundary (:mod:`repro.vp.iss` defines the rule), so the
+    probe observes the exact per-instruction event ordering of an
+    un-instrumented ``quantum=1`` run (at per-instruction cost).
+    Scheduled items may be recycled by the kernel's re-arm fast path, so
+    observers must not key state off item identity.
     """
 
     def __init__(self, sink: Optional[TraceSink] = None,

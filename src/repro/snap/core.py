@@ -35,10 +35,10 @@ an OS-scheduler or RT-executive process) raises :class:`SnapshotError`
 -- the queue order ``(time, priority, seq)`` -- and re-armed in exactly
 that order, so relative sequence numbers (the tie-break within one
 ``(time, priority)`` class) are preserved.  Core continuations are
-resume shims (:meth:`~repro.vp.iss.Cpu._resume_run`) spawned with
-``start_delay = wake - now`` and **no leading yield**: the shim body
-executes *at* the wake event, replaying the parked instruction before
-delegating back into the normal execution loop.
+the normal execution loop spawned as ``core._run(resume=True)`` (see
+:meth:`~repro.vp.iss.Cpu._run`) with ``start_delay = wake - now``: its
+first iteration has **no leading yield** and executes *at* the wake
+event, retiring the parked instruction before the loop carries on.
 """
 
 from __future__ import annotations
@@ -461,7 +461,7 @@ def restore(snapshot: "Snapshot", soc: Any,
         if kind == "core":
             core = soc.cores[entry["index"]]
             core._wait_state = "ref"
-            core.process = sim.spawn(core._resume_run(), name=core.name,
+            core.process = sim.spawn(core._run(resume=True), name=core.name,
                                      priority=core.priority,
                                      start_delay=wake - sim.now)
         elif kind == "timer":

@@ -45,6 +45,11 @@ class HardwareProbe:
                  inspection_stall: float = 50.0) -> None:
         self.soc = soc
         self.core = soc.cores[core_id]
+        if self.core.stall_hook is not None:
+            # One stall hook per core: a second probe would silently
+            # replace the first one's, and either detach would drop both.
+            raise ValueError(f"{self.core.name} already has a stall hook "
+                             f"(another probe is attached)")
         self.monitor_overhead = monitor_overhead
         self.breakpoint_stall = breakpoint_stall
         self.inspection_stall = inspection_stall
@@ -74,7 +79,8 @@ class HardwareProbe:
         if not self._attached:
             return
         self._attached = False
-        self.core.stall_hook = None
+        if self.core.stall_hook == self._stall_hook:
+            self.core.stall_hook = None
         self.core.release_sync()
 
     def _stall_hook(self, core: Cpu) -> float:

@@ -38,19 +38,26 @@ Backend tiers (``Cpu(backend=...)`` / ``SoCConfig.backend``):
 Cycle counts are bit-identical to the per-instruction reference path:
 batches accumulate exactly the per-instruction cycle costs, and every
 *observable interaction* forces a synchronization boundary where the core
-re-enters the kernel at the precise reference cycle:
+re-enters the kernel at the precise reference cycle.  This is the one
+definition of the sync-boundary rule; the other modules point here.  Two
+boundaries are static, per pc (the decode's ``batchable`` table):
 
 - bus reads/writes (``lw``/``sw``/``swap``);
-- mode changes (``ei``/``di``/``iret``/``halt``);
+- mode changes (``ei``/``di``/``iret``/``halt``).
+
+The others are dynamic, per core, and :meth:`Cpu._must_sync` is their
+only spelling -- the core loop's batch guard, a lane's revalidation of a
+speculated batch and a lane leader's choice of lanes all read it:
+
+- an outstanding :meth:`Cpu.acquire_sync` request (the non-intrusive
+  debugger holds one while attached);
+- kernel :class:`~repro.desim.SimObserver` instrumentation (the obs
+  probes see the identical per-instruction event stream);
+- any post-instruction hook or an installed ``stall_hook``;
 - an open interrupt window (interrupts enabled, outside an ISR, with an
   irq vector configured) -- the reference path samples ``irq`` before
   every instruction, so the batching tiers degrade to it;
-- an installed ``stall_hook`` or any post-instruction hook;
-- kernel :class:`~repro.desim.SimObserver` instrumentation (the obs
-  probes see the identical per-instruction event stream);
-- subscribers on ``pc_signal`` (debugger signal watchpoints);
-- an outstanding :meth:`Cpu.acquire_sync` request (the non-intrusive
-  debugger holds one while attached).
+- subscribers on ``pc_signal`` (debugger signal watchpoints).
 
 ``quantum=1`` disables batching entirely and reproduces the historical
 per-instruction behavior event for event.
@@ -243,8 +250,9 @@ class Cpu:
         # wakeup on the batching tiers; 1 forces the per-instruction
         # reference path (see module docstring for the sync-boundary
         # rules).
-        if quantum < 1:
-            raise ValueError(f"quantum must be >= 1, got {quantum}")
+        if not isinstance(quantum, int) or quantum < 1:
+            raise ValueError(f"quantum must be a positive int, "
+                             f"got {quantum!r}")
         self.quantum = quantum
         # Execution backend tier (see module docstring).  "reference"
         # pins the event-exact per-instruction path regardless of
@@ -355,64 +363,43 @@ class Cpu:
             self.regs[index] = int(value)
 
     # ------------------------------------------------------------------
-    def _run(self):
+    def _must_sync(self) -> bool:
+        """The dynamic sync-boundary rule (module docstring): True while
+        an observable interaction pins this core to the per-instruction
+        reference path.  Read only where a batch could start (after the
+        ``batchable`` lookup), never once per reference-path
+        instruction."""
+        return not (self._sync_requests == 0
+                    and not self.sim.has_observers
+                    and not self._post_instr_hooks
+                    and self.stall_hook is None
+                    and not (self.interrupts_enabled and not self.in_isr
+                             and self.irq_vector is not None)
+                    and not self.pc_signal.observed)
+
+    def _run(self, resume: bool = False):
+        """The core's execution process.
+
+        With ``resume=True`` (checkpoint restore, :mod:`repro.snap`) the
+        core is parked at the reference path's per-instruction Delay,
+        which already elapsed: the process is spawned at its wake time
+        and retires the instruction at ``pc`` without yielding first.
+        """
         lane_group = self._lane_group
         while not self.halted:
             if lane_group is not None:
-                pending = self._lane_pending
-                if pending is not None:
-                    self._lane_pending = None
-                    # Revalidate the speculation: the batch was computed
-                    # from this lane's parked state by a group leader;
-                    # consume it only if no divergence condition appeared
-                    # since (the same guard the leader checked).
-                    if (pending.decoded is self._decoded
-                            and pending.decoded.matches(self.program)
-                            and self.quantum > 1
-                            and self._sync_requests == 0
-                            and not self._post_instr_hooks
-                            and self.stall_hook is None
-                            and not (self.interrupts_enabled
-                                     and not self.in_isr
-                                     and self.irq_vector is not None)
-                            and not self.sim.has_observers
-                            and not self.pc_signal.observed):
-                        self.pc = pending.pc
-                        lane_group.park(self)
-                        total = pending.total
-                        self._wait_state = "lane"
-                        # One kernel event per consumed batch (not the
-                        # scalar tiers' two): the wakeup still lands at
-                        # the exact reference-path cycle, and tied-time
-                        # ordering there is pinned by the per-core kernel
-                        # priority, not by the intermediate wake -- which
-                        # runs no code and observes nothing.
-                        yield Delay(total)
-                        self.cycle_count += total
-                        self.instr_count += pending.count
-                        self.pc_signal.write(self.pc)
-                        if pending.fault is not None:
-                            raise RuntimeError(
-                                f"{self.name}: {pending.fault}")
-                        continue
-                    # Divergence appeared mid-speculation: restore the
-                    # pre-batch register image and re-execute this batch
-                    # on the event-exact path from the parked state.
-                    self.regs[:] = pending.backup
-                else:
-                    # Any non-vector iteration invalidates the parked
-                    # claim -- a leader must never read a lane that is
-                    # about to execute outside the lockstep protocol.
-                    lane_group.unpark(self)
-            # Interrupt entry check (level-sensitive).
-            irq_window = (self.interrupts_enabled and not self.in_isr
-                          and self.irq_vector is not None)
-            if irq_window and self.irq.read():
+                # Any non-vector iteration invalidates the parked claim --
+                # a leader must never read a lane that is about to
+                # execute outside the lockstep protocol.
+                lane_group.unpark(self)
+            # Interrupt entry check (level-sensitive); a resumed core
+            # sampled irq before its checkpoint.
+            if (not resume and self.interrupts_enabled and not self.in_isr
+                    and self.irq_vector is not None and self.irq.read()):
                 self.epc = self.pc
                 self.saved_regs = list(self.regs)
                 self.pc = self.irq_vector
                 self.in_isr = True
-                irq_window = False  # now inside the ISR
                 if self._irq_hooks:
                     for hook in list(self._irq_hooks):
                         hook(self, "enter")
@@ -422,83 +409,102 @@ class Cpu:
                 raise RuntimeError(
                     f"{self.name}: pc {self.pc} outside program "
                     f"(len {n})")
-            if self.stall_hook is not None:
-                stall = self.stall_hook(self)
-                if stall > 0:
-                    self._wait_state = "stall"
-                    yield Delay(stall)
-            # Batching eligibility: no observable interaction may fall
-            # inside a batch (module docstring lists the boundary rules).
-            elif (self.quantum > 1 and self.backend != "reference"
-                    and self._sync_requests == 0
-                    and not self._post_instr_hooks
-                    and not irq_window
-                    and not self.sim.has_observers
-                    and not self.pc_signal.observed):
-                decoded = self._decoded
-                if decoded is None or not decoded.matches(program):
-                    decoded = self._decoded = decode_program(program)
-                if decoded.batchable[self.pc]:
-                    if lane_group is not None and self.backend == "vector":
-                        # Lane-lockstep tier: one group step retires this
-                        # batch for every convergent lane (twins by state
-                        # copy, distinct lanes through the lane-compiled
-                        # superblocks); divergent lanes were simply not
-                        # collected and rejoin at the next common pc.  The
-                        # early pc commit (before the delay) publishes the
-                        # parked state a later-waking leader reads.
-                        result = lane_group.step(self, decoded)
-                        self.pc = result.pc
-                        lane_group.park(self)
-                        self._wait_state = "lane"
-                        # Single kernel event per batch (see the consume
-                        # path above): the end-of-batch wakeup is a
-                        # reference-path cycle and per-core priority pins
-                        # tied-time order.
-                        yield Delay(result.total)
-                        total = result.total
+            if resume:
+                # The parked instruction's Delay elapsed before the
+                # checkpoint (the DmaDevice._transfer(resume=True) idiom).
+                resume = False
+                instr = program.instructions[self.pc]
+                cycles = CYCLES.get(instr.op, DEFAULT_CYCLES)
+            else:
+                if self.stall_hook is not None:
+                    stall = self.stall_hook(self)
+                    if stall > 0:
+                        self._wait_state = "stall"
+                        yield Delay(stall)
+                elif self.quantum > 1 and self.backend != "reference":
+                    decoded = self._decoded
+                    if decoded is None or not decoded.matches(program):
+                        decoded = self._decoded = decode_program(program)
+                    # Batching eligibility: no observable interaction may
+                    # fall inside a batch (module docstring).
+                    if decoded.batchable[self.pc] and not self._must_sync():
+                        if lane_group is not None and self.backend == "vector":
+                            # Lane-lockstep tier: one group step retires
+                            # this batch for every convergent lane (twins
+                            # by state copy, distinct lanes through the
+                            # lane-compiled superblocks); divergent lanes
+                            # were simply not collected and rejoin at the
+                            # next common pc.  The early pc commit (before
+                            # the delay) publishes the parked state a
+                            # later-waking leader reads.
+                            batch = lane_group.step(self, decoded)
+                            while batch is not None:
+                                self.pc = batch.pc
+                                lane_group.park(self)
+                                self._wait_state = "lane"
+                                # One kernel event per batch (not the
+                                # compiled tier's two): the wakeup still
+                                # lands on a reference-path cycle, and
+                                # tied-time order is pinned by per-core
+                                # priority, not by an intermediate wake.
+                                yield Delay(batch.total)
+                                self.cycle_count += batch.total
+                                self.instr_count += batch.count
+                                self.pc_signal.write(self.pc)
+                                if batch.fault is not None:
+                                    raise RuntimeError(
+                                        f"{self.name}: {batch.fault}")
+                                # A leader may have retired this lane's
+                                # next batch from its parked state while
+                                # it slept: consume it unless something
+                                # diverged since, in which case restore the
+                                # pre-batch registers and re-execute it.
+                                batch = self._lane_pending
+                                self._lane_pending = None
+                                if batch is not None and not (
+                                        batch.decoded is decoded
+                                        and decoded.matches(self.program)
+                                        and self.quantum > 1
+                                        and not self._must_sync()):
+                                    self.regs[:] = batch.backup
+                                    batch = None
+                            continue
+                        # Superblock tier: one generated-function call per
+                        # basic block, chained until the quantum budget is
+                        # spent or a sync boundary is reached.  The quantum
+                        # rounds up to block granularity -- legal because
+                        # blocks contain no observable interaction, so
+                        # every wakeup lands on a reference-path cycle.
+                        pc, total, count, cost, fault = run_superblock_chain(
+                            decoded, self.regs, self.pc, self.quantum)
+                        # Two kernel events per batch: the final
+                        # instruction's delay is issued separately so that
+                        # every batch yield is scheduled at a simulation
+                        # time where the reference path also scheduled
+                        # one.  Time alignment alone is not enough for
+                        # tied-time ordering -- the batch's first wakeup
+                        # carries a seq from batch *start*, older than the
+                        # reference path's -- which is why core processes
+                        # run at a fixed per-core kernel priority (see
+                        # __init__): tied wakeups order by (time,
+                        # priority), not history.
+                        self._wait_state = "batch"
+                        if total > cost:
+                            yield Delay(total - cost)
+                        yield Delay(cost)
                         self.cycle_count += total
-                        self.instr_count += result.count
-                        self.pc_signal.write(self.pc)
-                        if result.fault is not None:
-                            raise RuntimeError(
-                                f"{self.name}: {result.fault}")
+                        self.instr_count += count
+                        self.pc = pc
+                        self.pc_signal.write(pc)
+                        if fault is not None:
+                            raise RuntimeError(f"{self.name}: {fault}")
                         continue
-                    # Superblock tier: one generated-function call per
-                    # basic block, chained until the quantum budget is
-                    # spent or a sync boundary is reached.  The quantum
-                    # rounds up to block granularity -- legal because
-                    # blocks contain no observable interaction, so every
-                    # wakeup still lands on a reference-path cycle.
-                    pc, total, count, cost, fault = run_superblock_chain(
-                        decoded, self.regs, self.pc, self.quantum)
-                    # Two kernel events per batch: the final instruction's
-                    # delay is issued separately so that every batch yield
-                    # is scheduled at a simulation time where the
-                    # reference path also scheduled one.  Time alignment
-                    # alone is not enough for tied-time ordering -- the
-                    # batch's first wakeup carries a seq from batch
-                    # *start*, older than the reference path's -- which is
-                    # why core processes run at a fixed per-core kernel
-                    # priority (see __init__): tied wakeups order by
-                    # (time, priority), not history.
-                    self._wait_state = "batch"
-                    if total > cost:
-                        yield Delay(total - cost)
-                    yield Delay(cost)
-                    self.cycle_count += total
-                    self.instr_count += count
-                    self.pc = pc
-                    self.pc_signal.write(pc)
-                    if fault is not None:
-                        raise RuntimeError(f"{self.name}: {fault}")
-                    continue
-            # Reference path: one instruction, one kernel event.
-            instr = program.instructions[self.pc]
-            delay = _OP_DELAYS.get(instr.op, _DEFAULT_DELAY)
-            cycles = delay.duration
-            self._wait_state = "ref"
-            yield delay
+                # Reference path: one instruction, one kernel event.
+                instr = program.instructions[self.pc]
+                delay = _OP_DELAYS.get(instr.op, _DEFAULT_DELAY)
+                cycles = delay.duration
+                self._wait_state = "ref"
+                yield delay
             self.cycle_count += cycles
             self.instr_count += 1
             self._execute(instr)
@@ -507,34 +513,6 @@ class Cpu:
                 for hook in self._post_instr_hooks:
                     hook(self, instr)
         self.halted_signal.write(1)
-
-    def _resume_run(self):
-        """Continuation of a checkpointed reference-path suspension.
-
-        A core parked by :mod:`repro.snap` sits at the reference path's
-        per-instruction ``yield Delay(cycles)``: the delay has been
-        scheduled but the instruction at ``pc`` has not executed and the
-        cycle/instruction counters have not been charged.  This generator
-        has no leading yield, so when it is spawned with
-        ``start_delay = wake_time - now`` its body runs *at* the wake
-        event -- executing exactly what the uninterrupted generator would
-        have on resume -- and then delegates back into :meth:`_run`.
-        """
-        program = self.program
-        n = len(program.instructions)
-        if not 0 <= self.pc < n:
-            raise RuntimeError(
-                f"{self.name}: pc {self.pc} outside program (len {n})")
-        instr = program.instructions[self.pc]
-        cycles = CYCLES.get(instr.op, DEFAULT_CYCLES)
-        self.cycle_count += cycles
-        self.instr_count += 1
-        self._execute(instr)
-        self.pc_signal.write(self.pc)
-        if self._post_instr_hooks:
-            for hook in self._post_instr_hooks:
-                hook(self, instr)
-        yield from self._run()
 
     # ------------------------------------------------------------------
     def _execute(self, instr: Instr) -> None:

@@ -27,28 +27,25 @@ Two tiers inside a vector step:
   trip count differs simply comes back with its own exit pc/charge and
   is finalized there (*split on divergence*).
 
-Lanes split off to the scalar compiled path -- and transparently
-rejoin at the next common leader pc -- at every divergence point: bus
-ops, an open irq window, a watched ``pc_signal``, stall or post-instr
-hooks, an outstanding sync request, a mismatched decode, or simply a
-different pc.  Kernel-facing semantics are untouched: every core still
-yields its *own* delays at exactly the reference-path cycles, tied-time
-bus arbitration is still pinned by per-core kernel priority
-(``core_id + 1``), and attaching any instrumentation (kernel observers,
-the sanitizer's sync requests, the fault injector) disables the vector
-tier exactly as it disables the scalar batching tiers.
+Lanes split off to the scalar path -- and transparently rejoin at the
+next common leader pc -- at every sync boundary (the rule is defined
+once, in :mod:`repro.vp.iss` and :meth:`~repro.vp.iss.Cpu._must_sync`),
+at a mismatched decode, or simply at a different pc.  Kernel-facing
+semantics are untouched: every core still yields its *own* delays at
+exactly the reference-path cycles, and tied-time bus arbitration is
+still pinned by per-core kernel priority (``core_id + 1``).
 
 Speculation discipline
 ----------------------
 A leader computes a follower's batch *early*, from the follower's
 parked (committed) state, mutating the follower's register file in
-place.  The follower validates the speculation when it wakes: if any
-divergence condition appeared in between, it restores the pre-batch
-register backup carried by the pending result and re-executes on the
-event-exact path.  A lane is marked parked only while it is suspended
-at a vector batch boundary with its architectural state fully
-committed; every other path through the core loop clears the flag, so
-a leader can never read (or write) a lane that is mid-instruction.
+place.  The follower validates the speculation when it wakes: if a sync
+boundary appeared in between, it restores the pre-batch register backup
+carried by the pending result and re-executes on the event-exact path.
+A lane is marked parked only while it is suspended at a vector batch
+boundary with its architectural state fully committed; every other
+path through the core loop clears the flag, so a leader can never read
+(or write) a lane that is mid-instruction.
 """
 
 from __future__ import annotations
@@ -193,38 +190,26 @@ class LaneGroup:
     def unpark(self, cpu) -> None:
         self._parked[cpu._lane_id] = False
 
-    @staticmethod
-    def _eligible(cpu) -> bool:
-        """No per-lane divergence point pending: the lane may be stepped
-        as part of a vector batch.  (Global conditions -- kernel
-        observers, quantum -- are the leader's guard; pc equality and
-        batchability are checked by the caller.)"""
-        return (cpu._sync_requests == 0
-                and not cpu._post_instr_hooks
-                and cpu.stall_hook is None
-                and not cpu.halted
-                and not (cpu.interrupts_enabled and not cpu.in_isr
-                         and cpu.irq_vector is not None)
-                and not cpu.pc_signal.observed)
-
     # ------------------------------------------------------------------
     def step(self, cpu, decoded) -> LaneResult:
         """Retire the next batch for ``cpu`` -- and, in the same call,
         for every convergent parked lane, each of which receives a
         pending :class:`LaneResult` to consume at its own wake-up.
 
-        The caller (the core loop) has already verified the global
-        batching guard and ``decoded.batchable[cpu.pc]``.
+        The caller (the core loop) has already checked
+        ``decoded.batchable[cpu.pc]`` and the leader's sync boundaries.
         """
         parked = self._parked
         parked[cpu._lane_id] = False
         pc = cpu.pc
         quantum = cpu.quantum
+        # Convergent lanes: parked at the same pc on the same decode,
+        # running, and not pinned by a sync boundary.
         members = [cpu]
         for other in self.cores:
             if (other is not cpu and parked[other._lane_id]
                     and other.pc == pc and other._decoded is decoded
-                    and self._eligible(other)):
+                    and not other.halted and not other._must_sync()):
                 members.append(other)
 
         if len(members) == 1:

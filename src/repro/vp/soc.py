@@ -55,18 +55,17 @@ class SoCConfig:
     irq_vector: Optional[int] = None  # per-core ISR entry (instruction index)
     # Temporal-decoupling quantum for every core: max simulated cycles a
     # core may batch into one kernel wakeup on the ISS batching tiers.
-    # 1 forces the historical per-instruction execution; debuggers and
-    # observers force the same per-instruction behavior regardless of
-    # this value.
+    # 1 forces the historical per-instruction execution; so does every
+    # sync boundary, whatever this value (repro.vp.iss docstring).
     quantum: int = DEFAULT_QUANTUM
     # Execution backend tier for every core: "reference" pins the
     # event-exact per-instruction path (the oracle), "compiled" (the
     # default) retires whole superblocks per generated-Python call
     # (repro.vp.jit), "vector" steps homogeneous cores in lockstep --
     # one superblock batch per step for every convergent lane
-    # (repro.vp.lanes), splitting lanes to the scalar path on
-    # divergence.  All tiers are bit-identical; the batching
-    # tiers round the quantum up to superblock granularity.
+    # (repro.vp.lanes).  All tiers are bit-identical and share one
+    # sync-boundary rule; the batching tiers round the quantum up to
+    # superblock granularity.
     backend: str = DEFAULT_BACKEND
 
     def __post_init__(self) -> None:
@@ -279,7 +278,10 @@ class SoC:
         obs_opts = opts_of(obs, {"sink", "metrics", "trace_instructions",
                                  "trace_memory"}, "obs")
         if obs_opts is None and obs is not None and obs is not False:
-            obs_opts = {"sink": obs}  # a TraceSink instance
+            if not isinstance(obs, TraceSink):
+                raise TypeError(f"obs must be True, a TraceSink or an "
+                                f"options dict, got {obs!r}")
+            obs_opts = {"sink": obs}
         san_opts = opts_of(sanitizer, {"sink", "metrics"}, "sanitizer")
         if san_opts is None and sanitizer not in (None, False):
             raise TypeError(f"sanitizer must be True or an options "

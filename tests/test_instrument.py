@@ -125,6 +125,17 @@ class TestInstrumentBundle:
         with pytest.raises(TypeError, match="faults must be"):
             soc.instrument(faults=42)
 
+    @pytest.mark.parametrize("obs", [42, "yes", 0, []])
+    def test_obs_rejects_values_that_are_not_a_sink(self, obs):
+        # Regression: any non-dict obs used to be taken as a trace sink,
+        # and the run died later inside the kernel probe.
+        soc = make_soc()
+        with pytest.raises(TypeError, match="obs must be"):
+            soc.instrument(obs=obs)
+        assert not soc.sim.has_observers
+        soc.run()
+        assert soc.cores[0].halted
+
     def test_detach_releases_intrusive_attachments(self):
         soc = make_soc(n_cores=2, firmware=RACY)
         handle = soc.instrument(obs=True, sanitizer=True,

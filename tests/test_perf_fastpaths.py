@@ -96,6 +96,15 @@ class TestQuantumKnob:
         with pytest.raises(ValueError, match="quantum"):
             Cpu(sim, bus, program, quantum=0)
 
+    @pytest.mark.parametrize("quantum", [float("nan"), 1.5, 64.0])
+    def test_non_int_quantum_rejected(self, quantum):
+        # Same rule as SoCConfig: the quantum is a positive int.
+        sim, bus = Simulator(), Bus()
+        bus.attach(0, 64, Ram(64), "ram")
+        with pytest.raises(ValueError, match="quantum must be a positive "
+                                             "int"):
+            Cpu(sim, bus, assemble("halt\n"), quantum=quantum)
+
     def test_quantum_one_matches_reference_event_count(self):
         # quantum=1 must be the historical one-event-per-instruction path.
         soc = _run(1)
@@ -169,6 +178,136 @@ class TestQuantumKnob:
         soc.start()
         assert soc.cores[0].process.priority == 1
         assert soc.cores[1].process.priority == 2
+
+
+# ---------------------------------------------------------------------------
+# the one sync-boundary gate (Cpu._must_sync)
+# ---------------------------------------------------------------------------
+
+GATE_LOOP = """
+    li r1, 0
+    li r2, 400
+loop:
+    add r3, r3, r1
+    xor r4, r3, r2
+    addi r1, r1, 1
+    blt r1, r2, loop
+    sw r4, 100(r0)
+    halt
+isr:
+    iret
+"""
+GATE_CORES = 4
+SEARCH_FROM = 300.0  # mid-loop
+SETTLED = 400.0      # longer than any batch: in-flight batches have retired
+# Kernel priorities around the cores' (core_id + 1): between core0 and
+# core1, a tied batch boundary finds core0 having led the window and
+# core1..3 holding speculated batches they have not consumed yet; after
+# the last core, every core has woken at that time.
+BETWEEN_LANES = 1.5
+AFTER_LANES = GATE_CORES + 0.5
+
+SYNC_CONDITIONS = ("sync_request", "post_instr_hook", "stall_hook",
+                   "irq_window", "kernel_observer", "pc_signal")
+
+
+def _hold(condition, soc):
+    """Make ``condition`` hold on every core of ``soc``."""
+    if condition == "kernel_observer":
+        from repro.desim.kernel import SimObserver
+        soc.sim.add_observer(SimObserver())
+    for cpu in soc.cores:
+        if condition == "sync_request":
+            cpu.acquire_sync()
+        elif condition == "post_instr_hook":
+            cpu.add_post_instr_hook(lambda core, instr: None)
+        elif condition == "stall_hook":
+            cpu.stall_hook = lambda core: 0
+        elif condition == "irq_window":
+            cpu.interrupts_enabled = True  # irq_vector set, line low
+        elif condition == "pc_signal":
+            cpu.pc_signal.changed.subscribe(lambda payload: None)
+
+
+def _gate_soc(backend, quantum):
+    program = assemble(GATE_LOOP)
+    return SoC(SoCConfig(n_cores=GATE_CORES, backend=backend,
+                         quantum=quantum, irq_vector=program.label("isr")),
+               {core: program for core in range(GATE_CORES)})
+
+
+def _pending(soc):
+    return sum(cpu._lane_pending is not None for cpu in soc.cores)
+
+
+def _first_speculation():
+    """The first batch boundary after SEARCH_FROM at which vector lanes
+    hold speculated batches (bare kernel callbacks do not perturb the
+    run: they are events, not observers)."""
+    soc = _gate_soc("vector", 64)
+    found = []
+
+    def poll():
+        if _pending(soc):
+            found.append(soc.sim.now)
+        else:
+            soc.sim.after(1.0, poll, priority=BETWEEN_LANES)
+
+    soc.sim.at(SEARCH_FROM, poll, priority=BETWEEN_LANES)
+    soc.run()
+    return found[0]
+
+
+def _gate_run(backend, quantum, condition, apply_at):
+    soc = _gate_soc(backend, quantum)
+    marks = {}
+
+    def apply():
+        marks["pending"] = _pending(soc)
+        _hold(condition, soc)
+
+    def woken():
+        marks["woken"] = [cpu._wait_state for cpu in soc.cores]
+
+    def mark():
+        marks["counts"] = [(cpu.instr_count, cpu.pc_signal.write_count)
+                           for cpu in soc.cores]
+
+    if apply_at is None:
+        apply()
+        mark()
+    else:
+        soc.sim.at(apply_at, apply, priority=BETWEEN_LANES)
+        soc.sim.at(apply_at, woken, priority=AFTER_LANES)
+        soc.sim.at(apply_at + SETTLED, mark)
+    soc.run()
+    return soc, marks
+
+
+@pytest.mark.parametrize("backend", ["compiled", "vector"])
+@pytest.mark.parametrize("mid_run", [False, True],
+                         ids=["before_run", "mid_run"])
+@pytest.mark.parametrize("condition", SYNC_CONDITIONS)
+def test_sync_condition_pins_the_reference_path(condition, mid_run,
+                                                backend):
+    apply_at = _first_speculation() if mid_run else None
+    ref, _ = _gate_run("reference", 1, condition, apply_at)
+    soc, marks = _gate_run(backend, 64, condition, apply_at)
+    assert [c.state() for c in soc.cores] == [c.state() for c in ref.cores]
+    assert soc.sim.now == ref.sim.now
+    assert soc.ram.words == ref.ram.words
+    # While the condition holds every core retires one instruction per
+    # kernel event: each retire writes pc_signal once, so a batch would
+    # retire more instructions than it writes pcs.
+    for cpu, (instrs, writes) in zip(soc.cores, marks["counts"]):
+        assert cpu.instr_count - instrs == cpu.pc_signal.write_count - writes
+        assert cpu.instr_count > instrs
+    if backend == "vector" and mid_run:
+        # The condition arrived while core1..3 held speculated batches:
+        # on waking their revalidation must reject them and step the
+        # reference path (core0's batch was already under way).
+        assert marks["pending"] == GATE_CORES - 1
+        assert marks["woken"][1:] == ["ref"] * (GATE_CORES - 1)
 
 
 # ---------------------------------------------------------------------------

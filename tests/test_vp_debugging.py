@@ -173,6 +173,30 @@ class TestHeisenbug:
         baseline.run()
         assert soc.mem(100) == baseline.mem(100)
 
+    def test_second_probe_on_a_core_is_refused(self):
+        # Regression: a second probe used to overwrite the first one's
+        # stall hook, and the first probe's detach then cleared it.
+        soc = dual_core(RACY)
+        first = HardwareProbe(soc, core_id=0, breakpoint_stall=50)
+        first.add_breakpoint(2)
+        with pytest.raises(ValueError, match="core0"):
+            HardwareProbe(soc, core_id=0, breakpoint_stall=50)
+        assert soc.cores[0]._sync_requests == 1
+        other_core = HardwareProbe(soc, core_id=1, breakpoint_stall=50)
+        other_core.add_breakpoint(3)
+        soc.run()
+        assert first.log.breakpoint_stalls == 1
+        assert other_core.log.breakpoint_stalls == 1
+
+    def test_detach_clears_only_its_own_hook(self):
+        soc = dual_core(RACY)
+        probe = HardwareProbe(soc, core_id=0)
+        foreign = lambda cpu: 0.0  # noqa: E731
+        soc.cores[0].stall_hook = foreign
+        probe.detach()
+        assert soc.cores[0].stall_hook is foreign
+        assert soc.cores[0]._sync_requests == 0
+
 
 class TestTracer:
     def test_memory_trace_with_masters(self):
