@@ -229,3 +229,323 @@ class TestCounting:
         interp = Interpreter(program)
         assert interp.call("task_go", []) == 1
         assert interp.call("task_go", []) == 2
+
+
+# ---------------------------------------------------------------------------
+# Exactness: every RunResult field, the op count at every call boundary and
+# the state a step-limit error leaves behind are pinned by digest.  The
+# digests were recorded with the AST tree-walking interpreter; any
+# execution strategy must reproduce them bit for bit.
+# ---------------------------------------------------------------------------
+
+import hashlib
+import json
+import random
+
+
+def _digest(value):
+    text = json.dumps(value, sort_keys=True, default=repr)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _fields(result):
+    return {"return_value": result.return_value, "output": result.output,
+            "op_count": result.op_count, "stmt_count": result.stmt_count,
+            "call_counts": result.call_counts,
+            "func_op_counts": result.func_op_counts,
+            "globals": result.globals}
+
+
+def _maps_jpeg_source(seed, n=256):
+    """The JPEG-skeleton encoder the ``maps_jpeg`` workload feeds the MAPS
+    flow, with the same seeded constants."""
+    rng = random.Random(f"{seed}:maps_jpeg")
+    a = rng.randrange(3, 200, 2)
+    b = rng.randrange(256)
+    q0 = rng.randrange(2, 9)
+    q1 = rng.randrange(1, 5)
+    return f"""
+int pixels[{n}];
+int shifted[{n}];
+int coeff[{n}];
+int quant[{n}];
+int qtable[8];
+int main() {{
+  int i;
+  int bits = 0;
+  for (i = 0; i < 8; i++) {{ qtable[i] = {q0} + i * {q1}; }}
+  for (i = 0; i < {n}; i++) {{ pixels[i] = (i * {a} + {b}) % 256; }}
+  for (i = 0; i < {n}; i++) {{ shifted[i] = pixels[i] - 128; }}
+  for (i = 0; i < {n}; i++) {{
+    int block = i / 8;
+    int k = i % 8;
+    coeff[i] = shifted[block * 8 + k] * (8 - k) - shifted[i] / 2;
+  }}
+  for (i = 0; i < {n}; i++) {{ quant[i] = coeff[i] / qtable[i % 8]; }}
+  for (i = 0; i < {n}; i++) {{ bits += abs(quant[i]) % 16; }}
+  return bits;
+}}
+"""
+
+
+# Everything the subset has, in one program: globals with initializers,
+# floats, pointers to arrays and scalars, 2-D arrays passed by reference,
+# shadowing blocks, for-header declarations, break/continue, ternaries,
+# short circuits, shifts, bitwise ops, compound assignments, wrapping
+# arithmetic, intrinsics and print.
+KITCHEN_SINK = """
+int g = 5 * 4 - 3;
+float h = -2.5;
+int t = 1 ? 7 : 9;
+int big = 2147483647;
+int grid[3][4];
+int flat[6];
+float fl[3];
+int counter;
+
+int bump(int d) { counter += d; return counter; }
+void fill(int m[3][4], int v) {
+  int i;
+  for (i = 0; i < 3; i++) {
+    int j;
+    for (j = 0; j < 4; j++) { m[i][j] = v * i + j; }
+  }
+}
+float scale(float x, int k) { return x * k + 0.5; }
+int sum_ptr(int *p, int n) {
+  int s = 0;
+  int i;
+  for (i = 0; i < n; i++) { s += *(p + i); }
+  return s;
+}
+int main() {
+  int x = 3;
+  int *px = &x;
+  int *pf = &flat[1];
+  float f;
+  int r;
+  fill(grid, 10);
+  for (int i = 0; i < 6; i++) { flat[i] = i * i - 4; }
+  *px = *px + 4;
+  pf[2] = 99;
+  *(pf + 1) = *(pf + 1) + 3;
+  *px += 1;
+  flat[2] += 1;
+  grid[1][2] -= 4;
+  if (x > 5) { int x; x = -1; print(x); } else { print(0); }
+  f = scale(h, 3);
+  fl[0] = f; fl[1] = f / 2; fl[2] = 7 / 2;
+  r = big + 1;
+  print(r, big * 2, -r, ~x, !x, !0);
+  print(grid[2][3], grid[1][0] << 3, grid[2][1] >> 1, 13 & 6, 13 | 6, 13 ^ 6);
+  print(0 - 7 / 2, (0 - 7) % 3, 7 % -3);
+  print(x && bump(1), 0 && bump(100), x || bump(100), 0 || bump(2));
+  print(t > 5 ? bump(3) : bump(4), counter);
+  r = 0;
+  while (1) {
+    r++;
+    if (r % 2 == 0) { continue; }
+    if (r > 7) { break; }
+    g -= r;
+  }
+  x <<= 2; x >>= 1; x = (x | 64) & 127 ^ 5; x %= 37; x /= 2; x *= -3;
+  print(g, r, x, sum_ptr(&flat[0], 6), sum_ptr(pf, 3));
+  print(abs(-8), min(4, 2, 9), max(1, 11, 3), floor(2.5), ceil(2.5),
+        sqrt(16.0), f, fl[1]);
+  return x + g + counter;
+}
+"""
+
+# Recorded with the tree-walking interpreter (sha256 prefix of the
+# canonical JSON of every RunResult field).
+EXACT_DIGESTS = {
+    "maps_jpeg_1": "cb0042c61ad62a37",
+    "maps_jpeg_97": "d44a377ba65a08d9",
+    "jpeg_stress": "cc3633a099da2a1f",
+    "recoder_split_loop": "27f8bd33be3e2603",
+    "recoder_pointers": "5aeee72a989202d7",
+    "kitchen_sink": "646b9011559b5550",
+    "hopes": "5879c11a1c3a2bbf",
+    "step_sweep_ops": 141,
+    "step_sweep": "67c5b581b4f4f883",
+}
+
+
+def _maps_flow_results(seed):
+    from repro.maps import MapsFlow, PEClass, PlatformSpec
+    platform = PlatformSpec("terminal", channel_setup_cost=5.0,
+                            channel_word_cost=0.05)
+    platform.add_pe("arm0", PEClass.RISC)
+    platform.add_pe("arm1", PEClass.RISC)
+    platform.add_pe("dsp0", PEClass.DSP)
+    platform.add_pe("dsp1", PEClass.DSP)
+    report = MapsFlow(platform).run(
+        _maps_jpeg_source(seed), split_k=4, app_name="jpeg", iterations=4,
+        refine=True, refine_iterations=400)
+    return report.sequential_result, report.parallel_result
+
+
+def _recoder_results(name):
+    from repro.recoder import recode_pointers, split_loop
+    if name == "split_loop":
+        from tests.test_recoder import KERNEL as source
+
+        def transform(program):
+            split_loop(program, "main", 8, 3)
+    else:
+        source = """
+        int A[32];
+        int main() {
+          int i;
+          int *p = &A[4];
+          for (i = 0; i < 8; i++) { *(p + i) = i * i; }
+          return A[4] + A[11] + p[2];
+        }
+        """
+
+        def transform(program):
+            recode_pointers(program, "main")
+    before = run_program(parse(source))
+    program = parse(source)
+    transform(program)
+    return before, run_program(program)
+
+
+def _exact_record(case):
+    if case.startswith("maps_jpeg_"):
+        results = _maps_flow_results(int(case.rsplit("_", 1)[1]))
+    elif case == "jpeg_stress":
+        from tests.test_jpeg_stress import JPEG
+        results = (run_program(parse(JPEG)),)
+    elif case.startswith("recoder_"):
+        results = _recoder_results(case[len("recoder_"):])
+    else:
+        results = (run_program(parse(KITCHEN_SINK)),)
+    return [_fields(result) for result in results]
+
+
+@pytest.mark.parametrize("case", ["maps_jpeg_1", "maps_jpeg_97",
+                                  "jpeg_stress", "recoder_split_loop",
+                                  "recoder_pointers", "kitchen_sink"])
+def test_run_results_pinned(case):
+    assert _digest(_exact_record(case)) == EXACT_DIGESTS[case]
+
+
+def _hopes_firing_ops(monkeypatch):
+    """Op deltas of every top-level ``interp.call`` in a HOPES run: the
+    cost model turns exactly these into simulated time."""
+    import repro.hopes.runtime as runtime
+    from repro.hopes import CICTranslator, parse_arch_xml
+    from tests.test_hopes import SMP_XML, pipeline_app
+
+    deltas = []
+
+    class Recording(runtime.Interpreter):
+        depth = 0
+
+        def call(self, name, args):
+            self.depth += 1
+            before = self.op_count
+            try:
+                return super().call(name, args)
+            finally:
+                self.depth -= 1
+                if self.depth == 0:
+                    deltas.append((name, self.op_count - before))
+
+    monkeypatch.setattr(runtime, "Interpreter", Recording)
+    report = CICTranslator(pipeline_app(), parse_arch_xml(SMP_XML)
+                           ).translate().run(iterations=12)
+    return deltas, report.output_of("sink"), report.end_time
+
+
+def test_hopes_firing_op_deltas_pinned(monkeypatch):
+    assert _digest(_hopes_firing_ops(monkeypatch)) == EXACT_DIGESTS["hopes"]
+
+
+STEP_SWEEP = """
+int acc;
+int data[5];
+int step(int x) {
+  acc = acc + x * 2;
+  return acc % 7;
+}
+int main() {
+  int i; int s; s = 0;
+  for (i = 0; i < 5; i++) {
+    int d = step(i) + (i > 1 && acc > 3 ? 1 : -1);
+    data[i] = d;
+    s += data[i];
+    if (s > 3) { print(s, i); }
+    while (s > 6) { s = s - 4; }
+  }
+  print(acc);
+  return s;
+}
+"""
+
+
+def _step_sweep():
+    """For every step limit below the program's full op count: the error
+    and the counters and output it leaves behind."""
+    program = parse(STEP_SWEEP)
+    total = run_program(program).op_count
+    rows = []
+    for limit in range(total):
+        interp = Interpreter(program, step_limit=limit)
+        with pytest.raises(InterpError) as info:
+            interp.run()
+        rows.append((limit, str(info.value), interp.op_count,
+                     interp.stmt_count, interp.output, interp.call_counts,
+                     interp.func_op_counts))
+    return total, rows
+
+
+def test_step_limit_sweep_pinned():
+    total, rows = _step_sweep()
+    assert total == EXACT_DIGESTS["step_sweep_ops"]
+    assert all(row[2] == row[0] + 1 for row in rows)
+    assert _digest(rows) == EXACT_DIGESTS["step_sweep"]
+
+
+# Runtime errors keep their exact messages.
+ERROR_MESSAGES = [
+    ("int a[4]; int main() { return a[4]; }",
+     "index 4 out of bounds for dimension 4"),
+    ("int a[4]; int main() { a[-1] = 2; return 0; }",
+     "index -1 out of bounds for dimension 4"),
+    ("int m[2][3]; int main() { return m[1][3]; }",
+     "index 3 out of bounds for dimension 3"),
+    ("int m[2][3]; int main() { m[2][0] = 1; return 0; }",
+     "index 2 out of bounds for dimension 2"),
+    ("int m[2][3]; int main() { return m[1]; }",
+     "partial array indexing is unsupported"),
+    ("int a[4]; int main() { int *p = &a[3]; return p[1]; }",
+     "pointer dereference out of bounds (4/4)"),
+    ("int a[4]; int main() { int *p = &a[3]; *(p + 2) = 1; return 0; }",
+     "pointer store out of bounds (5/4)"),
+    ("int main() { int x; return x[0]; }",
+     "indexing a non-array value via Ident(line=1, col=28, "),
+    ("int main() { return 1 / 0; }", "division by zero"),
+    ("int main() { return 1 % 0; }", "modulo by zero"),
+    ("int main() { return 1.5 % 2; }",
+     "invalid operands to %: floats are not allowed"),
+    ("int main() { return y; }", "undefined variable 'y'"),
+    ("int main() { y = 1; return 0; }", "undefined variable 'y'"),
+    ("int a[2]; int main() { a = 1; return 0; }",
+     "cannot assign to array 'a'"),
+    ("int main() { int x; x = 1; return *x; }",
+     "dereferencing a non-pointer"),
+    ("int main() { return nope(1); }", "call to unknown function 'nope'"),
+    ("int f(int a) { return a; } int main() { return f(1, 2); }",
+     "f() expects 1 args, got 2"),
+    ("int main() { while (1) { } return 0; }",
+     "step limit 1000 exceeded (infinite loop?)"),
+]
+
+
+@pytest.mark.parametrize("source,message", ERROR_MESSAGES)
+def test_error_messages_pinned(source, message):
+    with pytest.raises(InterpError) as info:
+        run(source, step_limit=1000)
+    assert str(info.value).startswith(message)
