@@ -1,4 +1,4 @@
-"""AST interpreter for mini-C with operation counting.
+"""Counting interpreter for mini-C, compiled to nested Python closures.
 
 The interpreter serves three roles in the reproduction:
 
@@ -6,20 +6,36 @@ The interpreter serves three roles in the reproduction:
    validated by running a program before and after a transformation and
    comparing results and output.
 2. **Cost model** -- executed-operation counts per function/statement feed
-   the MAPS partitioner's task weights (section IV).
+   the MAPS partitioner's task weights (section IV) and HOPES turns the
+   op delta around every ``Interpreter.call`` into simulated time.
 3. **Golden reference** -- MAPS-generated parallel task code is checked
    against the sequential interpretation.
 
 Semantics follow C where the subset overlaps: truncating integer division,
-short-circuit ``&&``/``||``, arrays passed by reference, scalars by value.
+short-circuit ``&&``/``||``, arrays passed by reference, scalars by value,
+``int`` arithmetic wrapped to the 32-bit word.
+
+Execution model: each function is compiled once per :class:`Interpreter`,
+on its first call, into a tree of closures (one per AST node) that carry
+their own op/statement ticks and step-limit checks; global initializers are
+compiled the same way when the interpreter is built.  The closures read
+the AST only while compiling, so mutating the AST (or ``step_limit``)
+under a live ``Interpreter`` is unsupported: build a new one instead.
+
+Counting contract (what ``op_count``/``stmt_count`` mean): every executed
+statement is one statement and one op; every loop iteration, array read,
+call, unary operator, binary operator and ternary is one op.  Literals,
+identifier reads and assignment targets are free, and so is the operator
+of a compound assignment.  The step-limit error fires on the first op past
+``step_limit``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
-
 import math
+import operator
+from dataclasses import dataclass, field
+from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple, Union
 
 from repro.cir.nodes import (
     ArrayIndex, Assign, BinOp, Block, Break, Call, Cond, Continue, Decl,
@@ -94,20 +110,8 @@ class PointerValue:
 # A scalar variable lives in a one-slot list so '&x' can point at it.
 Cell = List[Any]
 Value = Union[int, float, str, ArrayValue, PointerValue]
-
-
-class _BreakSignal(Exception):
-    pass
-
-
-class _ContinueSignal(Exception):
-    pass
-
-
-class _ReturnSignal(Exception):
-    def __init__(self, value: Any) -> None:
-        super().__init__()
-        self.value = value
+Env = Dict[str, Value]
+Cells = Dict[str, Cell]
 
 
 @dataclass
@@ -141,45 +145,40 @@ class Interpreter:
         self.step_limit = step_limit
         self.functions: Dict[str, FuncDef] = {
             func.name: func for func in program.functions}
-        self.globals_env: Dict[str, Value] = {}
-        self.global_cells: Dict[str, Cell] = {}
+        self.globals_env: Env = {}
+        self.global_cells: Cells = {}
         self.output: List[Any] = []
         self.op_count = 0
         self.stmt_count = 0
         self.call_counts: Dict[str, int] = {}
         self.func_op_counts: Dict[str, int] = {}
-        self._call_stack: List[str] = []
-        self._block_decl_cache: Dict[int, bool] = {}
+        # Function name -> its compiled entry (args list -> return value).
+        self._compiled: Dict[str, Callable[[List[Any]], Any]] = {}
+        self._global_names = frozenset(decl.name for decl in program.globals)
         self._init_globals()
 
-    # ------------------------------------------------------------------
     def _init_globals(self) -> None:
+        # Initializers run in global scope: their env *is* globals_env.
+        compiler = _Compiler(self, frozenset())
         for decl in self.program.globals:
-            value = self._default_value(decl.type)
             if decl.init is not None:
-                value = self._coerce(self._eval(decl.init, self.globals_env,
-                                                self.global_cells), decl.type)
+                init = compiler.expr(decl.init)
+                value = _coerce(init(self.globals_env, self.global_cells),
+                                decl.type)
+            else:
+                value = _default_factory(decl.type)()
             if decl.type.is_scalar():
                 self.global_cells[decl.name] = [value]
             self.globals_env[decl.name] = value
 
-    def _default_value(self, dtype: Type) -> Value:
-        if isinstance(dtype, ArrayType):
-            return ArrayValue.zeros(dtype.element, dtype.dims)
-        if isinstance(dtype, PointerType):
-            return PointerValue([0], 0)
-        if isinstance(dtype, ScalarType) and dtype.name == "float":
-            return 0.0
-        return 0
-
-    @staticmethod
-    def _coerce(value: Any, dtype: Type) -> Any:
-        if isinstance(dtype, ScalarType):
-            if dtype.name == "int" and isinstance(value, float):
-                return int(value)
-            if dtype.name == "float" and isinstance(value, int):
-                return float(value)
-        return value
+    def _function(self, name: str) -> Callable[[List[Any]], Any]:
+        """The compiled entry of mini-C function ``name``, compiled on
+        first use."""
+        entry = self._compiled.get(name)
+        if entry is None:
+            entry = _compile_function(self, self.functions[name])
+            self._compiled[name] = entry
+        return entry
 
     # ------------------------------------------------------------------
     # public entry points
@@ -205,372 +204,67 @@ class Interpreter:
 
     def call(self, name: str, args: List[Any]) -> Any:
         """Invoke a mini-C function (or an external) with Python values."""
-        if name not in self.functions:
-            if name in self.externals:
-                return self.externals[name](*args)
-            intrinsic = _INTRINSICS.get(name)
-            if intrinsic is not None:
-                return intrinsic(self, args)
-            raise InterpError(f"call to unknown function {name!r}")
-        func = self.functions[name]
-        if len(args) != len(func.params):
-            raise InterpError(
-                f"{name}() expects {len(func.params)} args, got {len(args)}")
-        env: Dict[str, Value] = {}
-        cells: Dict[str, Cell] = {}
-        for param, arg in zip(func.params, args):
-            value = self._coerce(arg, param.type)
-            if param.type.is_scalar():
-                cells[param.name] = [value]
-            env[param.name] = value
-        self.call_counts[name] = self.call_counts.get(name, 0) + 1
-        self._call_stack.append(name)
-        ops_before = self.op_count
-        try:
-            self._exec_block(func.body, env, cells)
-            result: Any = None
-        except _ReturnSignal as signal:
-            result = signal.value
-        finally:
-            self._call_stack.pop()
-            spent = self.op_count - ops_before
-            self.func_op_counts[name] = self.func_op_counts.get(name, 0) + spent
-        return self._coerce(result, func.return_type)
-
-    # ------------------------------------------------------------------
-    # statement execution
-    # ------------------------------------------------------------------
-    def _tick(self, amount: int = 1) -> None:
-        self.op_count += amount
-        if self.op_count > self.step_limit:
-            raise InterpError(f"step limit {self.step_limit} exceeded "
-                              f"(infinite loop?)")
-
-    def _exec_block(self, block: Block, env: Dict[str, Value],
-                    cells: Dict[str, Cell]) -> None:
-        # Fast path: blocks without declarations (the common loop body)
-        # need no shadowing bookkeeping.  Cached per block identity; valid
-        # while the AST is not mutated under a running interpreter.
-        block_id = id(block)
-        has_decls = self._block_decl_cache.get(block_id)
-        if has_decls is None:
-            has_decls = any(isinstance(stmt, Decl) for stmt in block.stmts)
-            self._block_decl_cache[block_id] = has_decls
-        if not has_decls:
-            execute = self._exec_stmt
-            for stmt in block.stmts:
-                execute(stmt, env, cells)
-            return
-        # Locals declared inside the block shadow and then disappear.
-        declared: List[str] = []
-        shadowed_env: Dict[str, Any] = {}
-        shadowed_cells: Dict[str, Any] = {}
-        try:
-            for stmt in block.stmts:
-                if isinstance(stmt, Decl):
-                    if stmt.name in env and stmt.name not in declared:
-                        shadowed_env[stmt.name] = env[stmt.name]
-                        if stmt.name in cells:
-                            shadowed_cells[stmt.name] = cells[stmt.name]
-                    declared.append(stmt.name)
-                self._exec_stmt(stmt, env, cells)
-        finally:
-            for name in declared:
-                env.pop(name, None)
-                cells.pop(name, None)
-            env.update(shadowed_env)
-            cells.update(shadowed_cells)
-
-    def _exec_stmt(self, stmt: Stmt, env: Dict[str, Value],
-                   cells: Dict[str, Cell]) -> None:
-        # Hot path: dispatch on concrete node type (see _STMT_DISPATCH).
-        self.stmt_count += 1
-        self.op_count += 1
-        if self.op_count > self.step_limit:
-            raise InterpError(f"step limit {self.step_limit} exceeded "
-                              f"(infinite loop?)")
-        method = _STMT_DISPATCH.get(type(stmt))
-        if method is None:
-            raise InterpError(f"cannot execute statement {stmt!r}")
-        method(self, stmt, env, cells)
-
-    def _exec_decl(self, stmt, env, cells) -> None:
-        value = self._default_value(stmt.type)
-        if stmt.init is not None:
-            value = self._coerce(self._eval(stmt.init, env, cells),
-                                 stmt.type)
-        if stmt.type.is_scalar():
-            cells[stmt.name] = [value]
-        env[stmt.name] = value
-
-    def _exec_exprstmt(self, stmt, env, cells) -> None:
-        self._eval(stmt.expr, env, cells)
-
-    def _exec_if(self, stmt, env, cells) -> None:
-        if self._truthy(self._eval(stmt.test, env, cells)):
-            self._exec_block(stmt.then, env, cells)
-        elif stmt.other is not None:
-            self._exec_block(stmt.other, env, cells)
-
-    def _exec_while(self, stmt, env, cells) -> None:
-        while self._truthy(self._eval(stmt.test, env, cells)):
-            self._tick()
-            try:
-                self._exec_block(stmt.body, env, cells)
-            except _BreakSignal:
-                break
-            except _ContinueSignal:
-                continue
-
-    def _exec_return(self, stmt, env, cells) -> None:
-        value = None
-        if stmt.value is not None:
-            value = self._eval(stmt.value, env, cells)
-        raise _ReturnSignal(value)
-
-    def _exec_break(self, stmt, env, cells) -> None:
-        raise _BreakSignal()
-
-    def _exec_continue(self, stmt, env, cells) -> None:
-        raise _ContinueSignal()
-
-    def _exec_for(self, stmt: For, env: Dict[str, Value],
-                  cells: Dict[str, Cell]) -> None:
-        # For-header declarations live for the duration of the loop.
-        header_decl = isinstance(stmt.init, Decl)
-        shadow: Tuple[Any, Any, bool] = (None, None, False)
-        if header_decl:
-            name = stmt.init.name  # type: ignore[union-attr]
-            shadow = (env.get(name), cells.get(name), name in env)
-        try:
-            if stmt.init is not None:
-                self._exec_stmt(stmt.init, env, cells)
-            while (stmt.test is None or
-                   self._truthy(self._eval(stmt.test, env, cells))):
-                self._tick()
-                try:
-                    self._exec_block(stmt.body, env, cells)
-                except _BreakSignal:
-                    break
-                except _ContinueSignal:
-                    pass
-                if stmt.step is not None:
-                    self._exec_stmt(stmt.step, env, cells)
-        finally:
-            if header_decl:
-                name = stmt.init.name  # type: ignore[union-attr]
-                old_env, old_cell, was_present = shadow
-                if was_present:
-                    env[name] = old_env
-                    if old_cell is not None:
-                        cells[name] = old_cell
-                else:
-                    env.pop(name, None)
-                    cells.pop(name, None)
-
-    def _exec_assign(self, stmt: Assign, env: Dict[str, Value],
-                     cells: Dict[str, Cell]) -> None:
-        value = self._eval(stmt.value, env, cells)
-        target = stmt.target
-        if stmt.op:
-            old = self._eval(target, env, cells)
-            value = self._binop(stmt.op, old, value)
-        self._store(target, value, env, cells)
-
-    def _store(self, target: Expr, value: Any, env: Dict[str, Value],
-               cells: Dict[str, Cell]) -> None:
-        if isinstance(target, Ident):
-            container_env, container_cells = self._containers(target.name,
-                                                              env, cells)
-            current = container_env.get(target.name)
-            if isinstance(current, ArrayValue):
-                raise InterpError(f"cannot assign to array {target.name!r}")
-            if isinstance(current, (int, float)) and isinstance(value, float) \
-                    and isinstance(current, int) and not isinstance(current, bool):
-                value = int(value)
-            container_env[target.name] = value
-            if target.name in container_cells:
-                container_cells[target.name][0] = value
-        elif isinstance(target, ArrayIndex):
-            array, indices = self._resolve_index(target, env, cells)
-            if isinstance(array, PointerValue):
-                if len(indices) != 1:
-                    raise InterpError("pointer indexing takes one index")
-                PointerValue(array.storage, array.offset + indices[0]).store(value)
-            else:
-                if array.element.name == "int" and isinstance(value, float):
-                    value = int(value)
-                array.set(indices, value)
-        elif isinstance(target, UnaryOp) and target.op == "*":
-            pointer = self._eval(target.operand, env, cells)
-            if not isinstance(pointer, PointerValue):
-                raise InterpError("dereferencing a non-pointer")
-            pointer.store(value)
-        else:
-            raise InterpError(f"invalid assignment target {target!r}")
-
-    def _containers(self, name: str, env: Dict[str, Value],
-                    cells: Dict[str, Cell]):
-        if name in env:
-            return env, cells
-        if name in self.globals_env:
-            return self.globals_env, self.global_cells
-        raise InterpError(f"undefined variable {name!r}")
-
-    # ------------------------------------------------------------------
-    # expression evaluation
-    # ------------------------------------------------------------------
-    def _eval(self, expr: Expr, env: Dict[str, Value],
-              cells: Dict[str, Cell]) -> Any:
-        # Hot path: dispatch on concrete node type (see _EVAL_DISPATCH).
-        method = _EVAL_DISPATCH.get(type(expr))
-        if method is None:
-            raise InterpError(f"cannot evaluate expression {expr!r}")
-        return method(self, expr, env, cells)
-
-    def _eval_literal(self, expr, env, cells) -> Any:
-        return expr.value
-
-    def _eval_ident(self, expr, env, cells) -> Any:
-        name = expr.name
-        if name in env:
-            return env[name]
-        if name in self.globals_env:
-            return self.globals_env[name]
-        raise InterpError(f"undefined variable {name!r}")
-
-    def _eval_index(self, expr, env, cells) -> Any:
-        self._tick()
-        array, indices = self._resolve_index(expr, env, cells)
-        if isinstance(array, PointerValue):
-            if len(indices) != 1:
-                raise InterpError("pointer indexing takes one index")
-            return PointerValue(array.storage,
-                                array.offset + indices[0]).deref()
-        if len(indices) < len(array.dims):
-            raise InterpError("partial array indexing is unsupported")
-        return array.get(indices)
-
-    def _eval_call(self, expr, env, cells) -> Any:
-        self._tick()
-        args = [self._eval(arg, env, cells) for arg in expr.args]
-        return self.call(expr.name, args)
-
-    def _eval_cond(self, expr, env, cells) -> Any:
-        self._tick()
-        if self._truthy(self._eval(expr.test, env, cells)):
-            return self._eval(expr.then, env, cells)
-        return self._eval(expr.other, env, cells)
-
-    def _resolve_index(self, expr: ArrayIndex, env: Dict[str, Value],
-                       cells: Dict[str, Cell]):
-        """Return (ArrayValue-or-PointerValue, [int indices])."""
-        indices: List[int] = []
-        node: Expr = expr
-        while isinstance(node, ArrayIndex):
-            index = self._eval(node.index, env, cells)
-            if isinstance(index, float):
-                index = int(index)
-            indices.append(index)
-            node = node.base
-        indices.reverse()
-        base = self._eval(node, env, cells)
-        if isinstance(base, (ArrayValue, PointerValue)):
-            return base, indices
-        raise InterpError(f"indexing a non-array value via {node!r}")
-
-    def _eval_unary(self, expr: UnaryOp, env: Dict[str, Value],
-                    cells: Dict[str, Cell]) -> Any:
-        self._tick()
-        if expr.op == "&":
-            return self._address_of(expr.operand, env, cells)
-        value = self._eval(expr.operand, env, cells)
-        if expr.op == "-":
-            # Negating INT_MIN overflows on a 32-bit target; wrap like
-            # every other int arithmetic op (floats stay host-precision).
-            if type(value) is int:
-                return _wrap32(-value)
-            return -value
-        if expr.op == "!":
-            return 0 if self._truthy(value) else 1
-        if expr.op == "~":
-            return ~int(value)
-        if expr.op == "*":
-            if not isinstance(value, PointerValue):
-                raise InterpError("dereferencing a non-pointer")
-            return value.deref()
-        raise InterpError(f"unknown unary operator {expr.op!r}")
-
-    def _address_of(self, operand: Expr, env: Dict[str, Value],
-                    cells: Dict[str, Cell]) -> PointerValue:
-        if isinstance(operand, Ident):
-            value_env, value_cells = self._containers(operand.name, env, cells)
-            value = value_env[operand.name]
-            if isinstance(value, ArrayValue):
-                return PointerValue(value.storage, 0)
-            if operand.name not in value_cells:
-                value_cells[operand.name] = [value]
-            return PointerValue(value_cells[operand.name], 0)
-        if isinstance(operand, ArrayIndex):
-            array, indices = self._resolve_index(operand, env, cells)
-            if isinstance(array, PointerValue):
-                if len(indices) != 1:
-                    raise InterpError("pointer indexing takes one index")
-                return PointerValue(array.storage, array.offset + indices[0])
-            return PointerValue(array.storage, array.flat_offset(indices))
-        raise InterpError(f"cannot take the address of {operand!r}")
-
-    def _eval_binop(self, expr: BinOp, env: Dict[str, Value],
-                    cells: Dict[str, Cell]) -> Any:
-        self.op_count += 1
-        if self.op_count > self.step_limit:
-            raise InterpError(f"step limit {self.step_limit} exceeded "
-                              f"(infinite loop?)")
-        op = expr.op
-        if op == "&&":
-            left = self._eval(expr.left, env, cells)
-            if not self._truthy(left):
-                return 0
-            return 1 if self._truthy(self._eval(expr.right, env, cells)) else 0
-        if op == "||":
-            left = self._eval(expr.left, env, cells)
-            if self._truthy(left):
-                return 1
-            return 1 if self._truthy(self._eval(expr.right, env, cells)) else 0
-        left = self._eval(expr.left, env, cells)
-        right = self._eval(expr.right, env, cells)
-        # Hot path: plain arithmetic via the operator table.
-        if not (type(left) is PointerValue or type(right) is PointerValue):
-            handler = _BIN_HANDLERS.get(op)
-            if handler is not None:
-                return handler(left, right)
-        return self._binop(op, left, right)
-
-    def _binop(self, op: str, left: Any, right: Any) -> Any:
-        # Pointer arithmetic: ptr +/- int.
-        if isinstance(left, PointerValue) and op in ("+", "-"):
-            delta = int(right)
-            if op == "-":
-                delta = -delta
-            return PointerValue(left.storage, left.offset + delta)
-        if isinstance(right, PointerValue) and op == "+":
-            return PointerValue(right.storage, right.offset + int(left))
-        handler = _BIN_HANDLERS.get(op)
-        if handler is None:
-            raise InterpError(f"unknown binary operator {op!r}")
-        return handler(left, right)
-
-    @staticmethod
-    def _truthy(value: Any) -> bool:
-        if isinstance(value, PointerValue):
-            return True
-        return bool(value)
+        if name in self.functions:
+            return self._function(name)(args)
+        if name in self.externals:
+            return self.externals[name](*args)
+        if name in _INTRINSICS:
+            return _call_intrinsic(self, name, args)
+        raise InterpError(f"call to unknown function {name!r}")
 
 
 # ---------------------------------------------------------------------------
-# dispatch tables (hot-path performance; behaviour identical to the
-# straightforward isinstance chains they replace)
+# values, coercions and operators (shared by every compiled closure)
 # ---------------------------------------------------------------------------
+
+INT_MIN, INT_MAX = -2**31, 2**31 - 1
+
+# Statement results other than "fall through": loops consume these two,
+# a ``return`` hands back a 1-tuple holding its value.
+_BREAK = ("break",)
+_CONTINUE = ("continue",)
+_MISSING = object()
+
+
+def _limit_error(limit: int) -> InterpError:
+    return InterpError(f"step limit {limit} exceeded (infinite loop?)")
+
+
+def _default_factory(dtype: Type) -> Callable[[], Value]:
+    """A maker of the zero value of ``dtype`` (fresh storage per call)."""
+    if isinstance(dtype, ArrayType):
+        element, dims = dtype.element, dtype.dims
+        return lambda: ArrayValue.zeros(element, dims)
+    if isinstance(dtype, PointerType):
+        return lambda: PointerValue([0], 0)
+    if isinstance(dtype, ScalarType) and dtype.name == "float":
+        return lambda: 0.0
+    return lambda: 0
+
+
+def _coerce(value: Any, dtype: Type) -> Any:
+    if isinstance(dtype, ScalarType):
+        if dtype.name == "int" and isinstance(value, float):
+            return int(value)
+        if dtype.name == "float" and isinstance(value, int):
+            return float(value)
+    return value
+
+
+def _type_name(value: Any) -> str:
+    if isinstance(value, PointerValue):
+        return "pointer"
+    if isinstance(value, ArrayValue):
+        return "array"
+    if isinstance(value, str):
+        return "string"
+    return type(value).__name__
+
+
+def _operand_error(op: str, *operands: Any) -> InterpError:
+    kinds = " and ".join(_type_name(value) for value in operands)
+    return InterpError(f"invalid operands to {op}: {kinds}")
+
 
 def _c_div(left: Any, right: Any) -> Any:
     if right == 0:
@@ -641,18 +335,14 @@ def _c_mul(left: Any, right: Any) -> Any:
     return left * right
 
 
+# Arithmetic, shift and bitwise operators; comparisons and the short
+# circuits have closures of their own (see _Compiler.binop).
 _BIN_HANDLERS: Dict[str, Callable[[Any, Any], Any]] = {
     "+": _c_add,
     "-": _c_sub,
     "*": _c_mul,
     "/": _c_div,
     "%": _c_mod,
-    "==": lambda a, b: 1 if a == b else 0,
-    "!=": lambda a, b: 1 if a != b else 0,
-    "<": lambda a, b: 1 if a < b else 0,
-    ">": lambda a, b: 1 if a > b else 0,
-    "<=": lambda a, b: 1 if a <= b else 0,
-    ">=": lambda a, b: 1 if a >= b else 0,
     "<<": _c_shl,
     ">>": _c_shr,
     "&": lambda a, b: int(a) & int(b),
@@ -660,30 +350,95 @@ _BIN_HANDLERS: Dict[str, Callable[[Any, Any], Any]] = {
     "^": lambda a, b: int(a) ^ int(b),
 }
 
-_STMT_DISPATCH: Dict[type, Callable] = {
-    Decl: Interpreter._exec_decl,
-    Assign: Interpreter._exec_assign,
-    ExprStmt: Interpreter._exec_exprstmt,
-    Block: Interpreter._exec_block,
-    If: Interpreter._exec_if,
-    While: Interpreter._exec_while,
-    For: Interpreter._exec_for,
-    Return: Interpreter._exec_return,
-    Break: Interpreter._exec_break,
-    Continue: Interpreter._exec_continue,
-}
 
-_EVAL_DISPATCH: Dict[type, Callable] = {
-    IntLit: Interpreter._eval_literal,
-    FloatLit: Interpreter._eval_literal,
-    StringLit: Interpreter._eval_literal,
-    Ident: Interpreter._eval_ident,
-    ArrayIndex: Interpreter._eval_index,
-    Call: Interpreter._eval_call,
-    UnaryOp: Interpreter._eval_unary,
-    BinOp: Interpreter._eval_binop,
-    Cond: Interpreter._eval_cond,
-}
+def _binop(op: str, left: Any, right: Any) -> Any:
+    """``left op right`` for every operand kind, pointer arithmetic
+    included; the closures' int fast paths fall back to this."""
+    handler = _BIN_HANDLERS.get(op)
+    try:
+        if isinstance(left, PointerValue) and op in ("+", "-"):
+            delta = int(right)
+            if op == "-":
+                delta = -delta
+            return PointerValue(left.storage, left.offset + delta)
+        if isinstance(right, PointerValue) and op == "+":
+            return PointerValue(right.storage, right.offset + int(left))
+        if handler is not None:
+            return handler(left, right)
+    except (TypeError, ValueError):
+        raise _operand_error(op, left, right) from None
+    raise InterpError(f"unknown binary operator {op!r}")
+
+
+def _index_chain(node: ArrayIndex) -> Tuple[List[Expr], Expr]:
+    """The index expressions of ``a[i][j]`` outermost first (``[j, i]``)
+    and the base (``a``): the order the chain is evaluated in."""
+    indices: List[Expr] = []
+    while isinstance(node, ArrayIndex):
+        indices.append(node.index)
+        node = node.base
+    return indices, node
+
+
+def _resolve_chain(index_fns: List[Callable], base_fn: Callable,
+                   base_node: Expr, env: Env, cells: Cells):
+    """Evaluate an index chain's compiled indices (outermost first) and
+    then its base: (the array or pointer, the indices innermost first)."""
+    indices = []
+    for index_fn in index_fns:
+        index = index_fn(env, cells)
+        indices.append(int(index) if isinstance(index, float) else index)
+    indices.reverse()
+    base = base_fn(env, cells)
+    if not isinstance(base, (ArrayValue, PointerValue)):
+        raise InterpError(f"indexing a non-array value via {base_node!r}")
+    return base, indices
+
+
+def _element_ref(base: Any, indices: List[int]) -> Tuple[List[Any], int]:
+    """(storage, offset) addressed by ``base[indices]``, bounds unchecked
+    for pointers (their deref/store checks) and checked for arrays."""
+    if isinstance(base, PointerValue):
+        if len(indices) != 1:
+            raise InterpError("pointer indexing takes one index")
+        return base.storage, base.offset + indices[0]
+    return base.storage, base.flat_offset(indices)
+
+
+def _read_element(base: Any, indices: List[int]) -> Any:
+    if isinstance(base, PointerValue):
+        if len(indices) != 1:
+            raise InterpError("pointer indexing takes one index")
+        return PointerValue(base.storage, base.offset + indices[0]).deref()
+    if len(indices) < len(base.dims):
+        raise InterpError("partial array indexing is unsupported")
+    return base.get(indices)
+
+
+def _write_element(base: Any, indices: List[int], value: Any) -> None:
+    if isinstance(base, PointerValue):
+        if len(indices) != 1:
+            raise InterpError("pointer indexing takes one index")
+        PointerValue(base.storage, base.offset + indices[0]).store(value)
+        return
+    if base.element.name == "int" and isinstance(value, float):
+        value = int(value)
+    base.set(indices, value)
+
+
+def _store_name(env: Env, cells: Cells, name: str, value: Any) -> None:
+    """Assign a named variable found in ``env``: ints stay ints, arrays
+    are not assignable, and the variable's cell (if any) follows."""
+    current = env.get(name)
+    if isinstance(current, ArrayValue):
+        raise InterpError(f"cannot assign to array {name!r}")
+    if isinstance(value, float) and isinstance(current, int) \
+            and not isinstance(current, bool):
+        value = int(value)
+    env[name] = value
+    cell = cells.get(name)
+    if cell is not None:
+        cell[0] = value
 
 
 # ---------------------------------------------------------------------------
@@ -691,19 +446,880 @@ _EVAL_DISPATCH: Dict[type, Callable] = {
 # ---------------------------------------------------------------------------
 
 def _intrinsic_print(interp: Interpreter, args: List[Any]) -> int:
-    for arg in args:
-        interp.output.append(arg)
+    interp.output.extend(args)
     return 0
+
+
+def _intrinsic_abs(_interp: Interpreter, args: List[Any]) -> Any:
+    value = args[0]
+    if type(value) is int:
+        # abs(INT_MIN) overflows on a 32-bit target, like unary minus.
+        return _wrap32(abs(value))
+    return abs(value)
 
 
 _INTRINSICS: Dict[str, Callable[[Interpreter, List[Any]], Any]] = {
     "print": _intrinsic_print,
-    "abs": lambda interp, args: abs(args[0]),
+    "abs": _intrinsic_abs,
     "min": lambda interp, args: min(args),
     "max": lambda interp, args: max(args),
     "sqrt": lambda interp, args: math.sqrt(args[0]),
     "floor": lambda interp, args: int(math.floor(args[0])),
     "ceil": lambda interp, args: int(math.ceil(args[0])),
+}
+
+# Intrinsic name -> (fewest, most) arguments; ``None`` = no upper bound.
+# The type checker reads the same table.
+INTRINSIC_ARITIES: Dict[str, Tuple[int, Optional[int]]] = {
+    "print": (0, None), "abs": (1, 1), "min": (1, None), "max": (1, None),
+    "sqrt": (1, 1), "floor": (1, 1), "ceil": (1, 1),
+}
+
+
+def intrinsic_arity_error(name: str, count: int) -> Optional[str]:
+    """``None`` when intrinsic ``name`` takes ``count`` arguments, else
+    what it expects (``1``, ``at least 1``)."""
+    fewest, most = INTRINSIC_ARITIES[name]
+    if fewest <= count and (most is None or count <= most):
+        return None
+    return f"at least {fewest}" if most is None else str(most)
+
+
+def _call_intrinsic(interp: Interpreter, name: str, args: List[Any]) -> Any:
+    expected = intrinsic_arity_error(name, len(args))
+    if expected is not None:
+        raise InterpError(f"{name}() expects {expected} args, "
+                          f"got {len(args)}")
+    try:
+        return _INTRINSICS[name](interp, args)
+    except (TypeError, ValueError, OverflowError) as error:
+        raise InterpError(f"{name}() domain error: {error}") from None
+
+
+# ---------------------------------------------------------------------------
+# the compiler: AST -> closures
+# ---------------------------------------------------------------------------
+#
+# A compiled expression is ``fn(env, cells) -> value``.  A compiled
+# statement is ``fn(env, cells) -> None | _BREAK | _CONTINUE | (value,)``.
+# ``env`` maps the names of the running call's live locals to values and
+# ``cells`` holds the one-slot cells of its scalars (what ``&x`` points
+# into); identifier reads go to ``env`` only, as C locals do.
+
+def _compile_function(interp: Interpreter,
+                      func: FuncDef) -> Callable[[List[Any]], Any]:
+    """Compile ``func`` into its entry: args list -> coerced return value,
+    keeping ``call_counts``/``func_op_counts`` as every call returns or
+    raises."""
+    local_names = {param.name for param in func.params}
+    local_names.update(node.name for node in func.body.walk()
+                       if isinstance(node, Decl))
+    compiler = _Compiler(interp, frozenset(local_names))
+    # The body's own declarations need no scope bookkeeping: the call's
+    # env dies with it.
+    body = compiler.block(func.body, scoped=False)
+    name = func.name
+    params = [(param.name, param.type, param.type.is_scalar())
+              for param in func.params]
+    return_type = func.return_type
+    call_counts = interp.call_counts
+    func_op_counts = interp.func_op_counts
+
+    def entry(args: List[Any]) -> Any:
+        if len(args) != len(params):
+            raise InterpError(
+                f"{name}() expects {len(params)} args, got {len(args)}")
+        env: Env = {}
+        cells: Cells = {}
+        for (param, dtype, scalar), arg in zip(params, args):
+            value = _coerce(arg, dtype)
+            if scalar:
+                cells[param] = [value]
+            env[param] = value
+        call_counts[name] = call_counts.get(name, 0) + 1
+        ops_before = interp.op_count
+        try:
+            outcome = body(env, cells)
+        finally:
+            func_op_counts[name] = (func_op_counts.get(name, 0)
+                                    + interp.op_count - ops_before)
+        if outcome is None:
+            return _coerce(None, return_type)
+        if outcome is _BREAK or outcome is _CONTINUE:
+            raise InterpError(f"{outcome[0]} outside a loop in {name}()")
+        return _coerce(outcome[0], return_type)
+
+    return entry
+
+
+class _Compiler:
+    """Compiles the statements and expressions of one scope.
+
+    ``local_names`` are the names the function declares (parameters and
+    every ``Decl``); identifiers are classified against it at compile
+    time: never declared here -> read ``globals_env`` only; declared here
+    and never global -> read the call's ``env`` only; both -> ``env``
+    first, then ``globals_env``.
+    """
+
+    def __init__(self, interp: Interpreter, local_names: FrozenSet[str]) -> None:
+        self.interp = interp
+        self.limit = interp.step_limit
+        self.local_names = local_names
+        self.global_names = interp._global_names
+
+    # -- statements -------------------------------------------------------
+    def block(self, block: Block, scoped: bool = True):
+        """The block's statements in sequence.  A block that declares
+        names restores the names it shadowed when it is left (by falling
+        through, ``break`` or ``continue``)."""
+        stmts = [self.stmt(stmt) for stmt in block.stmts]
+        if scoped and any(isinstance(stmt, Decl) for stmt in block.stmts):
+            return _scoped_block(block.stmts, stmts)
+        return _sequence(stmts)
+
+    def stmt(self, stmt: Stmt):
+        interp, limit = self.interp, self.limit
+        kind = type(stmt)
+        if kind is Assign:
+            return self.assign(stmt)
+        if kind is ExprStmt:
+            expr = self.expr(stmt.expr)
+
+            def run_expr(env, cells):
+                interp.stmt_count += 1
+                ops = interp.op_count + 1
+                interp.op_count = ops
+                if ops > limit:
+                    raise _limit_error(limit)
+                expr(env, cells)
+            return run_expr
+        if kind is Decl:
+            return self.decl(stmt)
+        if kind is If:
+            return self.if_stmt(stmt)
+        if kind is For:
+            return self.for_stmt(stmt)
+        if kind is While:
+            return self.while_stmt(stmt)
+        if kind is Return:
+            value = self.expr(stmt.value) if stmt.value is not None else None
+
+            def run_return(env, cells):
+                interp.stmt_count += 1
+                ops = interp.op_count + 1
+                interp.op_count = ops
+                if ops > limit:
+                    raise _limit_error(limit)
+                return (value(env, cells) if value is not None else None,)
+            return run_return
+        if kind is Block:
+            inner = self.block(stmt)
+            signal = None
+        else:
+            inner = None
+            signal = {Break: _BREAK, Continue: _CONTINUE}.get(kind)
+
+        def run_other(env, cells):
+            interp.stmt_count += 1
+            ops = interp.op_count + 1
+            interp.op_count = ops
+            if ops > limit:
+                raise _limit_error(limit)
+            if inner is not None:
+                return inner(env, cells)
+            if signal is None:
+                raise InterpError(f"cannot execute statement {stmt!r}")
+            return signal
+        return run_other
+
+    def decl(self, stmt: Decl):
+        interp, limit = self.interp, self.limit
+        name, dtype, scalar = stmt.name, stmt.type, stmt.type.is_scalar()
+        init = self.expr(stmt.init) if stmt.init is not None else None
+        default = _default_factory(dtype)
+
+        def run_decl(env, cells):
+            interp.stmt_count += 1
+            ops = interp.op_count + 1
+            interp.op_count = ops
+            if ops > limit:
+                raise _limit_error(limit)
+            if init is None:
+                value = default()
+            else:
+                value = _coerce(init(env, cells), dtype)
+            if scalar:
+                cells[name] = [value]
+            env[name] = value
+        return run_decl
+
+    def if_stmt(self, stmt: If):
+        interp, limit = self.interp, self.limit
+        test = self.expr(stmt.test)
+        then = self.block(stmt.then)
+        other = self.block(stmt.other) if stmt.other is not None else None
+
+        def run_if(env, cells):
+            interp.stmt_count += 1
+            ops = interp.op_count + 1
+            interp.op_count = ops
+            if ops > limit:
+                raise _limit_error(limit)
+            if test(env, cells):
+                return then(env, cells)
+            if other is not None:
+                return other(env, cells)
+        return run_if
+
+    def while_stmt(self, stmt: While):
+        interp, limit = self.interp, self.limit
+        test = self.expr(stmt.test)
+        body = self.block(stmt.body)
+
+        def run_while(env, cells):
+            interp.stmt_count += 1
+            ops = interp.op_count + 1
+            interp.op_count = ops
+            if ops > limit:
+                raise _limit_error(limit)
+            while test(env, cells):
+                ops = interp.op_count + 1
+                interp.op_count = ops
+                if ops > limit:
+                    raise _limit_error(limit)
+                outcome = body(env, cells)
+                if outcome is not None:
+                    if outcome is _BREAK:
+                        break
+                    if outcome is not _CONTINUE:
+                        return outcome
+        return run_while
+
+    def for_stmt(self, stmt: For):
+        interp, limit = self.interp, self.limit
+        init = self.stmt(stmt.init) if stmt.init is not None else None
+        test = self.expr(stmt.test) if stmt.test is not None else None
+        step = self.stmt(stmt.step) if stmt.step is not None else None
+        body = self.block(stmt.body)
+        # A for-header declaration lives for the duration of the loop.
+        header = stmt.init.name if isinstance(stmt.init, Decl) else None
+
+        def run_for(env, cells):
+            interp.stmt_count += 1
+            ops = interp.op_count + 1
+            interp.op_count = ops
+            if ops > limit:
+                raise _limit_error(limit)
+            if header is not None:
+                shadow = (env.get(header), cells.get(header), header in env)
+            if init is not None:
+                init(env, cells)
+            while test is None or test(env, cells):
+                ops = interp.op_count + 1
+                interp.op_count = ops
+                if ops > limit:
+                    raise _limit_error(limit)
+                outcome = body(env, cells)
+                if outcome is not None:
+                    if outcome is _BREAK:
+                        break
+                    if outcome is not _CONTINUE:
+                        return outcome
+                if step is not None:
+                    step(env, cells)
+            if header is not None:
+                old_value, old_cell, was_present = shadow
+                if was_present:
+                    env[header] = old_value
+                    if old_cell is not None:
+                        cells[header] = old_cell
+                else:
+                    env.pop(header, None)
+                    cells.pop(header, None)
+        return run_for
+
+    # -- assignment ---------------------------------------------------------
+    def assign(self, stmt: Assign):
+        """``target op= value``: the value is evaluated first, then the
+        target is resolved once (indices outermost first, then the base);
+        a compound assignment reads and writes that one location."""
+        interp, limit = self.interp, self.limit
+        value_fn = self.expr(stmt.value)
+        target, op = stmt.target, stmt.op
+        if isinstance(target, Ident):
+            return self.assign_name(target.name, op, value_fn)
+        if isinstance(target, ArrayIndex):
+            return self.assign_index(target, op, value_fn)
+        if isinstance(target, UnaryOp) and target.op == "*":
+            pointer_fn = self.expr(target.operand)
+
+            def run_assign_deref(env, cells):
+                interp.stmt_count += 1
+                ops = interp.op_count + 1
+                interp.op_count = ops
+                if ops > limit:
+                    raise _limit_error(limit)
+                value = value_fn(env, cells)
+                if op:
+                    # Reading ``*p`` costs its unary op.
+                    ops = interp.op_count + 1
+                    interp.op_count = ops
+                    if ops > limit:
+                        raise _limit_error(limit)
+                pointer = pointer_fn(env, cells)
+                if not isinstance(pointer, PointerValue):
+                    raise InterpError("dereferencing a non-pointer")
+                if op:
+                    value = _binop(op, pointer.deref(), value)
+                pointer.store(value)
+            return run_assign_deref
+
+        # A compound assignment still reads its (unassignable) target.
+        read_target = self.expr(target) if op else None
+
+        def run_assign_invalid(env, cells):
+            interp.stmt_count += 1
+            ops = interp.op_count + 1
+            interp.op_count = ops
+            if ops > limit:
+                raise _limit_error(limit)
+            value_fn(env, cells)
+            if read_target is not None:
+                read_target(env, cells)
+            raise InterpError(f"invalid assignment target {target!r}")
+        return run_assign_invalid
+
+    def assign_name(self, name: str, op: str, value_fn):
+        interp, limit = self.interp, self.limit
+        undefined = f"undefined variable {name!r}"
+        if name not in self.local_names:
+            # Only globals can be meant: the call's env never holds it.
+            globals_env = interp.globals_env
+            global_cells = interp.global_cells
+
+            def run_assign_global(env, cells):
+                interp.stmt_count += 1
+                ops = interp.op_count + 1
+                interp.op_count = ops
+                if ops > limit:
+                    raise _limit_error(limit)
+                value = value_fn(env, cells)
+                if name not in globals_env:
+                    raise InterpError(undefined)
+                if op:
+                    value = _binop(op, globals_env[name], value)
+                _store_name(globals_env, global_cells, name, value)
+            return run_assign_global
+        if name in self.global_names:
+            globals_env = interp.globals_env
+            global_cells = interp.global_cells
+
+            def run_assign_shadowing(env, cells):
+                interp.stmt_count += 1
+                ops = interp.op_count + 1
+                interp.op_count = ops
+                if ops > limit:
+                    raise _limit_error(limit)
+                value = value_fn(env, cells)
+                if name in env:
+                    if op:
+                        value = _binop(op, env[name], value)
+                    _store_name(env, cells, name, value)
+                elif name in globals_env:
+                    if op:
+                        value = _binop(op, globals_env[name], value)
+                    _store_name(globals_env, global_cells, name, value)
+                else:
+                    raise InterpError(undefined)
+            return run_assign_shadowing
+
+        def run_assign_local(env, cells):
+            interp.stmt_count += 1
+            ops = interp.op_count + 1
+            interp.op_count = ops
+            if ops > limit:
+                raise _limit_error(limit)
+            value = value_fn(env, cells)
+            if name not in env:
+                raise InterpError(undefined)
+            current = env[name]
+            if op:
+                if type(current) is int and type(value) is int \
+                        and (op == "+" or op == "-"):
+                    value = current + value if op == "+" \
+                        else current - value
+                    if not INT_MIN <= value <= INT_MAX:
+                        value = _wrap32(value)
+                else:
+                    value = _binop(op, current, value)
+            if type(value) is int and type(current) is int:
+                env[name] = value
+                cell = cells.get(name)
+                if cell is not None:
+                    cell[0] = value
+            else:
+                _store_name(env, cells, name, value)
+        return run_assign_local
+
+    def assign_index(self, target: ArrayIndex, op: str, value_fn):
+        interp, limit = self.interp, self.limit
+        index_nodes, base_node = _index_chain(target)
+        index_fns = [self.expr(node) for node in index_nodes]
+        base_fn = self.expr(base_node)
+
+        if len(index_fns) == 1 and not op:
+            index_fn = index_fns[0]
+
+            def run_store_1d(env, cells):
+                interp.stmt_count += 1
+                ops = interp.op_count + 1
+                interp.op_count = ops
+                if ops > limit:
+                    raise _limit_error(limit)
+                value = value_fn(env, cells)
+                index = index_fn(env, cells)
+                if isinstance(index, float):
+                    index = int(index)
+                base = base_fn(env, cells)
+                if type(base) is ArrayValue and len(base.dims) == 1:
+                    if isinstance(value, float) and base.element.name == "int":
+                        value = int(value)
+                    size = base.dims[0]
+                    if not 0 <= index < size:
+                        raise InterpError(f"index {index} out of bounds "
+                                          f"for dimension {size}")
+                    base.storage[index] = value
+                    return
+                if not isinstance(base, (ArrayValue, PointerValue)):
+                    raise InterpError(f"indexing a non-array value via "
+                                      f"{base_node!r}")
+                _write_element(base, [index], value)
+            return run_store_1d
+
+        def run_store(env, cells):
+            interp.stmt_count += 1
+            ops = interp.op_count + 1
+            interp.op_count = ops
+            if ops > limit:
+                raise _limit_error(limit)
+            value = value_fn(env, cells)
+            if op:
+                # Reading the element costs its index op.
+                ops = interp.op_count + 1
+                interp.op_count = ops
+                if ops > limit:
+                    raise _limit_error(limit)
+            base, indices = _resolve_chain(index_fns, base_fn, base_node,
+                                           env, cells)
+            if op:
+                value = _binop(op, _read_element(base, indices), value)
+            _write_element(base, indices, value)
+        return run_store
+
+    # -- expressions --------------------------------------------------------
+    def expr(self, expr: Expr):
+        kind = type(expr)
+        if kind is IntLit or kind is FloatLit or kind is StringLit:
+            constant = expr.value
+            return lambda env, cells: constant
+        if kind is Ident:
+            return self.ident(expr.name)
+        if kind is BinOp:
+            return self.binop(expr)
+        if kind is ArrayIndex:
+            return self.index(expr)
+        if kind is Call:
+            return self.call(expr)
+        if kind is UnaryOp:
+            return self.unary(expr)
+        if kind is Cond:
+            return self.cond(expr)
+
+        def unknown(env, cells):
+            raise InterpError(f"cannot evaluate expression {expr!r}")
+        return unknown
+
+    def ident(self, name: str):
+        undefined = f"undefined variable {name!r}"
+        globals_env = self.interp.globals_env
+        if name not in self.local_names:
+            def read_global(env, cells):
+                try:
+                    return globals_env[name]
+                except KeyError:
+                    raise InterpError(undefined) from None
+            return read_global
+        if name not in self.global_names:
+            def read_local(env, cells):
+                try:
+                    return env[name]
+                except KeyError:
+                    raise InterpError(undefined) from None
+            return read_local
+
+        def read_shadowing(env, cells):
+            if name in env:
+                return env[name]
+            try:
+                return globals_env[name]
+            except KeyError:
+                raise InterpError(undefined) from None
+        return read_shadowing
+
+    def binop(self, expr: BinOp):
+        interp, limit = self.interp, self.limit
+        op = expr.op
+        left = self.expr(expr.left)
+        right = self.expr(expr.right)
+        if op == "&&":
+            def run_and(env, cells):
+                ops = interp.op_count + 1
+                interp.op_count = ops
+                if ops > limit:
+                    raise _limit_error(limit)
+                if not left(env, cells):
+                    return 0
+                return 1 if right(env, cells) else 0
+            return run_and
+        if op == "||":
+            def run_or(env, cells):
+                ops = interp.op_count + 1
+                interp.op_count = ops
+                if ops > limit:
+                    raise _limit_error(limit)
+                if left(env, cells):
+                    return 1
+                return 1 if right(env, cells) else 0
+            return run_or
+        # An int literal on the right is folded into the operator closure.
+        constant = expr.right.value if type(expr.right) is IntLit \
+            else _MISSING
+        if op in _INT_FAST:
+            return _arith(interp, limit, op, left, right, constant)
+        if op in _COMPARE:
+            return _compare(interp, limit, op, left, right, constant)
+
+        def run_binop(env, cells):
+            ops = interp.op_count + 1
+            interp.op_count = ops
+            if ops > limit:
+                raise _limit_error(limit)
+            return _binop(op, left(env, cells), right(env, cells))
+        return run_binop
+
+    def index(self, expr: ArrayIndex):
+        """``a[i]...``: one op, then the indices (outermost first), then
+        the base."""
+        interp, limit = self.interp, self.limit
+        index_nodes, base_node = _index_chain(expr)
+        index_fns = [self.expr(node) for node in index_nodes]
+        base_fn = self.expr(base_node)
+        if len(index_fns) == 1:
+            index_fn = index_fns[0]
+
+            def run_index_1d(env, cells):
+                ops = interp.op_count + 1
+                interp.op_count = ops
+                if ops > limit:
+                    raise _limit_error(limit)
+                index = index_fn(env, cells)
+                if isinstance(index, float):
+                    index = int(index)
+                base = base_fn(env, cells)
+                if type(base) is ArrayValue and len(base.dims) == 1:
+                    size = base.dims[0]
+                    if 0 <= index < size:
+                        return base.storage[index]
+                    raise InterpError(f"index {index} out of bounds for "
+                                      f"dimension {size}")
+                if not isinstance(base, (ArrayValue, PointerValue)):
+                    raise InterpError(f"indexing a non-array value via "
+                                      f"{base_node!r}")
+                return _read_element(base, [index])
+            return run_index_1d
+
+        def run_index(env, cells):
+            ops = interp.op_count + 1
+            interp.op_count = ops
+            if ops > limit:
+                raise _limit_error(limit)
+            base, indices = _resolve_chain(index_fns, base_fn, base_node,
+                                           env, cells)
+            return _read_element(base, indices)
+        return run_index
+
+    def call(self, expr: Call):
+        interp, limit = self.interp, self.limit
+        name = expr.name
+        arg_fns = [self.expr(arg) for arg in expr.args]
+        if name in interp.functions:
+            compiled = interp._compiled
+
+            def run_call(env, cells):
+                ops = interp.op_count + 1
+                interp.op_count = ops
+                if ops > limit:
+                    raise _limit_error(limit)
+                args = [arg(env, cells) for arg in arg_fns]
+                entry = compiled.get(name)
+                if entry is None:
+                    entry = interp._function(name)
+                return entry(args)
+            return run_call
+        externals = interp.externals
+
+        def run_other_call(env, cells):
+            ops = interp.op_count + 1
+            interp.op_count = ops
+            if ops > limit:
+                raise _limit_error(limit)
+            args = [arg(env, cells) for arg in arg_fns]
+            external = externals.get(name)
+            if external is not None:
+                return external(*args)
+            if name in _INTRINSICS:
+                return _call_intrinsic(interp, name, args)
+            raise InterpError(f"call to unknown function {name!r}")
+        return run_other_call
+
+    def unary(self, expr: UnaryOp):
+        interp, limit = self.interp, self.limit
+        op = expr.op
+        if op == "&":
+            address = self.address_of(expr.operand)
+
+            def run_address(env, cells):
+                ops = interp.op_count + 1
+                interp.op_count = ops
+                if ops > limit:
+                    raise _limit_error(limit)
+                return address(env, cells)
+            return run_address
+        operand = self.expr(expr.operand)
+
+        def run_unary(env, cells):
+            ops = interp.op_count + 1
+            interp.op_count = ops
+            if ops > limit:
+                raise _limit_error(limit)
+            value = operand(env, cells)
+            if op == "-":
+                # Negating INT_MIN overflows on a 32-bit target; wrap like
+                # every other int arithmetic op (floats stay host-precision).
+                if type(value) is int:
+                    return _wrap32(-value)
+                try:
+                    return -value
+                except TypeError:
+                    raise _operand_error("-", value) from None
+            if op == "!":
+                return 0 if value else 1
+            if op == "~":
+                try:
+                    return ~int(value)
+                except (TypeError, ValueError):
+                    raise _operand_error("~", value) from None
+            if op == "*":
+                if not isinstance(value, PointerValue):
+                    raise InterpError("dereferencing a non-pointer")
+                return value.deref()
+            raise InterpError(f"unknown unary operator {op!r}")
+        return run_unary
+
+    def address_of(self, operand: Expr):
+        """``&operand`` (its op is counted by the caller)."""
+        if isinstance(operand, Ident):
+            name = operand.name
+            undefined = f"undefined variable {name!r}"
+            globals_env = self.interp.globals_env
+            global_cells = self.interp.global_cells
+
+            def run_address_name(env, cells):
+                if name in env:
+                    value_env, value_cells = env, cells
+                elif name in globals_env:
+                    value_env, value_cells = globals_env, global_cells
+                else:
+                    raise InterpError(undefined)
+                value = value_env[name]
+                if isinstance(value, ArrayValue):
+                    return PointerValue(value.storage, 0)
+                if name not in value_cells:
+                    value_cells[name] = [value]
+                return PointerValue(value_cells[name], 0)
+            return run_address_name
+        if isinstance(operand, ArrayIndex):
+            index_nodes, base_node = _index_chain(operand)
+            index_fns = [self.expr(node) for node in index_nodes]
+            base_fn = self.expr(base_node)
+
+            def run_address_element(env, cells):
+                base, indices = _resolve_chain(index_fns, base_fn, base_node,
+                                               env, cells)
+                return PointerValue(*_element_ref(base, indices))
+            return run_address_element
+
+        def run_address_invalid(env, cells):
+            raise InterpError(f"cannot take the address of {operand!r}")
+        return run_address_invalid
+
+    def cond(self, expr: Cond):
+        interp, limit = self.interp, self.limit
+        test = self.expr(expr.test)
+        then = self.expr(expr.then)
+        other = self.expr(expr.other)
+
+        def run_cond(env, cells):
+            ops = interp.op_count + 1
+            interp.op_count = ops
+            if ops > limit:
+                raise _limit_error(limit)
+            if test(env, cells):
+                return then(env, cells)
+            return other(env, cells)
+        return run_cond
+
+
+def _sequence(stmts: List[Callable]):
+    """Run ``stmts`` in order until one leaves the block."""
+    if not stmts:
+        return lambda env, cells: None
+    if len(stmts) == 1:
+        return stmts[0]
+    if len(stmts) == 2:
+        first, second = stmts
+
+        def run_pair(env, cells):
+            outcome = first(env, cells)
+            if outcome is not None:
+                return outcome
+            return second(env, cells)
+        return run_pair
+
+    def run_sequence(env, cells):
+        for stmt in stmts:
+            outcome = stmt(env, cells)
+            if outcome is not None:
+                return outcome
+    return run_sequence
+
+
+def _scoped_block(nodes: List[Stmt], stmts: List[Callable]):
+    """A block with declarations: when a name is first declared in it,
+    the outer binding (value and cell) is saved, and every name the block
+    declared so far is restored when the block is left."""
+    plan = []
+    seen = set()
+    for node, stmt in zip(nodes, stmts):
+        name = None
+        if isinstance(node, Decl) and node.name not in seen:
+            seen.add(node.name)
+            name = node.name
+        plan.append((stmt, name))
+
+    def run_scoped(env, cells):
+        saved = []
+        outcome = None
+        for stmt, name in plan:
+            if name is not None:
+                saved.append((name, env.get(name, _MISSING),
+                              cells.get(name, _MISSING)))
+            outcome = stmt(env, cells)
+            if outcome is not None:
+                break
+        for name, old_value, old_cell in saved:
+            if old_value is _MISSING:
+                env.pop(name, None)
+                cells.pop(name, None)
+            else:
+                env[name] = old_value
+                if old_cell is _MISSING:
+                    cells.pop(name, None)
+                else:
+                    cells[name] = old_cell
+        return outcome
+    return run_scoped
+
+
+# -- arithmetic and comparison closures --------------------------------------
+# ``+ - *`` on two ints, and ``/ %`` on a non-negative int over a positive
+# one, are plain Python int ops wrapped only on overflow; every other
+# operand kind (floats, pointers, strings, signs) goes through ``_binop``.
+# Each factory also has a variant for an int literal right operand.
+
+_INT_FAST: Dict[str, Tuple[Callable[[int, int], int], bool]] = {
+    # op -> (the int operation, whether it is a division)
+    "+": (operator.add, False), "-": (operator.sub, False),
+    "*": (operator.mul, False), "/": (operator.floordiv, True),
+    "%": (operator.mod, True),
+}
+
+
+def _arith(interp: Interpreter, limit: int, op: str, left, right, constant):
+    fast, division = _INT_FAST[op]
+    if constant is not _MISSING and (constant > 0 or not division):
+        def run_arith_constant(env, cells):
+            ops = interp.op_count + 1
+            interp.op_count = ops
+            if ops > limit:
+                raise _limit_error(limit)
+            a = left(env, cells)
+            if type(a) is int and (not division or a >= 0):
+                result = fast(a, constant)
+                return result if INT_MIN <= result <= INT_MAX \
+                    else _wrap32(result)
+            return _binop(op, a, constant)
+        return run_arith_constant
+
+    def run_arith(env, cells):
+        ops = interp.op_count + 1
+        interp.op_count = ops
+        if ops > limit:
+            raise _limit_error(limit)
+        a = left(env, cells)
+        b = right(env, cells)
+        if type(a) is int and type(b) is int \
+                and (not division or (a >= 0 and b > 0)):
+            result = fast(a, b)
+            return result if INT_MIN <= result <= INT_MAX else _wrap32(result)
+        return _binop(op, a, b)
+    return run_arith
+
+
+def _compare(interp: Interpreter, limit: int, op: str, left, right,
+             constant):
+    compare = _COMPARE[op]
+    if constant is not _MISSING:
+        def run_compare_constant(env, cells):
+            ops = interp.op_count + 1
+            interp.op_count = ops
+            if ops > limit:
+                raise _limit_error(limit)
+            a = left(env, cells)
+            try:
+                return 1 if compare(a, constant) else 0
+            except TypeError:
+                raise _operand_error(op, a, constant) from None
+        return run_compare_constant
+
+    def run_compare(env, cells):
+        ops = interp.op_count + 1
+        interp.op_count = ops
+        if ops > limit:
+            raise _limit_error(limit)
+        a = left(env, cells)
+        b = right(env, cells)
+        try:
+            return 1 if compare(a, b) else 0
+        except TypeError:
+            raise _operand_error(op, a, b) from None
+    return run_compare
+
+
+_COMPARE: Dict[str, Callable[[Any, Any], Any]] = {
+    "==": operator.eq, "!=": operator.ne, "<": operator.lt,
+    ">": operator.gt, "<=": operator.le, ">=": operator.ge,
 }
 
 
@@ -716,5 +1332,6 @@ def run_program(program: Program, entry: str = "main",
     return interp.run(entry, args)
 
 
-__all__ = ["ArrayValue", "Cell", "InterpError", "Interpreter", "PointerValue",
-           "RunResult", "Value", "run_program"]
+__all__ = ["ArrayValue", "Cell", "INTRINSIC_ARITIES", "InterpError",
+           "Interpreter", "PointerValue", "RunResult", "Value",
+           "intrinsic_arity_error", "run_program"]

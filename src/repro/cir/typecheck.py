@@ -21,16 +21,14 @@ from repro.cir.nodes import (
     Expr, ExprStmt, FloatLit, For, FuncDef, Ident, If, IntLit, Node,
     Program, Return, Stmt, StringLit, UnaryOp, While,
 )
+from repro.cir.interp import INTRINSIC_ARITIES, intrinsic_arity_error
 from repro.cir.symbols import SymbolTable, build_symbols
 from repro.cir.typesys import (
     ArrayType, FLOAT, INT, PointerType, ScalarType, Type, TypeError_, VOID,
 )
 
-_INTRINSIC_ARITIES = {"print": None, "abs": 1, "min": None, "max": None,
-                      "sqrt": 1, "floor": 1, "ceil": 1,
-                      # Tool-runtime externals (any arity accepted):
-                      "read_port": None, "write_port": None, "emit": None,
-                      "ch_read": None, "ch_write": None}
+# Tool-runtime externals: known names, any arity accepted.
+_TOOL_EXTERNALS = {"read_port", "write_port", "emit", "ch_read", "ch_write"}
 
 
 @dataclass
@@ -244,11 +242,13 @@ class _Checker:
                         self.error(arg, f"array passed for scalar "
                                         f"parameter {param.name!r}")
             return func.return_type
-        if expr.name in _INTRINSIC_ARITIES:
-            arity = _INTRINSIC_ARITIES[expr.name]
-            if arity is not None and len(expr.args) != arity:
-                self.error(expr, f"{expr.name}() expects {arity} "
+        if expr.name in INTRINSIC_ARITIES:
+            expected = intrinsic_arity_error(expr.name, len(expr.args))
+            if expected is not None:
+                self.error(expr, f"{expr.name}() expects {expected} "
                                  f"argument(s)")
+            return INT
+        if expr.name in _TOOL_EXTERNALS:
             return INT
         self.warn(expr, f"call to external function {expr.name!r}")
         return None

@@ -549,3 +549,88 @@ def test_error_messages_pinned(source, message):
     with pytest.raises(InterpError) as info:
         run(source, step_limit=1000)
     assert str(info.value).startswith(message)
+
+
+class TestCompoundAssignmentTarget:
+    """``a[e] op= v`` resolves its target once, as C does."""
+
+    def test_index_with_call_runs_once(self):
+        result = run("""
+        int a[4]; int n;
+        int next() { n = n + 1; return n; }
+        int main() { a[next()] += 5; return n * 100 + a[1] * 10 + a[2]; }""")
+        assert result.return_value == 150
+        assert result.call_counts["next"] == 1
+
+    def test_deref_target_with_call_runs_once(self):
+        result = run("""
+        int a[4]; int n;
+        int next() { n = n + 1; return n; }
+        int main() { int *p = &a[0]; *(p + next()) += 5;
+                     return n * 100 + a[1] * 10 + a[2]; }""")
+        assert result.return_value == 150
+        assert result.call_counts["next"] == 1
+
+    def test_read_costs_one_index_op(self):
+        # The statement is one op and the element read one more; the
+        # operator of a compound assignment is free.
+        plain = run("int a[4]; int main() { a[1 + 1] = 1; return 0; }")
+        compound = run("int a[4]; int main() { a[1 + 1] += 1; return 0; }")
+        assert compound.op_count - plain.op_count == 1
+
+
+class TestIntrinsicErrors:
+    @pytest.mark.parametrize("call,message", [
+        ("abs()", "abs() expects 1 args, got 0"),
+        ("abs(1, 2)", "abs() expects 1 args, got 2"),
+        ("min()", "min() expects at least 1 args, got 0"),
+        ("max()", "max() expects at least 1 args, got 0"),
+        ("sqrt(0 - 1)", "sqrt() domain error"),
+        ('floor("a")', "floor() domain error"),
+        ("ceil(1, 2)", "ceil() expects 1 args, got 2"),
+    ])
+    def test_bad_calls_raise_interp_error(self, call, message):
+        with pytest.raises(InterpError) as info:
+            run(f"int main() {{ return {call}; }}")
+        assert str(info.value).startswith(message)
+
+    def test_abs_of_int_min_wraps(self):
+        assert run("int main() { return abs(-2147483648); }"
+                   ).return_value == -2147483648
+        assert run("int main() { return abs(-2147483647); }"
+                   ).return_value == 2147483647
+
+    def test_type_checker_reads_the_same_arities(self):
+        from repro.cir import check_program
+        messages = [d.message for d in check_program(parse(
+            "int main() { return min() + abs(1, 2) + max(3); }"))]
+        assert "min() expects at least 1 argument(s)" in messages
+        assert "abs() expects 1 argument(s)" in messages
+        assert not any("max()" in message for message in messages)
+
+
+class TestOperandTypeErrors:
+    @pytest.mark.parametrize("body,message", [
+        ("int *p = &a[0]; return p < 3;",
+         "invalid operands to <: pointer and int"),
+        ('return "a" + 1;', "invalid operands to +: string and int"),
+        ("int *p = &a[0]; return 1 - p;",
+         "invalid operands to -: int and pointer"),
+        ("int *p = &a[0]; int *q = &a[1]; return q - p;",
+         "invalid operands to -: pointer and pointer"),
+        ('return "a" & 1;', "invalid operands to &: string and int"),
+        ("return a * 2;", "invalid operands to *: array and int"),
+        ("int x = 1; x += a; return x;",
+         "invalid operands to +: int and array"),
+        ("return -a;", "invalid operands to -: array"),
+        ('return ~"a";', "invalid operands to ~: string"),
+    ])
+    def test_raise_interp_error_naming_the_operator(self, body, message):
+        with pytest.raises(InterpError) as info:
+            run(f"int a[4]; int main() {{ {body} }}")
+        assert str(info.value) == message
+
+
+def test_break_outside_a_loop_is_an_interp_error():
+    with pytest.raises(InterpError, match=r"break outside a loop in f\(\)"):
+        run("void f() { break; } int main() { while (1) { f(); } }")

@@ -44,12 +44,13 @@ def job_die(config, seed):
 def job_die_once(config, seed):
     # Crashes the worker on the first attempt only: the flag file
     # records that the crash already happened, so the retry succeeds.
-    flag = config["flag"]
-    if not os.path.exists(flag):
-        with open(flag, "w") as handle:
-            handle.write("crashed")
-        os._exit(23)
-    return {"survived": seed}
+    # Creating it is atomic, so of two jobs racing on two workers only
+    # one crashes.
+    try:
+        os.close(os.open(config["flag"], os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+    except FileExistsError:
+        return {"survived": seed}
+    os._exit(23)
 
 
 def job_sleep(config, seed):
