@@ -48,6 +48,7 @@ THREE_REG_OPS = {"add", "sub", "mul", "div", "and", "or", "xor", "shl",
                  "shr", "slt", "sltu", "seq"}
 BRANCH_OPS = {"beq", "bne", "blt", "bge"}
 NO_ARG_OPS = {"nop", "halt", "ret", "ei", "di", "iret"}
+MEMORY_OPS = {"lw", "sw", "swap"}
 
 # Classification used by the ISS's temporally-decoupled batching tiers:
 # LOCAL_OPS touch nothing outside the register file and may be batched into
@@ -260,7 +261,7 @@ def _encode(op: str, operands: List[str], line_no: int, raw: str,
         rd = _parse_register(operands[0], line_no, raw)
         ra = _parse_register(operands[1], line_no, raw)
         return Instr("mov", (rd, ra), line_no)
-    if op in ("lw", "sw", "swap"):
+    if op in MEMORY_OPS:
         if len(operands) != 2:
             raise AsmError(f"{op} needs reg, imm(reg)", line_no, raw)
         reg = _parse_register(operands[0], line_no, raw)
@@ -290,4 +291,5 @@ def _encode(op: str, operands: List[str], line_no: int, raw: str,
 
 __all__ = ["AsmError", "AsmProgram", "BRANCH_OPS", "CONTROL_OPS", "CYCLES",
            "DEFAULT_CYCLES", "Instr", "LINK_REGISTER", "LOCAL_OPS",
-           "REGISTER_COUNT", "STACK_REGISTER", "THREE_REG_OPS", "assemble"]
+           "MEMORY_OPS", "REGISTER_COUNT", "STACK_REGISTER", "THREE_REG_OPS",
+           "assemble"]

@@ -1,5 +1,8 @@
 """Tests for the assembler and the instruction-set simulator."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.vp import AsmError, SoC, SoCConfig, assemble
@@ -415,3 +418,250 @@ class TestImmediateRangeAudit:
         # of this particular program is a runtime fault, as before.
         with pytest.raises(RuntimeError, match="pc"):
             run_core("jmp 100\n")
+
+
+# ---------------------------------------------------------------------------
+# reference semantics, pinned per op
+# ---------------------------------------------------------------------------
+
+# Operand values every case starts from: INT_MIN, -1, 7, -3, 33, INT_MAX
+# and 32 (shift amounts past 31 and negative ones exercise the masking).
+_PRELUDE = """
+    li r1, -2147483648
+    li r2, -1
+    li r3, 7
+    li r4, -3
+    li r5, 33
+    li r6, 2147483647
+    li r7, 32
+"""
+
+_THREE_REG_BODY = """
+    {op} r8, r1, r2     ; INT_MIN op -1
+    {op} r9, r3, r4
+    {op} r10, r6, r3
+    {op} r11, r4, r5
+    {op} r12, r0, r3    ; r0 as a source
+    {op} r13, r3, r7
+    {op} r0, r3, r4     ; r0 as the destination: dropped
+    {op} r14, r2, r1
+    {op} r15, r6, r6
+    halt
+"""
+
+_BRANCH_BODY = """
+    {op} r3, r4, t1
+    addi r8, r8, 1
+t1: {op} r1, r2, t2
+    addi r9, r9, 1
+t2: {op} r0, r0, t3
+    addi r10, r10, 1
+t3: {op} r2, r0, t4
+    addi r11, r11, 1
+t4: {op} r6, r1, t5
+    addi r12, r12, 1
+t5: halt
+"""
+
+_OP_CASES = {
+    **{op: _THREE_REG_BODY.format(op=op)
+       for op in ("add", "sub", "mul", "div", "and", "or", "xor", "shl",
+                  "shr", "slt", "sltu", "seq")},
+    **{op: _BRANCH_BODY.format(op=op) for op in ("beq", "bne", "blt", "bge")},
+    "div_by_zero": "    nop\n    div r8, r3, r0\n    halt\n",
+    "div_by_zero_into_r0": "    div r0, r3, r0\n    halt\n",
+    "addi": """
+    addi r8, r6, 1      ; INT_MAX + 1 wraps
+    addi r9, r1, -1     ; INT_MIN - 1 wraps
+    addi r10, r0, 5
+    addi r0, r3, 5
+    addi r11, r4, 0
+    halt
+""",
+    "li": """
+    li r8, 5
+    li r9, -5
+    li r0, 9
+    li r10, 0x7fffffff
+    li r11, 0x80000000
+    halt
+""",
+    "mov": "    mov r8, r1\n    mov r9, r0\n    mov r0, r3\n"
+           "    mov r10, r4\n    halt\n",
+    "memory": """
+    sw r1, 100(r0)
+    sw r3, -1(r7)       ; address 31
+    sw r0, 101(r0)
+    sw r4, 102(r0)
+    lw r8, 100(r0)
+    lw r9, 70(r7)       ; address 102
+    lw r0, 31(r0)
+    lw r10, 31(r0)
+    swap r3, 100(r0)
+    swap r0, 31(r0)
+    swap r11, 102(r0)
+    halt
+""",
+    "jumps": """
+    jal f
+    addi r8, r8, 1
+    li r10, back
+    jr r10
+    addi r8, r8, 100
+back:
+    jmp end
+    addi r8, r8, 1000
+f:
+    mov r9, r14
+    ret
+end:
+    halt
+""",
+    "nop": "    nop\n    nop\n    halt\n",
+    "halt": "    halt\n    nop\n",
+    "ei_di": "    ei\n    di\n    ei\n    halt\n",
+    "iret_outside_isr": "    nop\n    iret\n    halt\n",
+    "irq": """
+    li r2, 0x8100
+    li r3, 40
+    sw r3, 1(r2)        ; timer period
+    li r3, 3
+    sw r3, 0(r2)        ; timer enable, auto-reload
+    ei
+    li r5, 0
+    li r6, 60
+spin:
+    addi r5, r5, 1
+    blt r5, r6, spin
+    di
+    li r5, 0
+masked:
+    addi r5, r5, 1
+    blt r5, r6, masked
+    ei
+    sw r0, 0(r2)        ; timer off
+    halt
+isr:
+    lw r9, 200(r0)
+    addi r9, r9, 1
+    sw r9, 200(r0)
+    li r4, 0x8103
+    sw r0, 0(r4)        ; ack timer status
+    li r4, 0x8402
+    li r3, 1
+    sw r3, 0(r4)        ; ack intc line 0
+    iret
+""",
+}
+
+# Recorded with the if-chain `Cpu._execute` that the op table replaced.
+_OP_DIGESTS = {
+    "add": "bbcee40019972c01",
+    "addi": "60180533b1679a24",
+    "and": "cab3fe933f6a36b5",
+    "beq": "37445c5210bc51d1",
+    "bge": "e1cbc5e32e20e056",
+    "blt": "e1d6abb75aed614a",
+    "bne": "cc97ca9bdbb47170",
+    "div": "10faeb2a3774b867",
+    "div_by_zero": "cdbf00a4e68df798",
+    "div_by_zero_into_r0": "8157a9167beadd67",
+    "ei_di": "097ea52256e6a6ef",
+    "halt": "c3ee1779f3849e48",
+    "iret_outside_isr": "f43a0c3e2ce8267b",
+    "irq": "f9a45acf894b98b7",
+    "jumps": "9700ccf238feed45",
+    "li": "43c0f7fa19645601",
+    "memory": "c07e798daf108449",
+    "mov": "e5aa0e2de6b5d044",
+    "mul": "d4314eced2538d98",
+    "nop": "ee9b9a1485504af1",
+    "or": "aecd246045599222",
+    "seq": "19028b058a51ebb1",
+    "shl": "bec2dc365f399941",
+    "shr": "b5262d8e077bd802",
+    "slt": "53d30d664c04a607",
+    "sltu": "7eb1b9971a034124",
+    "sub": "92f84de78a0a674d",
+    "xor": "498785f98a78cd93",
+}
+
+
+def _reference_end_state(name):
+    """Run one case on the reference backend and collect everything it
+    can observe: a per-instruction trace, the irq hook calls, the final
+    core state, RAM, kernel time and event count, and the fault text."""
+    program = assemble(_PRELUDE + _OP_CASES[name])
+    config = SoCConfig(n_cores=1, backend="reference",
+                       irq_vector=program.labels.get("isr"))
+    soc = SoC(config, {0: program})
+    core = soc.cores[0]
+    if name == "irq":
+        soc.intcs[0].add_source(0, soc.timers[0].irq)
+        soc.intcs[0].write(1, 1)
+    trace = []
+    core.add_post_instr_hook(lambda cpu, instr: trace.append(
+        [instr.op, cpu.pc, list(cpu.regs), cpu.interrupts_enabled,
+         cpu.in_isr]))
+    core.add_irq_hook(lambda cpu, kind: trace.append(
+        [kind, cpu.pc, cpu.epc, cpu.in_isr, cpu.cycle_count]))
+    error = None
+    try:
+        soc.run(max_events=20_000)
+    except RuntimeError as exc:
+        error = str(exc)
+    state = {
+        "trace": trace, "error": error, "pc": core.pc,
+        "regs": list(core.regs), "halted": core.halted,
+        "ie": core.interrupts_enabled, "in_isr": core.in_isr,
+        "epc": core.epc, "cycles": core.cycle_count,
+        "instrs": core.instr_count, "now": soc.sim.now,
+        "events": soc.sim.event_count,
+        "ram": {a: w for a, w in enumerate(soc.ram.words) if w}}
+    blob = json.dumps(state, sort_keys=True)
+    return state, hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+class TestReferenceSemanticsPinned:
+    """Every assembler op on the reference backend, digest-pinned against
+    the semantics the op table replaced (the oracle must not move)."""
+
+    @pytest.mark.parametrize("name", sorted(_OP_CASES))
+    def test_end_state_digest(self, name):
+        state, digest = _reference_end_state(name)
+        assert digest == _OP_DIGESTS[name], state
+
+    def test_cases_cover_every_assembler_op(self):
+        from repro.vp.isa import LOCAL_OPS, MEMORY_OPS, NO_ARG_OPS
+        covered = {instr.op for name in _OP_CASES
+                   for instr in assemble(_PRELUDE + _OP_CASES[name])
+                   .instructions}
+        assert covered == LOCAL_OPS | MEMORY_OPS | NO_ARG_OPS
+
+    def test_unknown_op_raises(self):
+        program = assemble("nop\nhalt\n")
+        program.instructions[1] = Instr("bogus")
+        soc = SoC(SoCConfig(n_cores=1, backend="reference"), {0: program})
+        with pytest.raises(RuntimeError) as info:
+            soc.run(max_events=100)
+        assert str(info.value) == "core0: unknown op 'bogus'"
+
+    def test_spot_values(self):
+        # Readable anchors for a few of the digests above.
+        div, _ = _reference_end_state("div")
+        assert div["regs"][8] == -2 ** 31          # INT_MIN / -1 wraps
+        assert div["regs"][0] == 0
+        shl, _ = _reference_end_state("shl")
+        assert shl["regs"][11] == -6               # -3 << (33 & 31)
+        assert shl["regs"][13] == 7                # 7 << (32 & 31)
+        sltu, _ = _reference_end_state("sltu")
+        assert sltu["regs"][9] == 1                # 7 <u 0xFFFFFFFD
+        zero, _ = _reference_end_state("div_by_zero")
+        assert zero["error"] == "core0: division by zero at pc=8"
+        halt, _ = _reference_end_state("halt")
+        assert halt["halted"] and halt["pc"] == 8  # halt retires past itself
+        irq, _ = _reference_end_state("irq")
+        assert irq["ram"][200] > 0
+        assert {entry[0] for entry in irq["trace"]} >= {"enter", "iret"}
+        bad, _ = _reference_end_state("iret_outside_isr")
+        assert bad["error"] == "core0: iret outside ISR"
