@@ -46,7 +46,8 @@ from repro.cir.typesys import ArrayType, PointerType, ScalarType, Type
 
 
 class InterpError(Exception):
-    """Raised on runtime errors: bad index, division by zero, step limit."""
+    """Raised on runtime errors: bad index, division by zero, step limit,
+    call stack overflow."""
 
 
 @dataclass
@@ -203,9 +204,17 @@ class Interpreter:
         )
 
     def call(self, name: str, args: List[Any]) -> Any:
-        """Invoke a mini-C function (or an external) with Python values."""
+        """Invoke a mini-C function (or an external) with Python values.
+
+        Recursion deeper than the host interpreter's stack surfaces as an
+        :class:`InterpError`, like every other runtime error."""
         if name in self.functions:
-            return self._function(name)(args)
+            try:
+                return self._function(name)(args)
+            except RecursionError:
+                raise InterpError(
+                    f"call stack overflow: recursion too deep (entered "
+                    f"via {name!r})") from None
         if name in self.externals:
             return self.externals[name](*args)
         if name in _INTRINSICS:

@@ -226,7 +226,13 @@ class Simulator:
         observer that overrides :class:`SimObserver`'s no-op.  The lists
         are replaced, never mutated, so a hook that adds or removes an
         observer does not disturb the loop calling it; the change
-        applies from the next hook site on."""
+        applies from the next hook site on.
+
+        Also refreshes :attr:`has_observers`: True when any observer is
+        installed, whichever hooks it overrides.  The ISS polls it (a
+        plain attribute, read per instruction): observers must see the
+        per-instruction event stream, so batching is disabled while any
+        are attached."""
         def overriding(name: str) -> List[Callable[..., None]]:
             default = getattr(SimObserver, name)
             hooks = (getattr(observer, name) for observer in self._observers)
@@ -238,14 +244,7 @@ class Simulator:
         self._on_process_resume = overriding("on_process_resume")
         self._on_process_yield = overriding("on_process_yield")
         self._on_process_finish = overriding("on_process_finish")
-
-    @property
-    def has_observers(self) -> bool:
-        """True when any observer is installed, whichever hooks it
-        overrides.  The ISS fast path polls this: observers must see the
-        per-instruction event stream, so batching is disabled while any
-        are attached."""
-        return bool(self._observers)
+        self.has_observers = bool(self._observers)
 
     # ------------------------------------------------------------------
     # scheduling primitives

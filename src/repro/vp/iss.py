@@ -28,7 +28,11 @@ Backend tiers (``Cpu(backend=...)`` / ``SoCConfig.backend``):
 
 - ``"reference"`` -- one instruction, one kernel event, executed by
   :meth:`Cpu._execute`: the independent oracle every other tier is
-  checked against;
+  checked against.  It dispatches through the module's op table
+  (``_OPS``): one handler per assembler op, each reading its operands,
+  writing ``rd`` and setting ``pc`` itself, so an instruction costs one
+  dict lookup and one call.  The table's keys are exactly the
+  assembler's ops, and it shares nothing with :mod:`repro.vp.jit`;
 - ``"compiled"`` (the default) -- chains of superblock-compiled batches
   (:func:`repro.vp.lanes.run_superblock_chain`);
 - ``"vector"`` -- lane-lockstep batches for cores sharing one program
@@ -82,11 +86,8 @@ BACKENDS = ("reference", "compiled", "vector")
 DEFAULT_BACKEND = "compiled"
 
 _MASK32 = 0xFFFFFFFF
-
-# The reference path yields one shared, frozen Delay per op cost instead
-# of allocating one per retired instruction.
-_OP_DELAYS = {op: Delay(cycles) for op, cycles in CYCLES.items()}
-_DEFAULT_DELAY = Delay(DEFAULT_CYCLES)
+_INT_MIN = -0x8000_0000
+_INT_MAX = 0x7FFF_FFFF
 
 # Register-file invariant: every register always holds the *canonical*
 # signed 32-bit image of its value (-2**31 .. 2**31-1).  Every writer
@@ -97,22 +98,291 @@ _DEFAULT_DELAY = Delay(DEFAULT_CYCLES)
 # The compiled backend (repro.vp.jit) relies on the same invariant.
 
 
-def _unsigned_lt(a: int, b: int) -> int:
-    """``sltu``: compare the 32-bit two's-complement images."""
-    return 1 if (a & _MASK32) < (b & _MASK32) else 0
+# ---------------------------------------------------------------------------
+# the reference semantics: one handler per op
+# ---------------------------------------------------------------------------
+#
+# ``handler(cpu, args)`` retires one instruction: it reads its operands
+# (r0 reads as 0), writes ``rd`` (writes to r0 are dropped; pure ops skip
+# the work) and sets ``cpu.pc`` last, so a faulting instruction leaves pc
+# on itself.  Additive results take the in-range fast path and wrap only
+# when they leave the word.
+
+def _add(cpu: "Cpu", args) -> None:
+    rd, ra, rb = args
+    if rd:
+        regs = cpu.regs
+        value = (regs[ra] if ra else 0) + (regs[rb] if rb else 0)
+        regs[rd] = (value if _INT_MIN <= value <= _INT_MAX
+                    else _to_signed32(value))
+    cpu.pc += 1
 
 
-def _shl32(a: int, b: int) -> int:
-    """``shl``: 32-bit logical left shift.  The result wraps to a signed
-    32-bit word and the shift amount uses the low 5 bits, as on real
-    32-bit RISC hardware (and as compiled C firmware observes)."""
-    return _to_signed32((a & _MASK32) << (b & 31))
+def _sub(cpu: "Cpu", args) -> None:
+    rd, ra, rb = args
+    if rd:
+        regs = cpu.regs
+        value = (regs[ra] if ra else 0) - (regs[rb] if rb else 0)
+        regs[rd] = (value if _INT_MIN <= value <= _INT_MAX
+                    else _to_signed32(value))
+    cpu.pc += 1
 
 
-def _shr32(a: int, b: int) -> int:
-    """``shr``: 32-bit arithmetic right shift (sign-extending), shift
-    amount masked to the low 5 bits."""
-    return _to_signed32(a) >> (b & 31)
+def _mul(cpu: "Cpu", args) -> None:
+    rd, ra, rb = args
+    if rd:
+        regs = cpu.regs
+        regs[rd] = _to_signed32((regs[ra] if ra else 0)
+                                * (regs[rb] if rb else 0))
+    cpu.pc += 1
+
+
+def _div(cpu: "Cpu", args) -> None:
+    rd, ra, rb = args
+    regs = cpu.regs
+    divisor = regs[rb] if rb else 0
+    if divisor == 0:  # faults even when rd is r0
+        raise RuntimeError(f"{cpu.name}: division by zero at pc={cpu.pc}")
+    if rd:
+        regs[rd] = _div32(regs[ra] if ra else 0, divisor)
+    cpu.pc += 1
+
+
+def _and(cpu: "Cpu", args) -> None:
+    rd, ra, rb = args
+    if rd:
+        regs = cpu.regs
+        regs[rd] = (regs[ra] if ra else 0) & (regs[rb] if rb else 0)
+    cpu.pc += 1
+
+
+def _or(cpu: "Cpu", args) -> None:
+    rd, ra, rb = args
+    if rd:
+        regs = cpu.regs
+        regs[rd] = (regs[ra] if ra else 0) | (regs[rb] if rb else 0)
+    cpu.pc += 1
+
+
+def _xor(cpu: "Cpu", args) -> None:
+    rd, ra, rb = args
+    if rd:
+        regs = cpu.regs
+        regs[rd] = (regs[ra] if ra else 0) ^ (regs[rb] if rb else 0)
+    cpu.pc += 1
+
+
+def _shl(cpu: "Cpu", args) -> None:
+    """32-bit logical left shift: the result wraps to a signed 32-bit
+    word and the shift amount uses the low 5 bits, as on real 32-bit
+    RISC hardware (and as compiled C firmware observes)."""
+    rd, ra, rb = args
+    if rd:
+        regs = cpu.regs
+        regs[rd] = _to_signed32(((regs[ra] if ra else 0) & _MASK32)
+                                << ((regs[rb] if rb else 0) & 31))
+    cpu.pc += 1
+
+
+def _shr(cpu: "Cpu", args) -> None:
+    """32-bit arithmetic right shift (sign-extending), shift amount
+    masked to the low 5 bits."""
+    rd, ra, rb = args
+    if rd:
+        regs = cpu.regs
+        regs[rd] = (_to_signed32(regs[ra] if ra else 0)
+                    >> ((regs[rb] if rb else 0) & 31))
+    cpu.pc += 1
+
+
+def _slt(cpu: "Cpu", args) -> None:
+    rd, ra, rb = args
+    if rd:
+        regs = cpu.regs
+        left = regs[ra] if ra else 0
+        regs[rd] = 1 if left < (regs[rb] if rb else 0) else 0
+    cpu.pc += 1
+
+
+def _sltu(cpu: "Cpu", args) -> None:
+    """Unsigned compare of the 32-bit two's-complement images."""
+    rd, ra, rb = args
+    if rd:
+        regs = cpu.regs
+        regs[rd] = 1 if (((regs[ra] if ra else 0) & _MASK32)
+                         < ((regs[rb] if rb else 0) & _MASK32)) else 0
+    cpu.pc += 1
+
+
+def _seq(cpu: "Cpu", args) -> None:
+    rd, ra, rb = args
+    if rd:
+        regs = cpu.regs
+        left = regs[ra] if ra else 0
+        regs[rd] = 1 if left == (regs[rb] if rb else 0) else 0
+    cpu.pc += 1
+
+
+def _addi(cpu: "Cpu", args) -> None:
+    rd, ra, imm = args
+    if rd:
+        regs = cpu.regs
+        value = (regs[ra] if ra else 0) + imm
+        regs[rd] = (value if _INT_MIN <= value <= _INT_MAX
+                    else _to_signed32(value))
+    cpu.pc += 1
+
+
+def _li(cpu: "Cpu", args) -> None:
+    rd, imm = args
+    if rd:
+        cpu.regs[rd] = _to_signed32(imm)
+    cpu.pc += 1
+
+
+def _mov(cpu: "Cpu", args) -> None:
+    rd, ra = args
+    if rd:
+        regs = cpu.regs
+        regs[rd] = regs[ra] if ra else 0
+    cpu.pc += 1
+
+
+def _lw(cpu: "Cpu", args) -> None:
+    rd, imm, base = args
+    regs = cpu.regs
+    value = _to_signed32(cpu.bus.read((regs[base] if base else 0) + imm,
+                                      master=cpu.name))
+    if rd:
+        regs[rd] = value
+    cpu.pc += 1
+
+
+def _sw(cpu: "Cpu", args) -> None:
+    rs, imm, base = args
+    regs = cpu.regs
+    cpu.bus.write((regs[base] if base else 0) + imm,
+                  regs[rs] if rs else 0, master=cpu.name)
+    cpu.pc += 1
+
+
+def _swap(cpu: "Cpu", args) -> None:
+    """Atomic exchange: the old word lands in ``rd`` after ``rd``'s value
+    is stored."""
+    rd, imm, base = args
+    regs = cpu.regs
+    bus = cpu.bus
+    address = (regs[base] if base else 0) + imm
+    old = _to_signed32(bus.read(address, master=cpu.name))
+    bus.write(address, regs[rd] if rd else 0, master=cpu.name)
+    if rd:
+        regs[rd] = old
+    cpu.pc += 1
+
+
+def _beq(cpu: "Cpu", args) -> None:
+    ra, rb, target = args
+    regs = cpu.regs
+    if (regs[ra] if ra else 0) == (regs[rb] if rb else 0):
+        cpu.pc = target
+    else:
+        cpu.pc += 1
+
+
+def _bne(cpu: "Cpu", args) -> None:
+    ra, rb, target = args
+    regs = cpu.regs
+    if (regs[ra] if ra else 0) != (regs[rb] if rb else 0):
+        cpu.pc = target
+    else:
+        cpu.pc += 1
+
+
+def _blt(cpu: "Cpu", args) -> None:
+    ra, rb, target = args
+    regs = cpu.regs
+    if (regs[ra] if ra else 0) < (regs[rb] if rb else 0):
+        cpu.pc = target
+    else:
+        cpu.pc += 1
+
+
+def _bge(cpu: "Cpu", args) -> None:
+    ra, rb, target = args
+    regs = cpu.regs
+    if (regs[ra] if ra else 0) >= (regs[rb] if rb else 0):
+        cpu.pc = target
+    else:
+        cpu.pc += 1
+
+
+def _jmp(cpu: "Cpu", args) -> None:
+    cpu.pc = args[0]
+
+
+def _jal(cpu: "Cpu", args) -> None:
+    cpu.regs[LINK_REGISTER] = cpu.pc + 1
+    cpu.pc = args[0]
+
+
+def _jr(cpu: "Cpu", args) -> None:
+    ra = args[0]
+    cpu.pc = cpu.regs[ra] if ra else 0
+
+
+def _ret(cpu: "Cpu", args) -> None:
+    cpu.pc = cpu.regs[LINK_REGISTER]
+
+
+def _nop(cpu: "Cpu", args) -> None:
+    cpu.pc += 1
+
+
+def _halt(cpu: "Cpu", args) -> None:
+    cpu.halted = True
+    cpu.pc += 1
+
+
+def _ei(cpu: "Cpu", args) -> None:
+    cpu.interrupts_enabled = True
+    cpu.pc += 1
+
+
+def _di(cpu: "Cpu", args) -> None:
+    cpu.interrupts_enabled = False
+    cpu.pc += 1
+
+
+def _iret(cpu: "Cpu", args) -> None:
+    """Return from interrupt.  The ``"iret"`` hooks run before pc moves
+    to ``epc`` (they still see the iret's pc)."""
+    if not cpu.in_isr:
+        raise RuntimeError(f"{cpu.name}: iret outside ISR")
+    cpu.regs = list(cpu.saved_regs)
+    epc = cpu.epc
+    cpu.in_isr = False
+    if cpu._irq_hooks:
+        for hook in list(cpu._irq_hooks):
+            hook(cpu, "iret")
+    cpu.pc = epc
+
+
+# The op table: the reference semantics of every assembler op.
+_OPS = {
+    "add": _add, "sub": _sub, "mul": _mul, "div": _div,
+    "and": _and, "or": _or, "xor": _xor, "shl": _shl, "shr": _shr,
+    "slt": _slt, "sltu": _sltu, "seq": _seq,
+    "addi": _addi, "li": _li, "mov": _mov,
+    "lw": _lw, "sw": _sw, "swap": _swap,
+    "beq": _beq, "bne": _bne, "blt": _blt, "bge": _bge,
+    "jmp": _jmp, "jal": _jal, "jr": _jr, "ret": _ret,
+    "nop": _nop, "halt": _halt, "ei": _ei, "di": _di, "iret": _iret,
+}
+
+# The reference path yields one shared, frozen Delay per op cost instead
+# of allocating one per retired instruction.
+_OP_DELAYS = {op: Delay(cycles) for op, cycles in CYCLES.items()}
+_DEFAULT_DELAY = Delay(DEFAULT_CYCLES)
 
 
 @dataclass
@@ -355,20 +625,14 @@ class Cpu:
                          self.interrupts_enabled, self.in_isr,
                          self.cycle_count, self.instr_count)
 
-    def _read_reg(self, index: int) -> int:
-        return 0 if index == 0 else self.regs[index]
-
-    def _write_reg(self, index: int, value: int) -> None:
-        if index != 0:
-            self.regs[index] = int(value)
-
     # ------------------------------------------------------------------
     def _must_sync(self) -> bool:
         """The dynamic sync-boundary rule (module docstring): True while
         an observable interaction pins this core to the per-instruction
         reference path.  Read only where a batch could start (after the
-        ``batchable`` lookup), never once per reference-path
-        instruction."""
+        ``batchable`` lookup), so a core that observers pin to the
+        reference path pays one call per batchable instruction; keep it
+        cheap (``Simulator.has_observers`` is a plain attribute)."""
         return not (self._sync_requests == 0
                     and not self.sim.has_observers
                     and not self._post_instr_hooks
@@ -404,7 +668,8 @@ class Cpu:
                     for hook in list(self._irq_hooks):
                         hook(self, "enter")
             program = self.program
-            n = len(program.instructions)
+            instructions = program.instructions
+            n = len(instructions)
             if not 0 <= self.pc < n:
                 raise RuntimeError(
                     f"{self.name}: pc {self.pc} outside program "
@@ -413,7 +678,7 @@ class Cpu:
                 # The parked instruction's Delay elapsed before the
                 # checkpoint (the DmaDevice._transfer(resume=True) idiom).
                 resume = False
-                instr = program.instructions[self.pc]
+                instr = instructions[self.pc]
                 cycles = CYCLES.get(instr.op, DEFAULT_CYCLES)
             else:
                 if self.stall_hook is not None:
@@ -423,7 +688,11 @@ class Cpu:
                         yield Delay(stall)
                 elif self.quantum > 1 and self.backend != "reference":
                     decoded = self._decoded
-                    if decoded is None or not decoded.matches(program):
+                    # DecodedProgram.matches, inlined: this check runs
+                    # once per instruction on the reference arm too.
+                    if (decoded is None
+                            or decoded._source_list is not instructions
+                            or decoded.n != n):
                         decoded = self._decoded = decode_program(program)
                     # Batching eligibility: no observable interaction may
                     # fall inside a batch (module docstring).
@@ -516,101 +785,14 @@ class Cpu:
 
     # ------------------------------------------------------------------
     def _execute(self, instr: Instr) -> None:
-        op = instr.op
-        args = instr.args
-        next_pc = self.pc + 1
-        if op in ("add", "sub", "mul", "div", "and", "or", "xor",
-                  "shl", "shr", "slt", "sltu", "seq"):
-            rd, ra, rb = args
-            a, b = self._read_reg(ra), self._read_reg(rb)
-            if op == "add":
-                value = _to_signed32(a + b)
-            elif op == "sub":
-                value = _to_signed32(a - b)
-            elif op == "mul":
-                value = _to_signed32(a * b)
-            elif op == "div":
-                if b == 0:
-                    raise RuntimeError(f"{self.name}: division by zero "
-                                       f"at pc={self.pc}")
-                value = _div32(a, b)
-            elif op == "and":
-                value = a & b
-            elif op == "or":
-                value = a | b
-            elif op == "xor":
-                value = a ^ b
-            elif op == "shl":
-                value = _shl32(a, b)
-            elif op == "shr":
-                value = _shr32(a, b)
-            elif op == "slt":
-                value = 1 if a < b else 0
-            elif op == "sltu":
-                value = _unsigned_lt(a, b)
-            else:  # seq
-                value = 1 if a == b else 0
-            self._write_reg(rd, value)
-        elif op == "addi":
-            rd, ra, imm = args
-            self._write_reg(rd, _to_signed32(self._read_reg(ra) + imm))
-        elif op == "li":
-            rd, imm = args
-            self._write_reg(rd, _to_signed32(imm))
-        elif op == "mov":
-            rd, ra = args
-            self._write_reg(rd, self._read_reg(ra))
-        elif op == "lw":
-            rd, imm, base = args
-            address = self._read_reg(base) + imm
-            self._write_reg(rd, _to_signed32(
-                self.bus.read(address, master=self.name)))
-        elif op == "sw":
-            rs, imm, base = args
-            address = self._read_reg(base) + imm
-            self.bus.write(address, self._read_reg(rs), master=self.name)
-        elif op == "swap":
-            rd, imm, base = args
-            address = self._read_reg(base) + imm
-            old = self.bus.read(address, master=self.name)
-            self.bus.write(address, self._read_reg(rd), master=self.name)
-            self._write_reg(rd, _to_signed32(old))
-        elif op in ("beq", "bne", "blt", "bge"):
-            ra, rb, target = args
-            a, b = self._read_reg(ra), self._read_reg(rb)
-            taken = {"beq": a == b, "bne": a != b,
-                     "blt": a < b, "bge": a >= b}[op]
-            if taken:
-                next_pc = target
-        elif op == "jmp":
-            next_pc = args[0]
-        elif op == "jal":
-            self._write_reg(LINK_REGISTER, self.pc + 1)
-            next_pc = args[0]
-        elif op == "jr":
-            next_pc = self._read_reg(args[0])
-        elif op == "ret":
-            next_pc = self._read_reg(LINK_REGISTER)
-        elif op == "nop":
-            pass
-        elif op == "halt":
-            self.halted = True
-        elif op == "ei":
-            self.interrupts_enabled = True
-        elif op == "di":
-            self.interrupts_enabled = False
-        elif op == "iret":
-            if not self.in_isr:
-                raise RuntimeError(f"{self.name}: iret outside ISR")
-            self.regs = list(self.saved_regs)
-            next_pc = self.epc
-            self.in_isr = False
-            if self._irq_hooks:
-                for hook in list(self._irq_hooks):
-                    hook(self, "iret")
-        else:
-            raise RuntimeError(f"{self.name}: unknown op {op!r}")
-        self.pc = next_pc
+        """Retire ``instr`` by the reference semantics: one op-table
+        dispatch, the oracle's single entry point."""
+        try:
+            handler = _OPS[instr.op]
+        except KeyError:
+            raise RuntimeError(
+                f"{self.name}: unknown op {instr.op!r}") from None
+        handler(self, instr.args)
 
 
 __all__ = ["BACKENDS", "CoreState", "Cpu", "DEFAULT_BACKEND",

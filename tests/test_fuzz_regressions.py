@@ -194,3 +194,20 @@ def test_regression_irq_scenarios_from_dev_campaign():
         assert all(leg["halted"]), f"seed {seed} no longer terminates"
         report = compare_scenario(scenario)
         assert not report["diverged"], (seed, report["mismatches"])
+
+
+# Mini-C robustness find, shrunk: unbounded recursion overflowed the host
+# Python stack and escaped as RecursionError instead of the documented
+# InterpError.
+PINNED_DEEP_RECURSION = "int f() { return f(); }\nint main() { return f(); }\n"
+
+
+def test_regression_deep_recursion_raises_interp_error():
+    from repro.cir import InterpError, Interpreter, parse
+    interp = Interpreter(parse(PINNED_DEEP_RECURSION))
+    with pytest.raises(InterpError, match="recursion too deep"):
+        interp.run()
+    # Shallow recursion is unaffected.
+    program = parse("int f(int n) { if (n == 0) return 0; "
+                    "return f(n - 1) + 1; }\nint main() { return f(50); }\n")
+    assert Interpreter(program).run().return_value == 50

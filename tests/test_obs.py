@@ -550,6 +550,33 @@ class TestObserverDispatch:
         sim.remove_observer(observer)
         assert not sim.has_observers
 
+    def test_has_observers_tracks_add_remove_and_remove_in_hook(self):
+        # A plain bool the ISS reads per instruction: it must follow every
+        # add and remove at once, including a removal from inside a hook.
+        sim = Simulator()
+        assert sim.has_observers is False
+        bare = sim.add_observer(SimObserver())
+        assert sim.has_observers is True
+        finish_only = sim.add_observer(_FinishOnly())
+        sim.remove_observer(bare)
+        assert sim.has_observers is True
+        sim.remove_observer(finish_only)
+        assert sim.has_observers is False
+
+        seen = []
+
+        class SelfRemoving(SimObserver):
+            def on_execute(self, sim, item):
+                sim.remove_observer(self)
+                seen.append(sim.has_observers)
+
+        sim.add_observer(SelfRemoving())
+        assert sim.has_observers is True
+        _three_workers(sim)
+        sim.run()
+        assert seen == [False]
+        assert sim.has_observers is False
+
     def test_observer_added_mid_run_starts_receiving(self):
         sim = Simulator()
         recorder = _Recorder()

@@ -638,6 +638,12 @@ class TestReferenceSemanticsPinned:
                    .instructions}
         assert covered == LOCAL_OPS | MEMORY_OPS | NO_ARG_OPS
 
+    def test_op_table_covers_exactly_the_assembler_ops(self):
+        # A new op cannot assemble without reference semantics.
+        from repro.vp.iss import _OPS
+        from repro.vp.isa import LOCAL_OPS, MEMORY_OPS, NO_ARG_OPS
+        assert set(_OPS) == LOCAL_OPS | MEMORY_OPS | NO_ARG_OPS
+
     def test_unknown_op_raises(self):
         program = assemble("nop\nhalt\n")
         program.instructions[1] = Instr("bogus")
