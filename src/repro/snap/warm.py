@@ -64,33 +64,4 @@ def cold_run_job(config: Dict[str, Any], seed: int) -> Dict[str, Any]:
     return _summary(soc)
 
 
-def run_warm_campaign(snapshot: Any, seeds: Any, *,
-                      poke: Any = None, until: Any = None,
-                      wiring: Any = None, executor: Any = None,
-                      name: str = "warm-sweep", **farm: Any) -> Any:
-    """Sweep ``seeds`` through :func:`warm_run_job` from one snapshot.
-
-    The snapshot (object or dict) is embedded in every job config;
-    execution policy comes from ``executor=`` and/or the uniform farm
-    keywords (``jobs=``, ``backend=``, ``cache=``, ``timeout=``, ...).
-    Returns the :class:`repro.farm.CampaignResult` (failures raised).
-    """
-    from repro.farm.engine import Campaign, resolve_executor
-    if isinstance(snapshot, Snapshot):
-        snapshot = snapshot.to_dict()
-    config: Dict[str, Any] = {"snapshot": snapshot}
-    if poke is not None:
-        config["poke"] = poke
-    if until is not None:
-        config["until"] = until
-    if wiring is not None:
-        config["wiring"] = wiring
-    campaign = Campaign.build(name,
-                              executor=resolve_executor(executor, **farm))
-    for seed in seeds:
-        campaign.add(warm_run_job, config=config, seed=seed,
-                     name=f"{name}[seed={seed}]")
-    return campaign.run().raise_on_failure()
-
-
-__all__ = ["cold_run_job", "run_warm_campaign", "warm_run_job"]
+__all__ = ["cold_run_job", "warm_run_job"]

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.desim import Signal
+from repro.desim import Event
 from repro.vp.iss import CoreState
 from repro.vp.soc import SoC
 
@@ -81,7 +81,8 @@ class Debugger:
         self._pending: List[StopReason] = []
         self.stops: List[StopReason] = []
         self.soc.bus.observe(self._on_bus_access)
-        self._signal_hooks: List[Tuple[Signal, Callable]] = []
+        # (event, callback) per signal watchpoint, unsubscribed on detach.
+        self._signal_hooks: List[Tuple[Event, Callable]] = []
         # Fault injector driving this platform (if any): its pending
         # faults and RNG streams ride along in time-travel checkpoints.
         self._injector = injector
@@ -106,11 +107,15 @@ class Debugger:
 
     def detach(self) -> None:
         """Release the debugger's hold on the platform: stop observing the
-        bus and let cores resume temporally-decoupled execution."""
+        bus and signals and let cores resume temporally-decoupled
+        execution."""
         if not self._attached:
             return
         self._attached = False
         self.soc.bus.unobserve(self._on_bus_access)
+        for event, callback in self._signal_hooks:
+            event.unsubscribe(callback)
+        self._signal_hooks.clear()
         self.soc.release_sync()
 
     # ------------------------------------------------------------------
@@ -137,6 +142,10 @@ class Debugger:
                               edge: str = "change") -> Watchpoint:
         """Watch a platform signal ('change' | 'posedge' | 'negedge')."""
         signal = self.soc.signal(signal_name)
+        edges = {"change": signal.changed, "posedge": signal.posedge,
+                 "negedge": signal.negedge}
+        if edge not in edges:
+            raise ValueError(f"bad signal watchpoint edge {edge!r}")
         wp = Watchpoint("signal", signal_name=signal_name)
         self.watchpoints.append(wp)
 
@@ -150,10 +159,9 @@ class Debugger:
                 "watchpoint", f"signal {signal_name} {edge}",
                 watchpoint=wp, time=self.soc.sim.now))
 
-        event = {"change": signal.changed, "posedge": signal.posedge,
-                 "negedge": signal.negedge}[edge]
+        event = edges[edge]
         event.subscribe(on_event)
-        self._signal_hooks.append((signal, on_event))
+        self._signal_hooks.append((event, on_event))
         return wp
 
     def _on_bus_access(self, kind: str, address: int, value: int,

@@ -109,12 +109,20 @@ class Instr:
 
 @dataclass
 class AsmProgram:
-    """Assembled program: instruction memory plus initialized data words."""
+    """Assembled program: instruction memory plus initialized data words.
 
-    instructions: List[Instr] = field(default_factory=list)
+    ``instructions`` is an immutable tuple: firmware cannot write its own
+    instruction memory, so a core executes exactly the program it was
+    built with (:func:`repro.vp.iss.decode_program` decodes it once).
+    """
+
+    instructions: Tuple[Instr, ...] = ()
     labels: Dict[str, int] = field(default_factory=dict)
     data: Dict[int, int] = field(default_factory=dict)  # address -> word
     source: str = ""
+
+    def __post_init__(self) -> None:
+        self.instructions = tuple(self.instructions)
 
     def label(self, name: str) -> int:
         if name not in self.labels:
@@ -218,9 +226,9 @@ def assemble(source: str) -> AsmProgram:
         operands = [t.strip() for t in rest.split(",")] if rest else []
         pending.append((op, operands, line_no, raw))
 
-    for op, operands, line_no, raw in pending:
-        program.instructions.append(
-            _encode(op, operands, line_no, raw, program))
+    program.instructions = tuple(
+        _encode(op, operands, line_no, raw, program)
+        for op, operands, line_no, raw in pending)
     return program
 
 

@@ -20,9 +20,10 @@ runs of ALU/branch instructions that touch nothing outside the register
 file (:data:`repro.vp.isa.LOCAL_OPS`) -- into a single kernel wakeup,
 bounded by a configurable time ``quantum``.  Each :class:`AsmProgram` is
 decoded once into a per-pc ``batchable`` table plus lazily compiled
-superblocks (:mod:`repro.vp.jit`; the *decode cache*, invalidated when
-the program object or its length changes; call :func:`invalidate_decode`
-after editing instructions in place).
+superblocks (:mod:`repro.vp.jit`; the *decode cache*, shared by every
+core running the program).  Programs are immutable, so a core takes
+its decode once, at construction, and executes the program it was
+built with.
 
 Backend tiers (``Cpu(backend=...)`` / ``SoCConfig.backend``):
 
@@ -404,30 +405,24 @@ class CoreState:
 # ---------------------------------------------------------------------------
 
 class DecodedProgram:
-    """Dispatch-ready decode of one :class:`AsmProgram`.
+    """Dispatch-ready decode of one :class:`AsmProgram`'s immutable
+    instruction tuple (``instrs``).
 
     A per-pc ``batchable`` table (no observable interaction) plus the
     lazily built superblock caches of the compiled and vector tiers
-    (:mod:`repro.vp.jit`), which hang off the same object, so one decode
-    invalidation drops every tier.
+    (:mod:`repro.vp.jit`), which hang off the same object.  Built once
+    per program and never revalidated: the instructions cannot change.
     """
 
-    __slots__ = ("n", "batchable", "_source_list", "_superblocks",
-                 "_laneblocks")
+    __slots__ = ("instrs", "n", "batchable", "_superblocks", "_laneblocks")
 
     def __init__(self, program: AsmProgram) -> None:
         instrs = program.instructions
-        self._source_list = instrs
+        self.instrs = instrs
         self.n = len(instrs)
         self.batchable = [instr.op in LOCAL_OPS for instr in instrs]
         self._superblocks = None
         self._laneblocks = None
-
-    def matches(self, program: AsmProgram) -> bool:
-        """Cheap identity check: same instruction list, same length.
-        In-place edits that keep the length need :func:`invalidate_decode`."""
-        return (program.instructions is self._source_list
-                and len(program.instructions) == self.n)
 
     def superblocks(self) -> jit.SuperBlockCache:
         """The lazily built superblock cache for the compiled backend.
@@ -435,13 +430,12 @@ class DecodedProgram:
         Salted with :data:`repro.vp.jit.JIT_SALT` (a digest of the
         compiler source, the farm's code-version-salt idiom): editing
         the block compiler invalidates every cache built by the old
-        version, exactly like an in-place program edit invalidates the
-        decode itself.
+        version.
         """
         cache = self._superblocks
         if cache is None or cache.salt != jit.JIT_SALT:
             cache = self._superblocks = jit.SuperBlockCache(
-                self._source_list, self.batchable)
+                self.instrs, self.batchable)
         return cache
 
     def lane_superblocks(self) -> jit.LaneBlockCache:
@@ -450,7 +444,7 @@ class DecodedProgram:
         cache = self._laneblocks
         if cache is None or cache.salt != jit.JIT_SALT:
             cache = self._laneblocks = jit.LaneBlockCache(
-                self._source_list, self.batchable)
+                self.instrs, self.batchable)
         return cache
 
 
@@ -459,35 +453,13 @@ def decode_program(program: AsmProgram) -> DecodedProgram:
 
     The cache lives on the program object itself, so it is shared by
     every core running the same :class:`AsmProgram` and dies with it.
+    Each :class:`Cpu` calls this once, at construction.
     """
     cached = getattr(program, "_iss_decoded", None)
-    if cached is not None and cached.matches(program):
+    if cached is not None and cached.instrs is program.instructions:
         return cached
-    decoded = DecodedProgram(program)
-    program._iss_decoded = decoded
+    decoded = program._iss_decoded = DecodedProgram(program)
     return decoded
-
-
-def invalidate_decode(program: AsmProgram) -> None:
-    """Drop the cached decode (required after in-place instruction edits
-    that keep ``len(program.instructions)`` unchanged).
-
-    The stale decode is *poisoned*, not merely unlinked: cores cache a
-    reference in ``Cpu._decoded`` and revalidate it with
-    :meth:`DecodedProgram.matches`, which compares against the live
-    instruction list -- an in-place edit keeps that list identical, so
-    an unlinked-but-unpoisoned decode would keep matching and the core
-    would keep executing stale compiled superblocks (scalar and lane
-    caches both hang off the decode).  Clearing
-    ``_source_list`` makes every future ``matches()`` fail, forcing a
-    re-decode, and drops both compiled-tier caches with it.
-    """
-    decoded = getattr(program, "_iss_decoded", None)
-    if decoded is not None:
-        decoded._source_list = None
-        decoded._superblocks = None
-        decoded._laneblocks = None
-        program._iss_decoded = None
 
 
 # ---------------------------------------------------------------------------
@@ -559,14 +531,15 @@ class Cpu:
         # Outstanding synchronization requests: while > 0 the core runs
         # per-instruction regardless of `quantum` (debugger contract).
         self._sync_requests = 0
-        self._decoded: Optional[DecodedProgram] = None
+        # The decode this core executes for its whole life.
+        self._decoded = decode_program(program)
         # Lane-lockstep state (backend "vector"): the SoC wires cores
         # sharing one program into a repro.vp.lanes.LaneGroup, which
         # assigns _lane_group/_lane_id.  _lane_pending holds a batch a
         # group leader speculatively retired for this lane, consumed --
-        # after revalidation -- at the next wake-up.  Cores without a
-        # group (heterogeneous programs, n_cores=1) degrade to the
-        # compiled tier.
+        # unless a sync boundary appeared since -- at the next wake-up.
+        # Cores without a group (heterogeneous programs, n_cores=1)
+        # degrade to the compiled tier.
         self._lane_group = None
         self._lane_id = -1
         self._lane_pending = None
@@ -650,6 +623,12 @@ class Cpu:
         and retires the instruction at ``pc`` without yielding first.
         """
         lane_group = self._lane_group
+        decoded = self._decoded
+        instructions = decoded.instrs
+        batchable = decoded.batchable
+        n = decoded.n
+        quantum = self.quantum
+        batching = quantum > 1 and self.backend != "reference"
         while not self.halted:
             if lane_group is not None:
                 # Any non-vector iteration invalidates the parked claim --
@@ -667,9 +646,6 @@ class Cpu:
                 if self._irq_hooks:
                     for hook in list(self._irq_hooks):
                         hook(self, "enter")
-            program = self.program
-            instructions = program.instructions
-            n = len(instructions)
             if not 0 <= self.pc < n:
                 raise RuntimeError(
                     f"{self.name}: pc {self.pc} outside program "
@@ -686,18 +662,11 @@ class Cpu:
                     if stall > 0:
                         self._wait_state = "stall"
                         yield Delay(stall)
-                elif self.quantum > 1 and self.backend != "reference":
-                    decoded = self._decoded
-                    # DecodedProgram.matches, inlined: this check runs
-                    # once per instruction on the reference arm too.
-                    if (decoded is None
-                            or decoded._source_list is not instructions
-                            or decoded.n != n):
-                        decoded = self._decoded = decode_program(program)
+                elif batching:
                     # Batching eligibility: no observable interaction may
                     # fall inside a batch (module docstring).
-                    if decoded.batchable[self.pc] and not self._must_sync():
-                        if lane_group is not None and self.backend == "vector":
+                    if batchable[self.pc] and not self._must_sync():
+                        if lane_group is not None:
                             # Lane-lockstep tier: one group step retires
                             # this batch for every convergent lane (twins
                             # by state copy, distinct lanes through the
@@ -706,7 +675,7 @@ class Cpu:
                             # next common pc.  The early pc commit (before
                             # the delay) publishes the parked state a
                             # later-waking leader reads.
-                            batch = lane_group.step(self, decoded)
+                            batch = lane_group.step(self)
                             while batch is not None:
                                 self.pc = batch.pc
                                 lane_group.park(self)
@@ -725,16 +694,13 @@ class Cpu:
                                         f"{self.name}: {batch.fault}")
                                 # A leader may have retired this lane's
                                 # next batch from its parked state while
-                                # it slept: consume it unless something
-                                # diverged since, in which case restore the
-                                # pre-batch registers and re-execute it.
+                                # it slept: consume it unless a sync
+                                # boundary appeared since, in which case
+                                # restore the pre-batch registers and
+                                # re-execute it.
                                 batch = self._lane_pending
                                 self._lane_pending = None
-                                if batch is not None and not (
-                                        batch.decoded is decoded
-                                        and decoded.matches(self.program)
-                                        and self.quantum > 1
-                                        and not self._must_sync()):
+                                if batch is not None and self._must_sync():
                                     self.regs[:] = batch.backup
                                     batch = None
                             continue
@@ -745,7 +711,7 @@ class Cpu:
                         # blocks contain no observable interaction, so
                         # every wakeup lands on a reference-path cycle.
                         pc, total, count, cost, fault = run_superblock_chain(
-                            decoded, self.regs, self.pc, self.quantum)
+                            decoded, self.regs, self.pc, quantum)
                         # Two kernel events per batch: the final
                         # instruction's delay is issued separately so that
                         # every batch yield is scheduled at a simulation
@@ -769,7 +735,7 @@ class Cpu:
                             raise RuntimeError(f"{self.name}: {fault}")
                         continue
                 # Reference path: one instruction, one kernel event.
-                instr = program.instructions[self.pc]
+                instr = instructions[self.pc]
                 delay = _OP_DELAYS.get(instr.op, _DEFAULT_DELAY)
                 cycles = delay.duration
                 self._wait_state = "ref"
@@ -796,5 +762,4 @@ class Cpu:
 
 
 __all__ = ["BACKENDS", "CoreState", "Cpu", "DEFAULT_BACKEND",
-           "DEFAULT_QUANTUM", "DecodedProgram", "decode_program",
-           "invalidate_decode"]
+           "DEFAULT_QUANTUM", "DecodedProgram", "decode_program"]

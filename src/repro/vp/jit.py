@@ -40,8 +40,9 @@ this module -- is the oracle):
   is pinned architecturally by per-core kernel priority.
 
 Compiled blocks are cached on the decoded program (the existing decode
-cache) via :class:`SuperBlockCache`, lazily per entry pc -- jump targets
-that are never reached are never compiled.  The cache is salted with
+cache, built once per immutable program) via :class:`SuperBlockCache`,
+lazily per entry pc -- jump targets that are never reached are never
+compiled.  The cache is salted with
 :data:`JIT_SALT`, a digest of this module's source (the same idiom as
 the farm's code-version salt, :func:`repro.farm.source_salt`): editing
 the compiler self-invalidates every previously built cache, so a stale
@@ -569,8 +570,8 @@ class SuperBlockCache:
 class LaneBlockCache(SuperBlockCache):
     """Superblock cache whose entries are lane-vectorized (the vector
     backend's tier).  Same lazy/salted discipline as the scalar cache;
-    both hang off one :class:`~repro.vp.iss.DecodedProgram`, so one
-    decode invalidation drops all compiled tiers together."""
+    both hang off one :class:`~repro.vp.iss.DecodedProgram`, built once
+    per immutable program."""
 
     __slots__ = ()
 

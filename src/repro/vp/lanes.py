@@ -29,8 +29,9 @@ Two tiers inside a vector step:
 
 Lanes split off to the scalar path -- and transparently rejoin at the
 next common leader pc -- at every sync boundary (the rule is defined
-once, in :mod:`repro.vp.iss` and :meth:`~repro.vp.iss.Cpu._must_sync`),
-at a mismatched decode, or simply at a different pc.  Kernel-facing
+once, in :mod:`repro.vp.iss` and :meth:`~repro.vp.iss.Cpu._must_sync`)
+or simply at a different pc.  A group's cores share one immutable
+program, hence one decode, for their whole run.  Kernel-facing
 semantics are untouched: every core still yields its *own* delays at
 exactly the reference-path cycles, and tied-time bus arbitration is
 still pinned by per-core kernel priority (``core_id + 1``).
@@ -61,18 +62,16 @@ class LaneResult:
     (``None`` for the leader, which consumes synchronously); ``fault``
     carries the detail text of a fault surfacing at the batch end."""
 
-    __slots__ = ("pc", "total", "count", "cost", "fault", "backup",
-                 "decoded")
+    __slots__ = ("pc", "total", "count", "cost", "fault", "backup")
 
     def __init__(self, pc: int, total: int, count: int, cost: int,
-                 fault: Optional[str] = None, backup=None, decoded=None):
+                 fault: Optional[str] = None, backup=None):
         self.pc = pc
         self.total = total
         self.count = count
         self.cost = cost
         self.fault = fault
         self.backup = backup
-        self.decoded = decoded
 
 
 def run_superblock_chain(decoded, regs: List[int], pc: int,
@@ -163,12 +162,11 @@ class LaneGroup:
     each member core yields its own delays.
     """
 
-    __slots__ = ("cores", "quantum", "_parked", "windows", "lanes_retired",
-                 "shared", "vector_calls", "solo_steps", "fallbacks")
+    __slots__ = ("cores", "_parked", "windows", "lanes_retired", "shared",
+                 "vector_calls", "solo_steps", "fallbacks")
 
-    def __init__(self, cores, quantum: int) -> None:
+    def __init__(self, cores) -> None:
         self.cores = list(cores)
-        self.quantum = quantum
         self._parked = [False] * len(self.cores)
         for lane_id, cpu in enumerate(self.cores):
             cpu._lane_group = self
@@ -191,24 +189,25 @@ class LaneGroup:
         self._parked[cpu._lane_id] = False
 
     # ------------------------------------------------------------------
-    def step(self, cpu, decoded) -> LaneResult:
+    def step(self, cpu) -> LaneResult:
         """Retire the next batch for ``cpu`` -- and, in the same call,
         for every convergent parked lane, each of which receives a
         pending :class:`LaneResult` to consume at its own wake-up.
 
         The caller (the core loop) has already checked
-        ``decoded.batchable[cpu.pc]`` and the leader's sync boundaries.
+        ``batchable[cpu.pc]`` and the leader's sync boundaries.
         """
         parked = self._parked
         parked[cpu._lane_id] = False
         pc = cpu.pc
         quantum = cpu.quantum
-        # Convergent lanes: parked at the same pc on the same decode,
-        # running, and not pinned by a sync boundary.
+        decoded = cpu._decoded
+        # Convergent lanes: parked at the same pc, running, and not
+        # pinned by a sync boundary.
         members = [cpu]
         for other in self.cores:
             if (other is not cpu and parked[other._lane_id]
-                    and other.pc == pc and other._decoded is decoded
+                    and other.pc == pc
                     and not other.halted and not other._must_sync()):
                 members.append(other)
 
@@ -264,7 +263,7 @@ class LaneGroup:
                     parked[member._lane_id] = False
                     member._lane_pending = LaneResult(
                         result.pc, result.total, result.count, result.cost,
-                        result.fault, backups[id(member)], decoded)
+                        result.fault, backups[id(member)])
         return leader_result
 
 

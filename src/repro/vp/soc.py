@@ -137,9 +137,9 @@ class SoC:
 
         self.cores: List[Cpu] = []
         self.intcs: List[InterruptController] = []
-        # Under the vector backend, cores can only form a lane group over
-        # a *shared* AsmProgram (one decode, one superblock cache), so
-        # each distinct source string is assembled exactly once.
+        # Programs are immutable, so each distinct source string is
+        # assembled once and its AsmProgram (one decode, one superblock
+        # cache) shared by every core running it, on every backend.
         assembled: Dict[str, AsmProgram] = {}
         for core_id in range(config.n_cores):
             source = programs.get(core_id)
@@ -147,12 +147,10 @@ class SoC:
                 source = "halt\n"
             if isinstance(source, AsmProgram):
                 program = source
-            elif config.backend == "vector":
+            else:
                 program = assembled.get(source)
                 if program is None:
                     program = assembled[source] = assemble(source)
-            else:
-                program = assemble(source)
             cpu = Cpu(self.sim, self.bus, program, core_id=core_id,
                       irq_vector=config.irq_vector,
                       quantum=config.quantum,
@@ -174,7 +172,7 @@ class SoC:
                 by_program.setdefault(id(cpu.program), []).append(cpu)
             for lanes in by_program.values():
                 if len(lanes) >= 2:
-                    self.lane_groups.append(LaneGroup(lanes, config.quantum))
+                    self.lane_groups.append(LaneGroup(lanes))
 
         self._started = False
 

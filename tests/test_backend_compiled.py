@@ -80,7 +80,7 @@ class TestBlockFormation:
     def test_sync_boundary_is_not_a_leader(self):
         decoded = decode_program(assemble("sw r0, 0(r0)\nhalt\n"))
         assert compile_superblock(
-            decoded._source_list, decoded.batchable, 0) is None
+            decoded.instrs, decoded.batchable, 0) is None
         with pytest.raises(ValueError, match="sync boundary"):
             decoded.superblocks().get(0)
 
@@ -253,72 +253,6 @@ class TestAddressEscapeAudit:
         # -1 with bit 31 cleared is INT_MAX -- and must be stored as the
         # canonical signed image, never as raw 0x7FFFFFFFFFF... garbage.
         assert soc.cores[0].regs[1] == 2 ** 31 - 1
-
-
-# ---------------------------------------------------------------------------
-# invalidate_decode: in-place program edits
-# ---------------------------------------------------------------------------
-
-class TestInvalidateDecode:
-    def test_stale_decode_is_poisoned_not_just_unlinked(self):
-        # Cores revalidate their cached decode with matches(), which
-        # compares the *live* instruction list -- a same-length in-place
-        # edit keeps that list identical, so an unpoisoned stale decode
-        # would keep matching forever.
-        from repro.vp.iss import decode_program, invalidate_decode
-
-        program = assemble("li r1, 1\nli r2, 2\nhalt\n")
-        stale = decode_program(program)
-        program.instructions[1] = \
-            assemble("li r2, 99\n").instructions[0]
-        assert stale.matches(program)      # the bug being pinned
-        invalidate_decode(program)
-        assert not stale.matches(program)  # poisoned: can never revalidate
-        fresh = decode_program(program)
-        assert fresh is not stale
-
-    def test_invalidate_drops_scalar_and_lane_caches(self):
-        from repro.vp.iss import decode_program, invalidate_decode
-
-        program = assemble("li r1, 1\naddi r1, r1, 1\nhalt\n")
-        decoded = decode_program(program)
-        assert decoded.superblocks().get(0) is not None
-        assert decoded.lane_superblocks().get(0) is not None
-        invalidate_decode(program)
-        assert decoded._superblocks is None
-        assert decoded._laneblocks is None
-
-    @pytest.mark.parametrize("backend,quantum", ALL_RUNS)
-    def test_mid_run_in_place_edit_takes_effect(self, backend, quantum):
-        # Patch the loop body while the core is deep inside compiled
-        # superblocks: after invalidate_decode the next batch must run
-        # the *edited* instruction, not a stale compiled block.
-        asm = """
-            li r1, 0
-            li r2, 4000
-        loop:
-            addi r1, r1, 1
-            blt r1, r2, loop
-            halt
-        """
-        from repro.vp.iss import invalidate_decode
-
-        soc = _soc(asm, backend, quantum)
-        patch = assemble("addi r1, r1, 3\n").instructions[0]
-
-        def edit():
-            soc.cores[0].program.instructions[2] = patch
-            invalidate_decode(soc.cores[0].program)
-
-        soc.sim.after(500.0, edit)
-        soc.run()
-        core = soc.cores[0]
-        # Counting by 1 for ~500 cycles then by 3: far fewer than 4000
-        # retired instructions, and the terminal value overshoots 4000
-        # by the stride remainder -- both only if the edit took effect.
-        assert core.regs[1] >= 4000
-        assert core.regs[1] > 4000 - 3 and core.regs[1] < 4003
-        assert core.instr_count < 4000
 
 
 # ---------------------------------------------------------------------------

@@ -58,10 +58,8 @@ class TestLaneCodegen:
     def test_static_lane_block_mirrors_scalar(self):
         decoded = decode_program(assemble(
             "li r1, 7\naddi r1, r1, 1\nmul r2, r1, r1\nhalt\n"))
-        scalar = compile_superblock(decoded._source_list,
-                                    decoded.batchable, 0)
-        lane = compile_lane_superblock(decoded._source_list,
-                                       decoded.batchable, 0)
+        scalar = compile_superblock(decoded.instrs, decoded.batchable, 0)
+        lane = compile_lane_superblock(decoded.instrs, decoded.batchable, 0)
         assert (lane.cycles, lane.count, lane.last_cost, lane.dynamic) \
             == (scalar.cycles, scalar.count, scalar.last_cost,
                 scalar.dynamic)
@@ -76,8 +74,7 @@ class TestLaneCodegen:
 
     def test_dynamic_lane_block_returns_per_lane_charges(self):
         decoded = decode_program(assemble(COUNT_LOOP))
-        lane = compile_lane_superblock(decoded._source_list,
-                                       decoded.batchable, 2)
+        lane = compile_lane_superblock(decoded.instrs, decoded.batchable, 2)
         assert lane.dynamic
         # Lane 0 has 10 trips left, lane 1 has 40: with a large budget
         # each must come back with its own (pc, cycles, count).
@@ -128,10 +125,10 @@ class TestGroupFormation:
         assert len(soc.lane_groups) == 1
         assert len(soc.lane_groups[0].cores) == 4
 
-    def test_compiled_backend_does_not_share_sources(self):
+    def test_compiled_shares_one_program_and_forms_no_group(self):
         soc = _soc({i: COUNT_LOOP for i in range(2)}, 2,
                    backend="compiled")
-        assert len({id(core.program) for core in soc.cores}) == 2
+        assert len({id(core.program) for core in soc.cores}) == 1
         assert soc.lane_groups == []
 
     def test_heterogeneous_sources_form_partial_groups(self):

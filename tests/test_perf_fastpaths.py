@@ -7,8 +7,7 @@ from repro.desim import Delay, Simulator
 from repro.desim.events import Signal
 from repro.vp import SoC, SoCConfig, assemble
 from repro.vp.bus import Bus, BusError, Ram
-from repro.vp.iss import (Cpu, DecodedProgram, decode_program,
-                          invalidate_decode)
+from repro.vp.iss import Cpu, DecodedProgram, decode_program
 
 
 # ---------------------------------------------------------------------------
@@ -27,20 +26,15 @@ class TestDecodeCache:
         soc.run()
         assert soc.cores[0]._decoded is soc.cores[1]._decoded
 
-    def test_append_invalidates_via_length_check(self):
+    def test_program_is_immutable_and_decoded_once(self):
+        # A core executes the program it was built with: instructions
+        # cannot be edited in place, so one decode serves forever.
         program = assemble("li r1, 1\nhalt\n")
-        first = decode_program(program)
-        program.instructions.append(program.instructions[0])
-        second = decode_program(program)
-        assert second is not first
-        assert second.n == 3
-
-    def test_explicit_invalidate(self):
-        program = assemble("li r1, 1\nhalt\n")
-        first = decode_program(program)
-        invalidate_decode(program)
-        assert decode_program(program) is not first
-        invalidate_decode(program)  # idempotent on an empty cache
+        with pytest.raises(TypeError):
+            program.instructions[1] = program.instructions[0]
+        with pytest.raises(AttributeError):
+            program.instructions.append(program.instructions[0])
+        assert decode_program(program) is decode_program(program)
 
     def test_sync_ops_are_not_batchable(self):
         program = assemble("""

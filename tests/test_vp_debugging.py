@@ -82,6 +82,30 @@ class TestDebugger:
         assert reason.kind == "watchpoint"
         assert "core0.halted" in reason.detail
 
+    def test_detach_unsubscribes_signal_watchpoints(self):
+        # A live pc watchpoint pins the core to the reference path; after
+        # detach the run must cost exactly what an undebugged run costs.
+        loop = ("li r1, 0\nli r2, 2000\nloop:\naddi r1, r1, 1\n"
+                "blt r1, r2, loop\nhalt\n")
+        free = SoC(SoCConfig(n_cores=1, backend="compiled"), {0: loop})
+        free.run()
+        soc = SoC(SoCConfig(n_cores=1, backend="compiled"), {0: loop})
+        debugger = Debugger(soc)
+        debugger.add_signal_watchpoint("core0.pc")
+        debugger.detach()
+        assert not soc.cores[0].pc_signal.observed
+        soc.run()
+        assert soc.sim.event_count == free.sim.event_count
+        assert soc.cores[0].state() == free.cores[0].state()
+
+    def test_bad_signal_edge_leaves_no_watchpoint(self):
+        soc = SoC(SoCConfig(n_cores=1), {0: "halt\n"})
+        debugger = Debugger(soc)
+        with pytest.raises(ValueError, match="rising"):
+            debugger.add_signal_watchpoint("core0.halted", edge="rising")
+        assert debugger.watchpoints == []
+        assert not soc.cores[0].halted_signal.observed
+
     def test_consistent_snapshot_while_suspended(self):
         soc = dual_core(LOCKED)
         debugger = Debugger(soc)

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro.vp import AsmError, SoC, SoCConfig, assemble
-from repro.vp.isa import Instr
+from repro.vp.isa import AsmProgram, Instr
 
 
 def run_core(asm, cycles=100_000, config=None):
@@ -645,8 +645,7 @@ class TestReferenceSemanticsPinned:
         assert set(_OPS) == LOCAL_OPS | MEMORY_OPS | NO_ARG_OPS
 
     def test_unknown_op_raises(self):
-        program = assemble("nop\nhalt\n")
-        program.instructions[1] = Instr("bogus")
+        program = AsmProgram(instructions=(Instr("nop"), Instr("bogus")))
         soc = SoC(SoCConfig(n_cores=1, backend="reference"), {0: program})
         with pytest.raises(RuntimeError) as info:
             soc.run(max_events=100)
