@@ -26,7 +26,6 @@ class Event:
         self._waiters: List[Callable[[Any], None]] = []
         self._callbacks: List[Callable[[Any], None]] = []
         self.trigger_count = 0
-        self.last_payload: Any = None
 
     def subscribe(self, callback: Callable[[Any], None]) -> None:
         """Register a persistent callback invoked on every trigger."""
@@ -50,7 +49,6 @@ class Event:
         immediately re-waits) are not woken by this trigger.
         """
         self.trigger_count += 1
-        self.last_payload = payload
         waiters = self._waiters
         if waiters:
             self._waiters = []
@@ -99,18 +97,35 @@ class Signal:
         return self._value
 
     def write(self, new: Any) -> None:
-        """Write ``new``; fires change/edge events only on a value change."""
+        """Write ``new``; fires change/edge events, with the payload
+        ``(old, new)``, only on a value change.
+
+        Every write counts in :attr:`write_count` and every change (edge)
+        in the ``trigger_count`` of :attr:`changed` (:attr:`posedge`/
+        :attr:`negedge`).  An event with no waiter and no callback is
+        only counted, not triggered: nothing could see the trigger.  The
+        ISS writes each core's ``pc_signal`` once per retired
+        instruction, usually while it is not :attr:`observed`."""
         self.write_count += 1
         old = self._value
         if new == old:
             return
         self._value = new
-        change = (old, new)
-        self.changed.trigger(change)
+        changed = self.changed
+        if changed._waiters or changed._callbacks:
+            changed.trigger((old, new))
+        else:
+            changed.trigger_count += 1
         if not old and new:
-            self.posedge.trigger(change)
+            edge = self.posedge
         elif old and not new:
-            self.negedge.trigger(change)
+            edge = self.negedge
+        else:
+            return
+        if edge._waiters or edge._callbacks:
+            edge.trigger((old, new))
+        else:
+            edge.trigger_count += 1
 
     def force(self, new: Any) -> None:
         """Write without firing events (debugger back-door, used for state
@@ -122,7 +137,9 @@ class Signal:
         """True when anything subscribes to or waits on this signal's
         change/edge events.  An observed ``pc_signal`` is an ISS sync
         boundary (see :mod:`repro.vp.iss`), so signal watchpoints see
-        every intermediate value."""
+        every intermediate value.  An unobserved :meth:`write` only
+        updates the value and the counters: nothing could see the
+        trigger.  Subscribing takes effect from the next write."""
         changed, posedge, negedge = self.changed, self.posedge, self.negedge
         return bool(changed._waiters or changed._callbacks
                     or posedge._waiters or posedge._callbacks

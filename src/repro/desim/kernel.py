@@ -290,41 +290,46 @@ class Simulator:
 
     def _schedule_resume(self, proc: Process, value: Any,
                          delay: float = 0.0) -> None:
-        expected = proc._epoch
         if delay >= 0 and not proc._rearm_busy:
-            # Cheap re-arm: recycle the process's resume record instead of
-            # allocating a closure + heap item per event.  Safe because
-            # internal resume items are never cancelled, so a busy record
-            # is guaranteed to be popped (and released) by the main loop
-            # before it can be reused.  A second concurrent resume (e.g.
-            # interrupt() racing a Delay timer) falls back to `at()`.
-            proc._rearm_value = value
-            proc._rearm_epoch = expected
-            proc._rearm_busy = True
-            self._seq += 1
-            seq = self._seq
-            time = self.now + delay
-            priority = proc.priority
-            item = proc._rearm_item
-            if item is None:
-                item = _ScheduledItem(time, priority, seq,
-                                      proc._rearm_action)
-                proc._rearm_item = item
-            else:
-                item.time = time
-                item.priority = priority
-                item.seq = seq
-                item.cancelled = False
-                item.consumed = False
-            heapq.heappush(self._queue, (time, priority, seq, item))
-            self._pending_count += 1
+            self._rearm(proc, value, self.now + delay)
             if self._on_schedule:
                 for hook in self._on_schedule:
-                    hook(self, item)
+                    hook(self, proc._rearm_item)
             return
+        # A second concurrent resume (e.g. interrupt() racing a Delay
+        # timer) cannot reuse the busy record: it gets a fresh item.
+        expected = proc._epoch
         self.at(self.now + delay,
                 lambda: self._step(proc, value, expected),
                 priority=proc.priority)
+
+    def _rearm(self, proc: Process, value: Any, time: float) -> None:
+        """Queue ``proc``'s resume at ``time`` by recycling its resume
+        record instead of allocating a closure + heap item per event.
+
+        The caller checks that the record is free (``_rearm_busy`` is
+        False).  Safe because internal resume items are never
+        cancelled, so a busy record is guaranteed to be popped (and
+        released) by the main loop before it can be reused.  Runs no
+        ``on_schedule`` hook; callers that need one call it."""
+        proc._rearm_value = value
+        proc._rearm_epoch = proc._epoch
+        proc._rearm_busy = True
+        self._seq += 1
+        seq = self._seq
+        priority = proc.priority
+        item = proc._rearm_item
+        if item is None:
+            item = proc._rearm_item = _ScheduledItem(
+                time, priority, seq, proc._rearm_action)
+        else:
+            item.time = time
+            item.priority = priority
+            item.seq = seq
+            item.cancelled = False
+            item.consumed = False
+        heapq.heappush(self._queue, (time, priority, seq, item))
+        self._pending_count += 1
 
     def _step(self, proc: Process, value: Any,
               expected_epoch: Optional[int] = None) -> None:
@@ -362,7 +367,10 @@ class Simulator:
             for hook in self._on_process_yield:
                 hook(self, proc, request)
         if request.__class__ is Delay:  # the dominant request: no detour
-            self._schedule_resume(proc, None, request.duration)
+            if proc._rearm_busy or self._on_schedule:
+                self._schedule_resume(proc, None, request.duration)
+            else:
+                self._rearm(proc, None, self.now + request.duration)
         else:
             self._dispatch_request(proc, request)
 
@@ -414,13 +422,16 @@ class Simulator:
         proc.done.trigger(result)
 
     def kill(self, proc: Process) -> None:
-        """Terminate a process without delivering an exception into it."""
+        """Terminate a process without delivering an exception into it.
+
+        Observers see it finish (``on_process_finish``, ``error`` None)
+        like any other ended process."""
         if proc.alive:
             if proc._waiting_on is not None and proc._resume_handle is not None:
                 proc._waiting_on.remove_waiter(proc._resume_handle)
             proc.alive = False
             proc.body.close()
-            proc.done.trigger(None)
+            self._finish(proc)
 
     # ------------------------------------------------------------------
     # main loop

@@ -27,13 +27,15 @@ built with.
 
 Backend tiers (``Cpu(backend=...)`` / ``SoCConfig.backend``):
 
-- ``"reference"`` -- one instruction, one kernel event, executed by
-  :meth:`Cpu._execute`: the independent oracle every other tier is
-  checked against.  It dispatches through the module's op table
-  (``_OPS``): one handler per assembler op, each reading its operands,
-  writing ``rd`` and setting ``pc`` itself, so an instruction costs one
-  dict lookup and one call.  The table's keys are exactly the
-  assembler's ops, and it shares nothing with :mod:`repro.vp.jit`;
+- ``"reference"`` -- one instruction, one kernel event: the independent
+  oracle every other tier is checked against.  Its semantics are the
+  module's op table (``_OPS``): one handler per assembler op, each
+  reading its operands, writing ``rd`` and setting ``pc`` itself.  The
+  decode predecodes every pc into a ``(handler, args, delay)`` step
+  (:attr:`DecodedProgram.steps`), so a retired instruction costs one
+  index, one ``yield`` of a shared ``Delay`` and one handler call.  The
+  table's keys are exactly the assembler's ops, and it shares nothing
+  with :mod:`repro.vp.jit`;
 - ``"compiled"`` (the default) -- chains of superblock-compiled batches
   (:func:`repro.vp.lanes.run_superblock_chain`);
 - ``"vector"`` -- lane-lockstep batches for cores sharing one program
@@ -386,6 +388,13 @@ _OP_DELAYS = {op: Delay(cycles) for op, cycles in CYCLES.items()}
 _DEFAULT_DELAY = Delay(DEFAULT_CYCLES)
 
 
+def _unknown_op(cpu: "Cpu", op: str) -> None:
+    """The step of an op without reference semantics (only a hand-built
+    program can hold one): it faults when it retires, after its delay,
+    like any faulting instruction.  Its step args are the op name."""
+    raise RuntimeError(f"{cpu.name}: unknown op {op!r}")
+
+
 @dataclass
 class CoreState:
     """Architectural state snapshot (what the debugger shows)."""
@@ -408,18 +417,31 @@ class DecodedProgram:
     """Dispatch-ready decode of one :class:`AsmProgram`'s immutable
     instruction tuple (``instrs``).
 
-    A per-pc ``batchable`` table (no observable interaction) plus the
-    lazily built superblock caches of the compiled and vector tiers
-    (:mod:`repro.vp.jit`), which hang off the same object.  Built once
-    per program and never revalidated: the instructions cannot change.
+    Two per-pc tables -- ``steps``, the reference path's predecoded
+    ``(handler, args, delay)`` per instruction (the ``_OPS`` handler and
+    the shared ``Delay`` of its cost), and ``batchable`` (no observable
+    interaction) -- plus the lazily built superblock caches of the
+    compiled and vector tiers (:mod:`repro.vp.jit`), which hang off the
+    same object.  Built once per program and never revalidated: the
+    instructions cannot change.
     """
 
-    __slots__ = ("instrs", "n", "batchable", "_superblocks", "_laneblocks")
+    __slots__ = ("instrs", "n", "steps", "batchable", "_superblocks",
+                 "_laneblocks")
 
     def __init__(self, program: AsmProgram) -> None:
         instrs = program.instructions
         self.instrs = instrs
         self.n = len(instrs)
+        steps = []
+        for instr in instrs:
+            handler = _OPS.get(instr.op)
+            if handler is None:
+                steps.append((_unknown_op, instr.op, _DEFAULT_DELAY))
+            else:
+                steps.append((handler, instr.args,
+                              _OP_DELAYS.get(instr.op, _DEFAULT_DELAY)))
+        self.steps = steps
         self.batchable = [instr.op in LOCAL_OPS for instr in instrs]
         self._superblocks = None
         self._laneblocks = None
@@ -625,6 +647,7 @@ class Cpu:
         lane_group = self._lane_group
         decoded = self._decoded
         instructions = decoded.instrs
+        steps = decoded.steps
         batchable = decoded.batchable
         n = decoded.n
         quantum = self.quantum
@@ -654,8 +677,8 @@ class Cpu:
                 # The parked instruction's Delay elapsed before the
                 # checkpoint (the DmaDevice._transfer(resume=True) idiom).
                 resume = False
-                instr = instructions[self.pc]
-                cycles = CYCLES.get(instr.op, DEFAULT_CYCLES)
+                pc = self.pc
+                handler, args, delay = steps[pc]
             else:
                 if self.stall_hook is not None:
                     stall = self.stall_hook(self)
@@ -734,31 +757,22 @@ class Cpu:
                         if fault is not None:
                             raise RuntimeError(f"{self.name}: {fault}")
                         continue
-                # Reference path: one instruction, one kernel event.
-                instr = instructions[self.pc]
-                delay = _OP_DELAYS.get(instr.op, _DEFAULT_DELAY)
-                cycles = delay.duration
+                # Reference path: one instruction, one kernel event,
+                # one predecoded step.  The step is fetched before the
+                # yield, so the instruction that retires is the one at
+                # pc when its delay began.
+                pc = self.pc
+                handler, args, delay = steps[pc]
                 self._wait_state = "ref"
                 yield delay
-            self.cycle_count += cycles
+            self.cycle_count += delay.duration
             self.instr_count += 1
-            self._execute(instr)
+            handler(self, args)
             self.pc_signal.write(self.pc)
             if self._post_instr_hooks:
                 for hook in self._post_instr_hooks:
-                    hook(self, instr)
+                    hook(self, instructions[pc])
         self.halted_signal.write(1)
-
-    # ------------------------------------------------------------------
-    def _execute(self, instr: Instr) -> None:
-        """Retire ``instr`` by the reference semantics: one op-table
-        dispatch, the oracle's single entry point."""
-        try:
-            handler = _OPS[instr.op]
-        except KeyError:
-            raise RuntimeError(
-                f"{self.name}: unknown op {instr.op!r}") from None
-        handler(self, instr.args)
 
 
 __all__ = ["BACKENDS", "CoreState", "Cpu", "DEFAULT_BACKEND",

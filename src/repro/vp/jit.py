@@ -13,9 +13,9 @@ conditional branch back to its own leader, the hot-loop shape) is
 compiled to an internal ``while`` that retires *many iterations* per
 call, bounded by the caller's remaining quantum budget.
 
-Correctness contract (the reference path -- ``Cpu._execute`` and its
-per-op handler table in :mod:`repro.vp.iss`, which shares no code with
-this module -- is the oracle):
+Correctness contract (the reference path -- the per-op handler table
+``_OPS`` in :mod:`repro.vp.iss`, which shares no code with this
+module -- is the oracle):
 
 - **Sync boundaries are never compiled.**  Blocks only ever contain
   LOCAL_OPS (register-file-only work); bus ops, mode changes and every

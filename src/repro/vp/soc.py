@@ -16,6 +16,7 @@ Symbolic constants for firmware: :data:`SEM_BASE`, :data:`TIMER_BASE`,
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Union
 
@@ -42,6 +43,19 @@ MBOX_BASE = 0x8500
 MBOX_STRIDE = 0x10
 
 IRQ_VECTOR = 1000  # default irq handler address inside each core's program
+
+
+@functools.lru_cache(maxsize=32)
+def _program_of(source: str) -> AsmProgram:
+    """Firmware assembled once per process.  Programs are immutable, so
+    the program of a source string -- and the decode and superblock
+    caches that hang off it -- is shared by every core and every SoC
+    built from that source.  Bounded (least recently used sources are
+    dropped); a source that fails to assemble is not kept, so it raises
+    every time.  A miss calls this module's ``assemble``, looked up at
+    call time, so a wrapper installed on ``repro.vp.soc.assemble`` sees
+    every real assembly."""
+    return assemble(source)
 
 
 @dataclass
@@ -137,20 +151,12 @@ class SoC:
 
         self.cores: List[Cpu] = []
         self.intcs: List[InterruptController] = []
-        # Programs are immutable, so each distinct source string is
-        # assembled once and its AsmProgram (one decode, one superblock
-        # cache) shared by every core running it, on every backend.
-        assembled: Dict[str, AsmProgram] = {}
         for core_id in range(config.n_cores):
             source = programs.get(core_id)
             if source is None:
                 source = "halt\n"
-            if isinstance(source, AsmProgram):
-                program = source
-            else:
-                program = assembled.get(source)
-                if program is None:
-                    program = assembled[source] = assemble(source)
+            program = (source if isinstance(source, AsmProgram)
+                       else _program_of(source))
             cpu = Cpu(self.sim, self.bus, program, core_id=core_id,
                       irq_vector=config.irq_vector,
                       quantum=config.quantum,

@@ -69,6 +69,48 @@ class TestSignal:
         signal.write(5)
         assert edges == ["pos", "neg", "pos"]
 
+    def test_unobserved_write_still_counts(self):
+        # Writes nobody listens to trigger nothing, yet every write,
+        # change and edge is counted exactly as on a listened-to signal.
+        sequence = (0, 1, 1, 2, 0, 3, 0)
+        quiet, heard = Signal("quiet", 0), Signal("heard", 0)
+        seen = []
+        heard.changed.subscribe(seen.append)
+        heard.posedge.subscribe(seen.append)
+        heard.negedge.subscribe(seen.append)
+        for value in sequence:
+            quiet.write(value)
+            heard.write(value)
+        assert not quiet.observed and heard.observed
+        assert quiet.value == heard.value == 0
+        for signal in (quiet, heard):
+            assert signal.write_count == 7
+            assert signal.changed.trigger_count == 5
+            assert signal.posedge.trigger_count == 2
+            assert signal.negedge.trigger_count == 2
+        assert len(seen) == 5 + 2 + 2
+
+    def test_callback_subscribed_mid_run_sees_the_next_change(self):
+        sim = Simulator()
+        signal = Signal("s", 0)
+        changes, rises = [], []
+
+        def writer():
+            for value in (1, 2, 0, 3, 4, 0, 5):
+                yield Delay(1)
+                signal.write(value)
+
+        def subscribe():
+            signal.changed.subscribe(changes.append)
+            signal.posedge.subscribe(rises.append)
+
+        sim.spawn(writer())
+        sim.at(2.5, subscribe)  # after the write of 2 at t=2
+        sim.run()
+        assert changes == [(2, 0), (0, 3), (3, 4), (4, 0), (0, 5)]
+        assert rises == [(0, 3), (0, 5)]
+        assert signal.changed.trigger_count == 7
+
     def test_force_bypasses_events(self):
         signal = Signal("s", 0)
         changes = []

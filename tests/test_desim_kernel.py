@@ -172,6 +172,96 @@ def test_kill_process():
     assert max(log) <= 3
 
 
+def test_kill_reports_the_finish_to_observers():
+    # A killed process has ended: observers hear of it through
+    # on_process_finish (error None), so a probe's finish count covers
+    # every ended process and no blocked-wait bookkeeping leaks.
+    from repro.obs.probe import observe
+    sim = Simulator()
+    probe = observe(sim)
+    gate = Event("gate")
+
+    def waiter():
+        yield WaitEvent(gate)
+
+    def sleeper():
+        yield Delay(100)
+
+    targets = [sim.spawn(waiter(), name="waiter"),
+               sim.spawn(sleeper(), name="sleeper")]
+
+    def killer():
+        yield Delay(5)
+        for target in targets:
+            sim.kill(target)
+
+    sim.spawn(killer(), name="killer")
+    sim.run()
+    assert not any(target.alive for target in targets)
+    assert all(target.error is None for target in targets)
+    assert probe.metrics.counter("kernel.finishes").value == 3
+    assert probe.metrics.counter("kernel.failures").value == 0
+    assert probe._blocked_since == {}
+
+
+def _rearm_trace(observer=None):
+    """Delay-driven processes with tied times and priorities, plus an
+    interrupt racing a Delay (the busy-record fallback); returns the
+    executed order and the kernel's event count."""
+    sim = Simulator()
+    if observer is not None:
+        sim.add_observer(observer)
+    trace = []
+
+    def ticker(name, period, count):
+        try:
+            for _ in range(count):
+                yield Delay(period)
+                trace.append((sim.now, name))
+        except Interrupted:
+            trace.append((sim.now, f"{name}!"))
+            yield Delay(1)
+            trace.append((sim.now, f"{name}:after"))
+
+    procs = [sim.spawn(ticker(f"t{index}", 1 + index % 3, 12),
+                       name=f"t{index}", priority=index % 2)
+             for index in range(6)]
+    sim.at(7.5, lambda: procs[2].interrupt("poke"))
+    sim.run()
+    return trace, sim.event_count
+
+
+def test_schedule_hooks_see_every_rearm_in_unchanged_order():
+    # With an on_schedule hook installed the Delay re-arm takes the
+    # _schedule_resume path: every re-arm is still reported, and the
+    # executed order equals the probe-less run.
+    from repro.obs.probe import KernelProbe
+
+    class Recording(KernelProbe):
+        def __init__(self):
+            super().__init__()
+            self.scheduled = []
+            self.executed = []
+
+        def on_schedule(self, sim, item):
+            super().on_schedule(sim, item)
+            self.scheduled.append(item.seq)
+
+        def on_execute(self, sim, item):
+            super().on_execute(sim, item)
+            self.executed.append(item.seq)
+
+    probe = Recording()
+    assert _rearm_trace(probe) == _rearm_trace()
+    trace, events = _rearm_trace()
+    assert len(probe.executed) == events
+    # Every schedule (each re-arm included) was reported: no seq was
+    # handed out unseen, and every executed item had been reported.
+    assert probe.scheduled == list(range(1, len(probe.scheduled) + 1))
+    assert set(probe.executed) <= set(probe.scheduled)
+    assert (7.5, "t2!") in trace
+
+
 def test_stop_halts_run_loop():
     sim = Simulator()
     log = []

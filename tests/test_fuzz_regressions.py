@@ -30,6 +30,7 @@ import random
 import pytest
 
 import repro.vp.jit as jit
+import repro.vp.soc as soc_module
 from repro.gen import (
     compare_scenario,
     differential_job,
@@ -43,7 +44,13 @@ from repro.gen import (
 @pytest.fixture
 def broken_jit_xor():
     """Plant a wrong ``xor`` in the superblock emitter: every compiled
-    ``xor`` into a real register flips the result's low bit."""
+    ``xor`` into a real register flips the result's low bit.
+
+    ``JIT_SALT`` digests the compiler's source and cannot see a runtime
+    patch, so the SoC program memo (whose programs carry their
+    superblocks) is emptied on entry and on exit: no block compiled by
+    the healthy emitter is reused inside, and no planted-bug block
+    outlives the fixture."""
     good = jit._Emitter.emit
 
     def emit(self, instr, pc, fault_charge, fault_writeback):
@@ -52,11 +59,13 @@ def broken_jit_xor():
         if rd:
             self.body.append(f"r{rd} = r{rd} ^ 1")
 
+    soc_module._program_of.cache_clear()
     jit._Emitter.emit = emit
     try:
         yield
     finally:
         jit._Emitter.emit = good
+        soc_module._program_of.cache_clear()
 
 
 class TestShrinkToRegressionPipeline:

@@ -6,8 +6,10 @@ import pytest
 from repro.desim import Delay, Simulator
 from repro.desim.events import Signal
 from repro.vp import SoC, SoCConfig, assemble
+import repro.vp.soc as soc_module
 from repro.vp.bus import Bus, BusError, Ram
-from repro.vp.iss import Cpu, DecodedProgram, decode_program
+from repro.vp.isa import AsmError
+from repro.vp.iss import BACKENDS, Cpu, DecodedProgram, decode_program
 
 
 # ---------------------------------------------------------------------------
@@ -51,12 +53,123 @@ class TestDecodeCache:
         assert decoded.batchable[:2] == [True, True]
         assert decoded.batchable[2:] == [False] * 6
 
+    def test_reference_steps_are_the_op_table(self):
+        # The predecoded reference step of a pc is the _OPS handler, the
+        # instruction's args and the shared Delay of its cost.
+        from repro.vp.isa import CYCLES, DEFAULT_CYCLES
+        from repro.vp.iss import _OPS
+        program = assemble("li r1, 5\nmul r2, r1, r1\nsw r2, 3(r0)\nhalt\n")
+        decoded = decode_program(program)
+        assert len(decoded.steps) == len(program.instructions)
+        for instr, (handler, args, delay) in zip(program.instructions,
+                                                 decoded.steps):
+            assert handler is _OPS[instr.op]
+            assert args == instr.args
+            assert delay.duration == CYCLES.get(instr.op, DEFAULT_CYCLES)
+        assert decoded.steps[0][2] is decode_program(
+            assemble("li r9, 1\n")).steps[0][2]
+
     def test_div_by_zero_faults_even_into_r0(self):
         # rd == r0 handlers must still evaluate operands.
         with pytest.raises(RuntimeError, match="division by zero at pc=2"):
             soc = SoC(SoCConfig(n_cores=1),
                       {0: "li r1, 1\nli r2, 0\ndiv r0, r1, r2\nhalt\n"})
             soc.run()
+
+
+# ---------------------------------------------------------------------------
+# per-process program memo (repro.vp.soc)
+# ---------------------------------------------------------------------------
+
+MEMO_FIRMWARE = """
+    li r1, 0
+    li r2, 40
+loop:
+    lw r3, 0(r0)
+    add r3, r3, r1
+    sw r3, 0(r0)
+    xor r4, r3, r1
+    addi r1, r1, 1
+    blt r1, r2, loop
+    halt
+"""
+
+
+def _end_state(soc):
+    return ([(c.pc, list(c.regs), c.cycle_count, c.instr_count)
+             for c in soc.cores],
+            list(soc.ram.words[:8]), soc.sim.now, soc.sim.event_count)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestProgramMemo:
+    def _soc(self, backend, programs):
+        return SoC(SoCConfig(n_cores=2, backend=backend), programs)
+
+    def test_socs_from_one_source_share_program_and_decode(self, backend):
+        first = self._soc(backend, {0: MEMO_FIRMWARE, 1: MEMO_FIRMWARE})
+        second = self._soc(backend, {0: MEMO_FIRMWARE, 1: MEMO_FIRMWARE})
+        program = first.cores[0].program
+        assert all(cpu.program is program
+                   for cpu in first.cores + second.cores)
+        assert second.cores[1]._decoded is first.cores[0]._decoded
+        # assemble() itself still hands out a fresh program.
+        assert assemble(MEMO_FIRMWARE) is not assemble(MEMO_FIRMWARE)
+        assert assemble(MEMO_FIRMWARE) is not program
+
+    def test_shared_program_runs_like_a_fresh_assembly(self, backend):
+        program = assemble(MEMO_FIRMWARE)
+        fresh = self._soc(backend, {0: program, 1: program})
+        fresh.run()
+        for _ in range(2):  # the second SoC reuses warm caches
+            shared = self._soc(backend, {0: MEMO_FIRMWARE,
+                                         1: MEMO_FIRMWARE})
+            shared.run()
+            assert _end_state(shared) == _end_state(fresh)
+
+    def test_bad_source_raises_on_every_construction(self, backend,
+                                                     monkeypatch):
+        calls = _count_assemblies(monkeypatch)
+        source = "li r1, 1\nbogus r1\n"
+        for _ in range(3):
+            with pytest.raises(AsmError):
+                self._soc(backend, {0: source})
+        assert calls == [source] * 3
+
+    def test_memo_stays_at_its_bound(self, backend, monkeypatch):
+        calls = _count_assemblies(monkeypatch)
+        bound = soc_module._program_of.cache_info().maxsize
+        sources = [f"li r1, {index}\nhalt\n" for index in range(bound + 5)]
+        for source in sources + [sources[-1], sources[0]]:
+            SoC(SoCConfig(n_cores=1, backend=backend), {0: source})
+        assert soc_module._program_of.cache_info().currsize == bound
+        # The newest source is still held; the oldest was dropped.
+        assert calls == sources + [sources[0]]
+
+    def test_misses_assemble_through_the_module_global(self, backend,
+                                                       monkeypatch):
+        # A wrapper on repro.vp.soc.assemble (perfbench's assemble_s
+        # shim) must see every real assembly and no memo hit.
+        calls = _count_assemblies(monkeypatch)
+        source = "li r1, 7\nhalt\n"
+        for _ in range(3):
+            self._soc(backend, {0: source, 1: source})
+        assert calls == [source]
+
+
+def _count_assemblies(monkeypatch):
+    """Empty the program memo and record every source that SoC
+    construction assembles from here on."""
+    calls = []
+    real = soc_module.assemble
+
+    def counting(source):
+        calls.append(source)
+        return real(source)
+
+    soc_module._program_of.cache_clear()
+    monkeypatch.setattr(soc_module, "assemble", counting)
+    return calls
 
 
 # ---------------------------------------------------------------------------
