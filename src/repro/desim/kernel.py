@@ -11,6 +11,13 @@ The kernel is deterministic: simultaneous wakeups execute in (priority,
 sequence-number) order, and event triggers resume waiters in registration
 order.  Determinism is essential for the paper's section-VII argument that a
 virtual platform reproduces concurrency bugs reliably.
+
+A queued process resume is data, not a callback: :meth:`Simulator.run`
+resumes the generator itself, so executing an event makes no Python call
+into the kernel.  ``run`` is the only loop that executes events
+(:meth:`Simulator.step` is ``run(max_events=1)``).  A yielded
+unsupported request fails the process with :class:`TypeError`; a process
+cannot :meth:`~Simulator.kill` itself.
 """
 
 from __future__ import annotations
@@ -126,17 +133,14 @@ class Process:
         self.error: Optional[BaseException] = None
         self.done = Event(f"{self.name}.done")
         self._pending_interrupt: Optional[Interrupted] = None
+        # Set while the process waits on an event; cleared where that
+        # wait ends (the wake closure, interrupt, kill).
         self._waiting_on: Optional[Event] = None
         self._resume_handle: Optional[Callable[[Any], None]] = None
-        # Re-arm fast path: the dominant scheduling pattern is a process
-        # resuming itself (Delay / event payload).  Instead of allocating
-        # a fresh closure + _ScheduledItem per resume, the kernel recycles
-        # this per-process record whenever it is not already in the heap.
+        # The process's latest queued resume.  Once the run loop has
+        # popped it (``consumed``), a Delay re-queues it in place instead
+        # of allocating a new item per event.
         self._rearm_item: Optional["_ScheduledItem"] = None
-        self._rearm_busy = False
-        self._rearm_value: Any = None
-        self._rearm_epoch = 0
-        self._rearm_action = self._run_rearm  # bind once, reuse forever
         # Resume epoch: every actual resume bumps it, and every scheduled
         # resume carries the epoch it was issued for.  A stale wakeup
         # (e.g. the original timer of an interrupted Delay) then no longer
@@ -163,11 +167,6 @@ class Process:
         elif self._resume_handle is None:
             self.sim._schedule_resume(self, None)
 
-    def _run_rearm(self) -> None:
-        """Heap action of the recycled resume record (see _rearm_item)."""
-        self._rearm_busy = False
-        self.sim._step(self, self._rearm_value, self._rearm_epoch)
-
     def __repr__(self) -> str:
         state = "alive" if self.alive else "done"
         return f"Process({self.name!r}, pid={self.pid}, {state})"
@@ -175,17 +174,24 @@ class Process:
 
 @dataclass(eq=False, slots=True)
 class _ScheduledItem:
-    """A queued action.  The heap holds ``(time, priority, seq, item)``
+    """A queued event.  The heap holds ``(time, priority, seq, item)``
     entries, so ``heapq`` orders them with C tuple comparisons; ``seq``
-    is unique, so the item itself is never compared."""
+    is unique, so the item itself is never compared.
+
+    An item is either a bare callback (``action``) or a process resume
+    (``proc``, sending ``value``; skipped as stale unless the process is
+    still at resume ``epoch``), which the run loop executes inline."""
 
     time: float
     priority: int
-    seq: int
-    action: Callable[[], None]
+    action: Optional[Callable[[], None]]
+    proc: Optional[Process] = None
+    value: Any = None
+    epoch: int = 0
+    seq: int = 0
     cancelled: bool = False
-    # Set once the item has been popped for execution, so a late cancel()
-    # cannot corrupt the simulator's live pending counter.
+    # Set once the item has been popped for execution: a late cancel()
+    # is then a no-op, and a consumed resume may be re-queued in place.
     consumed: bool = False
 
 
@@ -203,8 +209,9 @@ class Simulator:
         self._running = False
         self.processes: List[Process] = []
         self.event_count = 0
-        # Live count of queued, non-cancelled items (pending is O(1)).
-        self._pending_count = 0
+        # Cancelled items still in the heap (popped lazily): pending is
+        # the heap size minus these.
+        self._cancelled = 0
         self._observers: List[SimObserver] = []
         self._dispatch_hooks()
 
@@ -252,30 +259,33 @@ class Simulator:
     def at(self, time: float, action: Callable[[], None],
            priority: int = 0) -> _ScheduledItem:
         """Schedule a bare callback at an absolute time."""
-        if not time >= self.now:  # also rejects NaN
-            if time != time:
-                raise ValueError("cannot schedule at a NaN time")
-            raise ValueError(f"cannot schedule in the past: {time} < {self.now}")
-        self._seq += 1
-        seq = self._seq
-        item = _ScheduledItem(time, priority, seq, action)
-        heapq.heappush(self._queue, (time, priority, seq, item))
-        self._pending_count += 1
-        if self._on_schedule:
-            for hook in self._on_schedule:
-                hook(self, item)
-        return item
+        return self._push(_ScheduledItem(time, priority, action))
 
     def after(self, delay: float, action: Callable[[], None],
               priority: int = 0) -> _ScheduledItem:
         """Schedule a bare callback after a relative delay."""
         return self.at(self.now + delay, action, priority)
 
+    def _push(self, item: _ScheduledItem) -> _ScheduledItem:
+        """Validate ``item``'s time, give it the next seq and queue it."""
+        time = item.time
+        if not time >= self.now:  # also rejects NaN
+            if time != time:
+                raise ValueError("cannot schedule at a NaN time")
+            raise ValueError(f"cannot schedule in the past: {time} < {self.now}")
+        self._seq += 1
+        item.seq = seq = self._seq
+        heapq.heappush(self._queue, (time, item.priority, seq, item))
+        if self._on_schedule:
+            for hook in self._on_schedule:
+                hook(self, item)
+        return item
+
     def cancel(self, item: _ScheduledItem) -> None:
         if item.cancelled or item.consumed:
             return
         item.cancelled = True
-        self._pending_count -= 1
+        self._cancelled += 1
 
     # ------------------------------------------------------------------
     # processes
@@ -290,89 +300,11 @@ class Simulator:
 
     def _schedule_resume(self, proc: Process, value: Any,
                          delay: float = 0.0) -> None:
-        if delay >= 0 and not proc._rearm_busy:
-            self._rearm(proc, value, self.now + delay)
-            if self._on_schedule:
-                for hook in self._on_schedule:
-                    hook(self, proc._rearm_item)
-            return
-        # A second concurrent resume (e.g. interrupt() racing a Delay
-        # timer) cannot reuse the busy record: it gets a fresh item.
-        expected = proc._epoch
-        self.at(self.now + delay,
-                lambda: self._step(proc, value, expected),
-                priority=proc.priority)
-
-    def _rearm(self, proc: Process, value: Any, time: float) -> None:
-        """Queue ``proc``'s resume at ``time`` by recycling its resume
-        record instead of allocating a closure + heap item per event.
-
-        The caller checks that the record is free (``_rearm_busy`` is
-        False).  Safe because internal resume items are never
-        cancelled, so a busy record is guaranteed to be popped (and
-        released) by the main loop before it can be reused.  Runs no
-        ``on_schedule`` hook; callers that need one call it."""
-        proc._rearm_value = value
-        proc._rearm_epoch = proc._epoch
-        proc._rearm_busy = True
-        self._seq += 1
-        seq = self._seq
-        priority = proc.priority
-        item = proc._rearm_item
-        if item is None:
-            item = proc._rearm_item = _ScheduledItem(
-                time, priority, seq, proc._rearm_action)
-        else:
-            item.time = time
-            item.priority = priority
-            item.seq = seq
-            item.cancelled = False
-            item.consumed = False
-        heapq.heappush(self._queue, (time, priority, seq, item))
-        self._pending_count += 1
-
-    def _step(self, proc: Process, value: Any,
-              expected_epoch: Optional[int] = None) -> None:
-        """Advance a process by one yield."""
-        if not proc.alive:
-            return
-        if expected_epoch is not None and proc._epoch != expected_epoch:
-            return  # stale wakeup (process was interrupted meanwhile)
-        proc._epoch += 1
-        proc._waiting_on = None
-        proc._resume_handle = None
-        if self._on_process_resume:
-            for hook in self._on_process_resume:
-                hook(self, proc)
-        try:
-            if proc._pending_interrupt is not None:
-                exc = proc._pending_interrupt
-                proc._pending_interrupt = None
-                request = proc.body.throw(exc)
-            elif value is not None and isinstance(value, ProcessFailed):
-                # The process we waited on died: re-throw its failure here.
-                request = proc.body.throw(value)
-            else:
-                request = proc.body.send(value)
-        except StopIteration as stop:
-            self._finish(proc, result=stop.value)
-            return
-        except Interrupted:
-            self._finish(proc, result=None)
-            return
-        except BaseException as error:  # noqa: BLE001 - surfaced to waiters
-            self._finish(proc, error=error)
-            return
-        if self._on_process_yield:
-            for hook in self._on_process_yield:
-                hook(self, proc, request)
-        if request.__class__ is Delay:  # the dominant request: no detour
-            if proc._rearm_busy or self._on_schedule:
-                self._schedule_resume(proc, None, request.duration)
-            else:
-                self._rearm(proc, None, self.now + request.duration)
-        else:
-            self._dispatch_request(proc, request)
+        """Queue a fresh resume of ``proc`` (it becomes ``proc``'s
+        ``_rearm_item``).  The run loop re-queues a consumed record in
+        place for a Delay; every other resume comes through here."""
+        proc._rearm_item = self._push(_ScheduledItem(
+            self.now + delay, proc.priority, None, proc, value, proc._epoch))
 
     def _dispatch_request(self, proc: Process, request: Any) -> None:
         if isinstance(request, Delay):
@@ -393,12 +325,17 @@ class Simulator:
             # Convenience: yielding a bare Event waits on it.
             self._wait_on_event(proc, request)
         else:
-            raise TypeError(
+            # The process cannot go on: it fails, so its waiters see a
+            # ProcessFailed instead of hanging on a done that never fires.
+            proc.body.close()
+            self._finish(proc, error=TypeError(
                 f"process {proc.name!r} yielded unsupported request "
-                f"{request!r}; expected Delay/WaitEvent/WaitProcess/Event")
+                f"{request!r}; expected Delay/WaitEvent/WaitProcess/Event"))
 
     def _wait_on_event(self, proc: Process, event: Event) -> None:
         def resume(payload: Any) -> None:
+            proc._waiting_on = None
+            proc._resume_handle = None
             self._schedule_resume(proc, payload)
 
         proc._waiting_on = event
@@ -425,10 +362,18 @@ class Simulator:
         """Terminate a process without delivering an exception into it.
 
         Observers see it finish (``on_process_finish``, ``error`` None)
-        like any other ended process."""
+        like any other ended process.  A process cannot kill itself (its
+        generator is executing): that raises :class:`RuntimeError` and
+        changes nothing; it returns from its body instead."""
         if proc.alive:
+            if proc.body.gi_running:
+                raise RuntimeError(
+                    f"process {proc.name!r} cannot kill itself; return "
+                    "from its body instead")
             if proc._waiting_on is not None and proc._resume_handle is not None:
                 proc._waiting_on.remove_waiter(proc._resume_handle)
+            proc._waiting_on = None
+            proc._resume_handle = None
             proc.alive = False
             proc.body.close()
             self._finish(proc)
@@ -463,22 +408,73 @@ class Simulator:
                 return self.now
         queue = self._queue
         heappop = heapq.heappop
+        heappush = heapq.heappush
         self._running = True
         try:
             while queue and self._running:
                 time, _priority, _seq, item = queue[0]
                 if item.cancelled:
                     heappop(queue)
+                    self._cancelled -= 1
                     continue
                 if until is not None and time > until:
                     self.now = until
                     break
                 heappop(queue)
                 item.consumed = True
-                self._pending_count -= 1
                 self.now = time
                 self.event_count += 1
-                item.action()
+                proc = item.proc
+                if proc is None:
+                    item.action()
+                elif proc.alive and proc._epoch == item.epoch:
+                    # A process resume, inline.  A stale one (the process
+                    # was interrupted or killed since) resumes nothing.
+                    proc._epoch += 1
+                    if self._on_process_resume:
+                        for hook in self._on_process_resume:
+                            hook(self, proc)
+                    try:
+                        interrupt = proc._pending_interrupt
+                        if interrupt is not None:
+                            proc._pending_interrupt = None
+                            request = proc.body.throw(interrupt)
+                        else:
+                            value = item.value
+                            if value is not None \
+                                    and isinstance(value, ProcessFailed):
+                                # The process we waited on died: re-throw
+                                # its failure here.
+                                request = proc.body.throw(value)
+                            else:
+                                request = proc.body.send(value)
+                    except StopIteration as stop:
+                        self._finish(proc, result=stop.value)
+                    except Interrupted:
+                        self._finish(proc, result=None)
+                    except BaseException as error:  # noqa: BLE001 - to waiters
+                        self._finish(proc, error=error)
+                    else:
+                        if self._on_process_yield:
+                            for hook in self._on_process_yield:
+                                hook(self, proc, request)
+                        rearm = proc._rearm_item
+                        if request.__class__ is not Delay:
+                            self._dispatch_request(proc, request)
+                        elif rearm.consumed and not self._on_schedule:
+                            # The dominant request: re-queue the consumed
+                            # record in place (no allocation, no call).
+                            self._seq += 1
+                            seq = rearm.seq = self._seq
+                            wake = rearm.time = time + request.duration
+                            priority = rearm.priority = proc.priority
+                            rearm.value = None
+                            rearm.epoch = proc._epoch
+                            rearm.consumed = False
+                            heappush(queue, (wake, priority, seq, rearm))
+                        else:
+                            self._schedule_resume(proc, None,
+                                                  request.duration)
                 if self._on_execute:
                     for hook in self._on_execute:
                         hook(self, item)
@@ -496,26 +492,21 @@ class Simulator:
         return self.now
 
     def step(self) -> bool:
-        """Execute exactly one queued action.  Returns False if queue empty.
+        """Execute exactly one queued event: ``run(max_events=1)``, with
+        ``_running`` left as found.  Returns False if nothing is queued.
 
         This is the hook the virtual-platform debugger uses for synchronous
         system suspension: between two ``step`` calls the *entire* platform
         is frozen and can be inspected consistently (paper section VII).
         """
-        while self._queue:
-            time, _priority, _seq, item = heapq.heappop(self._queue)
-            if item.cancelled:
-                continue
-            item.consumed = True
-            self._pending_count -= 1
-            self.now = time
-            self.event_count += 1
-            item.action()
-            if self._on_execute:
-                for hook in self._on_execute:
-                    hook(self, item)
-            return True
-        return False
+        if self.peek_time() is None:
+            return False
+        running = self._running
+        try:
+            self.run(max_events=1)
+        finally:
+            self._running = running
+        return True
 
     def stop(self) -> None:
         """Stop the run loop after the current action returns."""
@@ -523,9 +514,10 @@ class Simulator:
 
     @property
     def pending(self) -> int:
-        """Number of queued, non-cancelled actions.  O(1): backed by a live
-        counter (the debugger polls this between every kernel event)."""
-        return self._pending_count
+        """Number of queued, non-cancelled events.  O(1): the heap size
+        minus the cancelled items still in it (the debugger polls this
+        between every kernel event)."""
+        return len(self._queue) - self._cancelled
 
     def peek_time(self) -> Optional[float]:
         """Time of the next non-cancelled action, or None.
@@ -533,9 +525,11 @@ class Simulator:
         Lazily discards cancelled items from the heap top instead of
         sorting the whole queue.
         """
-        while self._queue and self._queue[0][3].cancelled:
-            heapq.heappop(self._queue)
-        return self._queue[0][0] if self._queue else None
+        queue = self._queue
+        while queue and queue[0][3].cancelled:
+            heapq.heappop(queue)
+            self._cancelled -= 1
+        return queue[0][0] if queue else None
 
     def queued_items(self) -> Iterator[_ScheduledItem]:
         """Yield every queued, non-cancelled item, in no particular order
@@ -546,9 +540,12 @@ class Simulator:
 
     def clear_queue(self) -> None:
         """Drop every queued item (checkpoint restore rebuilds the queue
-        from scratch)."""
+        from scratch).  Dropped items count as cancelled, so a late
+        cancel() of one leaves ``pending`` exact."""
+        for entry in self._queue:
+            entry[3].cancelled = True
         self._queue.clear()
-        self._pending_count = 0
+        self._cancelled = 0
 
 
 __all__ = ["Delay", "Interrupted", "Process", "ProcessFailed", "SimObserver",

@@ -138,7 +138,7 @@ def _live(item: Any) -> bool:
 
 def _rearm_of(proc: Any, what: str) -> Any:
     item = proc._rearm_item
-    if not proc._rearm_busy or not _live(item):
+    if not _live(item):
         raise SnapshotError(f"{what} has no claimable pending wakeup")
     return item
 

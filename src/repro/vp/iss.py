@@ -53,8 +53,9 @@ boundaries are static, per pc (the decode's ``batchable`` table):
 - mode changes (``ei``/``di``/``iret``/``halt``).
 
 The others are dynamic, per core, and :meth:`Cpu._must_sync` is their
-only spelling -- the core loop's batch guard, a lane's revalidation of a
-speculated batch and a lane leader's choice of lanes all read it:
+only full spelling -- the core loop's batch guard (which tests the
+kernel-observer clause first), a lane's revalidation of a speculated
+batch and a lane leader's choice of lanes all read it:
 
 - an outstanding :meth:`Cpu.acquire_sync` request (the non-intrusive
   debugger holds one while attached);
@@ -625,9 +626,12 @@ class Cpu:
         """The dynamic sync-boundary rule (module docstring): True while
         an observable interaction pins this core to the per-instruction
         reference path.  Read only where a batch could start (after the
-        ``batchable`` lookup), so a core that observers pin to the
-        reference path pays one call per batchable instruction; keep it
-        cheap (``Simulator.has_observers`` is a plain attribute)."""
+        ``batchable`` lookup); keep it cheap.  The core loop's batch
+        guard tests the kernel-observer clause (``Simulator.has_observers``,
+        a plain attribute) before calling this, so a core that observers
+        pin to the reference path -- every fault job -- pays no call per
+        instruction; the clause stays here, since lane revalidation and
+        lane selection read the rule whole."""
         return not (self._sync_requests == 0
                     and not self.sim.has_observers
                     and not self._post_instr_hooks
@@ -644,6 +648,7 @@ class Cpu:
         which already elapsed: the process is spawned at its wake time
         and retires the instruction at ``pc`` without yielding first.
         """
+        sim = self.sim
         lane_group = self._lane_group
         decoded = self._decoded
         instructions = decoded.instrs
@@ -687,8 +692,11 @@ class Cpu:
                         yield Delay(stall)
                 elif batching:
                     # Batching eligibility: no observable interaction may
-                    # fall inside a batch (module docstring).
-                    if batchable[self.pc] and not self._must_sync():
+                    # fall inside a batch (module docstring).  The
+                    # observer clause of _must_sync() is hoisted: it pins
+                    # a fault job's core for the whole job.
+                    if batchable[self.pc] and not sim.has_observers \
+                            and not self._must_sync():
                         if lane_group is not None:
                             # Lane-lockstep tier: one group step retires
                             # this batch for every convergent lane (twins

@@ -6,8 +6,8 @@ import random
 import pytest
 
 from repro.desim import (
-    Delay, Event, Interrupted, ProcessFailed, Simulator, WaitEvent,
-    WaitProcess,
+    Delay, Event, Interrupted, ProcessFailed, SimObserver, Simulator,
+    WaitEvent, WaitProcess,
 )
 
 
@@ -453,3 +453,197 @@ def test_stress_event_order_is_pinned():
     assert len(trace) > 400
     assert digest == ("c1e5fa9c61f417e02ea73a90210dd98d"
                       "1f33c5d1cbfef6973aed0557b09c4a1e")
+
+
+def _scripted(advance):
+    """Delays, event waits, an interrupt racing a Delay, a failing
+    process and a cancelled callback, advanced one event per
+    ``advance(sim)`` call; returns ``(now, event_count, pending,
+    trace)`` after every call."""
+    sim = Simulator()
+    trace = []
+    gate = Event("gate")
+
+    def sleeper():
+        try:
+            yield Delay(100)
+            trace.append((sim.now, "sleeper:woke"))
+        except Interrupted as exc:
+            trace.append((sim.now, f"sleeper!{exc.cause}"))
+            yield Delay(3)
+            trace.append((sim.now, "sleeper:after"))
+
+    def waiter(name):
+        payload = yield WaitEvent(gate)
+        trace.append((sim.now, f"{name}<{payload}"))
+        yield Delay(1)
+
+    def doomed():
+        yield Delay(4)
+        raise RuntimeError("doomed")
+
+    def mourner(target):
+        try:
+            yield WaitProcess(target)
+        except ProcessFailed as failed:
+            trace.append((sim.now, f"mourn:{failed.process.name}"))
+
+    target = sim.spawn(sleeper(), name="sleeper", priority=1)
+    for index in range(3):
+        sim.spawn(waiter(f"w{index}"), name=f"w{index}", start_delay=index)
+    sim.spawn(mourner(sim.spawn(doomed(), name="doomed")), name="mourner")
+    sim.at(5, lambda: gate.trigger("open"))
+    sim.at(6, lambda: target.interrupt("poke"))
+    dropped = sim.at(7, lambda: trace.append((sim.now, "never")))
+    sim.at(2, lambda: sim.cancel(dropped))
+    states = []
+    while True:
+        try:
+            if not advance(sim):
+                break
+        except RuntimeError as error:
+            trace.append((sim.now, f"error:{error}"))
+        states.append((sim.now, sim.event_count, sim.pending, list(trace)))
+    return states
+
+
+def _run_one(sim):
+    if not sim.pending:
+        return False
+    sim.run(max_events=1)
+    return True
+
+
+def test_step_is_run_with_a_budget_of_one():
+    stepped = _scripted(lambda sim: sim.step())
+    assert stepped == _scripted(_run_one)
+    now, events, pending, trace = stepped[-1]
+    assert (now, pending) == (100, 0)
+    assert len(stepped) == events
+    assert (4, "error:doomed") in trace and (4, "mourn:doomed") in trace
+    assert (6, "sleeper!poke") in trace and (9, "sleeper:after") in trace
+    assert all(tag != "never" for _, tag in trace)
+
+
+def test_step_leaves_the_running_flag_as_found():
+    sim = Simulator()
+    sim.at(1, lambda: None)
+    sim.at(2, lambda: None)
+    assert sim.step() and not sim._running
+    sim._running = True
+    assert sim.step() and sim._running
+    sim._running = False
+    assert not sim.step()
+
+
+def _queued(sim):
+    return sum(1 for _ in sim.queued_items())
+
+
+def test_pending_stays_exact():
+    # pending is the heap size minus the cancelled items still in it;
+    # every path that cancels or drops an item keeps it equal to a scan.
+    sim = Simulator()
+    items = [sim.at(t, lambda: None) for t in (1, 2, 3, 4, 5, 6)]
+    sim.cancel(items[0])
+    sim.cancel(items[0])  # double cancel
+    sim.cancel(items[3])
+    assert sim.pending == _queued(sim) == 4
+    assert sim.peek_time() == 2  # drops the cancelled head
+    assert sim.pending == _queued(sim) == 4
+    sim.cancel(items[4])
+    assert sim.run(until=3) == 3  # stops with cancelled items queued
+    assert sim.pending == _queued(sim) == 1
+    sim.cancel(items[1])  # cancel after execution
+    assert sim.pending == _queued(sim) == 1
+    sim.clear_queue()
+    assert sim.pending == _queued(sim) == 0
+    late = sim.at(10, lambda: None)
+    sim.cancel(items[5])  # dropped by clear_queue: a no-op
+    assert sim.pending == _queued(sim) == 1
+    sim.cancel(late)
+    assert sim.pending == _queued(sim) == 0
+    assert sim.run() == 3 and sim.pending == 0
+
+
+class _Resumes(SimObserver):
+    def __init__(self):
+        self.resumed = []
+
+    def on_process_resume(self, sim, proc):
+        self.resumed.append((sim.now, proc.name))
+
+
+def test_stale_and_killed_records_pop_without_resuming():
+    # An interrupted sleeper's original Delay record and a killed
+    # sleeper's record stay queued and pop at t=100 as events that
+    # resume nothing.
+    sim = Simulator()
+    resumes = sim.add_observer(_Resumes())
+
+    def sleeper():
+        try:
+            yield Delay(100)
+        except Interrupted:
+            yield Delay(1)
+
+    poked = sim.spawn(sleeper(), name="poked")
+    killed = sim.spawn(sleeper(), name="killed")
+    sim.at(5, lambda: poked.interrupt())
+    sim.at(5, lambda: sim.kill(killed))
+    assert sim.run() == 100
+    assert not poked.alive and not killed.alive
+    assert resumes.resumed == [(0, "poked"), (0, "killed"), (5, "poked"),
+                               (6, "poked")]
+    # 2 spawns, 2 callbacks, the interrupt, the 1-unit Delay, 2 no-ops.
+    assert sim.event_count == 8
+
+
+def test_unsupported_request_fails_the_process():
+    sim = Simulator()
+    closed = []
+    failures = []
+
+    def confused():
+        try:
+            yield 42
+        finally:
+            closed.append(sim.now)
+
+    def waiter(target):
+        try:
+            yield WaitProcess(target)
+        except ProcessFailed as failed:
+            failures.append(failed.error)
+
+    proc = sim.spawn(confused(), name="confused")
+    watcher = sim.spawn(waiter(proc), name="watcher")
+    with pytest.raises(TypeError, match=r"process 'confused' yielded "
+                       r"unsupported request 42; expected "
+                       r"Delay/WaitEvent/WaitProcess/Event"):
+        sim.run()
+    assert not proc.alive and isinstance(proc.error, TypeError)
+    assert closed == [0]
+    sim.run()
+    assert failures == [proc.error]
+    assert not watcher.alive and watcher.error is None
+
+
+def test_a_process_cannot_kill_itself():
+    sim = Simulator()
+    log = []
+
+    def body():
+        yield Delay(1)
+        try:
+            sim.kill(proc)
+        except RuntimeError as error:
+            log.append(str(error))
+        yield Delay(1)
+        return "done"
+
+    proc = sim.spawn(body(), name="self")
+    assert sim.run() == 2
+    assert log == ["process 'self' cannot kill itself; return from its "
+                   "body instead"]
+    assert proc.result == "done" and proc.error is None

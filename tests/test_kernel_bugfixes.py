@@ -246,8 +246,8 @@ class TestInterruptDuringDelay:
 
 
 class TestPendingIsCheap:
-    """Bug 3: ``pending`` is a live counter and ``peek_time`` only
-    touches the heap top."""
+    """Bug 3: ``pending`` is O(1) (the heap size minus its cancelled
+    items) and ``peek_time`` only touches the heap top."""
 
     class _NoIterList(list):
         def __iter__(self):
@@ -277,7 +277,7 @@ class TestPendingIsCheap:
         item = sim.at(1, lambda: None)
         sim.run()
         assert sim.pending == 0
-        sim.cancel(item)  # already consumed: counter must not go negative
+        sim.cancel(item)  # already consumed: pending must not change
         assert sim.pending == 0
 
     def test_pending_counts_survive_a_full_run(self):
@@ -295,7 +295,7 @@ class TestPendingIsCheap:
     def test_pending_is_o1_microbench(self):
         """Micro-bench: querying ``pending`` must not get slower as the
         queue grows.  An O(n) scan makes the large case ~1000x the small
-        one; the live counter keeps the ratio near 1 (generous bound to
+        one; the O(1) derivation keeps the ratio near 1 (generous bound to
         absorb timer noise)."""
         def time_queries(n, queries=2000):
             sim = Simulator()

@@ -287,6 +287,35 @@ class TestQuantumKnob:
         assert soc.cores[1].process.priority == 2
 
 
+class TestFrameBudget:
+    def test_pinned_reference_path_enters_three_frames_per_event(self):
+        # A core that a kernel observer pins to the reference path costs
+        # three Python frames per kernel event: the generator resume, the
+        # op handler and Signal.write.  The run loop resumes the process
+        # itself and the batch guard reads has_observers before calling
+        # _must_sync(); the constant covers run() and the finishes.
+        import sys
+
+        from repro.desim.kernel import SimObserver
+        soc = SoC(SoCConfig(n_cores=2), {0: ALU_LOOP, 1: ALU_LOOP})
+        soc.sim.add_observer(SimObserver())
+        calls = [0]
+
+        def count(frame, event, arg):
+            if event == "call":
+                calls[0] += 1
+
+        previous = sys.getprofile()
+        sys.setprofile(count)
+        try:
+            soc.run()
+        finally:
+            sys.setprofile(previous)
+        events = soc.sim.event_count
+        assert events > 1000
+        assert calls[0] <= 3 * events + 32
+
+
 # ---------------------------------------------------------------------------
 # the one sync-boundary gate (Cpu._must_sync)
 # ---------------------------------------------------------------------------
@@ -467,19 +496,28 @@ class TestBusDecode:
 
 class TestKernelRearm:
     def test_delay_chain_recycles_one_item(self):
+        # One record object carries the spawn and all 100 delays (the
+        # run loop re-queues it in place), and it is consumed at the end.
         sim = Simulator()
         ticks = []
+        records = []
 
         def clock():
             for _ in range(100):
+                records.append(proc._rearm_item)
                 yield Delay(1)
                 ticks.append(sim.now)
+            records.append(proc._rearm_item)
 
         proc = sim.spawn(clock(), name="clock")
+        first = proc._rearm_item
         sim.run()
         assert ticks == [float(t) for t in range(1, 101)]
-        assert proc._rearm_item is not None
-        assert not proc._rearm_busy
+        assert len(records) == 101
+        assert all(record is first for record in records)
+        assert proc._rearm_item is first
+        assert first.consumed and not first.cancelled
+        assert sim.event_count == 101
 
     def test_interrupt_racing_a_delay_is_delivered_once(self):
         # interrupt() while the re-arm record sits in the heap must fall
