@@ -329,3 +329,67 @@ class TestScriptEngine:
             engine.command("assert ((( :: broken")
         with pytest.raises(ScriptError):
             engine.eval("this is not python")
+
+
+def _e12_bench():
+    """The E12 bench module (benchmarks/ is not a package)."""
+    import importlib.util
+    from pathlib import Path
+    path = (Path(__file__).resolve().parents[1] / "benchmarks"
+            / "test_bench_e12_assertions.py")
+    spec = importlib.util.spec_from_file_location("_e12_bench", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# Every scripted session of this file and of the E12 bench, plus
+# sessions that mix breakpoints, watchpoints, budgets and stops.
+SCRIPTED_SESSIONS = [
+    ("racy", "assert mem(100) <= 6 :: counter passed six\nrun\n"),
+    ("racy", "expect mem(100) < 3 :: stop early\nrun\n"),
+    ("racy", "assert mem(100) <= 999 :: never fires\nrun\n"),
+    ("store", "run\nprint mem(7)\n"),
+    ("racy", "watch write 100 master=dma\nrun\n"),
+    ("e12", "assert mem(200) == 7 or reg(0, 2) < 8 :: dma overran "
+            "into core0 buffer\nrun\n"),
+    ("e12", "watch write 200 master=dma\nrun\nrun\nrun 40\nrun\n"),
+    ("racy", "break 0 4\nbreak 1 6\nrun\nrun\nstep 0\nrun 25\nrun\n"),
+    ("racy", "watch read 100\nexpect mem(100) < 4 :: four\nrun\nrun\n"
+             "run\nrun\n"),
+    ("locked", "watch access 0x8000 master=core1\n"
+               "assert mem(100) <= 20 :: never\nrun 30\nrun\nrun\n"),
+]
+
+
+def _scripted_session(firmware: str, script: str):
+    if firmware == "e12":
+        soc = _e12_bench().build()
+    elif firmware == "store":
+        soc = SoC(SoCConfig(n_cores=1), {0: "li r1, 9\nsw r1, 7(r0)\nhalt\n"})
+    else:
+        soc = dual_core(RACY if firmware == "racy" else LOCKED)
+    engine = DebugScriptEngine(soc)
+    stops = []
+    for line in script.splitlines():
+        engine.execute(line)
+        if line.split()[0] == "run":
+            stops.append((engine.last_stop.kind, engine.last_stop.time))
+    debugger = engine.debugger
+    return (stops,
+            [(v.time, v.message) for v in engine.violations],
+            [bp.hits for bp in debugger.breakpoints],
+            [wp.hits for wp in debugger.watchpoints],
+            engine.printed)
+
+
+class TestScriptedSessionsPinned:
+    """Stops, violations and hit counts of scripted sessions, recorded
+    before the script ``run`` verb became :meth:`Debugger.run`."""
+
+    def test_sessions_are_pinned(self):
+        import hashlib
+        digest = hashlib.sha256()
+        for firmware, script in SCRIPTED_SESSIONS:
+            digest.update(repr(_scripted_session(firmware, script)).encode())
+        assert digest.hexdigest()[:16] == "6ea45c27ae03828c"
