@@ -69,12 +69,6 @@ class SymbolTable:
     # function name -> its body scope (params + top-level locals merged in).
     function_scopes: Dict[str, Scope] = field(default_factory=dict)
 
-    def symbol_of(self, node: Node) -> Symbol:
-        try:
-            return self.bindings[node.node_id]
-        except KeyError:
-            raise KeyError(f"node {node!r} has no binding") from None
-
 
 class _Binder:
     def __init__(self, program: Program) -> None:

@@ -145,9 +145,6 @@ class SDFGraph:
     def out_edges(self, actor: str) -> List[Edge]:
         return [e for e in self.edges if e.src == actor]
 
-    def actor_names(self) -> List[str]:
-        return list(self.actors)
-
     def validate(self) -> None:
         """Raise if the graph references unknown actors (defensive check)."""
         for edge in self.edges:

@@ -120,15 +120,6 @@ class Fifo:
         self.closed = True
         self._not_empty.trigger(None)
 
-    # ------------------------------------------------------------------
-    @property
-    def not_empty_event(self) -> Event:
-        return self._not_empty
-
-    @property
-    def not_full_event(self) -> Event:
-        return self._not_full
-
     def _enqueue(self, item: Any) -> None:
         if self.closed:
             raise ChannelClosed(f"put on closed fifo {self.name!r}")

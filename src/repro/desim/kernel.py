@@ -292,10 +292,13 @@ class Simulator:
     # ------------------------------------------------------------------
     def spawn(self, body: ProcessBody, name: str = "",
               priority: int = 0, start_delay: float = 0.0) -> Process:
-        """Create a process from a generator and schedule its first step."""
+        """Create a process from a generator and schedule its first step.
+
+        A NaN or negative ``start_delay`` raises :class:`ValueError` and
+        registers nothing."""
         proc = Process(self, body, name=name, priority=priority)
-        self.processes.append(proc)
         self._schedule_resume(proc, None, delay=start_delay)
+        self.processes.append(proc)
         return proc
 
     def _schedule_resume(self, proc: Process, value: Any,

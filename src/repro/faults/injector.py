@@ -77,9 +77,6 @@ class FaultInjector(SimObserver):
         catches every target of that kind."""
         self._handlers[(kind, target)] = handler
 
-    def unregister(self, kind: str, target: Any) -> None:
-        self._handlers.pop((kind, target), None)
-
     def _fire(self, spec: FaultSpec) -> None:
         handler = self._handlers.get((spec.kind, spec.target))
         if handler is None:

@@ -58,13 +58,6 @@ class CICTask:
         if len(names) != len(self.in_ports) + len(self.out_ports):
             raise ValueError(f"task {self.name!r}: duplicate port names")
 
-    def port_index(self, port: str) -> int:
-        if port in self.in_ports:
-            return self.in_ports.index(port)
-        if port in self.out_ports:
-            return self.out_ports.index(port)
-        raise KeyError(f"task {self.name!r} has no port {port!r}")
-
 
 @dataclass
 class CICChannel:

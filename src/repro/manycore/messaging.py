@@ -315,12 +315,5 @@ class NoCModel:
     def mailbox(self, core_id: int) -> Mailbox:
         return self.mailboxes[core_id]
 
-    @property
-    def mean_latency(self) -> float:
-        delivered = sum(m.total_received for m in self.mailboxes.values())
-        if delivered == 0:
-            return 0.0
-        return self.total_latency / delivered
-
 
 __all__ = ["FaultHook", "HBHook", "Message", "NoCModel"]

@@ -196,74 +196,17 @@ def run_time_shared(machine: Machine, apps: Sequence[AppSpec],
                     metrics: Optional[MetricsRegistry] = None) -> ScheduleOutcome:
     """Global round-robin over all cores with a fixed quantum.
 
-    With a ``sink`` installed every executed time slice becomes a span on
-    the ``os/core<N>`` track and the ready-queue depth a counter series;
-    ``metrics`` (created if omitted) accumulates context switches,
-    migrations and the ready-queue high-water mark.
+    This is :func:`run_resilient` with no faults to survive: its
+    watchdogs cannot bite, since every slice kicks them well inside the
+    timeout.  With a ``sink`` installed every executed time slice becomes
+    a span on the ``os/core<N>`` track and the ready-queue depth a
+    counter series; ``metrics`` (created if omitted) accumulates context
+    switches, migrations and the ready-queue high-water mark.  An app
+    with a thread no core can run is recorded with ``finish == inf``.
     """
-    sim = Simulator()
-    metrics = metrics if metrics is not None else MetricsRegistry()
-    outcome = ScheduleOutcome("time_shared", metrics=metrics)
-    ready: Deque[_Thread] = deque()
-    work_event = Event("work")
-    remaining_apps = len(apps)
-    ready_gauge = metrics.gauge("os.ready_depth")
-    switch_counter = metrics.counter("os.context_switches")
-    migration_counter = metrics.counter("os.migrations")
-
-    def note_ready_depth() -> None:
-        ready_gauge.set(len(ready))
-        if sink is not None:
-            sink.counter("ready_depth", len(ready), track="os", ts=sim.now)
-
-    def arrival_proc(spec: AppSpec):
-        if spec.arrival > 0:
-            yield Delay(spec.arrival)
-        state = _AppState(spec)
-        for thread in state.make_threads():
-            ready.append(thread)
-        note_ready_depth()
-        work_event.trigger(None)
-
-    def core_proc(core: Core):
-        nonlocal remaining_apps
-        while remaining_apps > 0:
-            thread = _pop_matching(ready, core.isa)
-            if thread is None:
-                yield WaitEvent(work_event)
-                continue
-            note_ready_depth()
-            if thread.last_core is not None and \
-                    thread.last_core != core.core_id:
-                migration_counter.inc()
-            thread.last_core = core.core_id
-            slice_work = min(quantum * core.freq, thread.remaining)
-            duration = slice_work / core.freq + ctx_overhead
-            outcome.context_switches += 1
-            switch_counter.inc()
-            if sink is not None:
-                sink.complete(
-                    f"{thread.app.spec.name}.t{thread.index}",
-                    ts=sim.now, dur=duration,
-                    track=f"os/core{core.core_id}")
-            yield Delay(duration)
-            thread.remaining -= slice_work
-            if thread.remaining <= 1e-12:
-                thread.app.unfinished -= 1
-                if thread.app.unfinished == 0:
-                    _record(outcome, thread.app, sim.now)
-                    remaining_apps -= 1
-                    work_event.trigger(None)  # wake idle cores to re-check exit
-            else:
-                ready.append(thread)
-                note_ready_depth()
-                work_event.trigger(None)
-
-    for spec in apps:
-        sim.spawn(arrival_proc(spec), name=f"arrive.{spec.name}")
-    for core in machine.cores:
-        sim.spawn(core_proc(core), name=f"core{core.core_id}")
-    sim.run()
+    outcome = run_resilient(machine, apps, quantum, ctx_overhead,
+                            sink=sink, metrics=metrics)
+    outcome.policy = "time_shared"
     return outcome
 
 
@@ -475,8 +418,11 @@ def run_resilient(machine: Machine, apps: Sequence[AppSpec],
 
     ``heartbeat_timeout`` must exceed one slice duration
     (``quantum + ctx_overhead``); it defaults to three slice durations.
-    A plan that kills every core leaves the remaining apps recorded
-    with ``finish == inf`` rather than deadlocking.
+    A plan that kills every core, or a thread pinned to an ISA no core
+    has, leaves the app recorded with ``finish == inf`` rather than
+    deadlocking.  Slices, ready-queue depth (``os.ready_depth`` and the
+    ``ready_depth`` series) and metrics are reported as in
+    :func:`run_time_shared`, which is this loop without an injector.
     """
     slice_duration = quantum + ctx_overhead
     if heartbeat_timeout is None:
@@ -495,6 +441,7 @@ def run_resilient(machine: Machine, apps: Sequence[AppSpec],
     states: List[_AppState] = []
     work_event = Event("work")
     remaining_apps = len(apps)
+    ready_gauge = metrics.gauge("os.ready_depth")
     switch_counter = metrics.counter("os.context_switches")
     migration_counter = metrics.counter("os.migrations")
     restart_counter = metrics.counter("os.task_restarts")
@@ -510,6 +457,11 @@ def run_resilient(machine: Machine, apps: Sequence[AppSpec],
     current: Dict[int, Optional[_Thread]] = {}
     slice_start_remaining: Dict[int, float] = {}
 
+    def note_ready_depth() -> None:
+        ready_gauge.set(len(ready))
+        if sink is not None:
+            sink.counter("ready_depth", len(ready), track="os", ts=sim.now)
+
     def arrival_proc(spec: AppSpec):
         if spec.arrival > 0:
             yield Delay(spec.arrival)
@@ -517,6 +469,7 @@ def run_resilient(machine: Machine, apps: Sequence[AppSpec],
         states.append(state)
         for thread in state.make_threads():
             ready.append(thread)
+        note_ready_depth()
         work_event.trigger(None)
 
     def make_bite(core_id: int):
@@ -537,6 +490,7 @@ def run_resilient(machine: Machine, apps: Sequence[AppSpec],
                 thread.remaining = slice_start_remaining.get(
                     core_id, thread.remaining)
                 ready.append(thread)
+                note_ready_depth()
                 restart_counter.inc()
                 work_event.trigger(None)
             if sink is not None:
@@ -597,6 +551,7 @@ def run_resilient(machine: Machine, apps: Sequence[AppSpec],
                 wd.stop()
                 yield WaitEvent(work_event)
                 continue
+            note_ready_depth()
             if wd.armed:
                 wd.kick()
             else:
@@ -629,6 +584,7 @@ def run_resilient(machine: Machine, apps: Sequence[AppSpec],
                     work_event.trigger(None)
             else:
                 ready.append(thread)
+                note_ready_depth()
                 work_event.trigger(None)
         wd.stop()
 

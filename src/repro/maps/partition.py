@@ -43,10 +43,6 @@ class Cluster:
     stmts: List[Stmt]
     loop_info: Optional[LoopInfo] = None
 
-    @property
-    def is_loop(self) -> bool:
-        return self.loop_info is not None
-
     def defs(self) -> Set[str]:
         names: Set[str] = set()
         for stmt in self.stmts:

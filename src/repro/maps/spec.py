@@ -109,9 +109,6 @@ class PlatformSpec:
                 return pe
         raise KeyError(f"no PE named {name!r}")
 
-    def pes_of_class(self, pe_class: PEClass) -> List[PESpec]:
-        return [pe for pe in self.pes if pe.pe_class == pe_class]
-
     def comm_cost(self, words: int) -> float:
         return self.channel_setup_cost + self.channel_word_cost * words
 

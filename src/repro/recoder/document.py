@@ -96,9 +96,6 @@ class Document:
     def manual_chars_typed(self) -> int:
         return sum(edit.chars_typed for edit in self.edits)
 
-    def tool_edit_count(self) -> int:
-        return sum(1 for edit in self.edits if edit.by_tool)
-
     def _check_span(self, start: int, end: int) -> None:
         if not 0 <= start <= end <= len(self._text):
             raise IndexError(f"bad span [{start}:{end}] for document of "

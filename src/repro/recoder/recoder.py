@@ -148,9 +148,5 @@ class RecoderSession:
     def text(self) -> str:
         return self.document.text
 
-    def interaction_count(self) -> int:
-        """Designer interactions: tool invocations + manual edits."""
-        return len(self.invocations) + self.manual_edits
-
 
 __all__ = ["RecoderSession", "SyncError", "TransformInvocation"]

@@ -11,6 +11,9 @@ stops, **nothing** in the platform has advanced past the stop point: every
 core register, peripheral register and signal is consistent, and resuming
 continues bit-identically.  Crucially, none of the inspection APIs consume
 simulated time, so debugging cannot change program behaviour.
+
+:meth:`Debugger.run` is the only run loop: the system-level assertions of
+:mod:`repro.vp.script` are evaluated inside it, after every event.
 """
 
 from __future__ import annotations
@@ -71,6 +74,31 @@ class StopReason:
         return f"StopReason({self.kind}: {self.detail} @ {self.time})"
 
 
+@dataclass
+class Assertion:
+    """A system-level software assertion, checked after every kernel
+    event of :meth:`Debugger.run`: a falsy or raising ``holds()`` is a
+    violation, and ``stop_on_failure`` suspends the run at the first."""
+
+    expression: str
+    message: str
+    holds: Callable[[], Any]
+    stop_on_failure: bool = False
+    violations: int = 0
+
+
+@dataclass
+class AssertionViolation:
+    """One observed system-level assertion failure."""
+
+    time: float
+    expression: str
+    message: str
+
+    def __repr__(self) -> str:
+        return f"VIOLATION @{self.time}: {self.message} ({self.expression})"
+
+
 class Debugger:
     """Whole-system debugger over one :class:`SoC`."""
 
@@ -78,6 +106,8 @@ class Debugger:
         self.soc = soc
         self.breakpoints: List[Breakpoint] = []
         self.watchpoints: List[Watchpoint] = []
+        self.assertions: List[Assertion] = []
+        self.violations: List[AssertionViolation] = []
         self._pending: List[StopReason] = []
         self.stops: List[StopReason] = []
         self.soc.bus.observe(self._on_bus_access)
@@ -194,7 +224,10 @@ class Debugger:
     # ------------------------------------------------------------------
     def run(self, max_events: int = 1_000_000,
             until_time: Optional[float] = None) -> StopReason:
-        """Run until a stop condition, whole-system halt, or budget."""
+        """Run until a stop condition, whole-system halt, or budget.
+
+        Assertions are evaluated after every kernel event; a failed
+        ``stop_on_failure`` assertion suspends the run there."""
         self.soc.start()
         for _ in range(max_events):
             reason = self._check_stop_conditions()
@@ -209,6 +242,9 @@ class Debugger:
             if not self.soc.step():
                 return self._stopped(StopReason(
                     "idle", "event queue empty", time=self.soc.sim.now))
+            reason = self._check_assertions()
+            if reason is not None:
+                return reason
         return self._stopped(StopReason("limit", f"{max_events} events",
                                         time=self.soc.sim.now))
 
@@ -236,19 +272,41 @@ class Debugger:
             reason = self._pending.pop(0)
             self._pending.clear()
             return self._stopped(reason)
-        for bp in self.breakpoints:
-            if not bp.enabled:
-                continue
-            core = self.soc.cores[bp.core_id]
-            if not core.halted and core.pc == bp.pc:
-                bp.hits += 1
-                bp.enabled = False  # one-shot arm; re-enable to reuse
-                return self._stopped(StopReason(
-                    "breakpoint", f"core{bp.core_id} at pc={bp.pc}",
-                    breakpoint=bp, time=self.soc.sim.now))
+        bp = self._breakpoint_hit()
+        if bp is not None:
+            bp.hits += 1
+            bp.enabled = False  # one-shot arm; re-enable to reuse
+            return self._stopped(StopReason(
+                "breakpoint", f"core{bp.core_id} at pc={bp.pc}",
+                breakpoint=bp, time=self.soc.sim.now))
         if self.soc.all_halted and self.soc.sim.pending == 0:
             return self._stopped(StopReason("halted", "all cores halted",
                                             time=self.soc.sim.now))
+        return None
+
+    def _breakpoint_hit(self) -> Optional[Breakpoint]:
+        """The first enabled breakpoint whose running core sits at it."""
+        for bp in self.breakpoints:
+            if bp.enabled:
+                core = self.soc.cores[bp.core_id]
+                if not core.halted and core.pc == bp.pc:
+                    return bp
+        return None
+
+    def _check_assertions(self) -> Optional[StopReason]:
+        for assertion in self.assertions:
+            try:
+                ok = assertion.holds()
+            except Exception:  # noqa: BLE001 - a failing probe is a violation
+                ok = False
+            if not ok:
+                assertion.violations += 1
+                now = self.soc.sim.now
+                self.violations.append(AssertionViolation(
+                    now, assertion.expression, assertion.message))
+                if assertion.stop_on_failure:
+                    return self._stopped(StopReason(
+                        "assertion", assertion.message, time=now))
         return None
 
     def _stopped(self, reason: StopReason) -> StopReason:
@@ -325,18 +383,9 @@ class Debugger:
                 f"no time-travel checkpoint at or before cycle {cycle:g} "
                 f"(ring covers {[snap.time for snap in self._ring]})")
         snap = candidates[-1]
-        self._restore(snap)
         sim = self.soc.sim
-        self._hook_mode = "mute"
-        try:
-            while True:
-                upcoming = sim.peek_time()
-                if upcoming is None or upcoming > cycle:
-                    break
-                sim.step()
-        finally:
-            self._hook_mode = "live"
-            self._pending.clear()
+        self._replay_muted(snap, lambda: sim.peek_time() is not None
+                           and sim.peek_time() <= cycle)
         return self._stopped(StopReason(
             "rewind", f"rewound to t={sim.now:g} "
             f"(from checkpoint t={snap.time:g})", time=sim.now))
@@ -364,15 +413,10 @@ class Debugger:
             if hit is None:
                 continue
             kind, steps = hit
-            self._restore(snap)
-            self._hook_mode = "mute"
-            try:
-                replay = steps if kind == "bp" else steps - 1
-                for _ in range(replay):
-                    sim.step()
-            finally:
-                self._hook_mode = "live"
-                self._pending.clear()
+            # Up to the hit boundary; a watchpoint's own event runs live.
+            countdown = iter(range(steps if kind == "bp" else steps - 1))
+            self._replay_muted(snap,
+                               lambda: next(countdown, None) is not None)
             if kind == "wp":
                 sim.step()  # the hit event itself, hooks live
             reason = self._check_stop_conditions()
@@ -383,6 +427,18 @@ class Debugger:
             return reason
         self._restore(here)
         return None
+
+    def _replay_muted(self, snap, more: Callable[[], bool]) -> None:
+        """Restore ``snap``, then execute events with every stop hook
+        muted for as long as ``more()`` holds and events remain."""
+        self._restore(snap)
+        self._hook_mode = "mute"
+        try:
+            while more() and self.soc.sim.step():
+                pass
+        finally:
+            self._hook_mode = "live"
+            self._pending.clear()
 
     def _scan_segment(self, snap, target: float):
         """Replay ``snap``..``target`` in scan mode; return the last
@@ -400,14 +456,8 @@ class Debugger:
                 if self._pending:
                     kind = "wp"
                     self._pending.clear()
-                else:
-                    for bp in self.breakpoints:
-                        if not bp.enabled:
-                            continue
-                        core = self.soc.cores[bp.core_id]
-                        if not core.halted and core.pc == bp.pc:
-                            kind = "bp"
-                            break
+                elif self._breakpoint_hit() is not None:
+                    kind = "bp"
                 if kind is not None:
                     last = (kind, steps)
                 if not sim.step():
@@ -426,9 +476,6 @@ class Debugger:
 
     def read_memory(self, address: int, length: int = 1) -> List[int]:
         return [self.soc.bus.peek(address + i) for i in range(length)]
-
-    def read_signal(self, name: str) -> Any:
-        return self.soc.signal(name).read()
 
     def peripheral_registers(self) -> Dict[str, Dict[str, int]]:
         """A consistent snapshot of every peripheral's registers."""
@@ -467,4 +514,5 @@ class Debugger:
         }
 
 
-__all__ = ["Breakpoint", "Debugger", "StopReason", "Watchpoint"]
+__all__ = ["Assertion", "AssertionViolation", "Breakpoint", "Debugger",
+           "StopReason", "Watchpoint"]

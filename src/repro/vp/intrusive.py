@@ -10,8 +10,8 @@ running:
 
 - a per-instruction monitor overhead (JTAG run-control polling);
 - a long stall when a probe breakpoint is hit (the core is halted for the
-  human/probe round-trip while timers, DMA and the other cores race on);
-- a stall for every register/memory inspection.
+  human/probe round-trip while timers, DMA and the other cores race on;
+  the probe dumps the core's registers meanwhile).
 
 This is exactly the timing perturbation that makes a race-condition bug
 disappear under debugging -- the "Heisenbug" the E11 bench measures.
@@ -31,7 +31,6 @@ class ProbeLog:
     """What the probe observed (at the cost of perturbing the system)."""
 
     breakpoint_stalls: int = 0
-    inspection_stalls: int = 0
     cycles_injected: float = 0.0
     observations: List[Dict] = field(default_factory=list)
 
@@ -41,8 +40,7 @@ class HardwareProbe:
 
     def __init__(self, soc: SoC, core_id: int,
                  monitor_overhead: float = 0.0,
-                 breakpoint_stall: float = 200.0,
-                 inspection_stall: float = 50.0) -> None:
+                 breakpoint_stall: float = 200.0) -> None:
         self.soc = soc
         self.core = soc.cores[core_id]
         if self.core.stall_hook is not None:
@@ -52,9 +50,7 @@ class HardwareProbe:
                              f"(another probe is attached)")
         self.monitor_overhead = monitor_overhead
         self.breakpoint_stall = breakpoint_stall
-        self.inspection_stall = inspection_stall
         self.breakpoints: Set[int] = set()
-        self.inspect_at: Set[int] = set()  # pcs where registers are dumped
         self.log = ProbeLog()
         self._armed: Set[int] = set()
         self.core.stall_hook = self._stall_hook
@@ -69,11 +65,6 @@ class HardwareProbe:
     def add_breakpoint(self, pc: int) -> None:
         self.breakpoints.add(pc)
         self._armed.add(pc)
-
-    def add_inspection(self, pc: int) -> None:
-        """Dump registers whenever the core reaches ``pc`` (each visit
-        stalls the core under debug -- only it)."""
-        self.inspect_at.add(pc)
 
     def detach(self) -> None:
         if not self._attached:
@@ -94,12 +85,6 @@ class HardwareProbe:
                 "kind": "breakpoint", "pc": core.pc,
                 "time": self.soc.sim.now, "regs": list(core.regs)})
             stall += self.breakpoint_stall
-        if core.pc in self.inspect_at:
-            self.log.inspection_stalls += 1
-            self.log.observations.append({
-                "kind": "inspect", "pc": core.pc,
-                "time": self.soc.sim.now, "regs": list(core.regs)})
-            stall += self.inspection_stall
         self.log.cycles_injected += stall
         return stall
 

@@ -448,24 +448,18 @@ class DecodedProgram:
         self._laneblocks = None
 
     def superblocks(self) -> jit.SuperBlockCache:
-        """The lazily built superblock cache for the compiled backend.
-
-        Salted with :data:`repro.vp.jit.JIT_SALT` (a digest of the
-        compiler source, the farm's code-version-salt idiom): editing
-        the block compiler invalidates every cache built by the old
-        version.
-        """
+        """The lazily built superblock cache for the compiled backend."""
         cache = self._superblocks
-        if cache is None or cache.salt != jit.JIT_SALT:
+        if cache is None:
             cache = self._superblocks = jit.SuperBlockCache(
                 self.instrs, self.batchable)
         return cache
 
     def lane_superblocks(self) -> jit.LaneBlockCache:
         """The lane-vectorized superblock cache (the vector backend's
-        tier), lazily built and salted exactly like :meth:`superblocks`."""
+        tier), lazily built like :meth:`superblocks`."""
         cache = self._laneblocks
-        if cache is None or cache.salt != jit.JIT_SALT:
+        if cache is None:
             cache = self._laneblocks = jit.LaneBlockCache(
                 self.instrs, self.batchable)
         return cache

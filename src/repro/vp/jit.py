@@ -42,16 +42,12 @@ module -- is the oracle):
 Compiled blocks are cached on the decoded program (the existing decode
 cache, built once per immutable program) via :class:`SuperBlockCache`,
 lazily per entry pc -- jump targets that are never reached are never
-compiled.  The cache is salted with
-:data:`JIT_SALT`, a digest of this module's source (the same idiom as
-the farm's code-version salt, :func:`repro.farm.source_salt`): editing
-the compiler self-invalidates every previously built cache, so a stale
-block can never outlive the code that generated it.
+compiled.  The cache lives only as long as the process that built it,
+so it never outlives the compiler that generated its blocks.
 """
 
 from __future__ import annotations
 
-import hashlib
 from typing import Callable, List, Optional, Sequence, Set, Tuple
 
 from repro.vp.isa import (BRANCH_OPS, CONTROL_OPS, CYCLES, DEFAULT_CYCLES,
@@ -64,20 +60,6 @@ MAX_BLOCK_INSTRS = 64
 
 # Branch mnemonics to the Python comparison on canonical signed images.
 _BRANCH_PY = {"beq": "==", "bne": "!=", "blt": "<", "bge": ">="}
-
-
-def _compute_salt() -> str:
-    """Digest of this module's source: the compiled-code version salt."""
-    try:
-        import inspect
-        import sys
-        source = inspect.getsource(sys.modules[__name__])
-    except (OSError, TypeError, KeyError):
-        return "jit-unversioned"
-    return hashlib.sha256(source.encode("utf-8")).hexdigest()[:16]
-
-
-JIT_SALT = _compute_salt()
 
 
 class BlockFault(Exception):
@@ -533,13 +515,10 @@ class SuperBlockCache:
     """Lazily compiled superblocks for one decoded program.
 
     Shared by every core running the program (blocks only touch the
-    ``regs`` list they are handed).  ``salt`` records the compiler
-    version that built this cache; :meth:`repro.vp.iss.DecodedProgram.
-    superblocks` discards caches whose salt no longer matches
-    :data:`JIT_SALT`.
+    ``regs`` list they are handed).
     """
 
-    __slots__ = ("_instrs", "_batchable", "blocks", "salt")
+    __slots__ = ("_instrs", "_batchable", "blocks")
 
     _compile = staticmethod(compile_superblock)
 
@@ -548,7 +527,6 @@ class SuperBlockCache:
         self._instrs = instrs
         self._batchable = batchable
         self.blocks: List[Optional[SuperBlock]] = [None] * len(instrs)
-        self.salt = JIT_SALT
 
     def get(self, pc: int) -> SuperBlock:
         """The superblock whose leader is ``pc`` (compiled on first use).
@@ -569,7 +547,7 @@ class SuperBlockCache:
 
 class LaneBlockCache(SuperBlockCache):
     """Superblock cache whose entries are lane-vectorized (the vector
-    backend's tier).  Same lazy/salted discipline as the scalar cache;
+    backend's tier).  Same lazy discipline as the scalar cache;
     both hang off one :class:`~repro.vp.iss.DecodedProgram`, built once
     per immutable program."""
 
@@ -578,6 +556,6 @@ class LaneBlockCache(SuperBlockCache):
     _compile = staticmethod(compile_lane_superblock)
 
 
-__all__ = ["BlockFault", "JIT_SALT", "LaneBlockCache", "MAX_BLOCK_INSTRS",
+__all__ = ["BlockFault", "LaneBlockCache", "MAX_BLOCK_INSTRS",
            "SuperBlock", "SuperBlockCache", "compile_lane_superblock",
            "compile_superblock"]

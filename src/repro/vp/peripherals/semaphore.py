@@ -14,8 +14,6 @@ nothing and corrupts the shared counter.
 
 from __future__ import annotations
 
-from typing import List
-
 
 class SemaphoreBank:
     """A bank of read-to-acquire hardware semaphores."""
@@ -50,9 +48,6 @@ class SemaphoreBank:
         if value == 0 and self.values[offset] != 0:
             self.releases[offset] += 1
         self.values[offset] = int(value)
-
-    def holders_view(self) -> List[int]:
-        return list(self.values)
 
 
 __all__ = ["SemaphoreBank"]

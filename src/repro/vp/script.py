@@ -25,37 +25,14 @@ bit-identically with or without them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro.vp.debugger import Debugger, StopReason
+from repro.vp.debugger import Assertion, Debugger, StopReason
 from repro.vp.soc import SoC
 
 
 class ScriptError(Exception):
     """Raised on a malformed script command."""
-
-
-@dataclass
-class AssertionViolation:
-    """One observed system-level assertion failure."""
-
-    time: float
-    expression: str
-    message: str
-    snapshot: Dict[str, Any] = field(default_factory=dict)
-
-    def __repr__(self) -> str:
-        return f"VIOLATION @{self.time}: {self.message} ({self.expression})"
-
-
-@dataclass
-class _Assertion:
-    expression: str
-    message: str
-    compiled: Any
-    stop_on_failure: bool = False
-    violations: int = 0
 
 
 class DebugScriptEngine:
@@ -64,8 +41,8 @@ class DebugScriptEngine:
     def __init__(self, soc: SoC, debugger: Optional[Debugger] = None) -> None:
         self.soc = soc
         self.debugger = debugger or Debugger(soc)
-        self.assertions: List[_Assertion] = []
-        self.violations: List[AssertionViolation] = []
+        # The debugger evaluates the assertions while it runs.
+        self.violations = self.debugger.violations
         self.printed: List[str] = []
         self.last_stop: Optional[StopReason] = None
 
@@ -115,8 +92,8 @@ class DebugScriptEngine:
         if verb == "break":
             if len(parts) != 3:
                 raise ScriptError("usage: break <core> <pc>")
-            return self.debugger.add_breakpoint(int(parts[1], 0),
-                                                int(parts[2], 0))
+            return self.debugger.add_breakpoint(self._core(parts[1]),
+                                                _number(parts[2]))
         if verb == "watch":
             return self._cmd_watch(parts[1:])
         if verb == "assert":
@@ -127,17 +104,24 @@ class DebugScriptEngine:
             return self._cmd_assert(line[len("expect"):].strip(),
                                     stop_on_failure=True)
         if verb == "run":
-            budget = int(parts[1], 0) if len(parts) > 1 else 1_000_000
-            return self.run(max_events=budget)
+            budget = _number(parts[1]) if len(parts) > 1 else 1_000_000
+            self.last_stop = self.debugger.run(max_events=budget)
+            return self.last_stop
         if verb == "step":
             if len(parts) != 2:
                 raise ScriptError("usage: step <core>")
-            return self.debugger.step_instruction(int(parts[1], 0))
+            return self.debugger.step_instruction(self._core(parts[1]))
         if verb == "print":
             value = self.eval(line[len("print"):].strip())
             self.printed.append(f"{line[len('print'):].strip()} = {value}")
             return value
         raise ScriptError(f"unknown command {verb!r}")
+
+    def _core(self, text: str) -> int:
+        core = _number(text)
+        if not 0 <= core < len(self.soc.cores):
+            raise ScriptError(f"no core {core}")
+        return core
 
     def _cmd_watch(self, args: List[str]):
         if not args:
@@ -147,7 +131,11 @@ class DebugScriptEngine:
             if len(args) < 2:
                 raise ScriptError("usage: watch signal <name> [edge]")
             edge = args[2] if len(args) > 2 else "change"
-            return self.debugger.add_signal_watchpoint(args[1], edge)
+            try:
+                return self.debugger.add_signal_watchpoint(args[1], edge)
+            except (KeyError, ValueError) as error:
+                raise ScriptError(f"bad signal watchpoint: {error}") \
+                    from error
         if kind in ("write", "read", "access"):
             if len(args) < 2:
                 raise ScriptError(f"usage: watch {kind} <addr> [master=<m>]")
@@ -157,11 +145,11 @@ class DebugScriptEngine:
                     master = extra.split("=", 1)[1]
                 else:
                     raise ScriptError(f"unknown option {extra!r}")
-            return self.debugger.add_watchpoint(kind, int(args[1], 0),
+            return self.debugger.add_watchpoint(kind, _number(args[1]),
                                                 master=master)
         raise ScriptError(f"unknown watch kind {kind!r}")
 
-    def _cmd_assert(self, rest: str, stop_on_failure: bool) -> _Assertion:
+    def _cmd_assert(self, rest: str, stop_on_failure: bool) -> Assertion:
         if "::" in rest:
             expression, message = (part.strip()
                                    for part in rest.split("::", 1))
@@ -171,52 +159,22 @@ class DebugScriptEngine:
             raise ScriptError("empty assertion")
         try:
             compiled = compile(expression, "<assertion>", "eval")
-        except SyntaxError as error:
+        except (SyntaxError, ValueError) as error:
             raise ScriptError(f"bad assertion {expression!r}: {error}") \
                 from error
-        assertion = _Assertion(expression, message, compiled,
-                               stop_on_failure)
-        self.assertions.append(assertion)
+        namespace = self._namespace()
+        assertion = Assertion(expression, message,
+                              lambda: eval(compiled, dict(namespace)),
+                              stop_on_failure)
+        self.debugger.assertions.append(assertion)
         return assertion
 
-    # ------------------------------------------------------------------
-    # run loop with per-event assertion checking
-    # ------------------------------------------------------------------
-    def run(self, max_events: int = 1_000_000) -> StopReason:
-        self.soc.start()
-        for _ in range(max_events):
-            reason = self.debugger._check_stop_conditions()
-            if reason is not None:
-                self.last_stop = reason
-                return reason
-            if not self.soc.step():
-                self.last_stop = StopReason("idle", "event queue empty",
-                                            time=self.soc.sim.now)
-                return self.last_stop
-            stop = self._check_assertions()
-            if stop is not None:
-                self.last_stop = stop
-                return stop
-        self.last_stop = StopReason("limit", f"{max_events} events",
-                                    time=self.soc.sim.now)
-        return self.last_stop
 
-    def _check_assertions(self) -> Optional[StopReason]:
-        namespace = self._namespace()
-        for assertion in self.assertions:
-            try:
-                ok = eval(assertion.compiled, dict(namespace))
-            except Exception:  # noqa: BLE001 - a failing probe is a violation
-                ok = False
-            if not ok:
-                assertion.violations += 1
-                violation = AssertionViolation(
-                    self.soc.sim.now, assertion.expression, assertion.message)
-                self.violations.append(violation)
-                if assertion.stop_on_failure:
-                    return StopReason("assertion", assertion.message,
-                                      time=self.soc.sim.now)
-        return None
+def _number(text: str) -> int:
+    try:
+        return int(text, 0)
+    except ValueError:
+        raise ScriptError(f"not a number: {text!r}") from None
 
 
-__all__ = ["AssertionViolation", "DebugScriptEngine", "ScriptError"]
+__all__ = ["DebugScriptEngine", "ScriptError"]

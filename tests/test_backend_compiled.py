@@ -3,7 +3,7 @@
 
 The equivalence and CIR-differential suites already prove the compiled
 backend bit-identical on whole workloads; this file pins the machinery
-itself -- block formation, the lazy cache and its source-digest salt,
+itself -- block formation, the lazy cache,
 fault cycle-exactness -- plus the audited corners where an unbounded
 register could once have leaked a >32-bit value into the bus or the pc:
 every escape now faults (or wraps) identically on every backend.
@@ -16,8 +16,8 @@ import pytest
 from repro.vp import SoC, SoCConfig, assemble
 from repro.vp.bus import BusError
 from repro.vp.iss import BACKENDS, Cpu, DEFAULT_BACKEND, decode_program
-from repro.vp.jit import (BlockFault, JIT_SALT, MAX_BLOCK_INSTRS,
-                         SuperBlockCache, compile_superblock)
+from repro.vp.jit import (BlockFault, MAX_BLOCK_INSTRS, SuperBlockCache,
+                         compile_superblock)
 
 ALL_RUNS = [("reference", 1), ("compiled", 64), ("vector", 64)]
 
@@ -86,7 +86,7 @@ class TestBlockFormation:
 
 
 # ---------------------------------------------------------------------------
-# cache and salt
+# cache
 # ---------------------------------------------------------------------------
 
 class TestCacheAndSalt:
@@ -102,17 +102,6 @@ class TestCacheAndSalt:
     def test_cache_is_memoized_on_the_decoded_program(self):
         decoded = decode_program(assemble("li r1, 1\nhalt\n"))
         assert decoded.superblocks() is decoded.superblocks()
-
-    def test_stale_salt_discards_the_cache(self):
-        # The farm's code-version-salt idiom: a cache built by an older
-        # compiler self-invalidates when the module source changes.
-        decoded = decode_program(assemble("li r1, 1\nhalt\n"))
-        cache = decoded.superblocks()
-        assert cache.salt == JIT_SALT
-        cache.salt = "0123456789abcdef"   # simulate an edited compiler
-        rebuilt = decoded.superblocks()
-        assert rebuilt is not cache
-        assert rebuilt.salt == JIT_SALT
 
     def test_cache_is_shared_across_cores(self):
         program = assemble("li r1, 0\nli r2, 9\nloop: addi r1, r1, 1\n"

@@ -46,8 +46,8 @@ def broken_jit_xor():
     """Plant a wrong ``xor`` in the superblock emitter: every compiled
     ``xor`` into a real register flips the result's low bit.
 
-    ``JIT_SALT`` digests the compiler's source and cannot see a runtime
-    patch, so the SoC program memo (whose programs carry their
+    Compiled blocks are cached on each program for the life of the
+    process, so the SoC program memo (whose programs carry their
     superblocks) is emptied on entry and on exit: no block compiled by
     the healthy emitter is reused inside, and no planted-bug block
     outlives the fixture."""

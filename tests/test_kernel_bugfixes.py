@@ -20,6 +20,8 @@ Each test class pins one bug:
    only checked after an action ran.
 6. NaN times were accepted by ``Delay`` and ``Simulator.at`` (every
    comparison with NaN is False) and then broke the heap order silently.
+   A ``spawn`` rejecting its NaN or past start delay still registered a
+   live process that never ran.
 7. ``Simulator.run(until=t)`` with ``t < now`` rewound the clock, and
    ``until=NaN`` was ignored: the run drained the whole queue.
 """
@@ -375,6 +377,22 @@ class TestNaNTimesRejected:
             yield Delay(1)
         with pytest.raises(ValueError):
             sim.spawn(body(), start_delay=math.nan)
+
+    def test_rejected_spawn_registers_no_process(self):
+        # The first resume is scheduled before the process is registered:
+        # a failed spawn used to leave a live process that never ran.
+        sim = Simulator()
+        sim.run(until=5)
+
+        def body():
+            yield Delay(1)
+        for delay in (math.nan, -1.0):
+            with pytest.raises(ValueError):
+                sim.spawn(body(), start_delay=delay)
+        assert sim.processes == [] and sim.pending == 0
+        proc = sim.spawn(body(), start_delay=2.0)
+        sim.run()
+        assert sim.processes == [proc] and not proc.alive and sim.now == 8
 
     def test_nan_delay_yield_fails_the_process(self):
         sim = Simulator()

@@ -125,6 +125,16 @@ class TestSchedulers:
         outcome = run_space_shared(machine, [app])
         assert outcome.unplaceable == 1
         assert outcome.result_of("x").deadline_met is False
+        # A thread pinned to an ISA no core has: every policy records it.
+        pinned = AppSpec("x", work=4, deadline=10.0,
+                         thread_isas=["isaC"])
+        other = AppSpec("y", work=4)
+        for outcome in (run_time_shared(machine, [pinned, other]),
+                        run_hybrid(machine, [pinned, other], ts_cores=2)):
+            assert outcome.unplaceable == 1
+            assert outcome.deadline_misses == 1
+            assert outcome.result_of("x").finish == float("inf")
+            assert outcome.result_of("y").finish < float("inf")
 
     def test_isa_pinning_in_time_shared(self):
         machine = Machine.heterogeneous(4, {"isaA": 0.5, "isaB": 0.5})

@@ -12,6 +12,7 @@ import pytest
 from repro.snap import SnapshotError
 from repro.vp import SoC, SoCConfig
 from repro.vp.debugger import Debugger
+from repro.vp.script import DebugScriptEngine
 
 LOOP = """
     li r1, 0
@@ -175,3 +176,29 @@ class TestReverseContinue:
         assert dbg.reverse_continue() is not None  # back to the hit
         dbg.run(until_time=10_000)
         assert dbg.system_snapshot() == end_view
+
+
+class TestScriptedRun:
+    def _session(self, scripted):
+        soc = SoC(SoCConfig(n_cores=1), {0: LOOP})
+        dbg = Debugger(soc)
+        dbg.enable_time_travel(interval=200.0, capacity=8)
+        if scripted:
+            DebugScriptEngine(soc, dbg).execute("run")
+        else:
+            dbg.run()
+        return soc, dbg
+
+    def test_scripted_run_fills_the_ring_like_debugger_run(self):
+        soc, dbg = self._session(scripted=True)
+        plain_soc, plain = self._session(scripted=False)
+        times = [snap.time for snap in dbg.checkpoints]
+        assert len(times) == 8
+        assert times == [snap.time for snap in plain.checkpoints]
+        # Rewinding after the scripted run lands bit-identically.
+        dbg.rewind_to(1500)
+        plain.rewind_to(1500)
+        assert soc.sim.now == plain_soc.sim.now <= 1500
+        assert dbg.system_snapshot() == plain.system_snapshot()
+        assert list(soc.ram.words) == list(plain_soc.ram.words)
+        assert soc.sim.event_count == plain_soc.sim.event_count

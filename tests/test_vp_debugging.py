@@ -329,6 +329,12 @@ class TestScriptEngine:
             engine.command("assert ((( :: broken")
         with pytest.raises(ScriptError):
             engine.eval("this is not python")
+        # Malformed numbers, cores, signals and edges name their line.
+        for script in ("break x 3", "run ten", "watch write zz",
+                       "break 5 0", "step 1", "watch signal nosuch posedge",
+                       "watch signal timer0.irq sideways"):
+            with pytest.raises(ScriptError, match="line 2: "):
+                engine.execute("print 1\n" + script)
 
 
 def _e12_bench():
