@@ -35,6 +35,13 @@ class ScriptError(Exception):
     """Raised on a malformed script command."""
 
 
+def _number(text: str) -> int:
+    try:
+        return int(text, 0)
+    except ValueError:
+        raise ScriptError(f"not a number: {text!r}") from None
+
+
 class DebugScriptEngine:
     """Executes debug scripts against a SoC through the VP debugger."""
 
@@ -168,13 +175,6 @@ class DebugScriptEngine:
                               stop_on_failure)
         self.debugger.assertions.append(assertion)
         return assertion
-
-
-def _number(text: str) -> int:
-    try:
-        return int(text, 0)
-    except ValueError:
-        raise ScriptError(f"not a number: {text!r}") from None
 
 
 __all__ = ["DebugScriptEngine", "ScriptError"]
