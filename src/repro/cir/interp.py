@@ -13,7 +13,11 @@ The interpreter serves three roles in the reproduction:
 
 Semantics follow C where the subset overlaps: truncating integer division,
 short-circuit ``&&``/``||``, arrays passed by reference, scalars by value,
-``int`` arithmetic wrapped to the 32-bit word.
+``int`` arithmetic wrapped to the 32-bit word.  A variable lives only in
+its binding (the call's ``env`` or ``globals_env``) and ``&x`` points at
+that binding.  A pointer variable or parameter receiving an array gets a
+pointer to its first element; pointers are equal when they address the
+same place.
 
 Execution model: each function is compiled once per :class:`Interpreter`,
 on its first call, into a tree of closures (one per AST node) that carry
@@ -88,12 +92,46 @@ class ArrayValue:
         return list(self.storage)
 
 
-@dataclass
-class PointerValue:
-    """A pointer into a storage list (array backing store or a scalar cell)."""
+class _Binding:
+    """A one-slot view of the variable ``name`` in ``env``: the storage
+    ``&name`` points into.  Stores follow :func:`_store_name`'s rules."""
 
-    storage: List[Any]
+    __slots__ = ("env", "name")
+
+    def __init__(self, env: "Env", name: str) -> None:
+        self.env = env
+        self.name = name
+
+    def __len__(self) -> int:
+        # deref/store measure first: a left block's local has no slot.
+        if self.name not in self.env:
+            raise InterpError(f"dangling pointer to {self.name!r}")
+        return 1
+
+    def __getitem__(self, _offset: int) -> Any:
+        return self.env[self.name]
+
+    def __setitem__(self, _offset: int, value: Any) -> None:
+        _store_name(self.env, self.name, value)
+
+
+@dataclass(eq=False)
+class PointerValue:
+    """A pointer into a storage list (an array's backing store) or into a
+    variable's binding."""
+
+    storage: Union[List[Any], _Binding]
     offset: int
+
+    def __eq__(self, other: Any) -> bool:
+        # Equal when both address the same place, whatever it holds.
+        if not isinstance(other, PointerValue):
+            return NotImplemented
+        mine, theirs = self.storage, other.storage
+        return self.offset == other.offset and (
+            mine is theirs
+            or (type(mine) is _Binding and type(theirs) is _Binding
+                and mine.env is theirs.env and mine.name == theirs.name))
 
     def deref(self) -> Any:
         if not (0 <= self.offset < len(self.storage)):
@@ -108,11 +146,8 @@ class PointerValue:
         self.storage[self.offset] = value
 
 
-# A scalar variable lives in a one-slot list so '&x' can point at it.
-Cell = List[Any]
 Value = Union[int, float, str, ArrayValue, PointerValue]
 Env = Dict[str, Value]
-Cells = Dict[str, Cell]
 
 
 @dataclass
@@ -147,7 +182,6 @@ class Interpreter:
         self.functions: Dict[str, FuncDef] = {
             func.name: func for func in program.functions}
         self.globals_env: Env = {}
-        self.global_cells: Cells = {}
         self.output: List[Any] = []
         self.op_count = 0
         self.stmt_count = 0
@@ -164,12 +198,9 @@ class Interpreter:
         for decl in self.program.globals:
             if decl.init is not None:
                 init = compiler.expr(decl.init)
-                value = _coerce(init(self.globals_env, self.global_cells),
-                                decl.type)
+                value = _coerce(init(self.globals_env), decl.type)
             else:
                 value = _default_factory(decl.type)()
-            if decl.type.is_scalar():
-                self.global_cells[decl.name] = [value]
             self.globals_env[decl.name] = value
 
     def _function(self, name: str) -> Callable[[List[Any]], Any]:
@@ -188,9 +219,7 @@ class Interpreter:
         """Call ``entry`` and package the result."""
         value = self.call(entry, args or [])
         snapshot = {
-            name: (val.tolist() if isinstance(val, ArrayValue) else
-                   (self.global_cells[name][0]
-                    if name in self.global_cells else val))
+            name: val.tolist() if isinstance(val, ArrayValue) else val
             for name, val in self.globals_env.items()
         }
         return RunResult(
@@ -257,6 +286,8 @@ def _coerce(value: Any, dtype: Type) -> Any:
             return int(value)
         if dtype.name == "float" and isinstance(value, int):
             return float(value)
+    elif isinstance(value, ArrayValue) and isinstance(dtype, PointerType):
+        return PointerValue(value.storage, 0)  # array-to-pointer decay
     return value
 
 
@@ -390,15 +421,15 @@ def _index_chain(node: ArrayIndex) -> Tuple[List[Expr], Expr]:
 
 
 def _resolve_chain(index_fns: List[Callable], base_fn: Callable,
-                   base_node: Expr, env: Env, cells: Cells):
+                   base_node: Expr, env: Env):
     """Evaluate an index chain's compiled indices (outermost first) and
     then its base: (the array or pointer, the indices innermost first)."""
     indices = []
     for index_fn in index_fns:
-        index = index_fn(env, cells)
+        index = index_fn(env)
         indices.append(int(index) if isinstance(index, float) else index)
     indices.reverse()
-    base = base_fn(env, cells)
+    base = base_fn(env)
     if not isinstance(base, (ArrayValue, PointerValue)):
         raise InterpError(f"indexing a non-array value via {base_node!r}")
     return base, indices
@@ -416,9 +447,7 @@ def _element_ref(base: Any, indices: List[int]) -> Tuple[List[Any], int]:
 
 def _read_element(base: Any, indices: List[int]) -> Any:
     if isinstance(base, PointerValue):
-        if len(indices) != 1:
-            raise InterpError("pointer indexing takes one index")
-        return PointerValue(base.storage, base.offset + indices[0]).deref()
+        return PointerValue(*_element_ref(base, indices)).deref()
     if len(indices) < len(base.dims):
         raise InterpError("partial array indexing is unsupported")
     return base.get(indices)
@@ -426,28 +455,25 @@ def _read_element(base: Any, indices: List[int]) -> Any:
 
 def _write_element(base: Any, indices: List[int], value: Any) -> None:
     if isinstance(base, PointerValue):
-        if len(indices) != 1:
-            raise InterpError("pointer indexing takes one index")
-        PointerValue(base.storage, base.offset + indices[0]).store(value)
+        PointerValue(*_element_ref(base, indices)).store(value)
         return
     if base.element.name == "int" and isinstance(value, float):
         value = int(value)
     base.set(indices, value)
 
 
-def _store_name(env: Env, cells: Cells, name: str, value: Any) -> None:
+def _store_name(env: Env, name: str, value: Any) -> None:
     """Assign a named variable found in ``env``: ints stay ints, arrays
-    are not assignable, and the variable's cell (if any) follows."""
+    are not assignable, and a pointer receiving an array decays it."""
     current = env.get(name)
     if isinstance(current, ArrayValue):
         raise InterpError(f"cannot assign to array {name!r}")
     if isinstance(value, float) and isinstance(current, int) \
             and not isinstance(current, bool):
         value = int(value)
+    elif isinstance(value, ArrayValue) and isinstance(current, PointerValue):
+        value = PointerValue(value.storage, 0)
     env[name] = value
-    cell = cells.get(name)
-    if cell is not None:
-        cell[0] = value
 
 
 # ---------------------------------------------------------------------------
@@ -509,11 +535,10 @@ def _call_intrinsic(interp: Interpreter, name: str, args: List[Any]) -> Any:
 # the compiler: AST -> closures
 # ---------------------------------------------------------------------------
 #
-# A compiled expression is ``fn(env, cells) -> value``.  A compiled
-# statement is ``fn(env, cells) -> None | _BREAK | _CONTINUE | (value,)``.
-# ``env`` maps the names of the running call's live locals to values and
-# ``cells`` holds the one-slot cells of its scalars (what ``&x`` points
-# into); identifier reads go to ``env`` only, as C locals do.
+# A compiled expression is ``fn(env) -> value``.  A compiled statement is
+# ``fn(env) -> None | _BREAK | _CONTINUE | (value,)``.  ``env`` maps the
+# names of the running call's live locals to values; it is their only
+# home, and ``&x`` points at the binding in it.
 
 def _compile_function(interp: Interpreter,
                       func: FuncDef) -> Callable[[List[Any]], Any]:
@@ -528,8 +553,7 @@ def _compile_function(interp: Interpreter,
     # env dies with it.
     body = compiler.block(func.body, scoped=False)
     name = func.name
-    params = [(param.name, param.type, param.type.is_scalar())
-              for param in func.params]
+    params = [(param.name, param.type) for param in func.params]
     return_type = func.return_type
     call_counts = interp.call_counts
     func_op_counts = interp.func_op_counts
@@ -539,16 +563,12 @@ def _compile_function(interp: Interpreter,
             raise InterpError(
                 f"{name}() expects {len(params)} args, got {len(args)}")
         env: Env = {}
-        cells: Cells = {}
-        for (param, dtype, scalar), arg in zip(params, args):
-            value = _coerce(arg, dtype)
-            if scalar:
-                cells[param] = [value]
-            env[param] = value
+        for (param, dtype), arg in zip(params, args):
+            env[param] = _coerce(arg, dtype)
         call_counts[name] = call_counts.get(name, 0) + 1
         ops_before = interp.op_count
         try:
-            outcome = body(env, cells)
+            outcome = body(env)
         finally:
             func_op_counts[name] = (func_op_counts.get(name, 0)
                                     + interp.op_count - ops_before)
@@ -595,13 +615,13 @@ class _Compiler:
         if kind is ExprStmt:
             expr = self.expr(stmt.expr)
 
-            def run_expr(env, cells):
+            def run_expr(env):
                 interp.stmt_count += 1
                 ops = interp.op_count + 1
                 interp.op_count = ops
                 if ops > limit:
                     raise _limit_error(limit)
-                expr(env, cells)
+                expr(env)
             return run_expr
         if kind is Decl:
             return self.decl(stmt)
@@ -614,13 +634,13 @@ class _Compiler:
         if kind is Return:
             value = self.expr(stmt.value) if stmt.value is not None else None
 
-            def run_return(env, cells):
+            def run_return(env):
                 interp.stmt_count += 1
                 ops = interp.op_count + 1
                 interp.op_count = ops
                 if ops > limit:
                     raise _limit_error(limit)
-                return (value(env, cells) if value is not None else None,)
+                return (value(env) if value is not None else None,)
             return run_return
         if kind is Block:
             inner = self.block(stmt)
@@ -629,14 +649,14 @@ class _Compiler:
             inner = None
             signal = {Break: _BREAK, Continue: _CONTINUE}.get(kind)
 
-        def run_other(env, cells):
+        def run_other(env):
             interp.stmt_count += 1
             ops = interp.op_count + 1
             interp.op_count = ops
             if ops > limit:
                 raise _limit_error(limit)
             if inner is not None:
-                return inner(env, cells)
+                return inner(env)
             if signal is None:
                 raise InterpError(f"cannot execute statement {stmt!r}")
             return signal
@@ -644,23 +664,20 @@ class _Compiler:
 
     def decl(self, stmt: Decl):
         interp, limit = self.interp, self.limit
-        name, dtype, scalar = stmt.name, stmt.type, stmt.type.is_scalar()
+        name, dtype = stmt.name, stmt.type
         init = self.expr(stmt.init) if stmt.init is not None else None
         default = _default_factory(dtype)
 
-        def run_decl(env, cells):
+        def run_decl(env):
             interp.stmt_count += 1
             ops = interp.op_count + 1
             interp.op_count = ops
             if ops > limit:
                 raise _limit_error(limit)
             if init is None:
-                value = default()
+                env[name] = default()
             else:
-                value = _coerce(init(env, cells), dtype)
-            if scalar:
-                cells[name] = [value]
-            env[name] = value
+                env[name] = _coerce(init(env), dtype)
         return run_decl
 
     def if_stmt(self, stmt: If):
@@ -669,16 +686,16 @@ class _Compiler:
         then = self.block(stmt.then)
         other = self.block(stmt.other) if stmt.other is not None else None
 
-        def run_if(env, cells):
+        def run_if(env):
             interp.stmt_count += 1
             ops = interp.op_count + 1
             interp.op_count = ops
             if ops > limit:
                 raise _limit_error(limit)
-            if test(env, cells):
-                return then(env, cells)
+            if test(env):
+                return then(env)
             if other is not None:
-                return other(env, cells)
+                return other(env)
         return run_if
 
     def while_stmt(self, stmt: While):
@@ -686,18 +703,18 @@ class _Compiler:
         test = self.expr(stmt.test)
         body = self.block(stmt.body)
 
-        def run_while(env, cells):
+        def run_while(env):
             interp.stmt_count += 1
             ops = interp.op_count + 1
             interp.op_count = ops
             if ops > limit:
                 raise _limit_error(limit)
-            while test(env, cells):
+            while test(env):
                 ops = interp.op_count + 1
                 interp.op_count = ops
                 if ops > limit:
                     raise _limit_error(limit)
-                outcome = body(env, cells)
+                outcome = body(env)
                 if outcome is not None:
                     if outcome is _BREAK:
                         break
@@ -714,38 +731,34 @@ class _Compiler:
         # A for-header declaration lives for the duration of the loop.
         header = stmt.init.name if isinstance(stmt.init, Decl) else None
 
-        def run_for(env, cells):
+        def run_for(env):
             interp.stmt_count += 1
             ops = interp.op_count + 1
             interp.op_count = ops
             if ops > limit:
                 raise _limit_error(limit)
             if header is not None:
-                shadow = (env.get(header), cells.get(header), header in env)
+                shadow = env.get(header, _MISSING)
             if init is not None:
-                init(env, cells)
-            while test is None or test(env, cells):
+                init(env)
+            while test is None or test(env):
                 ops = interp.op_count + 1
                 interp.op_count = ops
                 if ops > limit:
                     raise _limit_error(limit)
-                outcome = body(env, cells)
+                outcome = body(env)
                 if outcome is not None:
                     if outcome is _BREAK:
                         break
                     if outcome is not _CONTINUE:
                         return outcome
                 if step is not None:
-                    step(env, cells)
+                    step(env)
             if header is not None:
-                old_value, old_cell, was_present = shadow
-                if was_present:
-                    env[header] = old_value
-                    if old_cell is not None:
-                        cells[header] = old_cell
-                else:
+                if shadow is _MISSING:
                     env.pop(header, None)
-                    cells.pop(header, None)
+                else:
+                    env[header] = shadow
         return run_for
 
     # -- assignment ---------------------------------------------------------
@@ -763,20 +776,20 @@ class _Compiler:
         if isinstance(target, UnaryOp) and target.op == "*":
             pointer_fn = self.expr(target.operand)
 
-            def run_assign_deref(env, cells):
+            def run_assign_deref(env):
                 interp.stmt_count += 1
                 ops = interp.op_count + 1
                 interp.op_count = ops
                 if ops > limit:
                     raise _limit_error(limit)
-                value = value_fn(env, cells)
+                value = value_fn(env)
                 if op:
                     # Reading ``*p`` costs its unary op.
                     ops = interp.op_count + 1
                     interp.op_count = ops
                     if ops > limit:
                         raise _limit_error(limit)
-                pointer = pointer_fn(env, cells)
+                pointer = pointer_fn(env)
                 if not isinstance(pointer, PointerValue):
                     raise InterpError("dereferencing a non-pointer")
                 if op:
@@ -787,15 +800,15 @@ class _Compiler:
         # A compound assignment still reads its (unassignable) target.
         read_target = self.expr(target) if op else None
 
-        def run_assign_invalid(env, cells):
+        def run_assign_invalid(env):
             interp.stmt_count += 1
             ops = interp.op_count + 1
             interp.op_count = ops
             if ops > limit:
                 raise _limit_error(limit)
-            value_fn(env, cells)
+            value_fn(env)
             if read_target is not None:
-                read_target(env, cells)
+                read_target(env)
             raise InterpError(f"invalid assignment target {target!r}")
         return run_assign_invalid
 
@@ -805,51 +818,49 @@ class _Compiler:
         if name not in self.local_names:
             # Only globals can be meant: the call's env never holds it.
             globals_env = interp.globals_env
-            global_cells = interp.global_cells
 
-            def run_assign_global(env, cells):
+            def run_assign_global(env):
                 interp.stmt_count += 1
                 ops = interp.op_count + 1
                 interp.op_count = ops
                 if ops > limit:
                     raise _limit_error(limit)
-                value = value_fn(env, cells)
+                value = value_fn(env)
                 if name not in globals_env:
                     raise InterpError(undefined)
                 if op:
                     value = _binop(op, globals_env[name], value)
-                _store_name(globals_env, global_cells, name, value)
+                _store_name(globals_env, name, value)
             return run_assign_global
         if name in self.global_names:
             globals_env = interp.globals_env
-            global_cells = interp.global_cells
 
-            def run_assign_shadowing(env, cells):
+            def run_assign_shadowing(env):
                 interp.stmt_count += 1
                 ops = interp.op_count + 1
                 interp.op_count = ops
                 if ops > limit:
                     raise _limit_error(limit)
-                value = value_fn(env, cells)
+                value = value_fn(env)
                 if name in env:
                     if op:
                         value = _binop(op, env[name], value)
-                    _store_name(env, cells, name, value)
+                    _store_name(env, name, value)
                 elif name in globals_env:
                     if op:
                         value = _binop(op, globals_env[name], value)
-                    _store_name(globals_env, global_cells, name, value)
+                    _store_name(globals_env, name, value)
                 else:
                     raise InterpError(undefined)
             return run_assign_shadowing
 
-        def run_assign_local(env, cells):
+        def run_assign_local(env):
             interp.stmt_count += 1
             ops = interp.op_count + 1
             interp.op_count = ops
             if ops > limit:
                 raise _limit_error(limit)
-            value = value_fn(env, cells)
+            value = value_fn(env)
             if name not in env:
                 raise InterpError(undefined)
             current = env[name]
@@ -864,11 +875,8 @@ class _Compiler:
                     value = _binop(op, current, value)
             if type(value) is int and type(current) is int:
                 env[name] = value
-                cell = cells.get(name)
-                if cell is not None:
-                    cell[0] = value
             else:
-                _store_name(env, cells, name, value)
+                _store_name(env, name, value)
         return run_assign_local
 
     def assign_index(self, target: ArrayIndex, op: str, value_fn):
@@ -880,17 +888,17 @@ class _Compiler:
         if len(index_fns) == 1 and not op:
             index_fn = index_fns[0]
 
-            def run_store_1d(env, cells):
+            def run_store_1d(env):
                 interp.stmt_count += 1
                 ops = interp.op_count + 1
                 interp.op_count = ops
                 if ops > limit:
                     raise _limit_error(limit)
-                value = value_fn(env, cells)
-                index = index_fn(env, cells)
+                value = value_fn(env)
+                index = index_fn(env)
                 if isinstance(index, float):
                     index = int(index)
-                base = base_fn(env, cells)
+                base = base_fn(env)
                 if type(base) is ArrayValue and len(base.dims) == 1:
                     if isinstance(value, float) and base.element.name == "int":
                         value = int(value)
@@ -906,21 +914,20 @@ class _Compiler:
                 _write_element(base, [index], value)
             return run_store_1d
 
-        def run_store(env, cells):
+        def run_store(env):
             interp.stmt_count += 1
             ops = interp.op_count + 1
             interp.op_count = ops
             if ops > limit:
                 raise _limit_error(limit)
-            value = value_fn(env, cells)
+            value = value_fn(env)
             if op:
                 # Reading the element costs its index op.
                 ops = interp.op_count + 1
                 interp.op_count = ops
                 if ops > limit:
                     raise _limit_error(limit)
-            base, indices = _resolve_chain(index_fns, base_fn, base_node,
-                                           env, cells)
+            base, indices = _resolve_chain(index_fns, base_fn, base_node, env)
             if op:
                 value = _binop(op, _read_element(base, indices), value)
             _write_element(base, indices, value)
@@ -931,7 +938,7 @@ class _Compiler:
         kind = type(expr)
         if kind is IntLit or kind is FloatLit or kind is StringLit:
             constant = expr.value
-            return lambda env, cells: constant
+            return lambda env: constant
         if kind is Ident:
             return self.ident(expr.name)
         if kind is BinOp:
@@ -945,7 +952,7 @@ class _Compiler:
         if kind is Cond:
             return self.cond(expr)
 
-        def unknown(env, cells):
+        def unknown(env):
             raise InterpError(f"cannot evaluate expression {expr!r}")
         return unknown
 
@@ -953,21 +960,21 @@ class _Compiler:
         undefined = f"undefined variable {name!r}"
         globals_env = self.interp.globals_env
         if name not in self.local_names:
-            def read_global(env, cells):
+            def read_global(env):
                 try:
                     return globals_env[name]
                 except KeyError:
                     raise InterpError(undefined) from None
             return read_global
         if name not in self.global_names:
-            def read_local(env, cells):
+            def read_local(env):
                 try:
                     return env[name]
                 except KeyError:
                     raise InterpError(undefined) from None
             return read_local
 
-        def read_shadowing(env, cells):
+        def read_shadowing(env):
             if name in env:
                 return env[name]
             try:
@@ -982,24 +989,24 @@ class _Compiler:
         left = self.expr(expr.left)
         right = self.expr(expr.right)
         if op == "&&":
-            def run_and(env, cells):
+            def run_and(env):
                 ops = interp.op_count + 1
                 interp.op_count = ops
                 if ops > limit:
                     raise _limit_error(limit)
-                if not left(env, cells):
+                if not left(env):
                     return 0
-                return 1 if right(env, cells) else 0
+                return 1 if right(env) else 0
             return run_and
         if op == "||":
-            def run_or(env, cells):
+            def run_or(env):
                 ops = interp.op_count + 1
                 interp.op_count = ops
                 if ops > limit:
                     raise _limit_error(limit)
-                if left(env, cells):
+                if left(env):
                     return 1
-                return 1 if right(env, cells) else 0
+                return 1 if right(env) else 0
             return run_or
         # An int literal on the right is folded into the operator closure.
         constant = expr.right.value if type(expr.right) is IntLit \
@@ -1009,12 +1016,12 @@ class _Compiler:
         if op in _COMPARE:
             return _compare(interp, limit, op, left, right, constant)
 
-        def run_binop(env, cells):
+        def run_binop(env):
             ops = interp.op_count + 1
             interp.op_count = ops
             if ops > limit:
                 raise _limit_error(limit)
-            return _binop(op, left(env, cells), right(env, cells))
+            return _binop(op, left(env), right(env))
         return run_binop
 
     def index(self, expr: ArrayIndex):
@@ -1027,15 +1034,15 @@ class _Compiler:
         if len(index_fns) == 1:
             index_fn = index_fns[0]
 
-            def run_index_1d(env, cells):
+            def run_index_1d(env):
                 ops = interp.op_count + 1
                 interp.op_count = ops
                 if ops > limit:
                     raise _limit_error(limit)
-                index = index_fn(env, cells)
+                index = index_fn(env)
                 if isinstance(index, float):
                     index = int(index)
-                base = base_fn(env, cells)
+                base = base_fn(env)
                 if type(base) is ArrayValue and len(base.dims) == 1:
                     size = base.dims[0]
                     if 0 <= index < size:
@@ -1048,13 +1055,12 @@ class _Compiler:
                 return _read_element(base, [index])
             return run_index_1d
 
-        def run_index(env, cells):
+        def run_index(env):
             ops = interp.op_count + 1
             interp.op_count = ops
             if ops > limit:
                 raise _limit_error(limit)
-            base, indices = _resolve_chain(index_fns, base_fn, base_node,
-                                           env, cells)
+            base, indices = _resolve_chain(index_fns, base_fn, base_node, env)
             return _read_element(base, indices)
         return run_index
 
@@ -1065,12 +1071,12 @@ class _Compiler:
         if name in interp.functions:
             compiled = interp._compiled
 
-            def run_call(env, cells):
+            def run_call(env):
                 ops = interp.op_count + 1
                 interp.op_count = ops
                 if ops > limit:
                     raise _limit_error(limit)
-                args = [arg(env, cells) for arg in arg_fns]
+                args = [arg(env) for arg in arg_fns]
                 entry = compiled.get(name)
                 if entry is None:
                     entry = interp._function(name)
@@ -1078,12 +1084,12 @@ class _Compiler:
             return run_call
         externals = interp.externals
 
-        def run_other_call(env, cells):
+        def run_other_call(env):
             ops = interp.op_count + 1
             interp.op_count = ops
             if ops > limit:
                 raise _limit_error(limit)
-            args = [arg(env, cells) for arg in arg_fns]
+            args = [arg(env) for arg in arg_fns]
             external = externals.get(name)
             if external is not None:
                 return external(*args)
@@ -1098,21 +1104,21 @@ class _Compiler:
         if op == "&":
             address = self.address_of(expr.operand)
 
-            def run_address(env, cells):
+            def run_address(env):
                 ops = interp.op_count + 1
                 interp.op_count = ops
                 if ops > limit:
                     raise _limit_error(limit)
-                return address(env, cells)
+                return address(env)
             return run_address
         operand = self.expr(expr.operand)
 
-        def run_unary(env, cells):
+        def run_unary(env):
             ops = interp.op_count + 1
             interp.op_count = ops
             if ops > limit:
                 raise _limit_error(limit)
-            value = operand(env, cells)
+            value = operand(env)
             if op == "-":
                 # Negating INT_MIN overflows on a 32-bit target; wrap like
                 # every other int arithmetic op (floats stay host-precision).
@@ -1142,34 +1148,29 @@ class _Compiler:
             name = operand.name
             undefined = f"undefined variable {name!r}"
             globals_env = self.interp.globals_env
-            global_cells = self.interp.global_cells
 
-            def run_address_name(env, cells):
-                if name in env:
-                    value_env, value_cells = env, cells
-                elif name in globals_env:
-                    value_env, value_cells = globals_env, global_cells
-                else:
-                    raise InterpError(undefined)
-                value = value_env[name]
+            def run_address_name(env):
+                if name not in env:
+                    if name not in globals_env:
+                        raise InterpError(undefined)
+                    env = globals_env
+                value = env[name]
                 if isinstance(value, ArrayValue):
                     return PointerValue(value.storage, 0)
-                if name not in value_cells:
-                    value_cells[name] = [value]
-                return PointerValue(value_cells[name], 0)
+                return PointerValue(_Binding(env, name), 0)
             return run_address_name
         if isinstance(operand, ArrayIndex):
             index_nodes, base_node = _index_chain(operand)
             index_fns = [self.expr(node) for node in index_nodes]
             base_fn = self.expr(base_node)
 
-            def run_address_element(env, cells):
+            def run_address_element(env):
                 base, indices = _resolve_chain(index_fns, base_fn, base_node,
-                                               env, cells)
+                                               env)
                 return PointerValue(*_element_ref(base, indices))
             return run_address_element
 
-        def run_address_invalid(env, cells):
+        def run_address_invalid(env):
             raise InterpError(f"cannot take the address of {operand!r}")
         return run_address_invalid
 
@@ -1179,36 +1180,36 @@ class _Compiler:
         then = self.expr(expr.then)
         other = self.expr(expr.other)
 
-        def run_cond(env, cells):
+        def run_cond(env):
             ops = interp.op_count + 1
             interp.op_count = ops
             if ops > limit:
                 raise _limit_error(limit)
-            if test(env, cells):
-                return then(env, cells)
-            return other(env, cells)
+            if test(env):
+                return then(env)
+            return other(env)
         return run_cond
 
 
 def _sequence(stmts: List[Callable]):
     """Run ``stmts`` in order until one leaves the block."""
     if not stmts:
-        return lambda env, cells: None
+        return lambda env: None
     if len(stmts) == 1:
         return stmts[0]
     if len(stmts) == 2:
         first, second = stmts
 
-        def run_pair(env, cells):
-            outcome = first(env, cells)
+        def run_pair(env):
+            outcome = first(env)
             if outcome is not None:
                 return outcome
-            return second(env, cells)
+            return second(env)
         return run_pair
 
-    def run_sequence(env, cells):
+    def run_sequence(env):
         for stmt in stmts:
-            outcome = stmt(env, cells)
+            outcome = stmt(env)
             if outcome is not None:
                 return outcome
     return run_sequence
@@ -1216,8 +1217,8 @@ def _sequence(stmts: List[Callable]):
 
 def _scoped_block(nodes: List[Stmt], stmts: List[Callable]):
     """A block with declarations: when a name is first declared in it,
-    the outer binding (value and cell) is saved, and every name the block
-    declared so far is restored when the block is left."""
+    the outer binding is saved, and every name the block declared so far
+    is restored when the block is left."""
     plan = []
     seen = set()
     for node, stmt in zip(nodes, stmts):
@@ -1227,26 +1228,20 @@ def _scoped_block(nodes: List[Stmt], stmts: List[Callable]):
             name = node.name
         plan.append((stmt, name))
 
-    def run_scoped(env, cells):
+    def run_scoped(env):
         saved = []
         outcome = None
         for stmt, name in plan:
             if name is not None:
-                saved.append((name, env.get(name, _MISSING),
-                              cells.get(name, _MISSING)))
-            outcome = stmt(env, cells)
+                saved.append((name, env.get(name, _MISSING)))
+            outcome = stmt(env)
             if outcome is not None:
                 break
-        for name, old_value, old_cell in saved:
+        for name, old_value in saved:
             if old_value is _MISSING:
                 env.pop(name, None)
-                cells.pop(name, None)
             else:
                 env[name] = old_value
-                if old_cell is _MISSING:
-                    cells.pop(name, None)
-                else:
-                    cells[name] = old_cell
         return outcome
     return run_scoped
 
@@ -1268,12 +1263,12 @@ _INT_FAST: Dict[str, Tuple[Callable[[int, int], int], bool]] = {
 def _arith(interp: Interpreter, limit: int, op: str, left, right, constant):
     fast, division = _INT_FAST[op]
     if constant is not _MISSING and (constant > 0 or not division):
-        def run_arith_constant(env, cells):
+        def run_arith_constant(env):
             ops = interp.op_count + 1
             interp.op_count = ops
             if ops > limit:
                 raise _limit_error(limit)
-            a = left(env, cells)
+            a = left(env)
             if type(a) is int and (not division or a >= 0):
                 result = fast(a, constant)
                 return result if INT_MIN <= result <= INT_MAX \
@@ -1281,13 +1276,13 @@ def _arith(interp: Interpreter, limit: int, op: str, left, right, constant):
             return _binop(op, a, constant)
         return run_arith_constant
 
-    def run_arith(env, cells):
+    def run_arith(env):
         ops = interp.op_count + 1
         interp.op_count = ops
         if ops > limit:
             raise _limit_error(limit)
-        a = left(env, cells)
-        b = right(env, cells)
+        a = left(env)
+        b = right(env)
         if type(a) is int and type(b) is int \
                 and (not division or (a >= 0 and b > 0)):
             result = fast(a, b)
@@ -1300,25 +1295,25 @@ def _compare(interp: Interpreter, limit: int, op: str, left, right,
              constant):
     compare = _COMPARE[op]
     if constant is not _MISSING:
-        def run_compare_constant(env, cells):
+        def run_compare_constant(env):
             ops = interp.op_count + 1
             interp.op_count = ops
             if ops > limit:
                 raise _limit_error(limit)
-            a = left(env, cells)
+            a = left(env)
             try:
                 return 1 if compare(a, constant) else 0
             except TypeError:
                 raise _operand_error(op, a, constant) from None
         return run_compare_constant
 
-    def run_compare(env, cells):
+    def run_compare(env):
         ops = interp.op_count + 1
         interp.op_count = ops
         if ops > limit:
             raise _limit_error(limit)
-        a = left(env, cells)
-        b = right(env, cells)
+        a = left(env)
+        b = right(env)
         try:
             return 1 if compare(a, b) else 0
         except TypeError:
@@ -1341,6 +1336,6 @@ def run_program(program: Program, entry: str = "main",
     return interp.run(entry, args)
 
 
-__all__ = ["ArrayValue", "Cell", "INTRINSIC_ARITIES", "InterpError",
+__all__ = ["ArrayValue", "INTRINSIC_ARITIES", "InterpError",
            "Interpreter", "PointerValue", "RunResult", "Value",
            "intrinsic_arity_error", "run_program"]

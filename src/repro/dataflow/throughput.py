@@ -106,10 +106,22 @@ def max_cycle_ratio(graph: SDFGraph,
     """Maximum cycle ratio of the HSDF expansion.
 
     Returns ``(mcr, critical_cycle_nodes)``.  The throughput bound of the
-    graph is ``1 / mcr`` iterations per time unit.  Uses binary search on
-    the ratio with Bellman-Ford negative-cycle detection (Lawler's method).
+    graph is ``1 / mcr`` iterations per time unit.  A cycle of HSDF edges
+    that carry no initial tokens can never fire: it is reported first, as
+    ``(inf, cycle)`` (throughput bound 0, the rate
+    :func:`throughput_self_timed` measures for the deadlocked graph).
+    Otherwise the ratio is found by binary search with Bellman-Ford
+    negative-cycle detection (Lawler's method).
     """
     hsdf = hsdf_expansion(graph)
+    tokenless = nx.DiGraph([(u, v) for u, v, tokens
+                            in hsdf.edges(data="tokens") if tokens == 0])
+    try:
+        cycle = nx.find_cycle(tokenless)
+    except nx.NetworkXNoCycle:
+        pass
+    else:
+        return float("inf"), [u for u, _ in cycle] + [cycle[0][0]]
     exec_times = nx.get_node_attributes(hsdf, "exec_time")
 
     total_time = sum(exec_times.values()) or 1.0

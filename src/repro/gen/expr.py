@@ -16,6 +16,13 @@ Lowering matches what a compiler for this ISA would emit:
   ``!x`` is ``seq rd, rx, r0``; shift counts need no guard because both
   paths mask the count to its low five bits.
 
+The C side of a scenario whose tree has a binary root may deliver the
+value through a pointer instead of returning it: the left operand goes
+into a local ``t`` and ``t op= right`` happens through ``int *p = &t``
+(as ``*p = *p op right`` or ``*p op= right``) or through an
+out-parameter call ``f(&t, a, b)``; ``main`` then returns ``t``.  The
+assembly side is the same either way.
+
 Expressions are pure functions of the ``random.Random`` handed in.
 """
 
@@ -23,6 +30,8 @@ from __future__ import annotations
 
 import random
 from typing import Dict, List, Tuple
+
+from repro.cir.parser import COMPOUND_ASSIGN
 
 RESULT_ADDR = 200
 
@@ -33,6 +42,8 @@ _BIN_OPS = [("+", "add"), ("-", "sub"), ("*", "mul"), ("/", "div"),
 _UN_OPS = ["-", "~", "!"]
 _EDGE_CONSTS = [0, 1, -1, 2, 7, 31, 32, 2 ** 31 - 1, -2 ** 31,
                 0x7FFF0000, -12345]
+# How the C side delivers the value (see to_c_program); half return it.
+_C_FORMS = ["return", "return", "return", "pointer", "compound", "out"]
 
 # r1/r2 hold the arguments; r3..r12 are the evaluation stack; r13 is the
 # scratch register mod/unary lowerings burn.
@@ -71,6 +82,25 @@ def to_c(node) -> str:
         return f"({node[1]}{to_c(node[2])})"
     _, c_op, _, left, right = node
     return f"({to_c(left)} {c_op} {to_c(right)})"
+
+
+def to_c_program(node, form: str = "return") -> str:
+    """The C side: ``main(a, b)`` returning the value of ``node``.  For a
+    binary root, ``form`` may compute it by a write through a pointer to
+    a local (``"pointer"``, ``"compound"``) or by an out-parameter call
+    (``"out"``)."""
+    if form == "return" or node[0] != "bin":
+        return f"int main(int a, int b) {{ return {to_c(node)}; }}"
+    _, c_op, _, left, right = node
+    write = f"*p = *p {c_op} {to_c(right)};"
+    if form == "compound" and f"{c_op}=" in COMPOUND_ASSIGN:
+        write = f"*p {c_op}= {to_c(right)};"
+    if form == "out":
+        return (f"void f(int *p, int a, int b) {{ {write} }}\n"
+                f"int main(int a, int b) {{ int t = {to_c(left)}; "
+                f"f(&t, a, b); return t; }}")
+    return (f"int main(int a, int b) {{ int t = {to_c(left)}; "
+            f"int *p = &t; {write} return t; }}")
 
 
 def _lower(node, dest: int, free: int, lines: List[str]) -> None:
@@ -129,10 +159,10 @@ def generate_expr_scenario(seed: int) -> Dict:
     node = gen_expr(rng, depth=rng.choice([2, 3, 3, 4]))
     a = rng.choice(_EDGE_CONSTS + [rng.randint(-10 ** 6, 10 ** 6)])
     b = rng.choice(_EDGE_CONSTS + [rng.randint(-10 ** 6, 10 ** 6)])
-    c_source = (f"int main(int a, int b) {{ return {to_c(node)}; }}")
+    c_source = to_c_program(node, rng.choice(_C_FORMS))
     return {"kind": "expr", "seed": seed, "c_source": c_source,
             "asm_source": to_asm(node, a, b), "args": [a, b]}
 
 
 __all__ = ["RESULT_ADDR", "gen_expr", "generate_expr_scenario", "to_asm",
-           "to_c"]
+           "to_c", "to_c_program"]

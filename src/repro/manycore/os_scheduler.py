@@ -173,6 +173,16 @@ class _AppState:
                 for i in range(self.spec.threads)]
 
 
+def _check_costs(quantum: Optional[float] = None, **overheads: float) -> None:
+    """Reject a non-positive or NaN ``quantum`` (a zero quantum never
+    finishes a thread) and negative or NaN overheads with ValueError."""
+    if quantum is not None and not quantum > 0:
+        raise ValueError(f"quantum must be positive, got {quantum}")
+    for name, value in overheads.items():
+        if not value >= 0:
+            raise ValueError(f"{name} must be non-negative, got {value}")
+
+
 def _record(outcome: ScheduleOutcome, state: _AppState, now: float) -> None:
     spec = state.spec
     outcome.results.append(AppResult(spec.name, spec.arrival, now,
@@ -257,6 +267,7 @@ def run_space_shared(machine: Machine, apps: Sequence[AppSpec],
                      sink: Optional[TraceSink] = None,
                      metrics: Optional[MetricsRegistry] = None) -> ScheduleOutcome:
     """Dedicated-core gang allocation; waiting apps served EDF-first."""
+    _check_costs(dispatch_overhead=dispatch_overhead)
     sim = Simulator()
     metrics = metrics if metrics is not None else MetricsRegistry()
     outcome = ScheduleOutcome("space_shared", metrics=metrics)
@@ -371,6 +382,8 @@ def run_hybrid(machine: Machine, apps: Sequence[AppSpec],
     time-slice of a time-shared core, parallel needs met with dedicated
     space-shared cores, managed reactively.
     """
+    _check_costs(quantum, ctx_overhead=ctx_overhead,
+                 dispatch_overhead=dispatch_overhead)
     if not 0 < ts_cores < machine.n_cores:
         raise ValueError("ts_cores must leave at least one space-shared core")
     sequential = [a for a in apps if a.sequential]
@@ -423,7 +436,10 @@ def run_resilient(machine: Machine, apps: Sequence[AppSpec],
     deadlocking.  Slices, ready-queue depth (``os.ready_depth`` and the
     ``ready_depth`` series) and metrics are reported as in
     :func:`run_time_shared`, which is this loop without an injector.
+    A non-positive or NaN ``quantum`` and a negative or NaN
+    ``ctx_overhead`` raise :class:`ValueError`.
     """
+    _check_costs(quantum, ctx_overhead=ctx_overhead)
     slice_duration = quantum + ctx_overhead
     if heartbeat_timeout is None:
         heartbeat_timeout = 3.0 * slice_duration

@@ -1,5 +1,8 @@
 """Tests for throughput analysis, buffer sizing and schedule existence."""
 
+import math
+import random
+
 import pytest
 
 from repro.dataflow import (
@@ -67,6 +70,41 @@ class TestThroughput:
         # Longer window => closer to the bound, never above it.
         assert abs(fine - 1.0 / mcr) <= abs(coarse - 1.0 / mcr) + 1e-12
         assert fine <= 1.0 / mcr * (1 + 1e-6)
+
+    def test_zero_token_cycle_has_infinite_ratio(self):
+        # No initial tokens on a0 <-> a1: neither actor can ever fire.  The
+        # binary search used to saturate at its upper bound (15.0 here).
+        graph = SDFGraph("dead")
+        graph.add_actor("a0", 3.0)
+        graph.add_actor("a1", 4.0)
+        graph.connect("a0", "a1")
+        graph.connect("a1", "a0")
+        mcr, cycle = max_cycle_ratio(graph)
+        assert mcr == float("inf")
+        assert cycle[0] == cycle[-1]
+        assert {node for node, _ in cycle} == {"a0", "a1"}
+        assert throughput_self_timed(graph) == 0.0
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_mcr_infinite_exactly_when_self_timed_deadlocks(self, seed):
+        rng = random.Random(f"{seed}:sdf_ring")
+        n = rng.randint(2, 4)
+        reps = [rng.randint(1, 3) for _ in range(n)]
+        graph = SDFGraph(f"ring{seed}")
+        for index in range(n):
+            graph.add_actor(f"a{index}", float(rng.randint(1, 5)))
+        for index in range(n):
+            nxt = (index + 1) % n
+            # prod * reps[src] == cons * reps[dst]: a consistent ring.
+            scale = rng.randint(1, 2)
+            common = math.gcd(reps[index], reps[nxt])
+            prod = reps[nxt] // common * scale
+            cons = reps[index] // common * scale
+            tokens = rng.choice([0, 0, cons, cons * reps[nxt],
+                                 rng.randint(0, 2 * cons * reps[nxt])])
+            graph.connect(f"a{index}", f"a{nxt}", prod, cons, tokens=tokens)
+        mcr, _ = max_cycle_ratio(graph)
+        assert (mcr == float("inf")) == (throughput_self_timed(graph) == 0.0)
 
     def test_self_timed_rejects_degenerate_window(self):
         # With a single measured iteration the window is one point: there

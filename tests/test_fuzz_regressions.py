@@ -220,3 +220,29 @@ def test_regression_deep_recursion_raises_interp_error():
     program = parse("int f(int n) { if (n == 0) return 0; "
                     "return f(n - 1) + 1; }\nint main() { return f(50); }\n")
     assert Interpreter(program).run().return_value == 50
+
+
+# Mini-C pointer writes: a store through ``&x`` used to update a second
+# copy of ``x`` (a one-slot cell) that reads of ``x`` by name never saw.
+# The expr fuzzer's pointer and out-parameter forms found it at 15 of
+# the 200 seeds of the CI sweep; these are the hand-minimized shapes.
+PINNED_POINTER_WRITES = [
+    ("int main() { int x = 1; int *p = &x; *p = 5; return x; }", 5),
+    ("int g;\nint main() { int *p = &g; *p = 7; return g; }", 7),
+    ("void f(int *q) { *q = 3; }\n"
+     "int main() { int x = 0; f(&x); return x; }", 3),
+    ("int main() { int x = 2; int *p = &x; *p += 5; x = x + 1; "
+     "return *p; }", 8),
+    ("int main() { int x = 0; int *p = &x; *p = 2.5; return x; }", 2),
+]
+
+
+@pytest.mark.parametrize("source,expected", PINNED_POINTER_WRITES)
+def test_regression_pointer_write_reaches_the_variable(source, expected):
+    from repro.cir import parse, require_clean, run_program
+    program = parse(source)
+    require_clean(program)
+    result = run_program(program)
+    assert result.return_value == expected
+    if "int g;" in source:
+        assert result.globals == {"g": 7}

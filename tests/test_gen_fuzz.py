@@ -31,7 +31,7 @@ from repro.gen import (
     run_fuzz_campaign,
     shrink_scenario,
 )
-from repro.gen.expr import gen_expr, to_asm, to_c
+from repro.gen.expr import gen_expr, to_asm, to_c, to_c_program
 from repro.gen.shrink import _delete_pass, _simplify_pass
 from repro.hopes import CICApplication, CICTask, explore_random_architectures
 from repro.vp import SoCConfig, assemble
@@ -133,6 +133,33 @@ class TestExprScenarios:
         for seed in range(15):
             report = compare_expr(generate_expr_scenario(seed))
             assert not report["diverged"], (seed, report["mismatches"])
+
+    def test_pointer_forms_agree_across_all_paths(self):
+        # A share of the C sides computes the root operator through a
+        # pointer to a local or an out-parameter; the asm side is the
+        # same computation, so every form must agree with it.
+        forms = set()
+        for seed in range(40):
+            scenario = generate_expr_scenario(seed)
+            source = scenario["c_source"]
+            if "&t" not in source:
+                continue
+            forms.add("out" if "f(&t" in source else
+                      "compound" if "= *p" not in source else "pointer")
+            report = compare_expr(scenario)
+            assert not report["diverged"], (seed, report["mismatches"])
+        assert forms == {"pointer", "compound", "out"}
+
+    def test_every_form_renders_the_same_tree(self):
+        node = ("bin", "-", "sub", ("var", "a"), ("const", 7))
+        for form in ("return", "pointer", "compound", "out"):
+            scenario = {"kind": "expr", "seed": -1,
+                        "c_source": to_c_program(node, form),
+                        "asm_source": to_asm(node, 3, 5), "args": [3, 5]}
+            report = compare_expr(scenario)
+            assert not report["diverged"], (form, report["mismatches"])
+        assert "*p -= 7;" in to_c_program(node, "compound")
+        assert "f(&t, a, b)" in to_c_program(node, "out")
 
     def test_mod_lowering_pair_pins_int_min_corner(self):
         # INT_MIN % -1: the tree renders as C "(a % (b | 1))" and as the

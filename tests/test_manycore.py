@@ -159,6 +159,35 @@ class TestSchedulers:
         with pytest.raises(ValueError):
             run_hybrid(Machine(2), [], ts_cores=2)
 
+    @pytest.mark.parametrize("policy,kwargs,message", [
+        ("time_shared", {"quantum": 0.0}, "quantum must be positive"),
+        ("time_shared", {"quantum": -1.0}, "quantum must be positive"),
+        ("time_shared", {"quantum": float("nan")}, "quantum must be"),
+        ("time_shared", {"ctx_overhead": -0.01}, "ctx_overhead must be"),
+        ("time_shared", {"ctx_overhead": float("nan")},
+         "ctx_overhead must be"),
+        ("resilient", {"quantum": 0.0}, "quantum must be positive"),
+        ("space_shared", {"dispatch_overhead": -1.0},
+         "dispatch_overhead must be"),
+        ("hybrid", {"quantum": 0.0}, "quantum must be positive"),
+        ("hybrid", {"ctx_overhead": float("nan")}, "ctx_overhead must be"),
+        ("hybrid", {"dispatch_overhead": float("nan")},
+         "dispatch_overhead must be"),
+    ])
+    def test_bad_costs_rejected_before_any_kernel(self, monkeypatch,
+                                                  policy, kwargs, message):
+        # A zero quantum used to loop forever: every slice did no work.
+        import repro.manycore.os_scheduler as os_scheduler
+
+        def no_kernel():
+            raise AssertionError("a simulator was built for a bad input")
+
+        monkeypatch.setattr(os_scheduler, "Simulator", no_kernel)
+        run = getattr(os_scheduler, f"run_{policy}")
+        apps = [AppSpec("a", work=1), AppSpec("p", work=2, threads=2)]
+        with pytest.raises(ValueError, match=message):
+            run(Machine(4), apps, **kwargs)
+
     def test_arrivals_respected(self):
         machine = Machine(1)
         outcome = run_time_shared(machine,
