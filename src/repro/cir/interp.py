@@ -85,9 +85,6 @@ class ArrayValue:
     def get(self, indices: List[int]) -> Any:
         return self.storage[self.flat_offset(indices)]
 
-    def set(self, indices: List[int], value: Any) -> None:
-        self.storage[self.flat_offset(indices)] = value
-
     def tolist(self) -> List[Any]:
         return list(self.storage)
 
@@ -143,7 +140,8 @@ class PointerValue:
         if not (0 <= self.offset < len(self.storage)):
             raise InterpError(f"pointer store out of bounds "
                               f"({self.offset}/{len(self.storage)})")
-        self.storage[self.offset] = value
+        self.storage[self.offset] = _converted(value,
+                                               self.storage[self.offset])
 
 
 Value = Union[int, float, str, ArrayValue, PointerValue]
@@ -457,23 +455,34 @@ def _write_element(base: Any, indices: List[int], value: Any) -> None:
     if isinstance(base, PointerValue):
         PointerValue(*_element_ref(base, indices)).store(value)
         return
-    if base.element.name == "int" and isinstance(value, float):
-        value = int(value)
-    base.set(indices, value)
+    offset = base.flat_offset(indices)
+    base.storage[offset] = _converted(value, base.storage[offset])
+
+
+def _converted(value: Any, current: Any) -> Any:
+    """``value`` as stored over ``current``, the one conversion every
+    store (to a variable, an element or through a pointer) applies: the
+    slot keeps its type, so an int slot truncates a float, a float slot
+    widens an int, and a pointer slot decays an array."""
+    kind = type(current)
+    if kind is int:
+        if type(value) is float:
+            return int(value)
+    elif kind is float:
+        if type(value) is int:
+            return float(value)
+    elif kind is PointerValue and isinstance(value, ArrayValue):
+        return PointerValue(value.storage, 0)
+    return value
 
 
 def _store_name(env: Env, name: str, value: Any) -> None:
-    """Assign a named variable found in ``env``: ints stay ints, arrays
-    are not assignable, and a pointer receiving an array decays it."""
+    """Assign a named variable found in ``env`` (arrays are not
+    assignable) with :func:`_converted`'s conversion."""
     current = env.get(name)
     if isinstance(current, ArrayValue):
         raise InterpError(f"cannot assign to array {name!r}")
-    if isinstance(value, float) and isinstance(current, int) \
-            and not isinstance(current, bool):
-        value = int(value)
-    elif isinstance(value, ArrayValue) and isinstance(current, PointerValue):
-        value = PointerValue(value.storage, 0)
-    env[name] = value
+    env[name] = _converted(value, current)
 
 
 # ---------------------------------------------------------------------------
@@ -900,13 +909,15 @@ class _Compiler:
                     index = int(index)
                 base = base_fn(env)
                 if type(base) is ArrayValue and len(base.dims) == 1:
-                    if isinstance(value, float) and base.element.name == "int":
-                        value = int(value)
                     size = base.dims[0]
                     if not 0 <= index < size:
                         raise InterpError(f"index {index} out of bounds "
                                           f"for dimension {size}")
-                    base.storage[index] = value
+                    storage = base.storage
+                    current = storage[index]
+                    if type(value) is not type(current):
+                        value = _converted(value, current)
+                    storage[index] = value
                     return
                 if not isinstance(base, (ArrayValue, PointerValue)):
                     raise InterpError(f"indexing a non-array value via "

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from repro.farm.backends.base import (
     Completion, ExecutorBackend, InlineBackend, STATUS_CRASH, STATUS_ERROR,
-    STATUS_OK, execute_payload, fork_available, require_fork,
+    STATUS_OK, STATUS_RETURNED, execute_payload, fork_available,
+    require_fork,
 )
 from repro.farm.backends.daemon import DaemonBackend, shutdown_daemons, \
     warm_worker_pids
@@ -37,6 +38,6 @@ def make_backend(kind: str, width: int) -> ExecutorBackend:
 __all__ = [
     "BACKENDS", "Completion", "DaemonBackend", "ExecutorBackend",
     "InlineBackend", "STATUS_CRASH", "STATUS_ERROR", "STATUS_OK",
-    "execute_payload", "fork_available", "make_backend", "require_fork",
-    "shutdown_daemons", "warm_worker_pids",
+    "STATUS_RETURNED", "execute_payload", "fork_available", "make_backend",
+    "require_fork", "shutdown_daemons", "warm_worker_pids",
 ]

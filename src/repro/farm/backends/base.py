@@ -3,14 +3,18 @@
 The engine owns *policy* -- ordered aggregation, caching, retry budget,
 timeout charging -- and a backend owns *mechanism*: getting a submitted
 job executed somewhere and reporting what happened.  The whole contract
-is four methods and one attribute:
+is six methods and one attribute:
 
+- :meth:`ExecutorBackend.accepting` -- whether :meth:`submit` takes one
+  more job now, given how many the engine still has waiting;
 - :meth:`ExecutorBackend.submit` -- start one job under an integer tag
   (the engine uses the job's submission index, so completions map back
   to their aggregation slot without any shared state);
 - :meth:`ExecutorBackend.drain` -- block up to a timeout and return the
   :class:`Completion` batch that arrived;
-- :meth:`ExecutorBackend.cancel` -- kill specific in-flight tags (for
+- :meth:`ExecutorBackend.running` -- the tags executing now, with the
+  time each started (where the engine's timeout clock starts);
+- :meth:`ExecutorBackend.cancel` -- kill specific running tags (for
   timeout enforcement);
 - :meth:`ExecutorBackend.teardown` -- release resources; warm backends
   may keep their workers for the next campaign;
@@ -22,12 +26,16 @@ Completion statuses:
 - ``ok`` / ``error`` -- the job function returned / raised; ``value``
   is the result / message;
 - ``crash`` -- the worker died underneath the job (each worker runs one
-  job at a time, so the blame is always certain).
+  job at a time, so the blame is always certain);
+- ``returned`` -- the job never started: it was queued on a worker that
+  died or was cancelled first.  The engine queues it again without
+  spending an attempt.
 
 Determinism invariant: a backend influences only *where and when* jobs
-execute, never what enters the aggregate -- the engine normalizes every
-result through one JSON round-trip and merges by tag order, so any
-backend is byte-identical to the ``jobs=1`` oracle.
+execute, never what enters the aggregate -- every ``ok`` value has been
+through exactly one JSON encode and decode (the inline backend
+round-trips it, the daemon's wire does), and the engine merges by tag
+order, so any backend is byte-identical to the ``jobs=1`` oracle.
 """
 
 from __future__ import annotations
@@ -36,14 +44,15 @@ import multiprocessing
 import time
 import traceback
 from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.serde import canonical_json
+from repro.core.serde import json_roundtrip
 from repro.farm.job import Job, resolve_ref
 
 STATUS_OK = "ok"
 STATUS_ERROR = "error"
 STATUS_CRASH = "crash"
+STATUS_RETURNED = "returned"
 
 
 def fork_available() -> bool:
@@ -73,21 +82,26 @@ def execute_payload(payload: Tuple[str, Any, int]) -> Tuple[str, Any, float]:
 
     Returns ``("ok", result, elapsed)`` or ``("error", message, elapsed)``;
     never raises, so the only way an execution is lost is the worker
-    dying.
+    dying.  The result is not checked for JSON here: the worker's reply
+    frame encodes it, and a result that cannot be encoded is reported
+    through :func:`error_message` instead.
     """
     ref, config, seed = payload
     start = time.perf_counter()
     try:
         fn = resolve_ref(ref)
-        result = fn(config, seed)
-        canonical_json(result)  # non-JSON results must fail here, loudly
-        return ("ok", result, time.perf_counter() - start)
+        return ("ok", fn(config, seed), time.perf_counter() - start)
     except BaseException as error:  # noqa: BLE001 -- structured, not lost
-        tail = traceback.format_exc(limit=3).strip().splitlines()[-1]
-        message = f"{type(error).__name__}: {error}"
-        if tail and tail not in message:
-            message = f"{message} [{tail}]"
-        return ("error", message, time.perf_counter() - start)
+        return ("error", error_message(error), time.perf_counter() - start)
+
+
+def error_message(error: BaseException) -> str:
+    """One line naming ``error`` (call it inside its ``except`` block)."""
+    tail = traceback.format_exc(limit=3).strip().splitlines()[-1]
+    message = f"{type(error).__name__}: {error}"
+    if tail and tail not in message:
+        message = f"{message} [{tail}]"
+    return message
 
 
 @dataclass
@@ -95,8 +109,8 @@ class Completion:
     """One finished (or lost) execution, reported by a backend."""
 
     tag: int
-    status: str           # STATUS_OK | STATUS_ERROR | STATUS_CRASH
-    value: Any = None     # result for ok, message for error/crash
+    status: str           # STATUS_OK | _ERROR | _CRASH | _RETURNED
+    value: Any = None     # pure-JSON result for ok, message for error/crash
     elapsed: float = 0.0
 
 
@@ -107,14 +121,26 @@ class ExecutorBackend:
     in_process: bool = False
     width: int
 
+    def accepting(self, waiting: int) -> bool:
+        """Whether :meth:`submit` takes one more job now; ``waiting``
+        counts the jobs the engine has queued, that one included."""
+        raise NotImplementedError
+
     def submit(self, tag: int, job: Job) -> None:
         raise NotImplementedError
 
     def drain(self, timeout: Optional[float]) -> List[Completion]:
         raise NotImplementedError
 
+    def running(self) -> Dict[int, float]:
+        """Tag -> ``time.monotonic()`` at which it started executing,
+        for every tag executing now (submitted tags still queued behind
+        another job are not running)."""
+        raise NotImplementedError
+
     def cancel(self, tags: Sequence[int]) -> None:
-        """Kill the workers running the given in-flight tags."""
+        """Kill the workers running the given tags; tags queued behind
+        them come back from :meth:`drain` as ``returned``."""
         raise NotImplementedError
 
     def teardown(self) -> None:
@@ -132,8 +158,9 @@ class InlineBackend(ExecutorBackend):
 
     Executes each submission synchronously inside :meth:`drain`, calling
     the job's function object directly -- no pickling, no import by
-    name, closures allowed.  Every other backend is measured against
-    this one's aggregate bytes.
+    name, closures allowed -- and normalizes the result through one JSON
+    round-trip, the way the daemon's wire does.  Every other backend is
+    measured against this one's aggregate bytes.
     """
 
     in_process = True
@@ -141,6 +168,9 @@ class InlineBackend(ExecutorBackend):
     def __init__(self, width: int = 1) -> None:
         self.width = 1
         self._pending: List[Tuple[int, Job]] = []
+
+    def accepting(self, waiting: int) -> bool:
+        return not self._pending
 
     def submit(self, tag: int, job: Job) -> None:
         self._pending.append((tag, job))
@@ -151,14 +181,16 @@ class InlineBackend(ExecutorBackend):
         tag, job = self._pending.pop(0)
         start = time.perf_counter()
         try:
-            result = job.fn(job.config, job.seed)
-            canonical_json(result)
+            result = json_roundtrip(job.fn(job.config, job.seed))
         except BaseException as error:  # noqa: BLE001
             return [Completion(tag, STATUS_ERROR,
                                f"{type(error).__name__}: {error}",
                                time.perf_counter() - start)]
         return [Completion(tag, STATUS_OK, result,
                            time.perf_counter() - start)]
+
+    def running(self) -> Dict[int, float]:
+        return {}
 
     def cancel(self, tags: Sequence[int]) -> None:
         pass
@@ -169,6 +201,6 @@ class InlineBackend(ExecutorBackend):
 
 __all__ = [
     "Completion", "ExecutorBackend", "InlineBackend", "STATUS_CRASH",
-    "STATUS_ERROR", "STATUS_OK", "execute_payload", "fork_available",
-    "require_fork",
+    "STATUS_ERROR", "STATUS_OK", "STATUS_RETURNED", "error_message",
+    "execute_payload", "fork_available", "require_fork",
 ]

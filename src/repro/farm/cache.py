@@ -30,6 +30,7 @@ import tempfile
 from typing import Any, Dict, Iterator, Optional, Tuple, Union
 
 from repro.core.serde import canonical_json
+from repro.farm.job import canonical_object
 
 
 class ResultCache:
@@ -70,18 +71,21 @@ class ResultCache:
         return True, payload["result"]
 
     def store(self, key: str, result: Any,
-              meta: Optional[Dict[str, Any]] = None) -> str:
+              meta: Union[None, Dict[str, Any], str] = None) -> str:
         """Atomically persist ``result`` (plus job metadata for humans
-        spelunking the cache directory); returns the entry path."""
+        spelunking the cache directory); returns the entry path.
+        ``meta`` may be given as its canonical JSON text, which is then
+        written as is."""
         path = self._path(key)
-        payload = {"key": key, "result": result}
+        members = {"key": canonical_json(key),
+                   "result": canonical_json(result)}
         if meta:
-            payload["job"] = meta
-        return self._atomic_write(path, payload)
+            members["job"] = meta if isinstance(meta, str) \
+                else canonical_json(meta)
+        return self._atomic_write(path, canonical_object(members))
 
-    def _atomic_write(self, path: str, payload: Dict[str, Any]) -> str:
+    def _atomic_write(self, path: str, data: str) -> str:
         os.makedirs(os.path.dirname(path), exist_ok=True)
-        data = canonical_json(payload)
         fd, tmp_path = tempfile.mkstemp(dir=os.path.dirname(path),
                                         suffix=".tmp")
         try:
@@ -103,16 +107,20 @@ class ResultCache:
         digest = hashlib.sha256(name.encode("utf-8")).hexdigest()
         return os.path.join(self.root, "manifests", f"{digest}.json")
 
-    def store_manifest(self, name: str, payload: Dict[str, Any]) -> str:
+    def store_manifest(self, name: str,
+                       payload: Union[Dict[str, Any], str]) -> str:
         """Atomically persist a campaign manifest under ``name``.
 
         The manifest is what makes a campaign *resumable*: it records
         the full job list (ref/config/seed/name) plus the executor salt,
         so :meth:`repro.farm.Campaign.resume` can rebuild the identical
         key set after a crash and let cache hits skip completed jobs.
+        ``payload`` is the manifest body, or the canonical JSON text of
+        the whole manifest (``name`` included), written as is.
         """
-        return self._atomic_write(self._manifest_path(name),
-                                  {"name": name, **payload})
+        if not isinstance(payload, str):
+            payload = canonical_json({"name": name, **payload})
+        return self._atomic_write(self._manifest_path(name), payload)
 
     def load_manifest(self, name: str) -> Dict[str, Any]:
         """Load the manifest stored under ``name``; KeyError if absent

@@ -19,10 +19,11 @@ A :class:`Campaign` dispatches its jobs through an
   contract; the deterministic artifact is the ordered aggregate.
 
 Normalization rule: every result -- freshly computed, worker-returned
-or cache-rehydrated -- passes through one JSON round-trip before it
-enters an outcome, so all three are indistinguishable and
-``CampaignResult.aggregate_json()`` is byte-identical across backends,
-worker counts and warm-cache re-runs.
+or cache-rehydrated -- has been through one JSON encode and decode
+before it enters an outcome (the inline backend round-trips it, the
+daemon wire and the cache file decode it), so all three are
+indistinguishable and ``CampaignResult.aggregate_json()`` is
+byte-identical across backends, worker counts and warm-cache re-runs.
 
 The one construction surface is ``Campaign.build(...)`` /
 ``Campaign.resume(...)``.
@@ -34,16 +35,16 @@ import time
 from collections import deque
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, \
-    Tuple
+    Set, Tuple
 
-from repro.core.serde import canonical_json, json_roundtrip
+from repro.core.serde import canonical_json
 from repro.farm.backends import (
-    STATUS_ERROR, STATUS_OK, make_backend, require_fork,
+    STATUS_ERROR, STATUS_OK, STATUS_RETURNED, make_backend, require_fork,
 )
 from repro.farm.cache import CacheLike, ResultCache, as_cache_tier
 from repro.farm.job import (
     FAILURE_CRASH, FAILURE_ERROR, FAILURE_TIMEOUT, Job, JobFailure,
-    JobOutcome, resolve_ref, source_salt,
+    JobOutcome, canonical_object, resolve_ref, source_salt,
 )
 from repro.obs.metrics import MetricsRegistry
 
@@ -207,6 +208,7 @@ class Campaign:
         self.executor = executor if executor is not None else Executor()
         self.jobs: List[Job] = []
         self._salts: Dict[str, str] = {}
+        self._importable: Set[str] = set()   # refs add() has resolved
 
     # ------------------------------------------------------------------
     # the one construction surface
@@ -272,12 +274,14 @@ class Campaign:
             seed: int = 0, name: Optional[str] = None) -> Job:
         """Submit one job; submission order is aggregation order."""
         job = Job.build(fn, config=config, seed=seed, name=name)
-        if self.executor.resolved_backend() != "inline":
+        if job.ref not in self._importable \
+                and self.executor.resolved_backend() != "inline":
             # Daemon campaigns must be able to fork workers and
             # re-import the function by name inside them; fail at
             # submission, not at the bottom of a 4-worker sweep.
             require_fork("a multi-process campaign backend")
             resolve_ref(job.ref)
+            self._importable.add(job.ref)
         self.jobs.append(job)
         return job
 
@@ -305,6 +309,14 @@ class Campaign:
                      for job in self.jobs],
         }
 
+    def _manifest_json(self) -> str:
+        """Canonical JSON of the stored manifest (``name`` plus
+        :meth:`manifest`), embedding each job's config text."""
+        jobs = ",".join(job.spec_json() for job in self.jobs)
+        return canonical_object({
+            "jobs": f"[{jobs}]", "name": canonical_json(self.name),
+            "salt": canonical_json(self.executor.salt)})
+
     def run(self) -> CampaignResult:
         """Execute every job (cache permitting) and aggregate in order."""
         executor = self.executor
@@ -318,7 +330,7 @@ class Campaign:
             # work: a crash or SIGKILL mid-sweep leaves behind the full
             # job list, so Campaign.resume() can rebuild the identical
             # key set and skip completed jobs.
-            cache.store_manifest(self.name, self.manifest())
+            cache.store_manifest(self.name, self._manifest_json())
 
         outcomes = [JobOutcome(index, job, job.key(self._salt_for(job)))
                     for index, job in enumerate(self.jobs)]
@@ -350,16 +362,13 @@ class Campaign:
     def _complete(self, outcome: JobOutcome, result: Any, elapsed: float,
                   cache: Optional[ResultCache], metrics: MetricsRegistry,
                   sink: Optional[Any], total: int, done: int) -> None:
-        outcome.result = json_roundtrip(result)
+        outcome.result = result
         outcome.elapsed = elapsed
         metrics.counter("farm.jobs.executed").inc()
         metrics.histogram("farm.job_seconds").observe(elapsed)
         if cache is not None:
-            cache.store(outcome.key, outcome.result,
-                        meta={"fn": outcome.job.ref,
-                              "name": outcome.job.name,
-                              "seed": outcome.job.seed,
-                              "config": outcome.job.config})
+            cache.store(outcome.key, result,
+                        meta=outcome.job.spec_json(ref_name="fn"))
         self._progress(outcome, "ok", metrics, sink, total, done)
 
     def _fail(self, outcome: JobOutcome, kind: str, message: str,
@@ -392,8 +401,7 @@ class Campaign:
         """Run the pending jobs on the resolved backend until every one
         has completed or exhausted its attempts."""
         executor = self.executor
-        width = executor.width()
-        backend = make_backend(executor.resolved_backend(), width)
+        backend = make_backend(executor.resolved_backend(), executor.width())
         # The in-process oracle executes exactly once per job: there is
         # no crash or timeout to retry around, and an error is an error.
         max_attempts = 1 if backend.in_process else executor.retries + 1
@@ -413,32 +421,40 @@ class Campaign:
                 self._fail(outcome, kind, message, metrics, sink, total,
                            done)
 
-        in_flight: Dict[int, Tuple[JobOutcome, float]] = {}
-        try:
-            while queue or in_flight:
-                while queue and len(in_flight) < width:
-                    outcome = queue.popleft()
-                    outcome.attempts += 1
-                    backend.submit(outcome.index, outcome.job)
-                    in_flight[outcome.index] = (outcome, time.monotonic())
+        in_flight: Dict[int, JobOutcome] = {}
 
+        def refill() -> None:
+            while queue and backend.accepting(len(queue)):
+                outcome = queue.popleft()
+                outcome.attempts += 1
+                backend.submit(outcome.index, outcome.job)
+                in_flight[outcome.index] = outcome
+
+        try:
+            refill()
+            while in_flight:
                 wait_timeout = None
-                if enforce_timeout:
+                running = backend.running() if enforce_timeout else {}
+                if running:
                     now = time.monotonic()
                     wait_timeout = max(min(
                         start + executor.timeout - now
-                        for _, start in in_flight.values()), 0.01)
+                        for start in running.values()), 0.01)
+                finished: List[Tuple[JobOutcome, Any, float]] = []
+                returned: List[JobOutcome] = []
                 crashed = False
                 for completion in backend.drain(wait_timeout):
-                    entry = in_flight.pop(completion.tag, None)
-                    if entry is None:
+                    outcome = in_flight.pop(completion.tag, None)
+                    if outcome is None:
                         continue
-                    outcome = entry[0]
                     if completion.status == STATUS_OK:
-                        done += 1
-                        self._complete(outcome, completion.value,
-                                       completion.elapsed, cache, metrics,
-                                       sink, total, done)
+                        finished.append((outcome, completion.value,
+                                         completion.elapsed))
+                    elif completion.status == STATUS_RETURNED:
+                        # Queued on a worker that went away before it
+                        # started: back to the front, no attempt spent.
+                        outcome.attempts -= 1
+                        returned.append(outcome)
                     elif completion.status == STATUS_ERROR:
                         metrics.counter("farm.errors").inc()
                         retry_or_fail(outcome, FAILURE_ERROR,
@@ -450,17 +466,25 @@ class Campaign:
                                       or "worker process died")
                 if crashed:
                     metrics.counter("farm.crashes").inc()
+                queue.extendleft(reversed(returned))
+                # Hand the idle workers their next jobs before the
+                # parent-side bookkeeping of the finished ones.
+                refill()
+                for outcome, value, elapsed in finished:
+                    done += 1
+                    self._complete(outcome, value, elapsed, cache, metrics,
+                                   sink, total, done)
 
-                if not enforce_timeout or not in_flight:
+                if not enforce_timeout:
                     continue
                 now = time.monotonic()
-                expired = [tag for tag, (_, start) in in_flight.items()
+                expired = [tag for tag, start in backend.running().items()
                            if now - start >= executor.timeout]
                 if not expired:
                     continue
                 backend.cancel(expired)
                 for tag in expired:
-                    outcome, _start = in_flight.pop(tag)
+                    outcome = in_flight.pop(tag)
                     metrics.counter("farm.timeouts").inc()
                     if outcome.attempts < max_attempts:
                         # This timed-out job gets another attempt on a
@@ -469,6 +493,7 @@ class Campaign:
                     retry_or_fail(
                         outcome, FAILURE_TIMEOUT,
                         f"exceeded {executor.timeout:g}s timeout")
+                refill()
         finally:
             backend.teardown()
 

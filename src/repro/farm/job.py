@@ -20,10 +20,16 @@ Everything here is about making that contract *mechanically checkable*:
   carries the code version (see :func:`source_salt`), so editing a job
   function invalidates its cached results without touching the cache
   directory.
+
+A job's config is encoded once, when :meth:`Job.build` validates it.
+Its cache key, wire frame, manifest entry and cache metadata embed that
+text through :func:`canonical_object`, byte-identical to encoding the
+dict forms afresh.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import inspect
 from dataclasses import dataclass, field
@@ -65,6 +71,7 @@ def resolve_ref(ref: str) -> Callable[..., Any]:
     return obj
 
 
+@functools.lru_cache(maxsize=128)
 def source_salt(fn: Callable[..., Any]) -> str:
     """A short digest of the function's source: the code-version salt.
 
@@ -72,7 +79,9 @@ def source_salt(fn: Callable[..., Any]) -> str:
     cached result keyed under the old salt is simply never hit again.
     Functions without retrievable source (builtins, C extensions) salt
     to the empty string -- their cache entries then only invalidate via
-    the campaign's explicit ``salt``.
+    the campaign's explicit ``salt``.  Memoized per function object
+    (the 128 most recent): an edited function is a new object once its
+    module is imported again.
     """
     try:
         source = inspect.getsource(fn)
@@ -87,13 +96,22 @@ def job_key(ref: str, config: Any, seed: int, salt: str = "") -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
+def canonical_object(members: Dict[str, str]) -> str:
+    """Canonical JSON of an object whose member values are given as
+    their canonical JSON texts: the bytes :func:`canonical_json` would
+    write for the decoded dict, without re-encoding the members."""
+    return "{" + ",".join(f"{canonical_json(name)}:{text}"
+                          for name, text in sorted(members.items())) + "}"
+
+
 @dataclass(frozen=True)
 class Job:
     """One schedulable evaluation.
 
     ``fn`` is kept for the in-process reference path; identity (cache
     key, worker payload) uses only ``ref``/``config``/``seed`` so a job
-    means the same thing in every process.
+    means the same thing in every process.  ``config_json`` is the
+    config's canonical JSON, encoded once by :meth:`build`.
     """
 
     fn: Callable[[Any, int], Any]
@@ -101,6 +119,7 @@ class Job:
     seed: int
     name: str
     ref: str
+    config_json: str = field(repr=False)
 
     @classmethod
     def build(cls, fn: Callable[[Any, int], Any], config: Any = None,
@@ -108,13 +127,26 @@ class Job:
         ref = func_ref(fn)
         # Fail at submission time on configs that can never be hashed,
         # shipped to a worker, or cached.
-        canonical_json(config)
+        config_json = canonical_json(config)
         if name is None:
             name = f"{ref.rsplit(':', 1)[1]}[{seed}]"
-        return cls(fn=fn, config=config, seed=int(seed), name=name, ref=ref)
+        return cls(fn=fn, config=config, seed=int(seed), name=name, ref=ref,
+                   config_json=config_json)
 
     def key(self, salt: str = "") -> str:
-        return job_key(self.ref, self.config, self.seed, salt)
+        """:func:`job_key` of this job."""
+        payload = ",".join((canonical_json(self.ref), self.config_json,
+                            canonical_json(self.seed), canonical_json(salt)))
+        return hashlib.sha256(f"[{payload}]".encode("utf-8")).hexdigest()
+
+    def spec_json(self, ref_name: str = "ref") -> str:
+        """Canonical JSON of ``{"config", "name", <ref_name>: ref,
+        "seed"}``: a manifest entry, or with ``ref_name="fn"`` the
+        ``job`` metadata of a cache entry."""
+        return canonical_object({
+            "config": self.config_json, "name": canonical_json(self.name),
+            ref_name: canonical_json(self.ref),
+            "seed": canonical_json(self.seed)})
 
 
 # Failure kinds, in escalating order of violence.
@@ -170,6 +202,6 @@ class JobOutcome:
 
 __all__ = [
     "FAILURE_CRASH", "FAILURE_ERROR", "FAILURE_TIMEOUT", "Job",
-    "JobFailure", "JobOutcome", "func_ref", "job_key", "resolve_ref",
-    "source_salt",
+    "JobFailure", "JobOutcome", "canonical_object", "func_ref", "job_key",
+    "resolve_ref", "source_salt",
 ]

@@ -112,6 +112,21 @@ def shrink_program(scenario: Dict[str, Any], core: str,
     return shrunk
 
 
+def _with_args(scenario: Dict[str, Any], args: List[int]) -> Dict[str, Any]:
+    """The expr scenario run on ``args``: its asm loads argument ``i``
+    with ``li r<i+1>, <value>`` on line ``i`` (see
+    :func:`repro.gen.expr.to_asm`), so those lines change with them."""
+    lines = scenario["asm_source"].splitlines(keepends=True)
+    for index, value in enumerate(args):
+        register = f"r{index + 1}"
+        if not re.fullmatch(rf"\s*li\s+{register},\s*-?\d+\s*",
+                            lines[index]):
+            raise ValueError(f"expr asm line {index} does not load "
+                             f"{register}: {lines[index]!r}")
+        lines[index] = f"    li {register}, {value}\n"
+    return {**scenario, "args": args, "asm_source": "".join(lines)}
+
+
 def shrink_scenario(scenario: Dict[str, Any],
                     compare: Callable[[Dict[str, Any]],
                                       Dict[str, Any]] = compare_scenario,
@@ -132,9 +147,9 @@ def shrink_scenario(scenario: Dict[str, Any],
         shrunk = dict(scenario)
         for index in range(len(shrunk["args"])):
             for simple in (0, 1):
-                candidate = dict(shrunk)
-                candidate["args"] = list(shrunk["args"])
-                candidate["args"][index] = simple
+                args = list(shrunk["args"])
+                args[index] = simple
+                candidate = _with_args(shrunk, args)
                 if _diverges(candidate, compare):
                     shrunk = candidate
                     break

@@ -118,6 +118,25 @@ class TestArraysAndPointers:
         int main() { int *p; p = &a[1]; *p = 42; return a[1]; }"""
         assert run(source).return_value == 42
 
+    @pytest.mark.parametrize("body, printed", [
+        # element stores convert to the element type
+        ("float fl[3]; fl[2] = 7 / 2; print(fl[2]);", [3.0]),
+        ("float m[2][2]; m[1][1] = 5; print(m[1][1]);", [5.0]),
+        ("int a[2]; a[0] = 2.5; a[1] += 1.5; print(a[0], a[1]);", [2, 1]),
+        # stores through a pointer convert to the pointee's type
+        ("int a[2]; int *p = a; *p = 2.5; print(a[0]);", [2]),
+        ("float b[2]; float *q = b; q[1] = 4; print(b[1]);", [4.0]),
+        ("int x; int *p = &x; *p = 2.5; print(x);", [2]),
+        # and scalar assignment follows the same rule
+        ("float f = 1.5; f = 3; print(f / 2);", [1.5]),
+        ("int i; i = 9.75; print(i);", [9]),
+    ])
+    def test_stores_convert_to_the_destination_type(self, body, printed):
+        source = "int main() { " + body + " return 0; }"
+        output = run(source).output
+        assert [(type(v), v) for v in output] \
+            == [(type(v), v) for v in printed]
+
     def test_address_of_scalar(self):
         source = """
         int main() { int x; int *p; x = 7; p = &x; *p = 9; return *p; }"""
@@ -416,14 +435,17 @@ int main() {
 # re-recorded when stores through ``&x`` began to reach ``x``: after
 # ``*px = *px + 4; *px += 1;`` x is 8, not 3, which moves output[0],
 # output[4] and output[24], the return value (-38 -> -8), op_count
-# (384 -> 387, main 380 -> 383) and stmt_count (155 -> 157).
+# (384 -> 387, main 380 -> 383) and stmt_count (155 -> 157).  It was
+# re-recorded again when element stores began to convert to the element
+# type: ``fl[2] = 7 / 2;`` leaves 3.0 in the float array, not the int 3
+# (``globals["fl"][2]``, the only field that moved).
 EXACT_DIGESTS = {
     "maps_jpeg_1": "cb0042c61ad62a37",
     "maps_jpeg_97": "d44a377ba65a08d9",
     "jpeg_stress": "cc3633a099da2a1f",
     "recoder_split_loop": "27f8bd33be3e2603",
     "recoder_pointers": "5aeee72a989202d7",
-    "kitchen_sink": "655baeda240b670f",
+    "kitchen_sink": "879d8687c6432b37",
     "hopes": "5879c11a1c3a2bbf",
     "step_sweep_ops": 141,
     "step_sweep": "67c5b581b4f4f883",

@@ -237,6 +237,27 @@ class TestShrinker:
         assert len(kept) <= 2
         assert any("xor r5, r5, r5" in line for line in kept)
 
+    def test_expr_shrink_keeps_the_asm_on_the_shrunk_args(self):
+        # The stand-in diverges while the asm loads exactly the args and
+        # the second one is nonzero: shrinking must reach [0, 1] with
+        # the asm's argument loads rewritten to match.
+        def loads(scenario):
+            return [int(line.split(",")[1]) for line
+                    in scenario["asm_source"].splitlines()[:2]]
+
+        def compare(scenario):
+            diverged = loads(scenario) == scenario["args"] \
+                and scenario["args"][1] != 0
+            return {"diverged": diverged, "mismatches": [], "digest": "x"}
+
+        scenario = generate_expr_scenario(0)
+        assert scenario["args"] == [7, 31]
+        shrunk = shrink_scenario(scenario, compare=compare)
+        assert shrunk["args"] == [0, 1] and loads(shrunk) == [0, 1]
+        assert shrunk["asm_source"].splitlines()[2:] \
+            == scenario["asm_source"].splitlines()[2:]
+        assert shrunk["c_source"] == scenario["c_source"]
+
     def test_healthy_scenario_refuses_to_shrink(self):
         scenario = {"kind": "firmware", "n_cores": 1, "quantum": 64,
                     "ram_words": 2048, "irq": None,

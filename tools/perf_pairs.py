@@ -12,8 +12,18 @@ once in that worktree and once in the working tree; odd pairs run the
 parent first, even pairs the change.  Prints every run's end-to-end
 metrics (names and directions from ``BENCHMARK.json``), then per metric
 the medians, the parent's interquartile range and how many pairs the
-change won.  Exits 1 if any run is not ``correct: true``.  Standard
-library only.
+change won.
+
+With ``--trace 1`` each pair also runs ``perfbench/run.py --trace 1`` in
+both trees, and a second table gives the median of every ``per_layer``
+metric of ``BENCHMARK.json`` that is nonzero on either side, parent ->
+change, so a speed claim can name the layer that moved (for a farm
+change, ``farm.worker_busy_frac`` and ``serde.encode_s``)::
+
+    python3 tools/perf_pairs.py --parent HEAD~1 --workload fault_farm \
+        --seconds 10 --pairs 10 --trace 1
+
+Exits 1 if any run is not ``correct: true``.  Standard library only.
 """
 
 import argparse
@@ -36,14 +46,17 @@ def parse_args(argv):
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--trace", type=int, choices=(0, 1), default=0,
+                        help="1: also run traced pairs and print the "
+                             "per-layer medians")
     return parser.parse_args(argv)
 
 
-def perfbench(tree, args):
-    """One ``--trace 0`` run in ``tree``; returns its final JSON line."""
+def perfbench(tree, args, trace=0):
+    """One perfbench run in ``tree``; returns its final JSON line."""
     command = [sys.executable, os.path.join("perfbench", "run.py"),
                "--workload", args.workload, "--seed", str(args.seed),
-               "--seconds", str(args.seconds), "--trace", "0"]
+               "--seconds", str(args.seconds), "--trace", str(trace)]
     out = subprocess.run(command, cwd=tree, stdout=subprocess.PIPE,
                          text=True).stdout
     lines = out.strip().splitlines()
@@ -88,14 +101,33 @@ def report(metrics, runs):
               f"{iqr(olds):>12.4g}  {wins}/{len(pairs)}")
 
 
+def report_layers(layers, runs):
+    """Per-layer medians of the traced runs, parent -> change."""
+    print(f"{'per-layer metric':<34}{'parent':>12}{'change':>12}{'diff':>9}")
+    for name in layers:
+        olds = [p["metrics"][name]["value"] for p, _ in runs
+                if name in p["metrics"]]
+        news = [c["metrics"][name]["value"] for _, c in runs
+                if name in c["metrics"]]
+        if not olds or not news:
+            continue
+        old, new = statistics.median(olds), statistics.median(news)
+        if not old and not new:
+            continue
+        diff = f"{100.0 * (new - old) / old:+.1f}%" if old else "NA"
+        print(f"{name:<34}{old:>12.4g}{new:>12.4g}{diff:>9}")
+
+
 def main(argv=None):
     args = parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json")) as handle:
-        metrics = [(entry["name"], entry["better"])
-                   for entry in json.load(handle)["end_to_end"]]
+        spec = json.load(handle)
+    metrics = [(entry["name"], entry["better"])
+               for entry in spec["end_to_end"]]
+    layers = [entry["name"] for entry in spec["per_layer"]]
     scratch = tempfile.mkdtemp(prefix="perf_pairs_")
     worktree = os.path.join(scratch, "parent")
-    runs = []
+    runs, traced = [], []
     try:
         subprocess.run(["git", "worktree", "add", "--detach", worktree,
                         args.parent], cwd=ROOT, check=True,
@@ -104,18 +136,25 @@ def main(argv=None):
             order = [("parent", worktree), ("change", ROOT)]
             if pair % 2 == 0:
                 order.reverse()
-            results = {}
+            results, layered = {}, {}
             for side, tree in order:
                 results[side] = perfbench(tree, args)
+                if args.trace:
+                    layered[side] = perfbench(tree, args, trace=1)
                 print(f"pair {pair} {side} done", file=sys.stderr,
                       flush=True)
             runs.append((results["parent"], results["change"]))
+            if args.trace:
+                traced.append((layered["parent"], layered["change"]))
     finally:
         subprocess.run(["git", "worktree", "remove", "--force", worktree],
                        cwd=ROOT, stdout=subprocess.DEVNULL)
         shutil.rmtree(scratch, ignore_errors=True)
     report(metrics, runs)
-    correct = all(side["correct"] is True for pair in runs for side in pair)
+    if traced:
+        report_layers(layers, traced)
+    correct = all(side["correct"] is True
+                  for pair in runs + traced for side in pair)
     if not correct:
         print("a run reported correct: false", file=sys.stderr)
     return 0 if correct else 1
