@@ -16,7 +16,9 @@ generates the campaigns instead of hand-writing them:
 - :mod:`repro.gen.diff` -- the differential harness, runnable as a
   :mod:`repro.farm` campaign (cached, parallel, byte-identical);
 - :mod:`repro.gen.shrink` -- divergence minimization and pinned
-  regression emission.
+  regression emission;
+- :mod:`repro.gen.sdf` -- seeded consistent SDF graphs for the
+  dataflow analysis oracles.
 
 Determinism contract: every artifact is a pure function of
 ``random.Random(f"{seed}:{stream}")`` -- same seed, same program, same
@@ -56,6 +58,7 @@ from repro.gen.firmware import (
     generate_irq_firmware,
     generate_scenario,
 )
+from repro.gen.sdf import generate_sdf
 from repro.gen.shrink import (
     emit_regression_test,
     shrink_program,
@@ -69,7 +72,7 @@ __all__ = [
     "generate_adversarial_dicts", "generate_arch_candidates",
     "generate_expr_scenario", "generate_firmware", "generate_irq_firmware",
     "generate_manycore_config", "generate_platform_spec",
-    "generate_scenario", "generate_soc_config", "run_firmware_leg",
-    "run_fuzz_campaign", "shrink_program", "shrink_scenario",
-    "snapshot_digest",
+    "generate_scenario", "generate_sdf", "generate_soc_config",
+    "run_firmware_leg", "run_fuzz_campaign", "shrink_program",
+    "shrink_scenario", "snapshot_digest",
 ]
