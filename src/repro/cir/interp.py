@@ -90,8 +90,9 @@ class ArrayValue:
 
 
 class _Binding:
-    """A one-slot view of the variable ``name`` in ``env``: the storage
-    ``&name`` points into.  Stores follow :func:`_store_name`'s rules."""
+    """A one-slot view of the variable stored under key ``name`` in
+    ``env``: the storage ``&name`` points into.  Stores follow
+    :func:`_store_name`'s rules."""
 
     __slots__ = ("env", "name")
 
@@ -102,7 +103,8 @@ class _Binding:
     def __len__(self) -> int:
         # deref/store measure first: a left block's local has no slot.
         if self.name not in self.env:
-            raise InterpError(f"dangling pointer to {self.name!r}")
+            raise InterpError(
+                f"dangling pointer to {self.name.split(chr(39))[0]!r}")
         return 1
 
     def __getitem__(self, _offset: int) -> Any:
@@ -558,8 +560,10 @@ def _compile_function(interp: Interpreter,
     local_names.update(node.name for node in func.body.walk()
                        if isinstance(node, Decl))
     compiler = _Compiler(interp, frozenset(local_names))
-    # The body's own declarations need no scope bookkeeping: the call's
-    # env dies with it.
+    compiler.scopes[-1].update((param.name, param.name)
+                               for param in func.params)
+    # The body's own declarations share the parameters' scope and need no
+    # scope bookkeeping: the call's env dies with it.
     body = compiler.block(func.body, scoped=False)
     name = func.name
     params = [(param.name, param.type) for param in func.params]
@@ -598,6 +602,12 @@ class _Compiler:
     time: never declared here -> read ``globals_env`` only; declared here
     and never global -> read the call's ``env`` only; both -> ``env``
     first, then ``globals_env``.
+
+    A local's ``env`` key is its name, except for a declaration that
+    shadows a local of an enclosing scope: that one gets a key of its own
+    (``x'1``), resolved while compiling, so a pointer to the outer ``x``
+    keeps addressing the outer one.  ``scopes`` maps names to keys, one
+    dict per open scope.
     """
 
     def __init__(self, interp: Interpreter, local_names: FrozenSet[str]) -> None:
@@ -605,15 +615,42 @@ class _Compiler:
         self.limit = interp.step_limit
         self.local_names = local_names
         self.global_names = interp._global_names
+        self.scopes: List[Dict[str, str]] = [{}]
+        self.renamed = 0
+
+    def key(self, name: str) -> str:
+        """The ``env`` key ``name`` refers to at this point of the code."""
+        for scope in reversed(self.scopes):
+            if name in scope:
+                return scope[name]
+        return name
+
+    def declare(self, name: str) -> str:
+        """The ``env`` key of a declaration of ``name`` in the innermost
+        scope."""
+        scope = self.scopes[-1]
+        if name not in scope:
+            if any(name in outer for outer in self.scopes):
+                self.renamed += 1
+                scope[name] = f"{name}'{self.renamed}"
+            else:
+                scope[name] = name
+        return scope[name]
 
     # -- statements -------------------------------------------------------
     def block(self, block: Block, scoped: bool = True):
         """The block's statements in sequence.  A block that declares
-        names restores the names it shadowed when it is left (by falling
+        names restores their bindings when it is left (by falling
         through, ``break`` or ``continue``)."""
+        if not scoped:
+            return _sequence([self.stmt(stmt) for stmt in block.stmts])
+        self.scopes.append({})
         stmts = [self.stmt(stmt) for stmt in block.stmts]
-        if scoped and any(isinstance(stmt, Decl) for stmt in block.stmts):
-            return _scoped_block(block.stmts, stmts)
+        scope = self.scopes.pop()
+        if scope:
+            return _scoped_block(
+                [scope[stmt.name] if isinstance(stmt, Decl) else None
+                 for stmt in block.stmts], stmts)
         return _sequence(stmts)
 
     def stmt(self, stmt: Stmt):
@@ -673,8 +710,9 @@ class _Compiler:
 
     def decl(self, stmt: Decl):
         interp, limit = self.interp, self.limit
-        name, dtype = stmt.name, stmt.type
+        dtype = stmt.type
         init = self.expr(stmt.init) if stmt.init is not None else None
+        name = self.declare(stmt.name)
         default = _default_factory(dtype)
 
         def run_decl(env):
@@ -733,12 +771,13 @@ class _Compiler:
 
     def for_stmt(self, stmt: For):
         interp, limit = self.interp, self.limit
+        # A for-header declaration lives for the duration of the loop.
+        self.scopes.append({})
         init = self.stmt(stmt.init) if stmt.init is not None else None
         test = self.expr(stmt.test) if stmt.test is not None else None
         step = self.stmt(stmt.step) if stmt.step is not None else None
         body = self.block(stmt.body)
-        # A for-header declaration lives for the duration of the loop.
-        header = stmt.init.name if isinstance(stmt.init, Decl) else None
+        header = next(iter(self.scopes.pop().values()), None)
 
         def run_for(env):
             interp.stmt_count += 1
@@ -824,6 +863,7 @@ class _Compiler:
     def assign_name(self, name: str, op: str, value_fn):
         interp, limit = self.interp, self.limit
         undefined = f"undefined variable {name!r}"
+        key = self.key(name)
         if name not in self.local_names:
             # Only globals can be meant: the call's env never holds it.
             globals_env = interp.globals_env
@@ -851,10 +891,10 @@ class _Compiler:
                 if ops > limit:
                     raise _limit_error(limit)
                 value = value_fn(env)
-                if name in env:
+                if key in env:
                     if op:
-                        value = _binop(op, env[name], value)
-                    _store_name(env, name, value)
+                        value = _binop(op, env[key], value)
+                    _store_name(env, key, value)
                 elif name in globals_env:
                     if op:
                         value = _binop(op, globals_env[name], value)
@@ -870,9 +910,9 @@ class _Compiler:
             if ops > limit:
                 raise _limit_error(limit)
             value = value_fn(env)
-            if name not in env:
+            if key not in env:
                 raise InterpError(undefined)
-            current = env[name]
+            current = env[key]
             if op:
                 if type(current) is int and type(value) is int \
                         and (op == "+" or op == "-"):
@@ -883,9 +923,9 @@ class _Compiler:
                 else:
                     value = _binop(op, current, value)
             if type(value) is int and type(current) is int:
-                env[name] = value
+                env[key] = value
             else:
-                _store_name(env, name, value)
+                _store_name(env, key, value)
         return run_assign_local
 
     def assign_index(self, target: ArrayIndex, op: str, value_fn):
@@ -977,17 +1017,18 @@ class _Compiler:
                 except KeyError:
                     raise InterpError(undefined) from None
             return read_global
+        key = self.key(name)
         if name not in self.global_names:
             def read_local(env):
                 try:
-                    return env[name]
+                    return env[key]
                 except KeyError:
                     raise InterpError(undefined) from None
             return read_local
 
         def read_shadowing(env):
-            if name in env:
-                return env[name]
+            if key in env:
+                return env[key]
             try:
                 return globals_env[name]
             except KeyError:
@@ -1157,18 +1198,20 @@ class _Compiler:
         """``&operand`` (its op is counted by the caller)."""
         if isinstance(operand, Ident):
             name = operand.name
+            key = self.key(name)
             undefined = f"undefined variable {name!r}"
             globals_env = self.interp.globals_env
 
             def run_address_name(env):
-                if name not in env:
+                slot = key
+                if slot not in env:
                     if name not in globals_env:
                         raise InterpError(undefined)
-                    env = globals_env
-                value = env[name]
+                    env, slot = globals_env, name
+                value = env[slot]
                 if isinstance(value, ArrayValue):
                     return PointerValue(value.storage, 0)
-                return PointerValue(_Binding(env, name), 0)
+                return PointerValue(_Binding(env, slot), 0)
             return run_address_name
         if isinstance(operand, ArrayIndex):
             index_nodes, base_node = _index_chain(operand)
@@ -1226,33 +1269,33 @@ def _sequence(stmts: List[Callable]):
     return run_sequence
 
 
-def _scoped_block(nodes: List[Stmt], stmts: List[Callable]):
-    """A block with declarations: when a name is first declared in it,
-    the outer binding is saved, and every name the block declared so far
-    is restored when the block is left."""
+def _scoped_block(keys: List[Optional[str]], stmts: List[Callable]):
+    """A block with declarations (``keys[i]`` is the ``env`` key statement
+    ``i`` declares, else None): when a key is first declared in it, the
+    binding it had is saved, and every key the block declared so far is
+    restored when the block is left."""
     plan = []
     seen = set()
-    for node, stmt in zip(nodes, stmts):
-        name = None
-        if isinstance(node, Decl) and node.name not in seen:
-            seen.add(node.name)
-            name = node.name
-        plan.append((stmt, name))
+    for key, stmt in zip(keys, stmts):
+        if key in seen:
+            key = None
+        seen.add(key)
+        plan.append((stmt, key))
 
     def run_scoped(env):
         saved = []
         outcome = None
-        for stmt, name in plan:
-            if name is not None:
-                saved.append((name, env.get(name, _MISSING)))
+        for stmt, key in plan:
+            if key is not None:
+                saved.append((key, env.get(key, _MISSING)))
             outcome = stmt(env)
             if outcome is not None:
                 break
-        for name, old_value in saved:
+        for key, old_value in saved:
             if old_value is _MISSING:
-                env.pop(name, None)
+                env.pop(key, None)
             else:
-                env[name] = old_value
+                env[key] = old_value
         return outcome
     return run_scoped
 

@@ -14,9 +14,7 @@ Two complementary analyses:
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
-
-import networkx as nx
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.dataflow.graph import SDFGraph
 from repro.dataflow.repetition import firings_per_iteration
@@ -32,6 +30,10 @@ def throughput_self_timed(graph: SDFGraph, iterations: int = 50,
     the first firing of iteration ``warmup`` to the first firing of the
     last iteration, so at least two measured iterations are required --
     with one the window is a single point and no rate exists.
+
+    The window is finite, so the estimate can exceed the analytic bound
+    ``1 / max_cycle_ratio`` by O(1/iterations): the excess shrinks about
+    tenfold from 50 to 500 iterations.
     """
     if iterations < 2:
         raise ValueError("throughput_self_timed needs iterations >= 2 "
@@ -57,7 +59,19 @@ def throughput_self_timed(graph: SDFGraph, iterations: int = 50,
     return (total - 1 - warmup) / span
 
 
-def hsdf_expansion(graph: SDFGraph) -> nx.MultiDiGraph:
+Node = Tuple[str, int]
+
+
+class HSDFGraph(NamedTuple):
+    """A homogeneous SDF graph: ``nodes`` maps each firing ``(actor, k)``
+    to its execution time (in insertion order), and ``edges`` lists
+    ``(u, v, tokens, name)``; parallel edges are kept."""
+
+    nodes: Dict[Node, float]
+    edges: List[Tuple[Node, Node, int, str]]
+
+
+def hsdf_expansion(graph: SDFGraph) -> HSDFGraph:
     """Expand an SDF graph into its homogeneous (HSDF) equivalent.
 
     Every actor ``a`` becomes ``reps[a]`` copies ``(a, k)``.  Every edge is
@@ -74,11 +88,11 @@ def hsdf_expansion(graph: SDFGraph) -> nx.MultiDiGraph:
                 isinstance(edge.cons, (list, tuple)):
             raise ValueError("hsdf_expansion supports scalar-rate SDF only")
     reps = firings_per_iteration(graph)
-    hsdf = nx.MultiDiGraph()
+    hsdf = HSDFGraph({}, [])
     for name, count in reps.items():
         duration = graph.actors[name].time_of_firing(0)
         for k in range(count):
-            hsdf.add_node((name, k), exec_time=duration)
+            hsdf.nodes[(name, k)] = duration
     for edge in graph.edges:
         prod, cons = int(edge.prod), int(edge.cons)
         reps_src = reps[edge.src]
@@ -90,15 +104,45 @@ def hsdf_expansion(graph: SDFGraph) -> nx.MultiDiGraph:
             dst_firing_global = position // cons
             delay = dst_firing_global // reps[edge.dst]
             dst_firing = dst_firing_global % reps[edge.dst]
-            hsdf.add_edge((edge.src, src_firing), (edge.dst, dst_firing),
-                          tokens=delay, name=edge.name)
+            hsdf.edges.append(((edge.src, src_firing),
+                               (edge.dst, dst_firing), delay, edge.name))
     # Sequential-firing constraint of each actor (no auto-concurrency):
     for name, count in reps.items():
         for k in range(count):
             nxt = (k + 1) % count
-            hsdf.add_edge((name, k), (name, nxt),
-                          tokens=1 if nxt == 0 else 0, name=f"{name}.seq")
+            hsdf.edges.append(((name, k), (name, nxt),
+                               1 if nxt == 0 else 0, f"{name}.seq"))
     return hsdf
+
+
+def _tokenless_cycle(hsdf: HSDFGraph) -> Optional[List[Node]]:
+    """A cycle of zero-token edges as ``[n0, n1, ..., n0]``, or None
+    (iterative depth-first search)."""
+    successors: Dict[Node, List[Node]] = {node: [] for node in hsdf.nodes}
+    for u, v, tokens, _name in hsdf.edges:
+        if tokens == 0:
+            successors[u].append(v)
+    done = set()
+    for root in hsdf.nodes:
+        if root in done:
+            continue
+        path, on_path = [root], {root}
+        pending = [iter(successors[root])]
+        while pending:
+            node = next(pending[-1], None)
+            if node is None:
+                finished = path.pop()
+                on_path.discard(finished)
+                done.add(finished)
+                pending.pop()
+                continue
+            if node in on_path:
+                return path[path.index(node):] + [node]
+            if node not in done:
+                path.append(node)
+                on_path.add(node)
+                pending.append(iter(successors[node]))
+    return None
 
 
 def max_cycle_ratio(graph: SDFGraph,
@@ -110,56 +154,58 @@ def max_cycle_ratio(graph: SDFGraph,
     that carry no initial tokens can never fire: it is reported first, as
     ``(inf, cycle)`` (throughput bound 0, the rate
     :func:`throughput_self_timed` measures for the deadlocked graph).
-    Otherwise the ratio is found by binary search with Bellman-Ford
-    negative-cycle detection (Lawler's method).
+    Otherwise the ratio is found by binary search, testing each candidate
+    ratio for a cycle with positive ``time - ratio * tokens`` by
+    Bellman-Ford (Lawler's method).  A cycle is a node list whose first
+    and last entries are equal.
     """
     hsdf = hsdf_expansion(graph)
-    tokenless = nx.DiGraph([(u, v) for u, v, tokens
-                            in hsdf.edges(data="tokens") if tokens == 0])
-    try:
-        cycle = nx.find_cycle(tokenless)
-    except nx.NetworkXNoCycle:
-        pass
-    else:
-        return float("inf"), [u for u, _ in cycle] + [cycle[0][0]]
-    exec_times = nx.get_node_attributes(hsdf, "exec_time")
+    cycle = _tokenless_cycle(hsdf)
+    if cycle is not None:
+        return float("inf"), cycle
+    exec_times = hsdf.nodes
 
     total_time = sum(exec_times.values()) or 1.0
     low, high = 0.0, float(total_time) * 2 + 1.0
 
+    nodes = list(exec_times)
+    index = {node: position for position, node in enumerate(nodes)}
+    # Parallel edges collapse to the fewest tokens: for a ratio >= 0 that
+    # is the heaviest one, so positive cycles are unchanged.
+    fewest: Dict[Tuple[int, int], int] = {}
+    for u, v, tokens, _name in hsdf.edges:
+        key = (index[u], index[v])
+        fewest[key] = min(tokens, fewest.get(key, tokens))
+    edges = [(u, v, exec_times[nodes[u]], tokens)
+             for (u, v), tokens in fewest.items()]
+
     def has_positive_cycle(ratio: float) -> Optional[List]:
-        """Cycle with weight(time) - ratio * tokens > 0, via Bellman-Ford on
-        negated weights.  Parallel edges are collapsed to the most negative
-        one (equivalent for negative-cycle existence)."""
-        weighted = nx.DiGraph()
-        weighted.add_nodes_from(hsdf.nodes)
-        for u, v, data in hsdf.edges(data=True):
-            weight = -(exec_times[u] - ratio * data["tokens"])
-            if weighted.has_edge(u, v):
-                weight = min(weight, weighted[u][v]["weight"])
-            weighted.add_edge(u, v, weight=weight)
-        # networkx's find_negative_cycle mishandles self-loops; check them
-        # here and strip them from the searched graph.
-        for node in list(weighted.nodes):
-            if weighted.has_edge(node, node):
-                if weighted[node][node]["weight"] < 0:
-                    return [node, node]
-                weighted.remove_edge(node, node)
-        try:
-            cycle = nx.find_negative_cycle(weighted, next(iter(weighted.nodes)))
-            return cycle
-        except nx.NetworkXError:
-            pass
-        # find_negative_cycle only explores from one source; check all
-        # components via a super-source.
-        super_source = ("__source__", -1)
-        weighted.add_node(super_source)
-        for node in hsdf.nodes:
-            weighted.add_edge(super_source, node, weight=0.0)
-        try:
-            return nx.find_negative_cycle(weighted, super_source)
-        except nx.NetworkXError:
-            return None
+        """A cycle with ``time - ratio * tokens > 0``: Bellman-Ford for
+        longest paths, every distance starting at 0 (a virtual
+        super-source), so an edge still relaxing in pass ``len(nodes)``
+        leads back along the predecessor links into such a cycle."""
+        weighted = [(u, v, time - ratio * tokens)
+                    for u, v, time, tokens in edges]
+        dist = [0.0] * len(nodes)
+        pred = [-1] * len(nodes)
+        for _pass in range(len(nodes)):
+            last = -1
+            for u, v, weight in weighted:
+                if dist[u] + weight > dist[v]:
+                    dist[v] = dist[u] + weight
+                    pred[v] = u
+                    last = v
+            if last < 0:
+                return None
+        for _step in range(len(nodes)):
+            last = pred[last]
+        cycle = [last]
+        node = pred[last]
+        while node != last:
+            cycle.append(node)
+            node = pred[node]
+        cycle.append(last)
+        return [nodes[position] for position in reversed(cycle)]
 
     critical: List = []
     while high - low > tolerance * max(1.0, high):
@@ -173,4 +219,5 @@ def max_cycle_ratio(graph: SDFGraph,
     return high, critical
 
 
-__all__ = ["hsdf_expansion", "max_cycle_ratio", "throughput_self_timed"]
+__all__ = ["HSDFGraph", "hsdf_expansion", "max_cycle_ratio",
+           "throughput_self_timed"]

@@ -11,36 +11,52 @@ each clique places on every PE.
 
 from __future__ import annotations
 
-from itertools import combinations
-from typing import Dict, FrozenSet, List, Set, Tuple
-
-import networkx as nx
+from typing import Dict, FrozenSet, List, Set
 
 
 class ConcurrencyGraph:
     """Undirected may-run-concurrently graph over application names."""
 
     def __init__(self) -> None:
-        self.graph = nx.Graph()
+        self._adjacent: Dict[str, Set[str]] = {}
 
     def add_app(self, name: str) -> None:
-        self.graph.add_node(name)
+        self._adjacent.setdefault(name, set())
 
     def set_concurrent(self, app_a: str, app_b: str) -> None:
         if app_a == app_b:
             raise ValueError("an app is trivially concurrent with itself")
-        self.graph.add_edge(app_a, app_b)
+        self._adjacent.setdefault(app_a, set()).add(app_b)
+        self._adjacent.setdefault(app_b, set()).add(app_a)
 
     def apps(self) -> List[str]:
-        return sorted(self.graph.nodes)
+        return sorted(self._adjacent)
 
     def concurrent(self, app_a: str, app_b: str) -> bool:
-        return self.graph.has_edge(app_a, app_b)
+        return app_b in self._adjacent.get(app_a, ())
 
     def scenarios(self) -> List[FrozenSet[str]]:
         """Maximal sets of applications that can all be active at once
-        (maximal cliques)."""
-        return [frozenset(c) for c in nx.find_cliques(self.graph)]
+        (maximal cliques, by Bron-Kerbosch with pivoting)."""
+        adjacent = self._adjacent
+        cliques: List[FrozenSet[str]] = []
+
+        def expand(clique: FrozenSet[str], candidates: Set[str],
+                   excluded: Set[str]) -> None:
+            if not candidates and not excluded:
+                cliques.append(clique)
+                return
+            pivot = max(sorted(candidates | excluded),
+                        key=lambda app: len(candidates & adjacent[app]))
+            for app in sorted(candidates - adjacent[pivot]):
+                expand(clique | {app}, candidates & adjacent[app],
+                       excluded & adjacent[app])
+                candidates = candidates - {app}
+                excluded = excluded | {app}
+
+        if adjacent:
+            expand(frozenset(), set(adjacent), set())
+        return cliques
 
     def worst_case_load(self, app_pe_load: Dict[str, Dict[str, float]]) \
             -> Dict[str, float]:
@@ -60,7 +76,7 @@ class ConcurrencyGraph:
         return worst
 
     def __len__(self) -> int:
-        return self.graph.number_of_nodes()
+        return len(self._adjacent)
 
 
 __all__ = ["ConcurrencyGraph"]

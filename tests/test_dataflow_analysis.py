@@ -117,7 +117,7 @@ class TestThroughput:
         graph = make_pipeline()
         hsdf = hsdf_expansion(graph)
         # reps: src 2, fir 2, dec 1, snk 1 -> 6 HSDF nodes.
-        assert hsdf.number_of_nodes() == 6
+        assert len(hsdf.nodes) == 6
 
     def test_hsdf_rejects_csdf_rates(self):
         graph = SDFGraph()

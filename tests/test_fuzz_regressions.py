@@ -246,3 +246,31 @@ def test_regression_pointer_write_reaches_the_variable(source, expected):
     assert result.return_value == expected
     if "int g;" in source:
         assert result.globals == {"g": 7}
+
+
+# A pointer to ``x`` taken before an inner block declares another ``x``
+# used to read and write the inner one while that block ran: the inner
+# declaration reused the outer one's ``env`` slot, so the first program
+# printed [5] and returned 1.  C keeps addressing the outer ``x``.
+PINNED_SHADOWED_POINTERS = [
+    ("int main() { int x = 1; int *p = &x; "
+     "{ int x = 2; *p = 5; print(x); } return x; }", [2], 5),
+    ("int main() { int x = 1; int *p = &x; { int x = 2; int *q = &x; "
+     "{ int x = 3; *p = 10; *q = 20; print(x); } print(x); } return x; }",
+     [3, 20], 10),
+    ("int main() { int i = 7; int *p = &i; int s = 0; "
+     "for (int i = 0; i < 3; i++) { *p += 1; s += i; } print(s); "
+     "return i; }", [3], 10),
+    ("int f(int x) { int *p = &x; { int x = 4; *p = 9; print(x); } "
+     "return x; }\nint main() { return f(1); }", [4], 9),
+]
+
+
+@pytest.mark.parametrize("source,output,expected", PINNED_SHADOWED_POINTERS)
+def test_regression_pointer_keeps_its_shadowed_variable(source, output,
+                                                        expected):
+    from repro.cir import parse, require_clean, run_program
+    program = parse(source)
+    require_clean(program)
+    result = run_program(program)
+    assert (result.output, result.return_value) == (output, expected)
