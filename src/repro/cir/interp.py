@@ -103,8 +103,8 @@ class _Binding:
     def __len__(self) -> int:
         # deref/store measure first: a left block's local has no slot.
         if self.name not in self.env:
-            raise InterpError(
-                f"dangling pointer to {self.name.split(chr(39))[0]!r}")
+            name = self.name.split("'")[0]  # a shadowing key is x'1
+            raise InterpError(f"dangling pointer to {name!r}")
         return 1
 
     def __getitem__(self, _offset: int) -> Any:

@@ -122,26 +122,23 @@ def _tokenless_cycle(hsdf: HSDFGraph) -> Optional[List[Node]]:
     for u, v, tokens, _name in hsdf.edges:
         if tokens == 0:
             successors[u].append(v)
-    done = set()
+    state: Dict[Node, bool] = {}  # True while on the search path
     for root in hsdf.nodes:
-        if root in done:
+        if root in state:
             continue
-        path, on_path = [root], {root}
-        pending = [iter(successors[root])]
+        path, pending = [root], [iter(successors[root])]
+        state[root] = True
         while pending:
             node = next(pending[-1], None)
             if node is None:
-                finished = path.pop()
-                on_path.discard(finished)
-                done.add(finished)
+                state[path.pop()] = False
                 pending.pop()
-                continue
-            if node in on_path:
+            elif state.get(node):
                 return path[path.index(node):] + [node]
-            if node not in done:
+            elif node not in state:
                 path.append(node)
-                on_path.add(node)
                 pending.append(iter(successors[node]))
+                state[node] = True
     return None
 
 
