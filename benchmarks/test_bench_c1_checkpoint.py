@@ -149,8 +149,6 @@ class TestRewindLatency:
 
 class TestWarmCampaign:
     def test_warm_resume_beats_cold_sweep(self, show, record_bench):
-        from repro.snap.warm import cold_run_job, warm_run_job
-
         programs = {0: PREFIX_HEAVY}
         config = SoCConfig(n_cores=1, quantum=8, backend="compiled")
         base = SoC(config, programs)
@@ -158,24 +156,25 @@ class TestWarmCampaign:
         snap = checkpoint(base)
         seeds = list(range(8))
 
+        def _point(soc, seed):
+            # the seed lands in a word read only after the shared prefix
+            soc.bus.poke(100, seed)
+            soc.run()
+            return list(soc.ram.words)
+
         def _one_cold(seed):
-            from dataclasses import asdict
-            return cold_run_job(
-                {"config": asdict(config),
-                 "programs": {0: PREFIX_HEAVY},
-                 "poke": 100}, seed)
+            return _point(SoC(config, programs), seed)
 
         def _one_warm(seed):
-            return warm_run_job(
-                {"snapshot": snap.to_dict(), "poke": 100}, seed)
+            payload = snap.to_dict()  # what a sweep point would receive
+            return _point(Snapshot.from_dict(payload).rebuild(), seed)
 
         cold, cold_s = _timed(lambda: [_one_cold(s) for s in seeds],
                               repeat=1)
         warm, warm_s = _timed(lambda: [_one_warm(s) for s in seeds],
                               repeat=1)
         # same sweep results either way: the poked seed flows through
-        assert [r["ram_sha"] for r in warm] == \
-            [r["ram_sha"] for r in cold]
+        assert warm == cold
         speedup = cold_s / warm_s
         show("C1: warm-resume sweep vs cold-start sweep",
              [[len(seeds), f"{cold_s * 1e3:.1f}", f"{warm_s * 1e3:.1f}",

@@ -15,7 +15,7 @@ substrate:
 - :mod:`repro.hopes` -- the HOPES/CIC retargetable programming flow (section V).
 - :mod:`repro.recoder` -- the designer-controlled Source Recoder (section VI).
 - :mod:`repro.snap` -- exact whole-SoC checkpoint/restore: time-travel
-  debugging and warm-started campaigns.
+  debugging and runs resumed from a snapshot.
 - :mod:`repro.core` -- a unified design-flow API over all of the above.
 """
 

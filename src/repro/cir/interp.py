@@ -39,7 +39,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.cir.nodes import (
     ArrayIndex, Assign, BinOp, Block, Break, Call, Cond, Continue, Decl,
@@ -189,12 +189,11 @@ class Interpreter:
         self.func_op_counts: Dict[str, int] = {}
         # Function name -> its compiled entry (args list -> return value).
         self._compiled: Dict[str, Callable[[List[Any]], Any]] = {}
-        self._global_names = frozenset(decl.name for decl in program.globals)
         self._init_globals()
 
     def _init_globals(self) -> None:
         # Initializers run in global scope: their env *is* globals_env.
-        compiler = _Compiler(self, frozenset())
+        compiler = _Compiler(self)
         for decl in self.program.globals:
             if decl.init is not None:
                 init = compiler.expr(decl.init)
@@ -556,10 +555,7 @@ def _compile_function(interp: Interpreter,
     """Compile ``func`` into its entry: args list -> coerced return value,
     keeping ``call_counts``/``func_op_counts`` as every call returns or
     raises."""
-    local_names = {param.name for param in func.params}
-    local_names.update(node.name for node in func.body.walk()
-                       if isinstance(node, Decl))
-    compiler = _Compiler(interp, frozenset(local_names))
+    compiler = _Compiler(interp)
     compiler.scopes[-1].update((param.name, param.name)
                                for param in func.params)
     # The body's own declarations share the parameters' scope and need no
@@ -595,35 +591,33 @@ def _compile_function(interp: Interpreter,
 
 
 class _Compiler:
-    """Compiles the statements and expressions of one scope.
+    """Compiles the statements and expressions of one function.
 
-    ``local_names`` are the names the function declares (parameters and
-    every ``Decl``); identifiers are classified against it at compile
-    time: never declared here -> read ``globals_env`` only; declared here
-    and never global -> read the call's ``env`` only; both -> ``env``
-    first, then ``globals_env``.
+    Identifiers are resolved once, at compile time, by C's static scope
+    rule: a name refers to the innermost local of that name whose scope
+    is open at that point of the code, else to the global.  Scoping is
+    static and mini-C has no ``goto``, so an open local is always bound
+    in the call's ``env`` when the code runs, and a closed one never is.
 
-    A local's ``env`` key is its name, except for a declaration that
-    shadows a local of an enclosing scope: that one gets a key of its own
-    (``x'1``), resolved while compiling, so a pointer to the outer ``x``
-    keeps addressing the outer one.  ``scopes`` maps names to keys, one
-    dict per open scope.
+    ``scopes`` maps names to ``env`` keys, one dict per open scope.  A
+    local's key is its name, except for a declaration that shadows a
+    local of an enclosing scope: that one gets a key of its own (``x'1``),
+    so a pointer to the outer ``x`` keeps addressing the outer one.
     """
 
-    def __init__(self, interp: Interpreter, local_names: FrozenSet[str]) -> None:
+    def __init__(self, interp: Interpreter) -> None:
         self.interp = interp
         self.limit = interp.step_limit
-        self.local_names = local_names
-        self.global_names = interp._global_names
         self.scopes: List[Dict[str, str]] = [{}]
         self.renamed = 0
 
-    def key(self, name: str) -> str:
-        """The ``env`` key ``name`` refers to at this point of the code."""
+    def key(self, name: str) -> Optional[str]:
+        """The ``env`` key of the local ``name`` refers to at this point
+        of the code, or None when it refers to a global."""
         for scope in reversed(self.scopes):
             if name in scope:
                 return scope[name]
-        return name
+        return None
 
     def declare(self, name: str) -> str:
         """The ``env`` key of a declaration of ``name`` in the innermost
@@ -864,8 +858,7 @@ class _Compiler:
         interp, limit = self.interp, self.limit
         undefined = f"undefined variable {name!r}"
         key = self.key(name)
-        if name not in self.local_names:
-            # Only globals can be meant: the call's env never holds it.
+        if key is None:
             globals_env = interp.globals_env
 
             def run_assign_global(env):
@@ -881,27 +874,6 @@ class _Compiler:
                     value = _binop(op, globals_env[name], value)
                 _store_name(globals_env, name, value)
             return run_assign_global
-        if name in self.global_names:
-            globals_env = interp.globals_env
-
-            def run_assign_shadowing(env):
-                interp.stmt_count += 1
-                ops = interp.op_count + 1
-                interp.op_count = ops
-                if ops > limit:
-                    raise _limit_error(limit)
-                value = value_fn(env)
-                if key in env:
-                    if op:
-                        value = _binop(op, env[key], value)
-                    _store_name(env, key, value)
-                elif name in globals_env:
-                    if op:
-                        value = _binop(op, globals_env[name], value)
-                    _store_name(globals_env, name, value)
-                else:
-                    raise InterpError(undefined)
-            return run_assign_shadowing
 
         def run_assign_local(env):
             interp.stmt_count += 1
@@ -1009,31 +981,23 @@ class _Compiler:
 
     def ident(self, name: str):
         undefined = f"undefined variable {name!r}"
-        globals_env = self.interp.globals_env
-        if name not in self.local_names:
+        key = self.key(name)
+        if key is None:
+            globals_env = self.interp.globals_env
+
             def read_global(env):
                 try:
                     return globals_env[name]
                 except KeyError:
                     raise InterpError(undefined) from None
             return read_global
-        key = self.key(name)
-        if name not in self.global_names:
-            def read_local(env):
-                try:
-                    return env[key]
-                except KeyError:
-                    raise InterpError(undefined) from None
-            return read_local
 
-        def read_shadowing(env):
-            if key in env:
-                return env[key]
+        def read_local(env):
             try:
-                return globals_env[name]
+                return env[key]
             except KeyError:
                 raise InterpError(undefined) from None
-        return read_shadowing
+        return read_local
 
     def binop(self, expr: BinOp):
         interp, limit = self.interp, self.limit
@@ -1203,15 +1167,14 @@ class _Compiler:
             globals_env = self.interp.globals_env
 
             def run_address_name(env):
-                slot = key
-                if slot not in env:
-                    if name not in globals_env:
-                        raise InterpError(undefined)
-                    env, slot = globals_env, name
-                value = env[slot]
+                home, slot = (env, key) if key is not None \
+                    else (globals_env, name)
+                if slot not in home:
+                    raise InterpError(undefined)
+                value = home[slot]
                 if isinstance(value, ArrayValue):
                     return PointerValue(value.storage, 0)
-                return PointerValue(_Binding(env, slot), 0)
+                return PointerValue(_Binding(home, slot), 0)
             return run_address_name
         if isinstance(operand, ArrayIndex):
             index_nodes, base_node = _index_chain(operand)

@@ -38,7 +38,7 @@ from repro.desim.kernel import (
     WaitProcess,
 )
 from repro.desim.channels import ChannelClosed, Fifo, Mailbox
-from repro.desim.resources import Mutex, PriorityResource, Resource
+from repro.desim.resources import Mutex, Resource
 from repro.desim.watchdog import Watchdog, WatchdogTimeout, with_timeout
 
 __all__ = [
@@ -49,7 +49,6 @@ __all__ = [
     "Interrupted",
     "Mailbox",
     "Mutex",
-    "PriorityResource",
     "Process",
     "ProcessFailed",
     "Resource",

@@ -2,20 +2,28 @@
 
 These model the *shared platform resources* the paper's debugging section
 warns about (semaphores, memory controllers, DMAs shared across software
-stacks).  Acquisition order is FIFO and deterministic.
+stacks).  Acquisition order is deterministic: by priority, then FIFO.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any, Deque, Generator, List, Optional
+import bisect
+from typing import Any, Generator, List, Optional, Tuple
 
 from repro.desim.events import Event
 from repro.desim.kernel import WaitEvent
 
 
 class Resource:
-    """Counting resource with FIFO granting.
+    """Counting resource granting in (priority, ticket) order.
+
+    Lower priority number = more urgent; equal priorities are granted
+    FIFO, so a resource whose users all take the default priority is a
+    plain FIFO resource.  Granting is non-preemptive: a waiting urgent
+    user is admitted before earlier-queued less urgent ones, never
+    ahead of a holder.  A capacity-1 resource is the dispatcher
+    behind MVP's "scheduled dynamically according to their priority in
+    best effort manner" (paper section IV).
 
     Usage from process code::
 
@@ -31,7 +39,8 @@ class Resource:
         self.capacity = capacity
         self.in_use = 0
         self._released = Event(f"{name}.released")
-        self._wait_queue: Deque[int] = deque()
+        # Waiters' (priority, ticket) entries, kept sorted.
+        self._wait_queue: List[Tuple[int, int]] = []
         self._next_ticket = 0
         self.total_acquisitions = 0
         self.contention_count = 0
@@ -40,41 +49,46 @@ class Resource:
     def available(self) -> int:
         return self.capacity - self.in_use
 
-    def acquire(self) -> Generator[Any, Any, None]:
-        """Block until a unit is available, honouring FIFO order.
+    @property
+    def waiting(self) -> int:
+        return len(self._wait_queue)
+
+    def acquire(self, priority: int = 0) -> Generator[Any, Any, None]:
+        """Block until a unit is available and no more urgent (or equally
+        urgent, earlier) waiter is queued.
 
         Cancellation-safe: a waiter that dies mid-wait (killed,
-        interrupted, or failed) removes its ticket on the way out, so
+        interrupted, or failed) removes its entry on the way out, so
         the queue never blocks forever on a ghost entry.
         """
-        ticket = self._next_ticket
+        entry = (priority, self._next_ticket)
         self._next_ticket += 1
-        self._wait_queue.append(ticket)
+        bisect.insort(self._wait_queue, entry)
         acquired = False
-        if self.in_use >= self.capacity or self._wait_queue[0] != ticket:
+        if self.in_use >= self.capacity or self._wait_queue[0] != entry:
             self.contention_count += 1
         try:
             while self.in_use >= self.capacity or \
-                    self._wait_queue[0] != ticket:
+                    self._wait_queue[0] != entry:
                 yield WaitEvent(self._released)
-            self._wait_queue.popleft()
+            self._wait_queue.pop(0)
             acquired = True
         finally:
             if not acquired:
                 was_head = bool(self._wait_queue) and \
-                    self._wait_queue[0] == ticket
+                    self._wait_queue[0] == entry
                 try:
-                    self._wait_queue.remove(ticket)
+                    self._wait_queue.remove(entry)
                 except ValueError:
                     pass
                 # A dead head waiter may have been the only thing keeping
-                # the next ticket blocked.
+                # the next entry blocked.
                 if was_head and self._wait_queue and \
                         self.in_use < self.capacity:
                     self._released.trigger(None)
         self.in_use += 1
         self.total_acquisitions += 1
-        # Wake the next ticket only when it can actually be admitted now
+        # Wake the next entry only when it can actually be admitted now
         # (capacity > 1); waking it just to re-block is a wakeup storm.
         if self._wait_queue and self.in_use < self.capacity:
             self._released.trigger(None)
@@ -96,61 +110,6 @@ class Resource:
 
     def __repr__(self) -> str:
         return f"Resource({self.name!r}, {self.in_use}/{self.capacity})"
-
-
-class PriorityResource:
-    """A serial resource granting by (priority, FIFO ticket).
-
-    Lower priority number = more urgent.  This is the dispatcher primitive
-    behind MVP's "scheduled dynamically according to their priority in
-    best effort manner" (paper section IV): a waiting high-priority task
-    is granted before earlier-queued low-priority ones (non-preemptive).
-    """
-
-    def __init__(self, name: str = "prio") -> None:
-        self.name = name
-        self.busy = False
-        self._released = Event(f"{name}.released")
-        self._queue: List[tuple] = []  # (priority, ticket)
-        self._next_ticket = 0
-        self.total_acquisitions = 0
-
-    def acquire(self, priority: int = 10) -> Generator[Any, Any, None]:
-        """Block until granted; cancellation-safe like
-        :meth:`Resource.acquire`."""
-        ticket = self._next_ticket
-        self._next_ticket += 1
-        entry = (priority, ticket)
-        self._queue.append(entry)
-        self._queue.sort()
-        acquired = False
-        try:
-            while self.busy or self._queue[0] != entry:
-                yield WaitEvent(self._released)
-            self._queue.pop(0)
-            acquired = True
-        finally:
-            if not acquired:
-                was_head = bool(self._queue) and self._queue[0] == entry
-                try:
-                    self._queue.remove(entry)
-                except ValueError:
-                    pass
-                if was_head and self._queue and not self.busy:
-                    self._released.trigger(None)
-        self.busy = True
-        self.total_acquisitions += 1
-
-    def release(self) -> None:
-        if not self.busy:
-            raise RuntimeError(f"release of idle resource {self.name!r}")
-        self.busy = False
-        if self._queue:
-            self._released.trigger(None)
-
-    @property
-    def waiting(self) -> int:
-        return len(self._queue)
 
 
 class Mutex(Resource):
@@ -175,4 +134,4 @@ class Mutex(Resource):
         self.release()
 
 
-__all__ = ["Mutex", "PriorityResource", "Resource"]
+__all__ = ["Mutex", "Resource"]

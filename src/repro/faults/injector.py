@@ -54,7 +54,6 @@ class FaultInjector(SimObserver):
         self.unhandled: List[FaultSpec] = []
         self._handlers: Dict[Tuple[str, Any], Handler] = {}
         self._noc_rng = plan.rng("noc")
-        self._stuck_releases: List[Callable[[], None]] = []
         # Checkpoint support (repro.snap): every kernel item this injector
         # owns is tracked so a snapshot can claim it.  `_scheduled` maps a
         # plan.scheduled index to its queue item; `_stuck_records` holds
@@ -242,16 +241,14 @@ class FaultInjector(SimObserver):
         if assert_line:
             line.write(1)
         self._stuck_records.append(record)
-        self._stuck_releases.append(release)
         if arm and deadline is not None:
             record["item"] = self.sim.at(deadline, release)
         return record
 
     def release_stuck_interrupts(self) -> None:
         """Clear every stuck interrupt line this injector asserted."""
-        releases, self._stuck_releases = self._stuck_releases, []
-        for release in releases:
-            release()
+        for record in self._active_stuck():
+            record["release"]()
 
     # ------------------------------------------------------------------
     # checkpoint/restore support (repro.snap)
@@ -301,7 +298,6 @@ class FaultInjector(SimObserver):
                 record["active"] = False
                 record["line"].negedge.unsubscribe(record["hold"])
         self._stuck_records = []
-        self._stuck_releases = []
         self._scheduled = {}
         version, internal, gauss_next = state["rng"]
         self._noc_rng.setstate((version, tuple(internal), gauss_next))

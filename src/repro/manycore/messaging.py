@@ -7,11 +7,12 @@ mailboxes with a latency determined by mesh distance and message size; it
 runs on the discrete-event kernel so actor systems (see
 :mod:`repro.manycore.actors`) get realistic asynchrony.
 
-Two delivery modes:
+Two delivery modes share one transmit path (latency, per-link
+serialization, fault hook):
 
-- **best-effort** (default): the historical fire-and-forget transport.
-  With no fault hook attached this is a single scheduled callback per
-  message -- the fast path is byte-for-byte the pre-resilience code.
+- **best-effort** (default): fire-and-forget.  Each transmission is one
+  scheduled arrival that lands the message in the destination mailbox
+  as-is (flagged when a fault hook corrupted it).
 - **reliable** (``reliable=True``): per-flow sequence numbers, a
   payload checksum, receiver acks, timeout + exponential-backoff
   retransmission, and duplicate suppression.  Under an injected fault
@@ -90,8 +91,8 @@ class NoCModel:
       undeliverable (counted, traced, never raised).
     - ``backoff``: multiplicative timeout growth per retry.
 
-    ``sink``/``metrics`` are optional observability outputs; the
-    fault-free best-effort path never touches them.
+    ``sink``/``metrics`` are optional observability outputs; with
+    neither given the transport records nothing beyond its own counters.
     """
 
     def __init__(self, sim: Simulator, machine: Machine,
@@ -144,23 +145,6 @@ class NoCModel:
                           sent_at=self.sim.now)
         if self.hb_hook is not None:
             self.hb_hook("send", message)
-        if not self.reliable and self.fault_hook is None:
-            # Fast path: exactly the historical best-effort transport.
-            arrival = self.sim.now + self.latency_for(src, dst, size_words)
-            key = (src, dst)
-            arrival = max(arrival, self._link_free.get(key, 0.0))
-            self._link_free[key] = arrival
-
-            def deliver() -> None:
-                message.delivered_at = self.sim.now
-                self.total_latency += message.latency
-                self.mailboxes[dst].send(message, sender=str(src))
-                if self.hb_hook is not None:
-                    self.hb_hook("deliver", message)
-
-            self.sim.at(arrival, deliver)
-            self.messages_sent += 1
-            return message
         if self.reliable:
             flow = message.flow
             message.seq = self._flow_next_seq.get(flow, 0)
@@ -229,7 +213,7 @@ class NoCModel:
 
     def _arrive(self, message: Message, corrupted: bool) -> None:
         if not self.reliable:
-            # Best-effort with a fault hook: deliver as-is, flagged.
+            # Best-effort: deliver as-is, flagged if a fault corrupted it.
             message.delivered_at = self.sim.now
             message.corrupted = message.corrupted or corrupted
             self.total_latency += message.latency

@@ -68,7 +68,9 @@ class ConcurrencyGraph:
         worst: Dict[str, float] = {}
         for scenario in self.scenarios():
             load: Dict[str, float] = {}
-            for app in scenario:
+            # Sum in name order: a frozenset's order follows string
+            # hashing, and float addition is not associative.
+            for app in sorted(scenario):
                 for pe, value in app_pe_load.get(app, {}).items():
                     load[pe] = load.get(pe, 0.0) + value
             for pe, value in load.items():

@@ -7,7 +7,8 @@ specifically in a multi-application scenario."
 
 MVP simulates mapped task graphs on the discrete-event kernel:
 
-- every PE is a serial server (one task at a time, FIFO);
+- every PE is a serial server (one task at a time, granted by the
+  app's priority, FIFO among equals);
 - each task instance waits for its input tokens, occupies its PE for its
   (class-scaled) cost, then emits tokens, paying communication costs on
   cross-PE edges;
@@ -22,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.desim import Delay, Fifo, PriorityResource, Simulator
+from repro.desim import Delay, Fifo, Resource, Simulator
 from repro.maps.mapping import Mapping
 from repro.maps.spec import PlatformSpec
 
@@ -90,8 +91,8 @@ def simulate_mapping(runs: List[AppRun], platform: PlatformSpec,
     """Simulate one or more mapped applications sharing the platform."""
     sim = sim or Simulator()
     report = MvpReport()
-    pe_resources: Dict[str, PriorityResource] = {
-        pe.name: PriorityResource(name=pe.name) for pe in platform.pes}
+    pe_resources: Dict[str, Resource] = {
+        pe.name: Resource(1, name=pe.name) for pe in platform.pes}
     pe_busy: Dict[str, float] = {pe.name: 0.0 for pe in platform.pes}
     remaining = [0]  # mutable completion counter across closures
 
@@ -116,7 +117,7 @@ def simulate_mapping(runs: List[AppRun], platform: PlatformSpec,
 
 
 def _spawn_app(sim: Simulator, run: AppRun, platform: PlatformSpec,
-               pe_resources: Dict[str, PriorityResource],
+               pe_resources: Dict[str, Resource],
                pe_busy: Dict[str, float], report: MvpReport,
                channel_capacity: int) -> None:
     graph = run.mapping.graph

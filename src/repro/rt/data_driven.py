@@ -131,9 +131,8 @@ def run_data_driven(spec: PipelineSpec, jobs: int,
             if stage_count == 1:
                 result.delivered.append(DeliveredItem(job, job, sim.now))
                 continue
-            accepted = fifos[0].put_nowait(job, overwrite=True)
-            if not accepted or fifos[0].overwrites:
-                pass  # overwrite counting handled below via fifo stats
+            # A full FIFO drops its oldest item (counted as an overwrite).
+            fifos[0].put_nowait(job, overwrite=True)
         result.jobs_run = jobs
 
     def worker_process(stage_index: int):
@@ -202,7 +201,6 @@ def run_data_driven(spec: PipelineSpec, jobs: int,
     for fifo in fifos:
         metrics.gauge(f"dd.fifo.{fifo.name}.max_occupancy").set(
             fifo.max_occupancy)
-    # Kill any still-blocked workers (drained pipeline).
     return result
 
 

@@ -14,8 +14,7 @@ peripherals.  :class:`NoCOrderTracker` installs itself as the model's
   before acknowledging happened-before the sender's continuation).
 
 The tracker is a pure observer: it never delays, drops or reorders
-messages, and the transport's fault-free best-effort fast path is
-untouched when no hook is installed.
+messages, and with no hook installed the transport makes no hook call.
 """
 
 from __future__ import annotations

@@ -6,13 +6,12 @@ reference-path boundary and captures kernel queue + architectural state
 into a versioned, digest-sealed :class:`Snapshot`; :func:`restore`
 rebuilds the exact run -- bit-identical final RAM, registers, end time
 and bus-access order on all three ISS backends.  Powers time travel in
-:mod:`repro.vp.debugger` and warm-started campaigns in
-:mod:`repro.snap.warm`.
+:mod:`repro.vp.debugger`; :meth:`Snapshot.rebuild` resumes a run from a
+snapshot alone (the warm leg of bench C1).
 """
 
 from repro.snap.core import (SNAP_VERSION, Snapshot, SnapshotError,
                              checkpoint, restore)
-from repro.snap.warm import cold_run_job, warm_run_job
 
 __all__ = [
     "SNAP_VERSION",
@@ -20,6 +19,4 @@ __all__ = [
     "SnapshotError",
     "checkpoint",
     "restore",
-    "cold_run_job",
-    "warm_run_job",
 ]

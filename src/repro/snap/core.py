@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import asdict
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.core.serde import canonical_json, json_roundtrip
 
@@ -538,17 +538,13 @@ class Snapshot:
     def restore(self, soc: Any, injector: Any = None) -> Any:
         return restore(self, soc, injector=injector)
 
-    def rebuild(self, sim: Any = None,
-                wiring: Optional[List[Any]] = None) -> Any:
+    def rebuild(self) -> Any:
         """Build a fresh :class:`~repro.vp.soc.SoC` from the embedded
         program sources and restore this snapshot into it.
 
-        ``wiring`` declaratively re-creates interrupt-source routing the
-        original builder did: a list of ``[core, line, signal_name]``
-        triples applied via ``intc.add_source`` *before* the restore.
-        Snapshots carrying fault-injector state cannot be rebuilt
-        blindly -- build the SoC and injector manually and call
-        :meth:`restore`.
+        Snapshots carrying fault-injector state or extra interrupt
+        wiring cannot be rebuilt blindly -- build the SoC (and injector)
+        manually and call :meth:`restore`.
         """
         from repro.vp.soc import SoC, SoCConfig
         if not self.data.get("programs"):
@@ -564,10 +560,7 @@ class Snapshot:
         config = SoCConfig(**self.data["signature"]["config"])
         programs = {int(core_id): source
                     for core_id, source in self.data["programs"].items()}
-        soc = SoC(config, programs, sim=sim)
-        for core, line, signal_name in (wiring or []):
-            soc.intcs[core].add_source(line, soc.signal(signal_name))
-        return restore(self, soc)
+        return restore(self, SoC(config, programs))
 
     def __repr__(self) -> str:
         return (f"Snapshot(t={self.time}, {len(self.data['cores'])} "

@@ -45,7 +45,6 @@ class MailboxBank:
         self.tx_dst = [0] * n_cores
         self.last_src = [0] * n_cores
         self.dropped = 0
-        self._current_master = 0
 
     # The bus calls read/write without the master; the SoC wraps us in a
     # decoding shim (see MailboxPort) so offset carries the core index.

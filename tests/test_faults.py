@@ -11,8 +11,8 @@ import json
 
 import pytest
 
-from repro.desim import (Delay, Event, Mailbox, PriorityResource,
-                         ProcessFailed, Resource, Simulator, WaitEvent,
+from repro.desim import (Delay, Event, Mailbox, ProcessFailed,
+                         Resource, Simulator, WaitEvent,
                          WaitProcess, Watchdog, WatchdogTimeout,
                          with_timeout)
 from repro.faults import FaultInjector, FaultPlan, FaultSpec
@@ -745,7 +745,7 @@ class TestResourceCancellation:
 
     def test_priority_resource_killed_waiter_releases_entry(self):
         sim = Simulator()
-        resource = PriorityResource()
+        resource = Resource(1)
         order = []
 
         def holder():

@@ -1,6 +1,9 @@
 """Tests for MAPS mapping, concurrency graph, MVP simulation and OSIP."""
 
 import hashlib
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -97,6 +100,31 @@ class TestConcurrency:
         }
         worst = cg.worst_case_load(loads)
         assert worst["pe0"] == pytest.approx(0.9)  # radio+video clique
+
+    def test_worst_case_load_is_independent_of_string_hashing(self):
+        # A scenario is a frozenset whose order follows PYTHONHASHSEED;
+        # float addition is not associative, so the load must be summed
+        # in an order of its own.
+        script = """
+from repro.maps import ConcurrencyGraph
+cg = ConcurrencyGraph()
+loads = {"a": {"pe0": 0.1}, "b": {"pe0": 0.2}, "c": {"pe0": 0.3}}
+for app in loads:
+    cg.add_app(app)
+for app_a, app_b in (("a", "b"), ("a", "c"), ("b", "c")):
+    cg.set_concurrent(app_a, app_b)
+print(repr(cg.worst_case_load(loads)["pe0"]))
+"""
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        outputs = set()
+        for hash_seed in range(10):
+            env = dict(os.environ, PYTHONPATH=src,
+                       PYTHONHASHSEED=str(hash_seed))
+            outputs.add(subprocess.run(
+                [sys.executable, "-c", script], env=env, check=True,
+                capture_output=True, text=True).stdout.strip())
+        assert len(outputs) == 1, outputs
 
     def test_self_concurrency_rejected(self):
         cg = ConcurrencyGraph()

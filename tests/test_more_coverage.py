@@ -5,7 +5,7 @@ import pytest
 
 from repro.cir import emit, parse, run_program
 from repro.core.metrics import crossover_point, table
-from repro.desim import Delay, PriorityResource, Simulator
+from repro.desim import Delay, Resource, Simulator
 from repro.hopes import CICApplication, CICTask, CICTranslator, parse_arch_xml
 from repro.maps import (
     MapsFlow, PlatformSpec, TaskGraph, map_task_graph,
@@ -20,7 +20,7 @@ from repro.vp.bus import BusError
 class TestPriorityResource:
     def test_priority_order_beats_fifo_order(self):
         sim = Simulator()
-        resource = PriorityResource()
+        resource = Resource(1)
         order = []
 
         def user(name, priority, delay):
@@ -39,11 +39,11 @@ class TestPriorityResource:
 
     def test_release_idle_raises(self):
         with pytest.raises(RuntimeError):
-            PriorityResource().release()
+            Resource(1).release()
 
     def test_equal_priority_is_fifo(self):
         sim = Simulator()
-        resource = PriorityResource()
+        resource = Resource(1)
         order = []
 
         def user(name):
