@@ -131,7 +131,6 @@ def run_data_driven(spec: PipelineSpec, jobs: int,
             if stage_count == 1:
                 result.delivered.append(DeliveredItem(job, job, sim.now))
                 continue
-            # A full FIFO drops its oldest item (counted as an overwrite).
             fifos[0].put_nowait(job, overwrite=True)
         result.jobs_run = jobs
 
