@@ -125,7 +125,8 @@ class Fifo:
             raise ChannelClosed(f"put on closed fifo {self.name!r}")
         self._items.append(item)
         self.total_puts += 1
-        self.max_occupancy = max(self.max_occupancy, len(self._items))
+        if len(self._items) > self.max_occupancy:
+            self.max_occupancy = len(self._items)
         self._not_empty.trigger(None)
 
     def _dequeue(self) -> Any:

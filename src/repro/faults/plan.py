@@ -168,8 +168,12 @@ class FaultPlan:
         return self._rule("delay", p, max_extra)
 
     def corrupt_messages(self, p: float) -> "FaultPlan":
-        """Corrupt each transmission's payload in flight with
-        probability ``p`` (detected by the reliable layer's checksum)."""
+        """Corrupt each transmission in flight with probability ``p``.
+
+        The fault hook flags the transmission; the payload is left as
+        is.  The reliable layer's receiver sees the flag and discards
+        the copy unacked, so the sender retransmits it on timeout; best
+        effort delivers it with ``Message.corrupted`` set."""
         return self._rule("corrupt", p)
 
     # ------------------------------------------------------------------

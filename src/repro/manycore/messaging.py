@@ -13,9 +13,11 @@ serialization, fault hook):
 - **best-effort** (default): fire-and-forget.  Each transmission is one
   scheduled arrival that lands the message in the destination mailbox
   as-is (flagged when a fault hook corrupted it).
-- **reliable** (``reliable=True``): per-flow sequence numbers, a
-  payload checksum, receiver acks, timeout + exponential-backoff
-  retransmission, and duplicate suppression.  Under an injected fault
+- **reliable** (``reliable=True``): per-flow sequence numbers, receiver
+  acks, timeout + exponential-backoff retransmission, and duplicate
+  suppression.  The receiver detects a corrupted transmission by the
+  flag the fault hook's ``corrupt`` action sets and discards it unacked,
+  so the sender's timeout retransmits it.  Under an injected fault
   campaign (drop/duplicate/delay/corrupt, see :mod:`repro.faults`) the
   reliable mode still delivers every message exactly once to the
   application mailbox, trading latency for delivery -- the "degrade
@@ -44,11 +46,6 @@ FaultHook = Callable[["Message"], Optional[Dict[str, Any]]]
 HBHook = Callable[[str, "Message"], None]
 
 
-def _checksum(payload: Any) -> int:
-    """Cheap deterministic payload digest for corruption detection."""
-    return hash(repr(payload)) & 0xFFFFFFFF
-
-
 @dataclass
 class Message:
     """One asynchronous message."""
@@ -62,7 +59,6 @@ class Message:
     delivered_at: float = 0.0
     # Reliable-mode transport state.
     seq: Optional[int] = None        # per-(src, dst) flow sequence number
-    checksum: Optional[int] = None   # set on send in reliable mode
     attempts: int = 1                # transmissions performed so far
     corrupted: bool = field(default=False, compare=False)
 
@@ -149,7 +145,6 @@ class NoCModel:
             flow = message.flow
             message.seq = self._flow_next_seq.get(flow, 0)
             self._flow_next_seq[flow] = message.seq + 1
-            message.checksum = _checksum(payload)
             self._pending[flow + (message.seq,)] = message
         self.messages_sent += 1
         self._count("noc.sent")
@@ -223,8 +218,8 @@ class NoCModel:
                 self.hb_hook("deliver", message)
             return
         if corrupted:
-            # Checksum mismatch at the receiver: discard, no ack -- the
-            # sender's timeout covers recovery.
+            # The receiver sees the corruption flag: discard, no ack --
+            # the sender's timeout covers recovery.
             self._count("noc.corrupt_discarded")
             self._trace("noc.corrupt_discarded", src=message.src,
                         dst=message.dst, seq=message.seq)

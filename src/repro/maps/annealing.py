@@ -13,11 +13,24 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional
 
 from repro.maps.mapping import Mapping, ScheduledTask
 from repro.maps.spec import PlatformSpec
 from repro.maps.taskgraph import TaskGraph
+
+
+class _Schedule(NamedTuple):
+    """A scanned assignment: makespan and per-task start and finish,
+    plus, per topological position, every PE's free time and the running
+    makespan before that position -- what a later scan needs to resume
+    there."""
+
+    makespan: float
+    start: List[float]
+    finish: List[float]
+    pe_free: List[List[float]]
+    peak: List[float]
 
 
 class _ScheduleModel:
@@ -25,9 +38,10 @@ class _ScheduleModel:
 
     Tasks are numbered in ``graph.nodes`` order and PEs in platform
     order; an assignment is a list holding each task's PE number.  The
-    model keeps the topological order, every task's duration on every
-    PE and every task's predecessors with the edge's communication cost,
-    so scoring an assignment rescans nothing.
+    model keeps the topological order (and each task's position in
+    it), every task's duration on every PE and every task's
+    predecessors with the edge's communication cost, so scoring an
+    assignment rescans nothing.
     """
 
     def __init__(self, graph: TaskGraph, platform: PlatformSpec) -> None:
@@ -39,6 +53,9 @@ class _ScheduleModel:
         self.pe_index = {name: i for i, name in enumerate(self.pe_names)}
         self.order = [self.task_index[name]
                       for name in graph.topological_order()]
+        self.position = [0] * len(self.tasks)
+        for position, task in enumerate(self.order):
+            self.position[task] = position
         self.durations = [[node.cost_on(pe.pe_class, pe.freq)
                            for pe in platform.pes]
                           for node in graph.nodes.values()]
@@ -61,39 +78,55 @@ class _ScheduleModel:
                 raise KeyError(f"task {task!r} has no PE in the assignment")
         return out
 
-    def schedule(self, assign: List[int]
-                 ) -> Tuple[float, List[float], List[float]]:
-        """Makespan and per-task start and finish of an assignment.
+    def schedule(self, assign: List[int], first: int = 0,
+                 base: Optional[_Schedule] = None) -> _Schedule:
+        """Schedule ``assign`` from topological position ``first`` on.
 
         Tasks run in topological order; on each PE they serialize in
         that order; cross-PE edges pay the platform communication cost.
+        A scan from ``first > 0`` resumes ``base``, the schedule of an
+        assignment that agrees with ``assign`` on every task before
+        ``first``: those tasks and their predecessors are unchanged, so
+        their times, the PE free times and the makespan before ``first``
+        are ``base``'s, and every later task makes the same additions
+        and comparisons as in a scan from 0.
         """
-        pe_free = [0.0] * len(self.pe_names)
-        start = [0.0] * len(self.tasks)
-        finish = [0.0] * len(self.tasks)
-        makespan = 0.0
-        for task in self.order:
+        if first:
+            start, finish = base.start[:], base.finish[:]
+            frees, peak = base.pe_free[:first], base.peak[:first]
+            pe_free = base.pe_free[first][:]
+            makespan = base.peak[first]
+        else:
+            start = [0.0] * len(self.tasks)
+            finish = [0.0] * len(self.tasks)
+            frees, peak = [], []
+            pe_free = [0.0] * len(self.pe_names)
+            makespan = 0.0
+        preds, durations = self.preds, self.durations
+        for task in self.order[first:]:
+            frees.append(pe_free[:])
+            peak.append(makespan)
             pe = assign[task]
             ready = pe_free[pe]
-            for src, comm in self.preds[task]:
+            for src, comm in preds[task]:
                 pred_finish = finish[src]
                 if assign[src] != pe:
                     pred_finish += comm
                 if pred_finish > ready:
                     ready = pred_finish
-            end = ready + self.durations[task][pe]
+            end = ready + durations[task][pe]
             start[task] = ready
             finish[task] = end
             pe_free[pe] = end
             if end > makespan:
                 makespan = end
-        return makespan, start, finish
+        return _Schedule(makespan, start, finish, frees, peak)
 
     def mapping(self, assign: List[int],
                 key_order: Optional[List[str]] = None) -> Mapping:
         """The full :class:`Mapping` of an assignment; its dict keeps
         ``key_order`` (default: task order)."""
-        makespan, start, finish = self.schedule(assign)
+        makespan, start, finish = self.schedule(assign)[:3]
         tasks, pe_names, index = self.tasks, self.pe_names, self.task_index
         mapping = Mapping(self.graph, self.platform, assignment={
             task: pe_names[assign[index[task]]]
@@ -161,7 +194,8 @@ def map_task_graph_annealing(graph: TaskGraph, platform: PlatformSpec,
     else:
         current = model.indices(initial)
         key_order = list(initial)
-    current_cost = initial_makespan = model.schedule(current)[0]
+    state = model.schedule(current)
+    current_cost = initial_makespan = state.makespan
     best, best_cost = list(current), current_cost
 
     temperature = start_temperature
@@ -177,12 +211,14 @@ def map_task_graph_annealing(graph: TaskGraph, platform: PlatformSpec,
         if not options:
             continue
         current[task] = rng.choice(options)
-        trial_cost = model.schedule(current)[0]
+        # Tasks before the moved one read nothing the move changed.
+        trial = model.schedule(current, model.position[task], state)
+        trial_cost = trial.makespan
         delta = trial_cost - current_cost
         accept = delta <= 0 or \
             rng.random() < pow(2.718281828, -delta / max(temperature, 1e-9))
         if accept:
-            current_cost = trial_cost
+            state, current_cost = trial, trial_cost
             accepted += 1
             if trial_cost < best_cost:
                 best, best_cost = list(current), trial_cost
@@ -283,7 +319,7 @@ def map_task_graph_random(graph: TaskGraph, platform: PlatformSpec,
     best_cost = 0.0
     for attempt in range(tries):
         assign = [rng.choice(all_pes) for _task in model.tasks]
-        cost = model.schedule(assign)[0]
+        cost = model.schedule(assign).makespan
         if attempt == 0 or cost < best_cost:
             best, best_cost = assign, cost
     return model.mapping(best)

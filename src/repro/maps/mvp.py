@@ -138,12 +138,18 @@ def _spawn_app(sim: Simulator, run: AppRun, platform: PlatformSpec,
                          for entry in mapping.schedule}
 
     def task_process(task_name: str):
-        node = graph.nodes[task_name]
+        # The mapping is fixed for the whole simulation, so everything a
+        # task instance needs from it is looked up once per task.
         pe_name = mapping.pe_of(task_name)
         pe = platform.pe(pe_name)
+        duration = graph.nodes[task_name].cost_on(pe.pe_class, pe.freq)
         resource = pe_resources[pe_name]
-        in_edges = graph.in_edges(task_name)
-        out_edges = graph.out_edges(task_name)
+        inputs = [edge_fifos[id(edge)] for edge in graph.in_edges(task_name)]
+        # (fifo, communication cost, or None for a same-PE edge)
+        outputs = [(edge_fifos[id(edge)],
+                    platform.comm_cost(edge.words)
+                    if mapping.pe_of(edge.dst) != pe_name else None)
+                   for edge in graph.out_edges(task_name)]
         is_source = task_name in source_names
         is_sink = task_name in sink_names
         for iteration in range(run.iterations):
@@ -167,9 +173,14 @@ def _spawn_app(sim: Simulator, run: AppRun, platform: PlatformSpec,
                     starts[iteration] = sim.now
                     unfinished_sinks[iteration] = len(sink_names)
             release_point = sim.now
-            for edge in in_edges:
-                yield from edge_fifos[id(edge)].get()
-            duration = node.cost_on(pe.pe_class, pe.freq)
+            # A channel call that would not block takes the non-blocking
+            # form: the blocking one runs the same code without yielding,
+            # so the event order is the same either way.
+            for fifo in inputs:
+                if fifo.empty:
+                    yield from fifo.get()
+                else:
+                    fifo.get_nowait()
             yield from resource.acquire(priority=run.priority)
             if run.static_dispatch and sim.now > release_point + 1e-9:
                 # Inputs or the PE were not ready at the scheduled release:
@@ -178,12 +189,12 @@ def _spawn_app(sim: Simulator, run: AppRun, platform: PlatformSpec,
             yield Delay(duration)
             pe_busy[pe_name] += duration
             resource.release()
-            for edge in out_edges:
-                if mapping.pe_of(edge.dst) != pe_name:
-                    comm = platform.comm_cost(edge.words)
+            for fifo, comm in outputs:
+                if comm is not None:
                     report.comm_cycles += comm
                     yield Delay(comm)
-                yield from edge_fifos[id(edge)].put(iteration)
+                if not fifo.put_nowait(iteration):
+                    yield from fifo.put(iteration)
             if is_sink:
                 unfinished_sinks[iteration] -= 1
                 if unfinished_sinks[iteration] == 0:

@@ -76,19 +76,21 @@ class PartitionResult:
         return list(self.loop_infos)
 
 
-def _array_words(program: Program, func: FuncDef, name: str) -> int:
-    """Size of an array variable in words, 1 for scalars/unknown."""
-    for decl in program.globals:
-        if decl.name == name and isinstance(decl.type, ArrayType):
-            return decl.type.sizeof()
-    for node in func.body.walk():
-        if isinstance(node, Decl) and node.name == name and \
-                isinstance(node.type, ArrayType):
-            return node.type.sizeof()
-    for param in func.params:
-        if param.name == name and isinstance(param.type, ArrayType):
-            return param.type.sizeof()
-    return 1
+def _array_sizes(program: Program, func: FuncDef) -> Dict[str, int]:
+    """Name -> size in words of every array ``func`` sees (a name not
+    in the table is a scalar or unknown: 1 word).
+
+    Global declarations come first, then local ``Decl``s in walk order,
+    then parameters; the first array declaration of a name wins.
+    """
+    decls = [*program.globals,
+             *(node for node in func.body.walk() if isinstance(node, Decl)),
+             *func.params]
+    sizes: Dict[str, int] = {}
+    for decl in decls:
+        if isinstance(decl.type, ArrayType) and decl.name not in sizes:
+            sizes[decl.name] = decl.type.sizeof()
+    return sizes
 
 
 def partition_function(program: Program, entry: str = "main",
@@ -100,6 +102,7 @@ def partition_function(program: Program, entry: str = "main",
     tasks.  Edges carry flow dependences with estimated transfer volumes.
     """
     func = program.function(entry)
+    sizes = _array_sizes(program, func)
     weights = weights or CostWeights()
     pure = {f.name for f in program.functions
             if _function_is_pure(program, f)}
@@ -146,8 +149,7 @@ def partition_function(program: Program, entry: str = "main",
         for later in clusters[i + 1:]:
             shared = produced & later.uses()
             if shared:
-                words = sum(_array_words(program, func, name)
-                            for name in shared)
+                words = sum(sizes.get(name, 1) for name in shared)
                 graph.connect(earlier.name, later.name, words=words,
                               label=",".join(sorted(shared)))
                 decisions += 1
@@ -347,6 +349,7 @@ def partition_pipeline(program: Program, entry: str = "main",
     MVP executes it in streaming (pipelined) mode.
     """
     func = program.function(entry)
+    sizes = _array_sizes(program, func)
     weights = weights or CostWeights()
     outer: Optional[For] = None
     for stmt in func.body.stmts:
@@ -363,8 +366,8 @@ def partition_pipeline(program: Program, entry: str = "main",
     # Merge adjacent stages that share no array traffic (cheap stages).
     merged: List[List[Stmt]] = []
     for stage in stages:
-        if merged and not _stage_produces_array(merged[-1], program, func) \
-                and not _stage_produces_array(stage, program, func):
+        if merged and not _stage_produces_array(merged[-1], sizes) \
+                and not _stage_produces_array(stage, sizes):
             merged[-1].extend(stage)
         else:
             merged.append(stage)
@@ -392,19 +395,18 @@ def partition_pipeline(program: Program, entry: str = "main",
                         used |= stmt_uses(node)
             shared = produced & used
             if shared:
-                words = sum(_array_words(program, func, n) for n in shared)
+                words = sum(sizes.get(name, 1) for name in shared)
                 graph.connect(names[earlier_index], names[later_index],
                               words=words, label=",".join(sorted(shared)))
     return PipelinePartition(graph, info.upper, info.loop_var, names)
 
 
-def _stage_produces_array(stmts: List[Stmt], program: Program,
-                          func: FuncDef) -> bool:
+def _stage_produces_array(stmts: List[Stmt], sizes: Dict[str, int]) -> bool:
     for stmt in stmts:
         for node in stmt.walk():
             if isinstance(node, Assign):
                 for name in stmt_defs(node):
-                    if _array_words(program, func, name) > 1:
+                    if sizes.get(name, 1) > 1:
                         return True
     return False
 

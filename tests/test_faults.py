@@ -8,6 +8,9 @@ cancellation-safety / wakeup regressions that ride along in the same PR.
 """
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -518,6 +521,39 @@ class TestReliableNoC:
         assert t1 == t2  # byte-identical trace
         d3, _ = campaign(34)
         assert d3 != d1
+
+    def test_delivered_messages_do_not_follow_string_hashing(self):
+        # Every field of a delivered reliable message, string payloads
+        # included, must be the same in every process.
+        script = """
+from repro.desim import Simulator
+from repro.faults import FaultInjector, FaultPlan
+from repro.manycore.machine import Machine
+from repro.manycore.messaging import NoCModel
+sim = Simulator()
+plan = (FaultPlan(seed=12).drop_messages(0.2).duplicate_messages(0.2)
+        .corrupt_messages(0.2))
+noc = NoCModel(sim, Machine(4), reliable=True)
+FaultInjector(sim, plan).attach_noc(noc)
+for i in range(30):
+    noc.send(i % 4, (i + 1) % 4, ("block", str(i), {"q": i}), tag="jpeg")
+sim.run()
+for core in range(4):
+    mailbox = noc.mailbox(core)
+    while len(mailbox):
+        print(repr(mailbox.receive_nowait()))
+"""
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        outputs = []
+        for hash_seed in (0, 1):
+            env = dict(os.environ, PYTHONPATH=src,
+                       PYTHONHASHSEED=str(hash_seed))
+            outputs.append(subprocess.run(
+                [sys.executable, "-c", script], env=env, check=True,
+                capture_output=True, text=True).stdout)
+        assert outputs[0].count("Message(") == 30
+        assert outputs[0] == outputs[1]
 
 
 # ---------------------------------------------------------------------------

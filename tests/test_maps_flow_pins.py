@@ -220,3 +220,52 @@ def test_clone_emits_the_same_code_with_fresh_ids():
             assert len(ids) == sum(1 for _ in func.walk())
             assert len(set(ids)) == len(ids), (label, func.name)
             assert not original & set(ids), (label, func.name)
+
+
+def _random_case(rng: random.Random):
+    """A random DAG on a heterogeneous platform, some tasks pinned to a
+    PE class."""
+    platform = PlatformSpec("het", channel_setup_cost=rng.choice((0.0, 5.0)),
+                            channel_word_cost=rng.choice((0.01, 0.3)))
+    classes = list(PEClass)
+    for index in range(rng.randint(1, 5)):
+        platform.add_pe(f"pe{index}", rng.choice(classes),
+                        freq=rng.choice((0.5, 1.0, 1.5)))
+    graph = TaskGraph("random")
+    names = [f"t{index}" for index in range(rng.randint(1, 30))]
+    rng.shuffle(names)  # graph order differs from topological order
+    for name in names:
+        node = graph.add_task(name, cost=rng.uniform(1.0, 100.0))
+        node.class_factor = {pe_class: rng.uniform(0.3, 3.0)
+                             for pe_class in classes}
+        if rng.random() < 0.2:
+            node.preferred_pe = rng.choice(classes)
+    for later in range(len(names)):
+        for earlier in range(later):
+            if rng.random() < 0.25:
+                graph.connect(names[earlier], names[later],
+                              words=rng.randint(1, 300))
+    return graph, platform
+
+
+def test_scan_from_the_moved_task_equals_a_full_scan():
+    """The annealer re-scores a move from the moved task's topological
+    position on: over random DAGs and chains of single-task moves that
+    is bit-identical to scanning the whole assignment."""
+    for case in range(60):
+        rng = random.Random(case)
+        graph, platform = _random_case(rng)
+        model = _ScheduleModel(graph, platform)
+        n_pes = len(model.pe_names)
+        assign = [rng.randrange(n_pes) for _ in model.tasks]
+        state = model.schedule(assign)
+        for _move in range(20):
+            task = rng.randrange(len(model.tasks))
+            old_pe = assign[task]
+            assign[task] = rng.randrange(n_pes)
+            trial = model.schedule(assign, model.position[task], state)
+            assert repr(trial) == repr(model.schedule(assign)), (case, task)
+            if rng.random() < 0.5:
+                state = trial           # accepted
+            else:
+                assign[task] = old_pe   # rejected: the old state stays
