@@ -256,13 +256,18 @@ def test_scan_from_the_moved_task_equals_a_full_scan():
         rng = random.Random(case)
         graph, platform = _random_case(rng)
         model = _ScheduleModel(graph, platform)
-        n_pes = len(model.pe_names)
-        assign = [rng.randrange(n_pes) for _ in model.tasks]
+        # The annealer's move set: a task with a preferred PE class moves
+        # among the PEs of that class when the platform has one.
+        candidates = [[i for i, pe in enumerate(platform.pes)
+                       if pe.pe_class == node.preferred_pe]
+                      or list(range(len(platform.pes)))
+                      for node in graph.nodes.values()]
+        assign = [rng.choice(options) for options in candidates]
         state = model.schedule(assign)
         for _move in range(20):
             task = rng.randrange(len(model.tasks))
             old_pe = assign[task]
-            assign[task] = rng.randrange(n_pes)
+            assign[task] = rng.choice(candidates[task])
             trial = model.schedule(assign, model.position[task], state)
             assert repr(trial) == repr(model.schedule(assign)), (case, task)
             if rng.random() < 0.5:
