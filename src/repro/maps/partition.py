@@ -349,7 +349,6 @@ def partition_pipeline(program: Program, entry: str = "main",
     MVP executes it in streaming (pipelined) mode.
     """
     func = program.function(entry)
-    sizes = _array_sizes(program, func)
     weights = weights or CostWeights()
     outer: Optional[For] = None
     for stmt in func.body.stmts:
@@ -358,6 +357,7 @@ def partition_pipeline(program: Program, entry: str = "main",
             break
     if outer is None:
         raise ValueError(f"{entry!r} has no outer loop to pipeline")
+    sizes = _array_sizes(program, func)
 
     info = analyze_loop(outer)
     stages: List[List[Stmt]] = []
