@@ -46,7 +46,6 @@ heartbeat-pinged on acquisition and silently replaced if dead.
 from __future__ import annotations
 
 import atexit
-import gc
 import json
 import multiprocessing
 import os
@@ -268,11 +267,6 @@ def acquire_workers(count: int) -> List[DaemonWorker]:
             workers.append(worker)
         else:
             worker.kill()
-    if len(workers) < count:
-        # A forked worker inherits the parent's uncollected cyclic
-        # garbage; collect it once so the workers' memory does not
-        # follow whatever the parent happened to allocate before.
-        gc.collect()
     while len(workers) < count:
         workers.append(DaemonWorker())
     return workers

@@ -21,16 +21,11 @@ from repro.maps.taskgraph import TaskGraph
 
 
 class _Schedule(NamedTuple):
-    """A scanned assignment: makespan and per-task start and finish,
-    plus, per topological position, every PE's free time and the running
-    makespan before that position -- what a later scan needs to resume
-    there."""
+    """A scanned assignment: makespan and per-task start and finish."""
 
     makespan: float
     start: List[float]
     finish: List[float]
-    pe_free: List[List[float]]
-    peak: List[float]
 
 
 class _ScheduleModel:
@@ -87,25 +82,26 @@ class _ScheduleModel:
         A scan from ``first > 0`` resumes ``base``, the schedule of an
         assignment that agrees with ``assign`` on every task before
         ``first``: those tasks and their predecessors are unchanged, so
-        their times, the PE free times and the makespan before ``first``
-        are ``base``'s, and every later task makes the same additions
-        and comparisons as in a scan from 0.
+        their times are ``base``'s.  Each PE's free time before
+        ``first`` is then the finish of its last task there (a PE
+        serializes in topological order) and the makespan is the largest
+        finish there (durations are non-negative), so every later task
+        makes the same additions and comparisons as in a scan from 0.
         """
+        pe_free = [0.0] * len(self.pe_names)
+        makespan = 0.0
         if first:
             start, finish = base.start[:], base.finish[:]
-            frees, peak = base.pe_free[:first], base.peak[:first]
-            pe_free = base.pe_free[first][:]
-            makespan = base.peak[first]
+            for task in self.order[:first]:
+                end = finish[task]
+                pe_free[assign[task]] = end
+                if end > makespan:
+                    makespan = end
         else:
             start = [0.0] * len(self.tasks)
             finish = [0.0] * len(self.tasks)
-            frees, peak = [], []
-            pe_free = [0.0] * len(self.pe_names)
-            makespan = 0.0
         preds, durations = self.preds, self.durations
         for task in self.order[first:]:
-            frees.append(pe_free[:])
-            peak.append(makespan)
             pe = assign[task]
             ready = pe_free[pe]
             for src, comm in preds[task]:
@@ -120,13 +116,13 @@ class _ScheduleModel:
             pe_free[pe] = end
             if end > makespan:
                 makespan = end
-        return _Schedule(makespan, start, finish, frees, peak)
+        return _Schedule(makespan, start, finish)
 
     def mapping(self, assign: List[int],
                 key_order: Optional[List[str]] = None) -> Mapping:
         """The full :class:`Mapping` of an assignment; its dict keeps
         ``key_order`` (default: task order)."""
-        makespan, start, finish = self.schedule(assign)[:3]
+        makespan, start, finish = self.schedule(assign)
         tasks, pe_names, index = self.tasks, self.pe_names, self.task_index
         mapping = Mapping(self.graph, self.platform, assignment={
             task: pe_names[assign[index[task]]]

@@ -173,14 +173,8 @@ def _spawn_app(sim: Simulator, run: AppRun, platform: PlatformSpec,
                     starts[iteration] = sim.now
                     unfinished_sinks[iteration] = len(sink_names)
             release_point = sim.now
-            # A channel call that would not block takes the non-blocking
-            # form: the blocking one runs the same code without yielding,
-            # so the event order is the same either way.
             for fifo in inputs:
-                if fifo.empty:
-                    yield from fifo.get()
-                else:
-                    fifo.get_nowait()
+                yield from fifo.get()
             yield from resource.acquire(priority=run.priority)
             if run.static_dispatch and sim.now > release_point + 1e-9:
                 # Inputs or the PE were not ready at the scheduled release:
@@ -193,8 +187,7 @@ def _spawn_app(sim: Simulator, run: AppRun, platform: PlatformSpec,
                 if comm is not None:
                     report.comm_cycles += comm
                     yield Delay(comm)
-                if not fifo.put_nowait(iteration):
-                    yield from fifo.put(iteration)
+                yield from fifo.put(iteration)
             if is_sink:
                 unfinished_sinks[iteration] -= 1
                 if unfinished_sinks[iteration] == 0:
