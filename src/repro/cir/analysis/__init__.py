@@ -24,7 +24,6 @@ from repro.cir.analysis.dependence import (
     LoopInfo,
     LoopClass,
     analyze_loop,
-    classify_loop,
     collect_array_accesses,
 )
 from repro.cir.analysis.cost import estimate_cost, estimate_function_cost
@@ -32,6 +31,6 @@ from repro.cir.analysis.cost import estimate_cost, estimate_function_cost
 __all__ = [
     "AccessInfo", "CFG", "CFGNode", "DataflowResult", "Dependence",
     "LoopClass", "LoopInfo", "analyze_dataflow", "analyze_loop",
-    "build_cfg", "classify_loop", "collect_array_accesses", "estimate_cost",
+    "build_cfg", "collect_array_accesses", "estimate_cost",
     "estimate_function_cost", "stmt_defs", "stmt_uses",
 ]

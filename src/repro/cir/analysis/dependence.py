@@ -521,11 +521,6 @@ def analyze_loop(loop: For, invariants: Optional[Set[str]] = None,
                     reasons)
 
 
-def classify_loop(loop: For, **kwargs) -> LoopClass:
-    """Shorthand returning only the classification."""
-    return analyze_loop(loop, **kwargs).classification
-
-
 def find_loops(body: Block) -> List[For]:
     """All for-loops in a block, outermost first."""
     loops: List[For] = []
@@ -537,5 +532,5 @@ def find_loops(body: Block) -> List[For]:
 
 
 __all__ = ["AccessInfo", "Affine", "Dependence", "LoopClass", "LoopInfo",
-           "REDUCTION_OPS", "affine_of", "analyze_loop", "classify_loop",
+           "REDUCTION_OPS", "affine_of", "analyze_loop",
            "collect_array_accesses", "find_loops"]

@@ -1,4 +1,4 @@
-"""Counting interpreter for mini-C, compiled to nested Python closures.
+"""Counting interpreter for mini-C, compiled to Python code objects.
 
 The interpreter serves three roles in the reproduction:
 
@@ -19,12 +19,25 @@ that binding.  A pointer variable or parameter receiving an array gets a
 pointer to its first element; pointers are equal when they address the
 same place.
 
-Execution model: each function is compiled once per :class:`Interpreter`,
-on its first call, into a tree of closures (one per AST node) that carry
-their own op/statement ticks and step-limit checks; global initializers are
-compiled the same way when the interpreter is built.  The closures read
-the AST only while compiling, so mutating the AST (or ``step_limit``)
-under a live ``Interpreter`` is unsupported: build a new one instead.
+Execution model: each function is emitted as Python source on its first
+call through an :class:`Interpreter`, and so are the global initializers
+when the interpreter is built.  Expressions become three-address Python
+code; ``int`` fast paths run inline and every other operand kind falls
+back to the shared helpers below.  The source names no per-interpreter
+state: it defines a factory that takes the interpreter, ``globals_env``,
+``externals``, ``step_limit`` and the AST nodes its error messages print.
+Code objects are memoized by their source text in a bounded
+process-wide LRU, so interpreters of equal programs compile once, and a
+hit runs exactly the code a miss would.  The AST is read only while
+emitting, so mutating it (or ``step_limit``) under a live ``Interpreter``
+is unsupported: build a new one instead.
+
+The counts live in two locals of the running call and are written back
+to the interpreter before every mini-C, external or intrinsic call (and
+read again after it), and in a ``finally`` when the call returns or
+raises.  Ticks that nothing between them can interrupt are added in one
+step; they are added and checked before anything that can raise or call,
+so the counts an external or an error sees are exact.
 
 Counting contract (what ``op_count``/``stmt_count`` mean): every executed
 statement is one statement and one op; every loop iteration, array read,
@@ -36,8 +49,10 @@ of a compound assignment.  The step-limit error fires on the first op past
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
-import operator
+import re
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
@@ -181,35 +196,21 @@ class Interpreter:
         self.step_limit = step_limit
         self.functions: Dict[str, FuncDef] = {
             func.name: func for func in program.functions}
-        self.globals_env: Env = {}
+        self.globals_env: Env = _Globals()
         self.output: List[Any] = []
         self.op_count = 0
         self.stmt_count = 0
         self.call_counts: Dict[str, int] = {}
         self.func_op_counts: Dict[str, int] = {}
         # Function name -> its compiled entry (args list -> return value).
-        self._compiled: Dict[str, Callable[[List[Any]], Any]] = {}
-        self._init_globals()
-
-    def _init_globals(self) -> None:
-        # Initializers run in global scope: their env *is* globals_env.
-        compiler = _Compiler(self)
-        for decl in self.program.globals:
-            if decl.init is not None:
-                init = compiler.expr(decl.init)
-                value = _coerce(init(self.globals_env), decl.type)
-            else:
-                value = _default_factory(decl.type)()
-            self.globals_env[decl.name] = value
-
-    def _function(self, name: str) -> Callable[[List[Any]], Any]:
-        """The compiled entry of mini-C function ``name``, compiled on
-        first use."""
-        entry = self._compiled.get(name)
-        if entry is None:
-            entry = _compile_function(self, self.functions[name])
-            self._compiled[name] = entry
-        return entry
+        self._compiled: Dict[str, Callable[[List[Any]], Any]] = \
+            _Functions(self)
+        decls = program.globals
+        if any(decl.init is not None for decl in decls):
+            _compile_globals(self, decls)()
+        else:
+            for decl in decls:
+                self.globals_env[decl.name] = _zero(decl.type)
 
     # ------------------------------------------------------------------
     # public entry points
@@ -238,7 +239,7 @@ class Interpreter:
         :class:`InterpError`, like every other runtime error."""
         if name in self.functions:
             try:
-                return self._function(name)(args)
+                return self._compiled[name](args)
             except RecursionError:
                 raise InterpError(
                     f"call stack overflow: recursion too deep (entered "
@@ -251,43 +252,16 @@ class Interpreter:
 
 
 # ---------------------------------------------------------------------------
-# values, coercions and operators (shared by every compiled closure)
+# values, coercions and operators (shared by all emitted code)
 # ---------------------------------------------------------------------------
 
 INT_MIN, INT_MAX = -2**31, 2**31 - 1
 
-# Statement results other than "fall through": loops consume these two,
-# a ``return`` hands back a 1-tuple holding its value.
-_BREAK = ("break",)
-_CONTINUE = ("continue",)
 _MISSING = object()
 
 
 def _limit_error(limit: int) -> InterpError:
     return InterpError(f"step limit {limit} exceeded (infinite loop?)")
-
-
-def _default_factory(dtype: Type) -> Callable[[], Value]:
-    """A maker of the zero value of ``dtype`` (fresh storage per call)."""
-    if isinstance(dtype, ArrayType):
-        element, dims = dtype.element, dtype.dims
-        return lambda: ArrayValue.zeros(element, dims)
-    if isinstance(dtype, PointerType):
-        return lambda: PointerValue([0], 0)
-    if isinstance(dtype, ScalarType) and dtype.name == "float":
-        return lambda: 0.0
-    return lambda: 0
-
-
-def _coerce(value: Any, dtype: Type) -> Any:
-    if isinstance(dtype, ScalarType):
-        if dtype.name == "int" and isinstance(value, float):
-            return int(value)
-        if dtype.name == "float" and isinstance(value, int):
-            return float(value)
-    elif isinstance(value, ArrayValue) and isinstance(dtype, PointerType):
-        return PointerValue(value.storage, 0)  # array-to-pointer decay
-    return value
 
 
 def _type_name(value: Any) -> str:
@@ -375,7 +349,7 @@ def _c_mul(left: Any, right: Any) -> Any:
 
 
 # Arithmetic, shift and bitwise operators; comparisons and the short
-# circuits have closures of their own (see _Compiler.binop).
+# circuits are emitted inline (see _Emitter.binop).
 _BIN_HANDLERS: Dict[str, Callable[[Any, Any], Any]] = {
     "+": _c_add,
     "-": _c_sub,
@@ -392,7 +366,7 @@ _BIN_HANDLERS: Dict[str, Callable[[Any, Any], Any]] = {
 
 def _binop(op: str, left: Any, right: Any) -> Any:
     """``left op right`` for every operand kind, pointer arithmetic
-    included; the closures' int fast paths fall back to this."""
+    included; the emitted int fast paths fall back to this."""
     handler = _BIN_HANDLERS.get(op)
     try:
         if isinstance(left, PointerValue) and op in ("+", "-"):
@@ -407,57 +381,6 @@ def _binop(op: str, left: Any, right: Any) -> Any:
     except (TypeError, ValueError):
         raise _operand_error(op, left, right) from None
     raise InterpError(f"unknown binary operator {op!r}")
-
-
-def _index_chain(node: ArrayIndex) -> Tuple[List[Expr], Expr]:
-    """The index expressions of ``a[i][j]`` outermost first (``[j, i]``)
-    and the base (``a``): the order the chain is evaluated in."""
-    indices: List[Expr] = []
-    while isinstance(node, ArrayIndex):
-        indices.append(node.index)
-        node = node.base
-    return indices, node
-
-
-def _resolve_chain(index_fns: List[Callable], base_fn: Callable,
-                   base_node: Expr, env: Env):
-    """Evaluate an index chain's compiled indices (outermost first) and
-    then its base: (the array or pointer, the indices innermost first)."""
-    indices = []
-    for index_fn in index_fns:
-        index = index_fn(env)
-        indices.append(int(index) if isinstance(index, float) else index)
-    indices.reverse()
-    base = base_fn(env)
-    if not isinstance(base, (ArrayValue, PointerValue)):
-        raise InterpError(f"indexing a non-array value via {base_node!r}")
-    return base, indices
-
-
-def _element_ref(base: Any, indices: List[int]) -> Tuple[List[Any], int]:
-    """(storage, offset) addressed by ``base[indices]``, bounds unchecked
-    for pointers (their deref/store checks) and checked for arrays."""
-    if isinstance(base, PointerValue):
-        if len(indices) != 1:
-            raise InterpError("pointer indexing takes one index")
-        return base.storage, base.offset + indices[0]
-    return base.storage, base.flat_offset(indices)
-
-
-def _read_element(base: Any, indices: List[int]) -> Any:
-    if isinstance(base, PointerValue):
-        return PointerValue(*_element_ref(base, indices)).deref()
-    if len(indices) < len(base.dims):
-        raise InterpError("partial array indexing is unsupported")
-    return base.get(indices)
-
-
-def _write_element(base: Any, indices: List[int], value: Any) -> None:
-    if isinstance(base, PointerValue):
-        PointerValue(*_element_ref(base, indices)).store(value)
-        return
-    offset = base.flat_offset(indices)
-    base.storage[offset] = _converted(value, base.storage[offset])
 
 
 def _converted(value: Any, current: Any) -> Any:
@@ -541,57 +464,286 @@ def _call_intrinsic(interp: Interpreter, name: str, args: List[Any]) -> Any:
         raise InterpError(f"{name}() domain error: {error}") from None
 
 
+
+
 # ---------------------------------------------------------------------------
-# the compiler: AST -> closures
+# run-time helpers the emitted code calls off its fast paths
+# ---------------------------------------------------------------------------
+
+class _Globals(dict):
+    """``globals_env``: reading a global that does not exist (yet) is an
+    undefined variable, as it is for a global initializer that reads a
+    later global."""
+
+    def __missing__(self, name: str) -> Any:
+        raise InterpError(f"undefined variable {name!r}")
+
+
+class _Functions(dict):
+    """Function name -> compiled entry, compiled on first lookup."""
+
+    def __init__(self, interp: Interpreter) -> None:
+        super().__init__()
+        self.interp = interp
+
+    def __missing__(self, name: str) -> Callable[[List[Any]], Any]:
+        entry = _compile_function(self.interp, self.interp.functions[name])
+        self[name] = entry
+        return entry
+
+
+def _zero(dtype: Type) -> Value:
+    """The zero value of ``dtype`` (fresh storage every call)."""
+    if isinstance(dtype, ArrayType):
+        return ArrayValue.zeros(dtype.element, dtype.dims)
+    if isinstance(dtype, PointerType):
+        return PointerValue([0], 0)
+    if isinstance(dtype, ScalarType) and dtype.name == "float":
+        return 0.0
+    return 0
+
+
+def _node_error(what: str, node: Any) -> InterpError:
+    return InterpError(f"{what} {node!r}")
+
+
+def _chain(base: Any, indices: List[Any], node: Expr) -> List[Any]:
+    """Indices (innermost first) with floats truncated, after checking
+    that ``base`` (the value of ``node``) can be indexed."""
+    if not isinstance(base, (ArrayValue, PointerValue)):
+        raise _node_error("indexing a non-array value via", node)
+    return [int(index) if isinstance(index, float) else index
+            for index in indices]
+
+
+def _element_ref(base: Any, indices: List[int]) -> Tuple[List[Any], int]:
+    """(storage, offset) addressed by ``base[indices]``, bounds unchecked
+    for pointers (their deref/store checks) and checked for arrays."""
+    if isinstance(base, PointerValue):
+        if len(indices) != 1:
+            raise InterpError("pointer indexing takes one index")
+        return base.storage, base.offset + indices[0]
+    return base.storage, base.flat_offset(indices)
+
+
+def _load(base: Any, indices: List[Any], node: Expr) -> Any:
+    indices = _chain(base, indices, node)
+    if isinstance(base, PointerValue):
+        return PointerValue(*_element_ref(base, indices)).deref()
+    if len(indices) < len(base.dims):
+        raise InterpError("partial array indexing is unsupported")
+    return base.get(indices)
+
+
+def _store(base: Any, indices: List[Any], value: Any, node: Expr) -> None:
+    indices = _chain(base, indices, node)
+    if isinstance(base, PointerValue):
+        PointerValue(*_element_ref(base, indices)).store(value)
+        return
+    offset = base.flat_offset(indices)
+    base.storage[offset] = _converted(value, base.storage[offset])
+
+
+def _address(home: Env, slot: str, name: str) -> PointerValue:
+    """``&name``: an array decays to its first element, anything else
+    is addressed through its binding."""
+    if slot not in home:
+        raise InterpError(f"undefined variable {name!r}")
+    value = home[slot]
+    if isinstance(value, ArrayValue):
+        return PointerValue(value.storage, 0)
+    return PointerValue(_Binding(home, slot), 0)
+
+
+def _store_through(pointer: Any, op: str, value: Any) -> None:
+    """``*pointer op= value``."""
+    if not isinstance(pointer, PointerValue):
+        raise InterpError("dereferencing a non-pointer")
+    if op:
+        value = _binop(op, pointer.deref(), value)
+    pointer.store(value)
+
+
+def _unary(op: str, value: Any) -> Any:
+    if op == "-":
+        # Negating INT_MIN overflows on a 32-bit target; wrap like every
+        # other int arithmetic op (floats stay host-precision).
+        if type(value) is int:
+            return _wrap32(-value)
+        try:
+            return -value
+        except TypeError:
+            raise _operand_error("-", value) from None
+    if op == "!":
+        return 0 if value else 1
+    if op == "~":
+        try:
+            return ~int(value)
+        except (TypeError, ValueError):
+            raise _operand_error("~", value) from None
+    if op == "*":
+        if not isinstance(value, PointerValue):
+            raise InterpError("dereferencing a non-pointer")
+        return value.deref()
+    raise InterpError(f"unknown unary operator {op!r}")
+
+
+def _intrinsic(interp: Interpreter, name: str, args: List[Any]) -> Any:
+    """A call to an undeclared function that no external provides."""
+    if name in _INTRINSICS:
+        return _call_intrinsic(interp, name, args)
+    raise InterpError(f"call to unknown function {name!r}")
+
+
+# ---------------------------------------------------------------------------
+# the compiler: AST -> Python source -> memoized code
 # ---------------------------------------------------------------------------
 #
-# A compiled expression is ``fn(env) -> value``.  A compiled statement is
-# ``fn(env) -> None | _BREAK | _CONTINUE | (value,)``.  ``env`` maps the
-# names of the running call's live locals to values; it is their only
-# home, and ``&x`` points at the binding in it.
+# The emitted source defines ``_make(I, G, X, F, CC, FC, L, N)``, which
+# binds one Interpreter's state -- itself, ``globals_env``, ``externals``,
+# its compiled functions, ``call_counts``, ``func_op_counts``,
+# ``step_limit`` and ``N``, the AST nodes and types the code names in
+# error messages and array declarations -- and returns the entry.  The
+# text holds none of these, so one code object serves every Interpreter.
+#
+# In the entry, ``env`` maps the running call's live locals to values: it
+# is their only home, and ``&x`` points at the binding in it.  ``ops`` and
+# ``st`` hold the op and statement counts.  Ticks accumulate at compile
+# time and are added (and checked against ``L``) right before anything
+# that can raise, call out or branch.  A batch holds at most one
+# statement start; when the limit is crossed before that statement's own
+# tick, ``st`` gives it back.  The ``finally`` writes back whichever count
+# is further along, the local or the callee's, capped at ``L + 1`` (a
+# batch of ticks that nothing can interrupt crosses the limit there).
 
-def _compile_function(interp: Interpreter,
-                      func: FuncDef) -> Callable[[List[Any]], Any]:
-    """Compile ``func`` into its entry: args list -> coerced return value,
-    keeping ``call_counts``/``func_op_counts`` as every call returns or
-    raises."""
-    compiler = _Compiler(interp)
-    compiler.scopes[-1].update((param.name, param.name)
-                               for param in func.params)
-    # The body's own declarations share the parameters' scope and need no
-    # scope bookkeeping: the call's env dies with it.
-    body = compiler.block(func.body, scoped=False)
-    name = func.name
-    params = [(param.name, param.type) for param in func.params]
-    return_type = func.return_type
-    call_counts = interp.call_counts
-    func_op_counts = interp.func_op_counts
+_INT_ATOM = re.compile(r"\(?-?\d+\)?")
+_TEMP = re.compile(r"t\d+")
+_ARITH = {"+": "+", "-": "-", "*": "*", "/": "//", "%": "%"}
+_COMPARE = ("==", "!=", "<", ">", "<=", ">=")
+_WRAPPED = ("({0} if -2147483648 <= ({0} := {1}) <= 2147483647 "
+            "else _wrap32({0}))")
 
-    def entry(args: List[Any]) -> Any:
-        if len(args) != len(params):
-            raise InterpError(
-                f"{name}() expects {len(params)} args, got {len(args)}")
-        env: Env = {}
-        for (param, dtype), arg in zip(params, args):
-            env[param] = _coerce(arg, dtype)
-        call_counts[name] = call_counts.get(name, 0) + 1
-        ops_before = interp.op_count
+_CHUNK_LINES = 100
+_COMPILED = itertools.count(1)
+_PROLOGUE = """\
+def _make(I, G, X, F, CC, FC, L, N):
+    def entry({params}):
+{setup}        ops = o0 = I.op_count
+        st = I.stmt_count
         try:
-            outcome = body(env)
-        finally:
-            func_op_counts[name] = (func_op_counts.get(name, 0)
-                                    + interp.op_count - ops_before)
-        if outcome is None:
-            return _coerce(None, return_type)
-        if outcome is _BREAK or outcome is _CONTINUE:
-            raise InterpError(f"{outcome[0]} outside a loop in {name}()")
-        return _coerce(outcome[0], return_type)
-
-    return entry
+{body}        finally:
+            if ops > I.op_count:
+                I.op_count = ops if ops <= L else L + 1
+            if st > I.stmt_count:
+                I.stmt_count = st
+{account}    return entry
+"""
 
 
-class _Compiler:
-    """Compiles the statements and expressions of one function.
+@functools.lru_cache(maxsize=256)
+def _factory(source: str) -> Callable[..., Callable]:
+    """The ``_make`` of emitted ``source``, compiled once per process.
+    Bounded (least recently used sources are dropped)."""
+    namespace = dict(_RUNTIME)
+    # Profilers key a function by (file, line, name), so each code object
+    # gets a file name of its own, one that places it under repro/cir/.
+    name = f"<repro/cir/interp.py: mini-C {next(_COMPILED)}>"
+    exec(compile(source, name, "exec"), namespace)
+    return namespace["_make"]
+
+
+def _bind(interp: Interpreter, emitter: "_Emitter", body: List[str],
+          params: str = "", setup: List[str] = (),
+          account: str = "") -> Callable:
+    """Compile (or find) an emitted entry and bind it to ``interp``."""
+    source = _PROLOGUE.format(
+        params=params, setup="".join(line + "\n" for line in setup),
+        body="".join(line + "\n" for line in body or ["            pass"]),
+        account=account)
+    return _factory(source)(
+        interp, interp.globals_env, interp.externals, interp._compiled,
+        interp.call_counts, interp.func_op_counts, interp.step_limit,
+        emitter.consts)
+
+
+def _compile_function(interp: Interpreter, func: FuncDef) -> Callable:
+    """``func``'s entry: args list -> coerced return value, keeping
+    ``call_counts``/``func_op_counts`` as every call returns or raises."""
+    emitter = _Emitter(interp.functions, func.name)
+    emitter.scopes[-1].update((param.name, param.name)
+                              for param in func.params)
+    count = len(func.params)
+    emitter.depth = 2
+    emitter.line(f"if len(args) != {count}:")
+    emitter.line(f"    raise InterpError("
+                 f"{f'{func.name}() expects {count} args, got '!r} "
+                 f"+ str(len(args)))")
+    pairs = []
+    for index, param in enumerate(func.params):
+        value = emitter.coerce(f"args[{index}]", param.type)
+        pairs.append(f"{param.name!r}: {value}")
+    emitter.line(f"env = {{{', '.join(pairs)}}}")
+    emitter.line(f"CC[{func.name!r}] = CC.get({func.name!r}, 0) + 1")
+    setup, emitter.lines, emitter.depth = emitter.lines, [], 3
+    emitter.return_type = func.return_type
+    # The body's own declarations share the parameters' scope and need no
+    # restoring: the call's env dies with it.  compile() of a long text
+    # peaks at ~100 bytes per character, so a long body is cut between
+    # top-level statements into chunks of about _CHUNK_LINES lines.  Each
+    # chunk is an entry of its own, taking ``env``; the function's entry
+    # calls it like a mini-C function and returns what it returns unless
+    # it fell through (``_MISSING``).
+    chunks: List[List[str]] = [[]]
+    for stmt in func.body.stmts:
+        emitter.lines = []
+        emitter.stmt(stmt)
+        emitter.flush()
+        if chunks[-1] and len(chunks[-1]) + len(emitter.lines) > _CHUNK_LINES:
+            chunks.append([])
+        chunks[-1].extend(emitter.lines)
+    emitter.lines = chunks[0]
+    for lines in chunks[1:]:
+        chunk = emitter.const(_bind(
+            interp, emitter, lines + ["            return _MISSING"], "env"))
+        emitter.line("I.op_count = ops; I.stmt_count = st")
+        result = emitter.temp(f"{chunk}(env)")
+        emitter.line("ops = I.op_count; st = I.stmt_count")
+        emitter.line(f"if {result} is not _MISSING: return {result}")
+    return _bind(interp, emitter, emitter.lines, "args", setup,
+                 f"            FC[{func.name!r}] = FC.get({func.name!r}, 0) "
+                 f"+ I.op_count - o0\n")
+
+
+def _compile_globals(interp: Interpreter, decls: List[Decl]) -> Callable:
+    """A function that runs the global declarations in order.  Their
+    initializers run in global scope: every name is a global."""
+    emitter = _Emitter(interp.functions, "")
+    for decl in decls:
+        if decl.init is None:
+            value = _zero_text(decl.type, emitter)
+        else:
+            value = emitter.coerce(emitter.expr(decl.init), decl.type)
+            emitter.flush()
+        emitter.line(f"G[{decl.name!r}] = {value}")
+    return _bind(interp, emitter, emitter.lines)
+
+
+def _continues(stmts: List[Stmt]) -> bool:
+    """Whether a ``continue`` in ``stmts`` targets their loop."""
+    for stmt in stmts:
+        kind = type(stmt)
+        if kind is Continue:
+            return True
+        if kind is Block and _continues(stmt.stmts):
+            return True
+        if kind is If and (_continues(stmt.then.stmts) or (
+                stmt.other is not None and _continues(stmt.other.stmts))):
+            return True
+    return False
+
+
+class _Emitter:
+    """Writes the body of one entry (see ``_PROLOGUE``).
 
     Identifiers are resolved once, at compile time, by C's static scope
     rule: a name refers to the innermost local of that name whose scope
@@ -603,13 +755,89 @@ class _Compiler:
     local's key is its name, except for a declaration that shadows a
     local of an enclosing scope: that one gets a key of its own (``x'1``),
     so a pointer to the outer ``x`` keeps addressing the outer one.
+
+    An expression compiles to an atom: a literal, a temporary, or a
+    local read (``env['x']``), which moves into a temporary where a call
+    could change the local before the atom is used.  ``exits`` holds what
+    a ``break``, ``continue`` or ``return`` passes on its way out: loops,
+    blocks whose declarations it restores, and the ``init``/``step`` of
+    a ``for``, which drop it.
     """
 
-    def __init__(self, interp: Interpreter) -> None:
-        self.interp = interp
-        self.limit = interp.step_limit
+    def __init__(self, functions: Dict[str, FuncDef], name: str) -> None:
+        self.functions = functions
+        self.name = name
+        self.lines: List[str] = []
+        self.depth = 3
+        self.pending = 0
+        self.stmt_at: Optional[int] = None  # pending ticks before `st += 1`
+        self.temps = 0
+        self.calls = 0
+        self.consts: List[Any] = []
         self.scopes: List[Dict[str, str]] = [{}]
         self.renamed = 0
+        self.exits: List[list] = []
+        self.return_type: Optional[Type] = None
+
+    # -- plumbing -------------------------------------------------------------
+    def line(self, text: str) -> None:
+        self.lines.append("    " * self.depth + text)
+
+    def temp(self, value: Optional[str] = None) -> str:
+        self.temps += 1
+        name = f"t{self.temps}"
+        if value is not None:
+            self.line(f"{name} = {value}")
+        return name
+
+    def const(self, value: Any) -> str:
+        self.consts.append(value)
+        return f"N[{len(self.consts) - 1}]"
+
+    def flush(self) -> None:
+        """Add the pending ticks and check the step limit."""
+        if self.pending:
+            # A statement that starts inside the batch does not count when
+            # the limit is crossed before its own tick.
+            fix = "" if not self.stmt_at else \
+                f"st -= ops - {self.pending - self.stmt_at} > L; "
+            self.line(f"if (ops := ops + {self.pending}) > L: "
+                      f"{fix}raise _limit_error(L)")
+            self.pending = 0
+        self.stmt_at = None
+
+    def value(self, atom: str) -> str:
+        """``atom`` as something cheap to read more than once."""
+        return self.temp(atom) if atom.startswith("env[") else atom
+
+    def mark(self) -> Tuple[int, int, int]:
+        return len(self.lines), self.calls, self.depth
+
+    def keep(self, atom: str, mark: Tuple[int, int, int]) -> str:
+        """``atom`` as read at ``mark``: a local read moves into a
+        temporary there when a call has been emitted since."""
+        at, calls, depth = mark
+        if calls == self.calls or not atom.startswith("env["):
+            return atom
+        self.temps += 1
+        name = f"t{self.temps}"
+        self.lines.insert(at, "    " * depth + f"{name} = {atom}")
+        return name
+
+    def operands(self, nodes: List[Expr]) -> List[str]:
+        atoms = [(self.expr(node), self.mark()) for node in nodes]
+        # Later captures first: each is inserted before the next one's.
+        return [self.keep(atom, mark) for atom, mark in reversed(atoms)][::-1]
+
+    def nested(self, emit: Callable[[], None]) -> None:
+        """Emit one branch of an ``if``: no ticks cross its edges."""
+        self.depth += 1
+        start = len(self.lines)
+        emit()
+        self.flush()
+        if len(self.lines) == start:
+            self.line("pass")
+        self.depth -= 1
 
     def key(self, name: str) -> Optional[str]:
         """The ``env`` key of the local ``name`` refers to at this point
@@ -631,339 +859,277 @@ class _Compiler:
                 scope[name] = name
         return scope[name]
 
+    def restore(self, saved: List[Tuple[str, str]]) -> None:
+        for key, old in saved:
+            self.line(f"if {old} is _MISSING: env.pop({key!r}, None)")
+            self.line(f"else: env[{key!r}] = {old}")
+
+    def leave(self, kind: str) -> bool:
+        """Emit the way out of a ``kind`` statement: restore the blocks it
+        leaves, then jump.  False when it leaves the function."""
+        for entry in reversed(self.exits):
+            if entry[0] == "block":
+                self.restore(entry[2])
+            elif entry[0] == "discard" or kind != "return":
+                self.line("break" if entry[0] == "discard" else kind)
+                return True
+        return False
+
+    def coerce(self, atom: str, dtype: Type) -> str:
+        """``atom`` as a value of declared type ``dtype``: an int drops a
+        float's fraction, a float widens an int, a pointer decays an
+        array."""
+        if isinstance(dtype, ScalarType) and dtype.name == "int":
+            if _INT_ATOM.fullmatch(atom):
+                return atom
+            test, convert = "isinstance({0}, float)", "int({0})"
+        elif isinstance(dtype, ScalarType) and dtype.name == "float":
+            test, convert = "isinstance({0}, int)", "float({0})"
+        elif isinstance(dtype, PointerType):
+            test, convert = ("isinstance({0}, ArrayValue)",
+                             "PointerValue({0}.storage, 0)")
+        else:
+            return atom
+        name = atom if _TEMP.fullmatch(atom) else self.temp(atom)
+        self.line(f"if {test.format(name)}: {name} = {convert.format(name)}")
+        return name
+
     # -- statements -------------------------------------------------------
-    def block(self, block: Block, scoped: bool = True):
+    def block(self, block: Block, scoped: bool = True) -> None:
         """The block's statements in sequence.  A block that declares
         names restores their bindings when it is left (by falling
-        through, ``break`` or ``continue``)."""
+        through, ``break``, ``continue`` or ``return``)."""
         if not scoped:
-            return _sequence([self.stmt(stmt) for stmt in block.stmts])
-        self.scopes.append({})
-        stmts = [self.stmt(stmt) for stmt in block.stmts]
-        scope = self.scopes.pop()
-        if scope:
-            return _scoped_block(
-                [scope[stmt.name] if isinstance(stmt, Decl) else None
-                 for stmt in block.stmts], stmts)
-        return _sequence(stmts)
+            for stmt in block.stmts:
+                self.stmt(stmt)
+            return
+        scope: Dict[str, str] = {}
+        entry = ["block", scope, [], set()]
+        self.scopes.append(scope)
+        self.exits.append(entry)
+        for stmt in block.stmts:
+            self.stmt(stmt)
+        self.exits.pop()
+        self.scopes.pop()
+        self.flush()
+        self.restore(entry[2])
 
-    def stmt(self, stmt: Stmt):
-        interp, limit = self.interp, self.limit
+    def stmt(self, stmt: Stmt) -> None:
+        if self.stmt_at is not None:
+            self.flush()
+        self.stmt_at = self.pending
+        self.line("st += 1")
+        self.pending += 1
         kind = type(stmt)
         if kind is Assign:
-            return self.assign(stmt)
-        if kind is ExprStmt:
-            expr = self.expr(stmt.expr)
-
-            def run_expr(env):
-                interp.stmt_count += 1
-                ops = interp.op_count + 1
-                interp.op_count = ops
-                if ops > limit:
-                    raise _limit_error(limit)
-                expr(env)
-            return run_expr
-        if kind is Decl:
-            return self.decl(stmt)
-        if kind is If:
-            return self.if_stmt(stmt)
-        if kind is For:
-            return self.for_stmt(stmt)
-        if kind is While:
-            return self.while_stmt(stmt)
-        if kind is Return:
-            value = self.expr(stmt.value) if stmt.value is not None else None
-
-            def run_return(env):
-                interp.stmt_count += 1
-                ops = interp.op_count + 1
-                interp.op_count = ops
-                if ops > limit:
-                    raise _limit_error(limit)
-                return (value(env) if value is not None else None,)
-            return run_return
-        if kind is Block:
-            inner = self.block(stmt)
-            signal = None
+            self.assign(stmt)
+        elif kind is ExprStmt:
+            self.expr(stmt.expr)
+        elif kind is Decl:
+            self.decl(stmt)
+        elif kind is If:
+            self.line(f"if {self.test(stmt.test)}:")
+            self.nested(lambda: self.block(stmt.then))
+            if stmt.other is not None:
+                self.line("else:")
+                self.nested(lambda: self.block(stmt.other))
+        elif kind is While:
+            self.loop(stmt.test, None, stmt.body)
+        elif kind is For:
+            self.for_stmt(stmt)
+        elif kind is Return:
+            value = "None"
+            if stmt.value is not None:
+                value = self.value(self.coerce(self.expr(stmt.value),
+                                               self.return_type))
+            self.flush()
+            if not self.leave("return"):
+                self.line(f"return {value}")
+        elif kind is Block:
+            self.block(stmt)
+        elif kind is Break or kind is Continue:
+            word = "break" if kind is Break else "continue"
+            self.flush()
+            if not self.leave(word):
+                self.line(f"raise InterpError({word!r} + "
+                          f"' outside a loop in ' + {self.name!r} + '()')")
         else:
-            inner = None
-            signal = {Break: _BREAK, Continue: _CONTINUE}.get(kind)
+            self.flush()
+            self.line(f"raise _node_error('cannot execute statement', "
+                      f"{self.const(stmt)})")
 
-        def run_other(env):
-            interp.stmt_count += 1
-            ops = interp.op_count + 1
-            interp.op_count = ops
-            if ops > limit:
-                raise _limit_error(limit)
-            if inner is not None:
-                return inner(env)
-            if signal is None:
-                raise InterpError(f"cannot execute statement {stmt!r}")
-            return signal
-        return run_other
+    def decl(self, stmt: Decl) -> None:
+        at = self.mark()
+        value = self.expr(stmt.init) if stmt.init is not None else None
+        key = self.declare(stmt.name)
+        entry = self.exits[-1] if self.exits else None
+        if entry is not None and entry[0] == "block" \
+                and entry[1] is self.scopes[-1] and key not in entry[3]:
+            # The binding the block restores when it is left.
+            entry[3].add(key)
+            self.temps += 1
+            old = f"t{self.temps}"
+            entry[2].append((key, old))
+            self.lines.insert(at[0], "    " * at[2]
+                              + f"{old} = env.get({key!r}, _MISSING)")
+        if value is None:
+            value = _zero_text(stmt.type, self)
+        else:
+            value = self.coerce(value, stmt.type)
+        self.line(f"env[{key!r}] = {value}")
 
-    def decl(self, stmt: Decl):
-        interp, limit = self.interp, self.limit
-        dtype = stmt.type
-        init = self.expr(stmt.init) if stmt.init is not None else None
-        name = self.declare(stmt.name)
-        default = _default_factory(dtype)
+    def simple(self, stmt: Stmt) -> None:
+        """A ``for``'s init or step: a ``break``, ``continue`` or
+        ``return`` in it only ends it."""
+        if type(stmt) in (Assign, ExprStmt, Decl):
+            self.stmt(stmt)
+            self.flush()
+            return
+        self.line("while True:")
+        self.depth += 1
+        self.exits.append(["discard"])
+        self.stmt(stmt)
+        self.exits.pop()
+        self.flush()
+        self.line("break")
+        self.depth -= 1
 
-        def run_decl(env):
-            interp.stmt_count += 1
-            ops = interp.op_count + 1
-            interp.op_count = ops
-            if ops > limit:
-                raise _limit_error(limit)
-            if init is None:
-                env[name] = default()
-            else:
-                env[name] = _coerce(init(env), dtype)
-        return run_decl
-
-    def if_stmt(self, stmt: If):
-        interp, limit = self.interp, self.limit
-        test = self.expr(stmt.test)
-        then = self.block(stmt.then)
-        other = self.block(stmt.other) if stmt.other is not None else None
-
-        def run_if(env):
-            interp.stmt_count += 1
-            ops = interp.op_count + 1
-            interp.op_count = ops
-            if ops > limit:
-                raise _limit_error(limit)
-            if test(env):
-                return then(env)
-            if other is not None:
-                return other(env)
-        return run_if
-
-    def while_stmt(self, stmt: While):
-        interp, limit = self.interp, self.limit
-        test = self.expr(stmt.test)
-        body = self.block(stmt.body)
-
-        def run_while(env):
-            interp.stmt_count += 1
-            ops = interp.op_count + 1
-            interp.op_count = ops
-            if ops > limit:
-                raise _limit_error(limit)
-            while test(env):
-                ops = interp.op_count + 1
-                interp.op_count = ops
-                if ops > limit:
-                    raise _limit_error(limit)
-                outcome = body(env)
-                if outcome is not None:
-                    if outcome is _BREAK:
-                        break
-                    if outcome is not _CONTINUE:
-                        return outcome
-        return run_while
-
-    def for_stmt(self, stmt: For):
-        interp, limit = self.interp, self.limit
+    def for_stmt(self, stmt: For) -> None:
+        self.flush()
         # A for-header declaration lives for the duration of the loop.
         self.scopes.append({})
-        init = self.stmt(stmt.init) if stmt.init is not None else None
-        test = self.expr(stmt.test) if stmt.test is not None else None
-        step = self.stmt(stmt.step) if stmt.step is not None else None
-        body = self.block(stmt.body)
+        at = self.mark()
+        if stmt.init is not None:
+            self.simple(stmt.init)
+        self.loop(stmt.test, stmt.step, stmt.body)
         header = next(iter(self.scopes.pop().values()), None)
+        if header is not None:
+            self.temps += 1
+            old = f"t{self.temps}"
+            self.lines.insert(at[0], "    " * at[2]
+                              + f"{old} = env.get({header!r}, _MISSING)")
+            self.restore([(header, old)])
 
-        def run_for(env):
-            interp.stmt_count += 1
-            ops = interp.op_count + 1
-            interp.op_count = ops
-            if ops > limit:
-                raise _limit_error(limit)
-            if header is not None:
-                shadow = env.get(header, _MISSING)
-            if init is not None:
-                init(env)
-            while test is None or test(env):
-                ops = interp.op_count + 1
-                interp.op_count = ops
-                if ops > limit:
-                    raise _limit_error(limit)
-                outcome = body(env)
-                if outcome is not None:
-                    if outcome is _BREAK:
-                        break
-                    if outcome is not _CONTINUE:
-                        return outcome
-                if step is not None:
-                    step(env)
-            if header is not None:
-                if shadow is _MISSING:
-                    env.pop(header, None)
-                else:
-                    env[header] = shadow
-        return run_for
+    def loop(self, test: Optional[Expr], step: Optional[Stmt],
+             body: Block) -> None:
+        """``while (test) body``, with ``step`` after every iteration; a
+        ``continue`` reaches the step through a flag at the loop top."""
+        self.flush()
+        again = self.temp("False") if step is not None \
+            and _continues(body.stmts) else None
+        self.line("while True:")
+        self.depth += 1
+        # The test compiles before the step, and the step before the body.
+        outer, self.lines = self.lines, []
+        if test is not None:
+            self.test(test, loop=True)
+        test_lines, self.lines = self.lines, []
+        if step is not None:
+            nest = int(again is not None)
+            self.depth += nest
+            self.simple(step)
+            self.depth -= nest
+        step_lines, self.lines = self.lines, outer
+        if again is not None:
+            self.line(f"if {again}:")
+            self.lines.extend(step_lines)
+            self.line(f"{again} = True")
+        self.lines.extend(test_lines)
+        self.pending += 1  # the iteration's op
+        self.exits.append(["loop"])
+        self.block(body)
+        self.exits.pop()
+        self.flush()
+        if again is None:
+            self.lines.extend(step_lines)
+        self.depth -= 1
 
     # -- assignment ---------------------------------------------------------
-    def assign(self, stmt: Assign):
+    def assign(self, stmt: Assign) -> None:
         """``target op= value``: the value is evaluated first, then the
         target is resolved once (indices outermost first, then the base);
         a compound assignment reads and writes that one location."""
-        interp, limit = self.interp, self.limit
-        value_fn = self.expr(stmt.value)
         target, op = stmt.target, stmt.op
+        value = self.expr(stmt.value)
+        at = self.mark()
         if isinstance(target, Ident):
-            return self.assign_name(target.name, op, value_fn)
-        if isinstance(target, ArrayIndex):
-            return self.assign_index(target, op, value_fn)
-        if isinstance(target, UnaryOp) and target.op == "*":
-            pointer_fn = self.expr(target.operand)
-
-            def run_assign_deref(env):
-                interp.stmt_count += 1
-                ops = interp.op_count + 1
-                interp.op_count = ops
-                if ops > limit:
-                    raise _limit_error(limit)
-                value = value_fn(env)
+            key = self.key(target.name)
+            self.flush()
+            if key is None:
                 if op:
-                    # Reading ``*p`` costs its unary op.
-                    ops = interp.op_count + 1
-                    interp.op_count = ops
-                    if ops > limit:
-                        raise _limit_error(limit)
-                pointer = pointer_fn(env)
-                if not isinstance(pointer, PointerValue):
-                    raise InterpError("dereferencing a non-pointer")
-                if op:
-                    value = _binop(op, pointer.deref(), value)
-                pointer.store(value)
-            return run_assign_deref
-
-        # A compound assignment still reads its (unassignable) target.
-        read_target = self.expr(target) if op else None
-
-        def run_assign_invalid(env):
-            interp.stmt_count += 1
-            ops = interp.op_count + 1
-            interp.op_count = ops
-            if ops > limit:
-                raise _limit_error(limit)
-            value_fn(env)
-            if read_target is not None:
-                read_target(env)
-            raise InterpError(f"invalid assignment target {target!r}")
-        return run_assign_invalid
-
-    def assign_name(self, name: str, op: str, value_fn):
-        interp, limit = self.interp, self.limit
-        undefined = f"undefined variable {name!r}"
-        key = self.key(name)
-        if key is None:
-            globals_env = interp.globals_env
-
-            def run_assign_global(env):
-                interp.stmt_count += 1
-                ops = interp.op_count + 1
-                interp.op_count = ops
-                if ops > limit:
-                    raise _limit_error(limit)
-                value = value_fn(env)
-                if name not in globals_env:
-                    raise InterpError(undefined)
-                if op:
-                    value = _binop(op, globals_env[name], value)
-                _store_name(globals_env, name, value)
-            return run_assign_global
-
-        def run_assign_local(env):
-            interp.stmt_count += 1
-            ops = interp.op_count + 1
-            interp.op_count = ops
-            if ops > limit:
-                raise _limit_error(limit)
-            value = value_fn(env)
-            if key not in env:
-                raise InterpError(undefined)
-            current = env[key]
+                    value = self.temp(f"_binop({op!r}, G[{target.name!r}], "
+                                      f"{value})")
+                undefined = f"undefined variable {target.name!r}"
+                self.line(f"if {target.name!r} not in G: "
+                          f"raise InterpError({undefined!r})")
+                self.line(f"_store_name(G, {target.name!r}, {value})")
+                return
+            current = self.temp(f"env[{key!r}]")
+            if op in _ARITH:
+                self.arith(op, current, value, key)
+                return
             if op:
-                if type(current) is int and type(value) is int \
-                        and (op == "+" or op == "-"):
-                    value = current + value if op == "+" \
-                        else current - value
-                    if not INT_MIN <= value <= INT_MAX:
-                        value = _wrap32(value)
-                else:
-                    value = _binop(op, current, value)
-            if type(value) is int and type(current) is int:
-                env[key] = value
+                value = self.temp(f"_binop({op!r}, {current}, {value})")
+            value = self.value(value)
+            fast = f"type({current}) is int"
+            if not _INT_ATOM.fullmatch(value):
+                fast = f"type({value}) is int and {fast}"
+            self.line(f"if {fast}: env[{key!r}] = {value}")
+            self.line(f"else: _store_name(env, {key!r}, {value})")
+        elif isinstance(target, ArrayIndex):
+            if op:
+                self.pending += 1  # reading the element costs its index op
+            indices, base = _index_chain(target)
+            atoms = self.operands(indices + [base])
+            value = self.keep(value, at)
+            self.flush()
+            index = f"[{', '.join(reversed(atoms[:-1]))}]"
+            node = self.const(base)
+            base = self.value(atoms[-1])
+            if op:
+                element = self.temp(f"_load({base}, {index}, {node})")
+                value = self.temp(f"_binop({op!r}, {element}, {value})")
+                self.line(f"_store({base}, {index}, {value}, {node})")
+            elif len(atoms) == 2:
+                at_index, value = self.value(atoms[0]), self.value(value)
+                slots = self.temp()
+                self.line(f"if {_fast_index(base, at_index)} and type({value})"
+                          f" is type(({slots} := {base}.storage)[{at_index}]):"
+                          f" {slots}[{at_index}] = {value}")
+                self.line(f"else: _store({base}, [{at_index}], {value}, "
+                          f"{node})")
             else:
-                _store_name(env, key, value)
-        return run_assign_local
-
-    def assign_index(self, target: ArrayIndex, op: str, value_fn):
-        interp, limit = self.interp, self.limit
-        index_nodes, base_node = _index_chain(target)
-        index_fns = [self.expr(node) for node in index_nodes]
-        base_fn = self.expr(base_node)
-
-        if len(index_fns) == 1 and not op:
-            index_fn = index_fns[0]
-
-            def run_store_1d(env):
-                interp.stmt_count += 1
-                ops = interp.op_count + 1
-                interp.op_count = ops
-                if ops > limit:
-                    raise _limit_error(limit)
-                value = value_fn(env)
-                index = index_fn(env)
-                if isinstance(index, float):
-                    index = int(index)
-                base = base_fn(env)
-                if type(base) is ArrayValue and len(base.dims) == 1:
-                    size = base.dims[0]
-                    if not 0 <= index < size:
-                        raise InterpError(f"index {index} out of bounds "
-                                          f"for dimension {size}")
-                    storage = base.storage
-                    current = storage[index]
-                    if type(value) is not type(current):
-                        value = _converted(value, current)
-                    storage[index] = value
-                    return
-                if not isinstance(base, (ArrayValue, PointerValue)):
-                    raise InterpError(f"indexing a non-array value via "
-                                      f"{base_node!r}")
-                _write_element(base, [index], value)
-            return run_store_1d
-
-        def run_store(env):
-            interp.stmt_count += 1
-            ops = interp.op_count + 1
-            interp.op_count = ops
-            if ops > limit:
-                raise _limit_error(limit)
-            value = value_fn(env)
+                self.line(f"_store({base}, {index}, {value}, {node})")
+        elif isinstance(target, UnaryOp) and target.op == "*":
             if op:
-                # Reading the element costs its index op.
-                ops = interp.op_count + 1
-                interp.op_count = ops
-                if ops > limit:
-                    raise _limit_error(limit)
-            base, indices = _resolve_chain(index_fns, base_fn, base_node, env)
-            if op:
-                value = _binop(op, _read_element(base, indices), value)
-            _write_element(base, indices, value)
-        return run_store
+                self.pending += 1  # reading ``*p`` costs its unary op
+            pointer = self.expr(target.operand)
+            value = self.keep(value, at)
+            self.flush()
+            self.line(f"_store_through({pointer}, {op!r}, {value})")
+        else:
+            if op:  # a compound assignment still reads its target
+                self.expr(target)
+            self.flush()
+            self.line(f"raise _node_error('invalid assignment target', "
+                      f"{self.const(target)})")
 
     # -- expressions --------------------------------------------------------
-    def expr(self, expr: Expr):
+    def expr(self, expr: Expr) -> str:
         kind = type(expr)
         if kind is IntLit or kind is FloatLit or kind is StringLit:
-            constant = expr.value
-            return lambda env: constant
+            value = expr.value
+            if type(value) in (int, str, bool) or (
+                    type(value) is float and math.isfinite(value)):
+                text = repr(value)
+                return f"({text})" if text[0] == "-" else text
+            return self.const(value)
         if kind is Ident:
-            return self.ident(expr.name)
+            key = self.key(expr.name)
+            if key is not None:
+                return f"env[{key!r}]"
+            self.flush()
+            return self.temp(f"G[{expr.name!r}]")
         if kind is BinOp:
             return self.binop(expr)
         if kind is ArrayIndex:
@@ -973,375 +1139,202 @@ class _Compiler:
         if kind is UnaryOp:
             return self.unary(expr)
         if kind is Cond:
-            return self.cond(expr)
+            self.pending += 1
+            test = self.test(expr.test)
+            result = f"t{self.temps + 1}"
+            self.temps += 1
+            self.line(f"if {test}:")
+            self.nested(lambda: self.line(
+                f"{result} = {self.expr(expr.then)}"))
+            self.line("else:")
+            self.nested(lambda: self.line(
+                f"{result} = {self.expr(expr.other)}"))
+            return result
+        self.flush()
+        self.line(f"raise _node_error('cannot evaluate expression', "
+                  f"{self.const(expr)})")
+        return "None"
 
-        def unknown(env):
-            raise InterpError(f"cannot evaluate expression {expr!r}")
-        return unknown
-
-    def ident(self, name: str):
-        undefined = f"undefined variable {name!r}"
-        key = self.key(name)
-        if key is None:
-            globals_env = self.interp.globals_env
-
-            def read_global(env):
-                try:
-                    return globals_env[name]
-                except KeyError:
-                    raise InterpError(undefined) from None
-            return read_global
-
-        def read_local(env):
-            try:
-                return env[key]
-            except KeyError:
-                raise InterpError(undefined) from None
-        return read_local
-
-    def binop(self, expr: BinOp):
-        interp, limit = self.interp, self.limit
+    def binop(self, expr: BinOp) -> str:
         op = expr.op
-        left = self.expr(expr.left)
-        right = self.expr(expr.right)
-        if op == "&&":
-            def run_and(env):
-                ops = interp.op_count + 1
-                interp.op_count = ops
-                if ops > limit:
-                    raise _limit_error(limit)
-                if not left(env):
-                    return 0
-                return 1 if right(env) else 0
-            return run_and
-        if op == "||":
-            def run_or(env):
-                ops = interp.op_count + 1
-                interp.op_count = ops
-                if ops > limit:
-                    raise _limit_error(limit)
-                if left(env):
-                    return 1
-                return 1 if right(env) else 0
-            return run_or
-        # An int literal on the right is folded into the operator closure.
-        constant = expr.right.value if type(expr.right) is IntLit \
-            else _MISSING
-        if op in _INT_FAST:
-            return _arith(interp, limit, op, left, right, constant)
+        self.pending += 1
+        if op == "&&" or op == "||":
+            left = self.test(expr.left)
+            self.temps += 1
+            result = f"t{self.temps}"
+            self.line(f"if {'not ' if op == '&&' else ''}{left}: "
+                      f"{result} = {0 if op == '&&' else 1}")
+            self.line("else:")
+            self.nested(lambda: self.line(
+                f"{result} = 1 if {self.test(expr.right)} else 0"))
+            return result
+        left, right = self.operands([expr.left, expr.right])
+        self.flush()
+        if op in _ARITH:
+            return self.arith(op, left, right)
         if op in _COMPARE:
-            return _compare(interp, limit, op, left, right, constant)
+            result = self.temp()
+            self.compare(f"{result} = 1 if {left} {op} {right} else 0",
+                         op, left, right)
+            return result
+        return self.temp(f"_binop({op!r}, {left}, {right})")
 
-        def run_binop(env):
-            ops = interp.op_count + 1
-            interp.op_count = ops
-            if ops > limit:
-                raise _limit_error(limit)
-            return _binop(op, left(env), right(env))
-        return run_binop
+    def compare(self, text: str, op: str, left: str, right: str) -> None:
+        """``text``, which compares ``left op right``, with a failed
+        comparison raised as an operand error."""
+        self.line("try:")
+        self.line("    " + text)
+        self.line("except TypeError:")
+        self.line(f"    raise _operand_error({op!r}, {left}, {right}) "
+                  f"from None")
 
-    def index(self, expr: ArrayIndex):
+    def test(self, expr: Expr, loop: bool = False) -> str:
+        """``expr`` for its truth only (a comparison need not become 1 or
+        0); with ``loop``, ``break`` when it is false."""
+        if type(expr) is not BinOp or expr.op not in _COMPARE:
+            atom = self.expr(expr)
+            self.flush()
+            if loop:
+                self.line(f"if not {atom}: break")
+            return atom
+        self.pending += 1
+        op = expr.op
+        left, right = self.operands([expr.left, expr.right])
+        self.flush()
+        if loop:
+            self.compare(f"if not {left} {op} {right}: break", op, left, right)
+            return ""
+        result = self.temp()
+        self.compare(f"{result} = {left} {op} {right}", op, left, right)
+        return result
+
+    def arith(self, op: str, left: str, right: str,
+              key: Optional[str] = None) -> str:
+        """``left op right`` for ``+ - * / %``: plain Python int ops
+        wrapped only on overflow for two ints (``/ %`` only on a
+        non-negative int over a positive one), ``_binop`` otherwise.
+        With ``key`` (a local, whose value ``left`` is), the result is
+        stored to it as ``_store_name`` would."""
+        left, right = self.value(left), self.value(right)
+        slow = f"_binop({op!r}, {left}, {right})"
+        constant = _INT_ATOM.fullmatch(right)
+        tests = [f"type({atom}) is int" for atom in (left, right)
+                 if not _INT_ATOM.fullmatch(atom)]
+        if op in "/%":
+            tests += [f"{left} >= 0"] + ([] if constant else [f"{right} > 0"])
+            if constant and int(right.strip("()")) <= 0:
+                tests = ["False"]
+        result = self.temp()
+        fast = _WRAPPED.format(result, f"{left} {_ARITH[op]} {right}")
+        test = " and ".join(tests)
+        if key is not None:
+            self.line(f"if {test}: env[{key!r}] = {fast}")
+            self.line(f"else: _store_name(env, {key!r}, {slow})")
+        elif tests:
+            self.line(f"{result} = {fast} if {test} else {slow}")
+        else:
+            self.line(f"{result} = {fast}")
+        return result
+
+    def index(self, expr: ArrayIndex) -> str:
         """``a[i]...``: one op, then the indices (outermost first), then
         the base."""
-        interp, limit = self.interp, self.limit
-        index_nodes, base_node = _index_chain(expr)
-        index_fns = [self.expr(node) for node in index_nodes]
-        base_fn = self.expr(base_node)
-        if len(index_fns) == 1:
-            index_fn = index_fns[0]
+        self.pending += 1
+        indices, base = _index_chain(expr)
+        atoms = self.operands(indices + [base])
+        self.flush()
+        node = self.const(base)
+        index = f"[{', '.join(reversed(atoms[:-1]))}]"
+        base = self.value(atoms[-1])
+        if len(atoms) == 2:
+            at_index = self.value(atoms[0])
+            return self.temp(
+                f"{base}.storage[{at_index}] if "
+                f"{_fast_index(base, at_index)} else "
+                f"_load({base}, [{at_index}], {node})")
+        return self.temp(f"_load({base}, {index}, {node})")
 
-            def run_index_1d(env):
-                ops = interp.op_count + 1
-                interp.op_count = ops
-                if ops > limit:
-                    raise _limit_error(limit)
-                index = index_fn(env)
-                if isinstance(index, float):
-                    index = int(index)
-                base = base_fn(env)
-                if type(base) is ArrayValue and len(base.dims) == 1:
-                    size = base.dims[0]
-                    if 0 <= index < size:
-                        return base.storage[index]
-                    raise InterpError(f"index {index} out of bounds for "
-                                      f"dimension {size}")
-                if not isinstance(base, (ArrayValue, PointerValue)):
-                    raise InterpError(f"indexing a non-array value via "
-                                      f"{base_node!r}")
-                return _read_element(base, [index])
-            return run_index_1d
-
-        def run_index(env):
-            ops = interp.op_count + 1
-            interp.op_count = ops
-            if ops > limit:
-                raise _limit_error(limit)
-            base, indices = _resolve_chain(index_fns, base_fn, base_node, env)
-            return _read_element(base, indices)
-        return run_index
-
-    def call(self, expr: Call):
-        interp, limit = self.interp, self.limit
+    def call(self, expr: Call) -> str:
+        self.pending += 1
+        args = ", ".join(self.operands(expr.args))
+        self.flush()
+        self.line("I.op_count = ops; I.stmt_count = st")
         name = expr.name
-        arg_fns = [self.expr(arg) for arg in expr.args]
-        if name in interp.functions:
-            compiled = interp._compiled
+        if name in self.functions:
+            result = self.temp(f"F[{name!r}]([{args}])")
+        else:
+            result = self.temp(f"X.get({name!r})")
+            self.line(f"{result} = {result}({args}) if {result} is not None "
+                      f"else _intrinsic(I, {name!r}, [{args}])")
+        self.line("ops = I.op_count; st = I.stmt_count")
+        self.calls += 1
+        return result
 
-            def run_call(env):
-                ops = interp.op_count + 1
-                interp.op_count = ops
-                if ops > limit:
-                    raise _limit_error(limit)
-                args = [arg(env) for arg in arg_fns]
-                entry = compiled.get(name)
-                if entry is None:
-                    entry = interp._function(name)
-                return entry(args)
-            return run_call
-        externals = interp.externals
-
-        def run_other_call(env):
-            ops = interp.op_count + 1
-            interp.op_count = ops
-            if ops > limit:
-                raise _limit_error(limit)
-            args = [arg(env) for arg in arg_fns]
-            external = externals.get(name)
-            if external is not None:
-                return external(*args)
-            if name in _INTRINSICS:
-                return _call_intrinsic(interp, name, args)
-            raise InterpError(f"call to unknown function {name!r}")
-        return run_other_call
-
-    def unary(self, expr: UnaryOp):
-        interp, limit = self.interp, self.limit
-        op = expr.op
+    def unary(self, expr: UnaryOp) -> str:
+        self.pending += 1
+        op, operand = expr.op, expr.operand
         if op == "&":
-            address = self.address_of(expr.operand)
-
-            def run_address(env):
-                ops = interp.op_count + 1
-                interp.op_count = ops
-                if ops > limit:
-                    raise _limit_error(limit)
-                return address(env)
-            return run_address
-        operand = self.expr(expr.operand)
-
-        def run_unary(env):
-            ops = interp.op_count + 1
-            interp.op_count = ops
-            if ops > limit:
-                raise _limit_error(limit)
-            value = operand(env)
-            if op == "-":
-                # Negating INT_MIN overflows on a 32-bit target; wrap like
-                # every other int arithmetic op (floats stay host-precision).
-                if type(value) is int:
-                    return _wrap32(-value)
-                try:
-                    return -value
-                except TypeError:
-                    raise _operand_error("-", value) from None
-            if op == "!":
-                return 0 if value else 1
-            if op == "~":
-                try:
-                    return ~int(value)
-                except (TypeError, ValueError):
-                    raise _operand_error("~", value) from None
-            if op == "*":
-                if not isinstance(value, PointerValue):
-                    raise InterpError("dereferencing a non-pointer")
-                return value.deref()
-            raise InterpError(f"unknown unary operator {op!r}")
-        return run_unary
-
-    def address_of(self, operand: Expr):
-        """``&operand`` (its op is counted by the caller)."""
-        if isinstance(operand, Ident):
-            name = operand.name
-            key = self.key(name)
-            undefined = f"undefined variable {name!r}"
-            globals_env = self.interp.globals_env
-
-            def run_address_name(env):
-                home, slot = (env, key) if key is not None \
-                    else (globals_env, name)
-                if slot not in home:
-                    raise InterpError(undefined)
-                value = home[slot]
-                if isinstance(value, ArrayValue):
-                    return PointerValue(value.storage, 0)
-                return PointerValue(_Binding(home, slot), 0)
-            return run_address_name
-        if isinstance(operand, ArrayIndex):
-            index_nodes, base_node = _index_chain(operand)
-            index_fns = [self.expr(node) for node in index_nodes]
-            base_fn = self.expr(base_node)
-
-            def run_address_element(env):
-                base, indices = _resolve_chain(index_fns, base_fn, base_node,
-                                               env)
-                return PointerValue(*_element_ref(base, indices))
-            return run_address_element
-
-        def run_address_invalid(env):
-            raise InterpError(f"cannot take the address of {operand!r}")
-        return run_address_invalid
-
-    def cond(self, expr: Cond):
-        interp, limit = self.interp, self.limit
-        test = self.expr(expr.test)
-        then = self.expr(expr.then)
-        other = self.expr(expr.other)
-
-        def run_cond(env):
-            ops = interp.op_count + 1
-            interp.op_count = ops
-            if ops > limit:
-                raise _limit_error(limit)
-            if test(env):
-                return then(env)
-            return other(env)
-        return run_cond
+            if isinstance(operand, Ident):
+                key = self.key(operand.name)
+                if key is None:
+                    self.flush()
+                    home, key = "G", operand.name
+                else:
+                    home = "env"
+                return self.temp(f"_address({home}, {key!r}, "
+                                 f"{operand.name!r})")
+            if isinstance(operand, ArrayIndex):
+                indices, base = _index_chain(operand)
+                atoms = self.operands(indices + [base])
+                self.flush()
+                base, node = self.value(atoms[-1]), self.const(base)
+                index = ", ".join(reversed(atoms[:-1]))
+                return self.temp(f"PointerValue(*_element_ref({base}, "
+                                 f"_chain({base}, [{index}], {node})))")
+            self.flush()
+            self.line(f"raise _node_error('cannot take the address of', "
+                      f"{self.const(operand)})")
+            return "None"
+        value = self.expr(operand)
+        self.flush()
+        if op == "-":
+            value = self.value(value)
+            return self.temp(f"_wrap32(-{value}) if type({value}) is int "
+                             f"else _unary('-', {value})")
+        return self.temp(f"_unary({op!r}, {value})")
 
 
-def _sequence(stmts: List[Callable]):
-    """Run ``stmts`` in order until one leaves the block."""
-    if not stmts:
-        return lambda env: None
-    if len(stmts) == 1:
-        return stmts[0]
-    if len(stmts) == 2:
-        first, second = stmts
-
-        def run_pair(env):
-            outcome = first(env)
-            if outcome is not None:
-                return outcome
-            return second(env)
-        return run_pair
-
-    def run_sequence(env):
-        for stmt in stmts:
-            outcome = stmt(env)
-            if outcome is not None:
-                return outcome
-    return run_sequence
+def _fast_index(base: str, index: str) -> str:
+    """The test for ``base[index]`` being an in-bounds element of a 1-D
+    array."""
+    return (f"type({base}) is ArrayValue and type({index}) is int and "
+            f"len({base}.dims) == 1 and 0 <= {index} < {base}.dims[0]")
 
 
-def _scoped_block(keys: List[Optional[str]], stmts: List[Callable]):
-    """A block with declarations (``keys[i]`` is the ``env`` key statement
-    ``i`` declares, else None): when a key is first declared in it, the
-    binding it had is saved, and every key the block declared so far is
-    restored when the block is left."""
-    plan = []
-    seen = set()
-    for key, stmt in zip(keys, stmts):
-        if key in seen:
-            key = None
-        seen.add(key)
-        plan.append((stmt, key))
-
-    def run_scoped(env):
-        saved = []
-        outcome = None
-        for stmt, key in plan:
-            if key is not None:
-                saved.append((key, env.get(key, _MISSING)))
-            outcome = stmt(env)
-            if outcome is not None:
-                break
-        for key, old_value in saved:
-            if old_value is _MISSING:
-                env.pop(key, None)
-            else:
-                env[key] = old_value
-        return outcome
-    return run_scoped
+def _zero_text(dtype: Type, emitter: _Emitter) -> str:
+    if isinstance(dtype, (ArrayType, PointerType)):
+        return f"_zero({emitter.const(dtype)})"
+    return repr(_zero(dtype))
 
 
-# -- arithmetic and comparison closures --------------------------------------
-# ``+ - *`` on two ints, and ``/ %`` on a non-negative int over a positive
-# one, are plain Python int ops wrapped only on overflow; every other
-# operand kind (floats, pointers, strings, signs) goes through ``_binop``.
-# Each factory also has a variant for an int literal right operand.
-
-_INT_FAST: Dict[str, Tuple[Callable[[int, int], int], bool]] = {
-    # op -> (the int operation, whether it is a division)
-    "+": (operator.add, False), "-": (operator.sub, False),
-    "*": (operator.mul, False), "/": (operator.floordiv, True),
-    "%": (operator.mod, True),
-}
+def _index_chain(node: ArrayIndex) -> Tuple[List[Expr], Expr]:
+    """The index expressions of ``a[i][j]`` outermost first (``[j, i]``)
+    and the base (``a``): the order the chain is evaluated in."""
+    indices: List[Expr] = []
+    while isinstance(node, ArrayIndex):
+        indices.append(node.index)
+        node = node.base
+    return indices, node
 
 
-def _arith(interp: Interpreter, limit: int, op: str, left, right, constant):
-    fast, division = _INT_FAST[op]
-    if constant is not _MISSING and (constant > 0 or not division):
-        def run_arith_constant(env):
-            ops = interp.op_count + 1
-            interp.op_count = ops
-            if ops > limit:
-                raise _limit_error(limit)
-            a = left(env)
-            if type(a) is int and (not division or a >= 0):
-                result = fast(a, constant)
-                return result if INT_MIN <= result <= INT_MAX \
-                    else _wrap32(result)
-            return _binop(op, a, constant)
-        return run_arith_constant
+# What the emitted code sees besides its arguments.
+_RUNTIME: Dict[str, Any] = {
+    name: globals()[name] for name in (
+        "ArrayValue", "InterpError", "PointerValue", "_MISSING", "_address",
+        "_binop", "_chain", "_converted", "_element_ref", "_intrinsic",
+        "_limit_error", "_load", "_node_error", "_operand_error", "_store",
+        "_store_name", "_store_through", "_unary", "_wrap32", "_zero")}
 
-    def run_arith(env):
-        ops = interp.op_count + 1
-        interp.op_count = ops
-        if ops > limit:
-            raise _limit_error(limit)
-        a = left(env)
-        b = right(env)
-        if type(a) is int and type(b) is int \
-                and (not division or (a >= 0 and b > 0)):
-            result = fast(a, b)
-            return result if INT_MIN <= result <= INT_MAX else _wrap32(result)
-        return _binop(op, a, b)
-    return run_arith
-
-
-def _compare(interp: Interpreter, limit: int, op: str, left, right,
-             constant):
-    compare = _COMPARE[op]
-    if constant is not _MISSING:
-        def run_compare_constant(env):
-            ops = interp.op_count + 1
-            interp.op_count = ops
-            if ops > limit:
-                raise _limit_error(limit)
-            a = left(env)
-            try:
-                return 1 if compare(a, constant) else 0
-            except TypeError:
-                raise _operand_error(op, a, constant) from None
-        return run_compare_constant
-
-    def run_compare(env):
-        ops = interp.op_count + 1
-        interp.op_count = ops
-        if ops > limit:
-            raise _limit_error(limit)
-        a = left(env)
-        b = right(env)
-        try:
-            return 1 if compare(a, b) else 0
-        except TypeError:
-            raise _operand_error(op, a, b) from None
-    return run_compare
-
-
-_COMPARE: Dict[str, Callable[[Any, Any], Any]] = {
-    "==": operator.eq, "!=": operator.ne, "<": operator.lt,
-    ">": operator.gt, "<=": operator.le, ">=": operator.ge,
-}
 
 
 def run_program(program: Program, entry: str = "main",

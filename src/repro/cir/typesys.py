@@ -103,14 +103,5 @@ def scalar(name: str) -> ScalarType:
     return table[name]
 
 
-def unify_arith(left: Type, right: Type) -> ScalarType:
-    """Result type of an arithmetic operation (C-style int->float promotion)."""
-    if not left.is_scalar() or not right.is_scalar():
-        raise TypeError_(f"arithmetic on non-scalar types {left} and {right}")
-    if FLOAT in (left, right):
-        return FLOAT
-    return INT
-
-
 __all__ = ["ArrayType", "FLOAT", "INT", "PointerType", "ScalarType", "Type",
-           "TypeError_", "VOID", "scalar", "unify_arith"]
+           "TypeError_", "VOID", "scalar"]

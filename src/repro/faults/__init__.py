@@ -34,7 +34,7 @@ instructions on every run.
 
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.faults.injector import FaultInjector
-from repro.faults.campaign import plan_config, run_fault_campaign, seed_sweep
+from repro.faults.campaign import plan_config, run_fault_campaign
 
 __all__ = ["FaultInjector", "FaultPlan", "FaultSpec", "plan_config",
-           "run_fault_campaign", "seed_sweep"]
+           "run_fault_campaign"]

@@ -13,7 +13,7 @@ function of (config, seed).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, List, Optional, Union
+from typing import Any, Callable, Dict, Iterable, Optional, Union
 
 from repro.farm.engine import Campaign, CampaignResult, Executor, \
     resolve_executor
@@ -66,20 +66,4 @@ def run_fault_campaign(scenario: Callable[[Dict[str, Any], int], Any],
     return campaign.run()
 
 
-def seed_sweep(build: Callable[[int], PlanLike],
-               seeds: Iterable[int]) -> List[FaultPlan]:
-    """Materialize one plan per seed from a builder callable.
-
-    The builder runs at submission time (it may use closures freely);
-    only the resulting plain-data plans travel to workers.
-    """
-    plans: List[FaultPlan] = []
-    for seed in seeds:
-        plan = build(seed)
-        if isinstance(plan, dict):
-            plan = FaultPlan.from_dict(plan)
-        plans.append(plan)
-    return plans
-
-
-__all__ = ["plan_config", "run_fault_campaign", "seed_sweep"]
+__all__ = ["plan_config", "run_fault_campaign"]

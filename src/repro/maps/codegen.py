@@ -157,14 +157,15 @@ def _channel_id(graph: TaskGraph, edge) -> int:
 def render_pe_sources(result: PartitionResult, expanded: TaskGraph,
                       mapping: Mapping) -> Dict[str, str]:
     """Per-PE C sources for a data-parallel mapping (for inspection and
-    the E6 effort metrics)."""
+    the E6 effort metrics).  ``emit`` only reads the statements, so each
+    task's own are printed, not a copy."""
     sources: Dict[str, List[str]] = {}
     for task_name in expanded.topological_order():
         pe = mapping.pe_of(task_name)
         node = expanded.nodes[task_name]
         func = FuncDef(return_type=ScalarType("void"),
                        name=f"{task_name.replace('.', '_')}_task",
-                       params=[], body=Block(stmts=clone_list(node.stmts)))
+                       params=[], body=Block(stmts=node.stmts))
         sources.setdefault(pe, []).append(emit(func))
     return {pe: f"/* generated by MAPS for PE {pe!r} */\n" + "\n".join(parts)
             for pe, parts in sources.items()}

@@ -438,7 +438,9 @@ int main() {
 # (384 -> 387, main 380 -> 383) and stmt_count (155 -> 157).  It was
 # re-recorded again when element stores began to convert to the element
 # type: ``fl[2] = 7 / 2;`` leaves 3.0 in the float array, not the int 3
-# (``globals["fl"][2]``, the only field that moved).
+# (``globals["fl"][2]``, the only field that moved).  ``external_view``
+# was recorded with the closure-tree compiler that preceded the emitted
+# code objects.
 EXACT_DIGESTS = {
     "maps_jpeg_1": "cb0042c61ad62a37",
     "maps_jpeg_97": "d44a377ba65a08d9",
@@ -449,6 +451,7 @@ EXACT_DIGESTS = {
     "hopes": "5879c11a1c3a2bbf",
     "step_sweep_ops": 141,
     "step_sweep": "67c5b581b4f4f883",
+    "external_view": "66a7a1aaf43395d2",
 }
 
 
@@ -588,6 +591,110 @@ def test_step_limit_sweep_pinned():
     assert all(row[2] == row[0] + 1 for row in rows)
     assert _digest(rows) == EXACT_DIGESTS["step_sweep"]
 
+
+
+EXTERNAL_VIEW = """
+int g;
+int leaf(int v) { int r = obs(v); return r + v; }
+int mid(int a) {
+  int x = a;
+  {
+    int x = a * 2;
+    obs(x, &x);
+    x = leaf(x) + obs(&x);
+    g += x;
+  }
+  return x + leaf(a);
+}
+int main() {
+  int i;
+  int s = 0;
+  for (i = 0; i < 10; i++) {
+    int t = mid(i);
+    if (t > 20) { int u = obs(t); s -= u; break; }
+    s += t;
+    g = obs(s, &s) + g;
+  }
+  while (1) {
+    int w = i;
+    { int w = 3; obs(w, &w); }
+    if (w > 0) { int v = obs(w); break; }
+  }
+  return obs(s, i) + g;
+}
+"""
+
+
+def _external_view():
+    """What an external sees on every call: the op and statement counts,
+    the call and per-function op counts, its scalar arguments, and what
+    every pointer it was ever passed addresses now (or that it dangles,
+    once the block of its variable has been left)."""
+    from repro.cir.interp import PointerValue
+    seen = []
+    kept = []  # every pointer passed out so far
+
+    def peek(pointer):
+        try:
+            return pointer.deref()
+        except InterpError as error:  # its block has been left
+            return str(error)
+
+    def obs(*args):
+        kept.extend(arg for arg in args if isinstance(arg, PointerValue))
+        seen.append((interp.op_count, interp.stmt_count,
+                     sorted(interp.call_counts.items()),
+                     sorted(interp.func_op_counts.items()),
+                     [arg for arg in args
+                      if not isinstance(arg, PointerValue)],
+                     [peek(pointer) for pointer in kept]))
+        return len(seen)
+
+    interp = Interpreter(parse(EXTERNAL_VIEW), externals={"obs": obs})
+    return seen, _fields(interp.run())
+
+
+def test_externals_see_exact_counters_pinned():
+    seen, result = _external_view()
+    assert len(seen) == 23
+    assert _digest([seen, result]) == EXACT_DIGESTS["external_view"]
+
+
+def test_code_memo_is_shared_and_bounded():
+    """Interpreters of one program share a memoized code object, yet each
+    has its own globals, output, counters, step limit and externals; a
+    memo hit gives the result a miss gives; the memo stays bounded."""
+    from repro.cir import interp as interp_module
+    program = parse("int n; int main() { n += 1; print(n, ext()); "
+                     "return n; }")
+    memo = interp_module._factory
+    memo.cache_clear()
+    cold = run_program(program, externals={"ext": lambda: 0})
+    first = Interpreter(program, externals={"ext": lambda: 1})
+    second = Interpreter(program, externals={"ext": lambda: 2})
+    limited = Interpreter(program, externals={"ext": lambda: 3},
+                          step_limit=3)
+    assert first.run().output == [1, 1]
+    warm = run_program(program, externals={"ext": lambda: 0})
+    assert _fields(warm) == _fields(cold)
+    assert first.run().output == [1, 1, 2, 1]
+    assert second.run().output == [1, 2]
+    assert (first.op_count, second.op_count) == (2 * cold.op_count,
+                                                 cold.op_count)
+    assert first.globals_env["n"] == 2 and second.globals_env["n"] == 1
+    with pytest.raises(InterpError, match="step limit 3 exceeded"):
+        limited.run()
+    assert limited.op_count == 4 and limited.output == []
+    entries = [interp._compiled["main"] for interp in (first, second, limited)]
+    assert entries[0] is not entries[1]
+    assert len({entry.__code__ for entry in entries}) == 1
+    info = memo.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+
+    bound = info.maxsize
+    for value in range(bound + 8):
+        run_program(parse(f"int main() {{ return {value}; }}"))
+    assert memo.cache_info().currsize == bound
 
 # Runtime errors keep their exact messages.
 ERROR_MESSAGES = [

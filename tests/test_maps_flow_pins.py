@@ -274,3 +274,43 @@ def test_scan_from_the_moved_task_equals_a_full_scan():
                 state = trial           # accepted
             else:
                 assign[task] = old_pe   # rejected: the old state stays
+
+
+# -- per-PE sources ------------------------------------------------------
+
+def _maps_jpeg_report(seed: int):
+    """One ``MapsFlow.run`` pass of the ``maps_jpeg`` workload."""
+    from repro.maps import MapsFlow
+    from tests.test_cir_interp import _maps_jpeg_source
+    platform = PlatformSpec("terminal", channel_setup_cost=5.0,
+                            channel_word_cost=0.05)
+    platform.add_pe("arm0", PEClass.RISC)
+    platform.add_pe("arm1", PEClass.RISC)
+    platform.add_pe("dsp0", PEClass.DSP)
+    platform.add_pe("dsp1", PEClass.DSP)
+    return MapsFlow(platform).run(
+        _maps_jpeg_source(seed), split_k=4, app_name="jpeg", iterations=4,
+        refine=True, refine_iterations=400)
+
+
+def _statement_view(graph):
+    return [(name, [(emit(stmt), [node.node_id for node in stmt.walk()])
+                    for stmt in graph.nodes[name].stmts])
+            for name in graph.topological_order()]
+
+
+def test_pe_sources_are_pinned_and_leave_the_graph_alone():
+    """``FlowReport.pe_sources`` of the ``maps_jpeg`` workload at seeds 1
+    and 97, and rendering them again changes no statement of the
+    expanded graph (neither its code nor its node ids)."""
+    from repro.maps.codegen import render_pe_sources
+    pins = {1: "6764b0af6128b4f5", 97: "7f9aa114f37f9edb"}
+    for seed, pinned in pins.items():
+        report = _maps_jpeg_report(seed)
+        text = repr(sorted(report.pe_sources.items()))
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == pinned, seed
+        before = _statement_view(report.expanded_graph)
+        again = render_pe_sources(report.partition, report.expanded_graph,
+                                  report.mapping)
+        assert again == report.pe_sources
+        assert _statement_view(report.expanded_graph) == before

@@ -6,9 +6,13 @@ Run from the repository root::
     python3 tools/perf_pairs.py --parent HEAD~1 --workload fault_farm \\
         --seed 1 --seconds 20 --pairs 10
 
-The parent ref is checked out with ``git worktree add`` into a temporary
-directory (removed on exit).  Each pair runs ``perfbench/run.py --trace 0``
-once in that worktree and once in the working tree; odd pairs run the
+Both sides are checked out with ``git worktree add`` into sibling
+directories of one temporary directory, ``parent`` and ``change``
+(removed on exit), so the two runs see the same checkout layout and path
+depth.  The change side is the working tree as ``git stash create``
+records it (``HEAD`` when the tree is clean): tracked and staged files,
+so ``git add`` new files first.  Each pair runs
+``perfbench/run.py --trace 0`` once in each worktree; odd pairs run the
 parent first, even pairs the change.  Prints every run's end-to-end
 metrics (names and directions from ``BENCHMARK.json``), then per metric
 the medians, the parent's interquartile range and how many pairs the
@@ -118,6 +122,13 @@ def report_layers(layers, runs):
         print(f"{name:<34}{old:>12.4g}{new:>12.4g}{diff:>9}")
 
 
+def working_tree_commit():
+    """A commit holding the working tree's tracked and staged files."""
+    stash = subprocess.run(["git", "stash", "create"], cwd=ROOT, check=True,
+                           stdout=subprocess.PIPE, text=True).stdout.strip()
+    return stash or "HEAD"
+
+
 def main(argv=None):
     args = parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json")) as handle:
@@ -126,14 +137,17 @@ def main(argv=None):
                for entry in spec["end_to_end"]]
     layers = [entry["name"] for entry in spec["per_layer"]]
     scratch = tempfile.mkdtemp(prefix="perf_pairs_")
-    worktree = os.path.join(scratch, "parent")
-    runs, traced = [], []
+    trees = {"parent": args.parent, "change": working_tree_commit()}
+    runs, traced, added = [], [], []
     try:
-        subprocess.run(["git", "worktree", "add", "--detach", worktree,
-                        args.parent], cwd=ROOT, check=True,
-                       stdout=subprocess.DEVNULL)
+        for side, ref in trees.items():
+            trees[side] = os.path.join(scratch, side)
+            subprocess.run(["git", "worktree", "add", "--detach", trees[side],
+                            ref], cwd=ROOT, check=True,
+                           stdout=subprocess.DEVNULL)
+            added.append(trees[side])
         for pair in range(1, args.pairs + 1):
-            order = [("parent", worktree), ("change", ROOT)]
+            order = list(trees.items())
             if pair % 2 == 0:
                 order.reverse()
             results, layered = {}, {}
@@ -147,8 +161,9 @@ def main(argv=None):
             if args.trace:
                 traced.append((layered["parent"], layered["change"]))
     finally:
-        subprocess.run(["git", "worktree", "remove", "--force", worktree],
-                       cwd=ROOT, stdout=subprocess.DEVNULL)
+        for worktree in added:
+            subprocess.run(["git", "worktree", "remove", "--force", worktree],
+                           cwd=ROOT, stdout=subprocess.DEVNULL)
         shutil.rmtree(scratch, ignore_errors=True)
     report(metrics, runs)
     if traced:
