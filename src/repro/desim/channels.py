@@ -127,12 +127,22 @@ class Fifo:
         self.total_puts += 1
         if len(self._items) > self.max_occupancy:
             self.max_occupancy = len(self._items)
-        self._not_empty.trigger(None)
+        # As in Signal.write: an event nothing waits on or subscribes to
+        # is only counted, not triggered.
+        not_empty = self._not_empty
+        if not_empty._waiters or not_empty._callbacks:
+            not_empty.trigger(None)
+        else:
+            not_empty.trigger_count += 1
 
     def _dequeue(self) -> Any:
         item = self._items.popleft()
         self.total_gets += 1
-        self._not_full.trigger(None)
+        not_full = self._not_full
+        if not_full._waiters or not_full._callbacks:
+            not_full.trigger(None)
+        else:
+            not_full.trigger_count += 1
         return item
 
     def __repr__(self) -> str:

@@ -40,7 +40,6 @@ class CICTask:
     out_ports: List[str] = field(default_factory=list)
     period: Optional[float] = None    # timer-driven source tasks
     deadline: Optional[float] = None
-    priority: int = 10
     data_words: int = 64              # state footprint (local-store check)
     _program: Optional[Program] = None
 

@@ -130,18 +130,26 @@ def evaluate_architecture_job(config: Dict[str, Any], seed: int) -> Dict[str, An
     deterministic -- but part of the job identity.
     """
     from repro.farm.job import resolve_ref
-    app_factory = resolve_ref(config["app_factory"])
-    arch = parse_arch_xml(config["arch_xml"])
+    return _evaluate(resolve_ref(config["app_factory"]),
+                     parse_arch_xml(config["arch_xml"]),
+                     config.get("iterations", 20), config.get("costs"))
+
+
+def _evaluate(app_factory: Callable[[], CICApplication], arch: ArchInfo,
+              iterations: int,
+              costs: Optional[Dict[str, float]]) -> Dict[str, Any]:
+    """Translate and run a fresh app on ``arch``: the plain-JSON outcome
+    that both the serial loop and the farm jobs produce."""
     app = app_factory()
     try:
         translator = CICTranslator(app, arch)
         generated = translator.translate()
-        report = generated.run(iterations=config.get("iterations", 20))
+        report = generated.run(iterations=iterations)
     except (TranslationError, ValueError) as error:
         return {"feasible": False, "arch": arch.name,
                 "error": f"{arch.name}: {error}"}
     return {"feasible": True, "arch": arch.name,
-            "cost": hardware_cost(arch, config.get("costs")),
+            "cost": hardware_cost(arch, costs),
             "mapping": generated.mapping,
             "report": report.to_dict()}
 
@@ -171,45 +179,25 @@ def explore_architectures(app_factory: Callable[[], CICApplication],
     """
     from repro.farm.engine import resolve_executor
     executor = resolve_executor(executor, **farm)
-    if executor is not None:
-        return _explore_on_farm(app_factory, candidates, iterations,
-                                costs, executor)
+    if executor is None:
+        payloads = [_evaluate(app_factory, arch, iterations, costs)
+                    for arch in candidates]
+    else:
+        from repro.farm.engine import Campaign
+        from repro.farm.job import func_ref
+        factory_ref = func_ref(app_factory)
+        campaign = Campaign.build("explore", executor=executor)
+        for arch in candidates:
+            config = {"app_factory": factory_ref,
+                      "arch_xml": to_arch_xml(arch),
+                      "iterations": iterations}
+            if costs is not None:
+                config["costs"] = costs
+            campaign.add(evaluate_architecture_job, config=config,
+                         name=arch.name)
+        payloads = campaign.run().raise_on_failure().results
     result = ExplorationResult()
-    for arch in candidates:
-        app = app_factory()
-        try:
-            translator = CICTranslator(app, arch)
-            generated = translator.translate()
-            report = generated.run(iterations=iterations)
-        except (TranslationError, ValueError) as error:
-            result.infeasible.append(f"{arch.name}: {error}")
-            continue
-        result.points.append(CandidatePoint(
-            arch, hardware_cost(arch, costs), report.end_time,
-            generated.mapping, report))
-    result.pareto = _pareto_front(result.points)
-    return result
-
-
-def _explore_on_farm(app_factory: Callable[[], CICApplication],
-                     candidates: List[ArchInfo], iterations: int,
-                     costs: Optional[Dict[str, float]],
-                     executor: Any) -> ExplorationResult:
-    from repro.farm.engine import Campaign
-    from repro.farm.job import func_ref
-    factory_ref = func_ref(app_factory)
-    campaign = Campaign.build("explore", executor=executor)
-    for arch in candidates:
-        config = {"app_factory": factory_ref,
-                  "arch_xml": to_arch_xml(arch),
-                  "iterations": iterations}
-        if costs is not None:
-            config["costs"] = costs
-        campaign.add(evaluate_architecture_job, config=config,
-                     name=arch.name)
-    outcome = campaign.run().raise_on_failure()
-    result = ExplorationResult()
-    for arch, payload in zip(candidates, outcome.results):
+    for arch, payload in zip(candidates, payloads):
         if not payload["feasible"]:
             result.infeasible.append(payload["error"])
             continue

@@ -3,13 +3,14 @@
 "The CIC translation involves synthesizing the interface code between
 tasks and a run-time system that schedules the mapped tasks."
 
-The runtime executes a CIC application on the discrete-event kernel:
+The runtime executes a CIC application on the discrete-event kernel,
+with the MVP's mapped-task executor (:func:`repro.maps.mvp.run_task`):
 
 - each channel becomes a bounded FIFO (back-pressure);
 - each task becomes a process that, per firing, prefetches one token per
   in-port, interprets ``task_go`` (its cost in interpreter operations is
   scaled by the host processor's frequency), then pushes out-tokens paying
-  the *target-specific* transfer cost;
+  the *target-specific* transfer cost, computed once per channel;
 - timer-driven tasks (``period`` annotation) are released periodically --
   "based on the period and deadline information of tasks, the run-time
   system is synthesized";
@@ -23,11 +24,13 @@ argument.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import copy
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Protocol
 
 from repro.desim import Delay, Fifo, Resource, Simulator
 from repro.cir.interp import Interpreter
+from repro.maps.mvp import Ledger, run_task
 from repro.hopes.archfile import ArchInfo, ProcessorInfo
 from repro.hopes.cic import CICApplication, CICChannel, CICTask
 
@@ -86,38 +89,14 @@ class ExecutionReport:
     def to_dict(self) -> Dict[str, Any]:
         """Plain-JSON form (inverse of :meth:`from_dict`), so reports
         travel through farm job results and result caches."""
-        return {
-            "target": self.target,
-            "end_time": self.end_time,
-            "sink_outputs": {k: list(v)
-                             for k, v in self.sink_outputs.items()},
-            "task_stats": {
-                name: {"firings": stats.firings, "ops": stats.ops,
-                       "busy_time": stats.busy_time,
-                       "deadline_misses": stats.deadline_misses}
-                for name, stats in self.task_stats.items()},
-            "channel_occupancy": dict(self.channel_occupancy),
-            "transfer_cycles": self.transfer_cycles,
-            "proc_busy": dict(self.proc_busy),
-            "requested_iterations": self.requested_iterations,
-            "starved_tasks": list(self.starved_tasks),
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "ExecutionReport":
-        return cls(
-            target=data["target"],
-            end_time=data.get("end_time", 0.0),
-            sink_outputs={k: list(v) for k, v in
-                          data.get("sink_outputs", {}).items()},
-            task_stats={name: TaskStats(**stats) for name, stats in
-                        data.get("task_stats", {}).items()},
-            channel_occupancy=dict(data.get("channel_occupancy", {})),
-            transfer_cycles=data.get("transfer_cycles", 0.0),
-            proc_busy=dict(data.get("proc_busy", {})),
-            requested_iterations=data.get("requested_iterations", 0),
-            starved_tasks=list(data.get("starved_tasks", [])),
-        )
+        fields = copy.deepcopy(data)
+        fields["task_stats"] = {name: TaskStats(**stats) for name, stats
+                                in fields.get("task_stats", {}).items()}
+        return cls(**fields)
 
 
 # Abstract interpreter ops per simulated cycle on a 1.0x processor.
@@ -159,15 +138,18 @@ class RuntimeSystem:
         # processor serialize (the synthesized runtime schedules them).
         processors = {proc.name: Resource(1, name=proc.name)
                       for proc in self.arch.processors}
+        ledger = Ledger(report.proc_busy)
         for task_name, task in self.app.tasks.items():
             report.task_stats[task_name] = TaskStats()
             report.sink_outputs[task_name] = []
             sim.spawn(self._task_process(sim, task, fifos, report,
                                          iterations,
-                                         processors[self.mapping[task.name]]),
+                                         processors[self.mapping[task.name]],
+                                         ledger),
                       name=task_name)
         sim.run(until=horizon if horizon != float("inf") else None)
         report.end_time = sim.now
+        report.transfer_cycles = ledger.comm
         report.requested_iterations = iterations
         report.channel_occupancy = {name: fifo.max_occupancy
                                     for name, fifo in fifos.items()}
@@ -179,16 +161,24 @@ class RuntimeSystem:
     # ------------------------------------------------------------------
     def _task_process(self, sim: Simulator, task: CICTask,
                       fifos: Dict[str, Fifo], report: ExecutionReport,
-                      iterations: int, processor: Resource):
+                      iterations: int, processor: Resource, ledger: Ledger):
         proc = self.arch.processor(self.mapping[task.name])
         stats = report.task_stats[task.name]
-        in_channels = {c.dst_port: c for c in self.app.in_channels(task.name)}
-        out_channels: Dict[str, List[CICChannel]] = {}
+        in_channels = self.app.in_channels(task.name)
+        in_index = [task.in_ports.index(c.dst_port) for c in in_channels]
+        # Per out-port: (fifo, transfer delay, or None for no delay).
+        routes: List[List[Any]] = [[] for _ in task.out_ports]
         for channel in self.app.out_channels(task.name):
-            out_channels.setdefault(channel.src_port, []).append(channel)
+            transfer = self.target.transfer_cost(
+                channel, proc,
+                self.arch.processor(self.mapping[channel.dst_task]))
+            routes[task.out_ports.index(channel.src_port)].append(
+                (fifos[channel.name],
+                 Delay(transfer) if transfer > 0 else None))
 
         tokens: Dict[int, Any] = {}
         outbox: List[Any] = []
+        ops = 0  # the current firing's interpreter operations
 
         def read_port(index: int) -> Any:
             if index not in tokens:
@@ -198,6 +188,10 @@ class RuntimeSystem:
             return tokens[index]
 
         def write_port(index: int, value: Any) -> int:
+            if not 0 <= index < len(routes):
+                raise RuntimeError(
+                    f"{task.name}: write_port({index}) but the task has "
+                    f"{len(routes)} out-ports")
             outbox.append((index, value))
             return 0
 
@@ -208,6 +202,28 @@ class RuntimeSystem:
         interp = Interpreter(task.program, externals={
             "read_port": read_port, "write_port": write_port, "emit": emit})
 
+        def fire(_firing: int, values: List[Any]):
+            nonlocal tokens, ops
+            tokens = dict(zip(in_index, values))
+            outbox.clear()
+            ops_before = interp.op_count
+            interp.call("task_go", [])
+            ops = interp.op_count - ops_before
+            cost = ops / (OPS_PER_CYCLE * proc.freq) + \
+                self.target.invocation_overhead(proc)
+            return Delay(cost), [
+                (fifo, delay, value) for index, value in outbox
+                for fifo, delay in routes[index]]
+
+        def fired(cost: float) -> None:
+            stats.busy_time += cost
+            stats.ops += ops
+            stats.firings += 1
+
+        def missed(_firing: int, released: float, _started: float) -> None:
+            if sim.now - released > task.deadline + 1e-9:
+                stats.deadline_misses += 1
+
         if task.program.has_function("task_init"):
             ops_before = interp.op_count
             interp.call("task_init", [])
@@ -217,47 +233,11 @@ class RuntimeSystem:
                 yield Delay(cost)
                 processor.release()
                 stats.busy_time += cost
-
-        for firing in range(iterations):
-            if task.period is not None:
-                release = firing * task.period
-                if release > sim.now:
-                    yield Delay(release - sim.now)
-            release_time = sim.now
-            # Prefetch one token per in-port (dataflow firing rule).
-            tokens.clear()
-            for port_name, channel in in_channels.items():
-                value = yield from fifos[channel.name].get()
-                tokens[task.in_ports.index(port_name)] = value
-            outbox.clear()
-            ops_before = interp.op_count
-            interp.call("task_go", [])
-            ops = interp.op_count - ops_before
-            cost = ops / (OPS_PER_CYCLE * proc.freq) + \
-                self.target.invocation_overhead(proc)
-            yield from processor.acquire()
-            yield Delay(cost)
-            processor.release()
-            stats.busy_time += cost
-            stats.ops += ops
-            stats.firings += 1
-            report.proc_busy[proc.name] = \
-                report.proc_busy.get(proc.name, 0.0) + cost
-            # Deliver out-tokens with target transfer costs.
-            for index, value in outbox:
-                port_name = task.out_ports[index]
-                for channel in out_channels.get(port_name, []):
-                    dst_proc = self.arch.processor(
-                        self.mapping[channel.dst_task])
-                    transfer = self.target.transfer_cost(channel, proc,
-                                                         dst_proc)
-                    report.transfer_cycles += transfer
-                    if transfer > 0:
-                        yield Delay(transfer)
-                    yield from fifos[channel.name].put(value)
-            if task.deadline is not None and \
-                    sim.now - release_time > task.deadline + 1e-9:
-                stats.deadline_misses += 1
+        yield from run_task(
+            sim, iterations, [fifos[c.name] for c in in_channels], processor,
+            0, fire, ledger,
+            (0.0, task.period) if task.period is not None else None,
+            fired, None if task.deadline is None else missed)
 
 
 __all__ = ["ExecutionReport", "OPS_PER_CYCLE", "RuntimeSystem", "Target",

@@ -11,7 +11,7 @@ MVP simulates mapped task graphs on the discrete-event kernel:
   app's priority, FIFO among equals);
 - each task instance waits for its input tokens, occupies its PE for its
   (class-scaled) cost, then emits tokens, paying communication costs on
-  cross-PE edges;
+  cross-PE edges (:func:`run_task`, shared with :mod:`repro.hopes`);
 - task graphs run in *streaming* mode: ``iterations`` instances flow
   through, pipelining across PEs;
 - several applications can run concurrently, contending for the PEs --
@@ -21,7 +21,7 @@ MVP simulates mapped task graphs on the discrete-event kernel:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.desim import Delay, Fifo, Resource, Simulator
 from repro.maps.mapping import Mapping
@@ -36,7 +36,6 @@ class AppRun:
     mapping: Mapping
     iterations: int = 1
     period: Optional[float] = None      # source activation period
-    deadline: Optional[float] = None    # per-iteration latency budget
     start_time: float = 0.0
     # Dynamic best-effort priority (section IV): lower = more urgent;
     # contending tasks on one PE are dispatched in priority order.
@@ -93,8 +92,7 @@ def simulate_mapping(runs: List[AppRun], platform: PlatformSpec,
     report = MvpReport()
     pe_resources: Dict[str, Resource] = {
         pe.name: Resource(1, name=pe.name) for pe in platform.pes}
-    pe_busy: Dict[str, float] = {pe.name: 0.0 for pe in platform.pes}
-    remaining = [0]  # mutable completion counter across closures
+    ledger = Ledger({pe.name: 0.0 for pe in platform.pes})
 
     for run in runs:
         report.iteration_spans[run.name] = []
@@ -104,22 +102,71 @@ def simulate_mapping(runs: List[AppRun], platform: PlatformSpec,
                 raise ValueError(
                     f"app {run.name!r}: static dispatch needs a period "
                     f"and a mapping with a static schedule")
-        remaining[0] += 1
-        _spawn_app(sim, run, platform, pe_resources, pe_busy, report,
+        _spawn_app(sim, run, platform, pe_resources, ledger, report,
                    channel_capacity)
 
     sim.run()
-    report.pe_busy = pe_busy
+    report.pe_busy = ledger.busy
+    report.comm_cycles = ledger.comm
     report.makespan = max((finish for spans in
                            report.iteration_spans.values()
                            for _, finish in spans), default=0.0)
     return report
 
 
+@dataclass
+class Ledger:
+    """One simulation's totals, added to at fixed points of each firing
+    so that float sums follow the event order: ``busy[pe]`` right after
+    the firing's hold, ``comm`` right before each transfer delay."""
+
+    busy: Dict[str, float]
+    comm: float = 0.0
+
+
+def run_task(sim: Simulator, iterations: int, inputs: List[Fifo],
+             pe: Resource, priority: int, fire: Callable, ledger: Ledger,
+             release: Optional[Tuple[float, Optional[float]]] = None,
+             fired: Optional[Callable] = None,
+             done: Optional[Callable] = None):
+    """Fire one mapped task ``iterations`` times on the serial PE ``pe``.
+
+    ``fire(i, tokens)`` returns the hold (a ``Delay``) and the sends,
+    ``(fifo, delay or None, value)``.  Firing ``i`` is released at
+    ``offset + i * period`` for ``release=(offset, period)``, or with no
+    period only firing 0 waits for ``offset``.  ``fired(duration)`` runs
+    right after the hold, ``done(i, released, started)`` after the sends.
+    """
+    offset, period = release or (0.0, None)
+    for i in range(iterations):
+        if period is not None or (i == 0 and offset > sim.now):
+            at = offset if period is None else offset + i * period
+            if at > sim.now:
+                yield Delay(at - sim.now)
+        released = sim.now
+        tokens = []
+        for fifo in inputs:
+            tokens.append((yield from fifo.get()))
+        hold, sends = fire(i, tokens)
+        yield from pe.acquire(priority)
+        started = sim.now
+        yield hold
+        ledger.busy[pe.name] = ledger.busy.get(pe.name, 0.0) + hold.duration
+        if fired is not None:
+            fired(hold.duration)
+        pe.release()
+        for fifo, delay, value in sends:
+            if delay is not None:
+                ledger.comm += delay.duration
+                yield delay
+            yield from fifo.put(value)
+        if done is not None:
+            done(i, released, started)
+
+
 def _spawn_app(sim: Simulator, run: AppRun, platform: PlatformSpec,
-               pe_resources: Dict[str, Resource],
-               pe_busy: Dict[str, float], report: MvpReport,
-               channel_capacity: int) -> None:
+               pe_resources: Dict[str, Resource], ledger: Ledger,
+               report: MvpReport, channel_capacity: int) -> None:
     graph = run.mapping.graph
     mapping = run.mapping
     # One FIFO per edge; tokens are iteration indices.
@@ -131,71 +178,53 @@ def _spawn_app(sim: Simulator, run: AppRun, platform: PlatformSpec,
     unfinished_sinks: Dict[int, int] = {}
     sink_names = set(graph.sinks())
     source_names = set(graph.sources())
+    static = run.static_dispatch
+    static_starts = {entry.task: entry.start for entry in mapping.schedule}
 
-    static_starts: Dict[str, float] = {}
-    if run.static_dispatch:
-        static_starts = {entry.task: entry.start
-                         for entry in mapping.schedule}
-
-    def task_process(task_name: str):
-        # The mapping is fixed for the whole simulation, so everything a
-        # task instance needs from it is looked up once per task.
+    def spawn(task_name: str) -> None:
         pe_name = mapping.pe_of(task_name)
         pe = platform.pe(pe_name)
-        duration = graph.nodes[task_name].cost_on(pe.pe_class, pe.freq)
-        resource = pe_resources[pe_name]
-        inputs = [edge_fifos[id(edge)] for edge in graph.in_edges(task_name)]
-        # (fifo, communication cost, or None for a same-PE edge)
+        hold = Delay(graph.nodes[task_name].cost_on(pe.pe_class, pe.freq))
+        # (fifo, transfer delay, or None for a same-PE edge)
         outputs = [(edge_fifos[id(edge)],
-                    platform.comm_cost(edge.words)
+                    Delay(platform.comm_cost(edge.words))
                     if mapping.pe_of(edge.dst) != pe_name else None)
                    for edge in graph.out_edges(task_name)]
         is_source = task_name in source_names
         is_sink = task_name in sink_names
-        for iteration in range(run.iterations):
-            if run.static_dispatch:
-                release = (run.start_time + static_starts[task_name]
-                           + iteration * run.period)
-                if release > sim.now:
-                    yield Delay(release - sim.now)
-                if iteration not in starts and is_source:
-                    starts[iteration] = sim.now
-                    unfinished_sinks[iteration] = len(sink_names)
-            elif is_source:
-                # Periodic activation (annotation), else as fast as allowed.
-                if run.period is not None:
-                    release = run.start_time + iteration * run.period
-                    if release > sim.now:
-                        yield Delay(release - sim.now)
-                elif run.start_time > sim.now and iteration == 0:
-                    yield Delay(run.start_time - sim.now)
-                if iteration not in starts:
-                    starts[iteration] = sim.now
-                    unfinished_sinks[iteration] = len(sink_names)
-            release_point = sim.now
-            for fifo in inputs:
-                yield from fifo.get()
-            yield from resource.acquire(priority=run.priority)
-            if run.static_dispatch and sim.now > release_point + 1e-9:
-                # Inputs or the PE were not ready at the scheduled release:
-                # the static schedule was violated at run time.
+
+        def fire(i: int, _tokens: list) -> tuple:
+            # A source has no inputs: it fires at its release time.
+            if is_source and i not in starts:
+                starts[i] = sim.now
+                unfinished_sinks[i] = len(sink_names)
+            return hold, [(fifo, delay, i) for fifo, delay in outputs]
+
+        def done(i: int, released: float, started: float) -> None:
+            if static and started > released + 1e-9:
+                # Inputs or the PE were not ready at the scheduled
+                # release: the static schedule was violated at run time.
                 report.schedule_violations[run.name] += 1
-            yield Delay(duration)
-            pe_busy[pe_name] += duration
-            resource.release()
-            for fifo, comm in outputs:
-                if comm is not None:
-                    report.comm_cycles += comm
-                    yield Delay(comm)
-                yield from fifo.put(iteration)
             if is_sink:
-                unfinished_sinks[iteration] -= 1
-                if unfinished_sinks[iteration] == 0:
+                unfinished_sinks[i] -= 1
+                if unfinished_sinks[i] == 0:
                     report.iteration_spans[run.name].append(
-                        (starts[iteration], sim.now))
+                        (starts[i], sim.now))
+
+        sim.spawn(run_task(
+            sim, run.iterations,
+            [edge_fifos[id(edge)] for edge in graph.in_edges(task_name)],
+            pe_resources[pe_name], run.priority, fire, ledger,
+            # Static dispatch: at the scheduled start plus i * period.  A
+            # source: periodically (annotation), else from start_time on.
+            (run.start_time + static_starts[task_name], run.period)
+            if static else (run.start_time, run.period) if is_source
+            else None,
+            done=done if static or is_sink else None),
+            name=f"{run.name}.{task_name}")
 
     for task_name in graph.nodes:
-        sim.spawn(task_process(task_name), name=f"{run.name}.{task_name}")
+        spawn(task_name)
 
 
-__all__ = ["AppRun", "MvpReport", "simulate_mapping"]
+__all__ = ["AppRun", "Ledger", "MvpReport", "run_task", "simulate_mapping"]

@@ -4,6 +4,7 @@ import pytest
 
 from repro.desim import ChannelClosed, Delay, Fifo, Mailbox, Simulator
 from repro.desim.channels import drain
+from repro.desim.events import EventGroup
 
 
 def test_fifo_put_get_roundtrip():
@@ -175,3 +176,24 @@ def test_fifo_stats_track_throughput():
     sim.run()
     assert fifo.total_puts == 6
     assert fifo.total_gets == 6
+
+
+def test_unseen_fifo_triggers_are_counted_and_seen_ones_fire():
+    """A put or get that nothing waits on only counts its trigger; a
+    subscribed callback (an ``EventGroup``) still sees every one."""
+    fifo = Fifo(capacity=2)
+    fifo.put_nowait("a")
+    fifo.put_nowait("b")
+    fifo.get_nowait()
+    assert fifo._not_empty.trigger_count == 2
+    assert fifo._not_full.trigger_count == 1
+
+    group = EventGroup([fifo._not_empty, fifo._not_full])
+    seen = []
+    group.any.subscribe(seen.append)
+    fifo.put_nowait("c")
+    fifo.get_nowait()
+    assert seen == [None, None]
+    assert fifo._not_empty.trigger_count == 3
+    assert fifo._not_full.trigger_count == 2
+    assert group.any.trigger_count == 2

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.desim import Fifo
+from repro.hopes import runtime as hopes_runtime
 from repro.hopes import (
     ArchInfo, CICApplication, CICTask, CICTranslator, CellTarget,
     MPCoreTarget, TranslationError, parse_arch_xml, to_arch_xml,
@@ -217,3 +219,34 @@ class TestRuntimeSemantics:
         fast_time = fast.translate().run(iterations=10).end_time
         slow_time = slow.translate().run(iterations=10).end_time
         assert slow_time > fast_time
+
+    @pytest.mark.parametrize("index", [-1, 2])
+    def test_write_port_outside_the_out_ports_is_rejected(self, index,
+                                                          monkeypatch):
+        """``write_port(-1, v)`` must not feed the last out-port and
+        ``write_port(len(out_ports), v)`` must name the task, not fail in
+        the kernel; either way no token is delivered."""
+        fifos = []
+
+        class RecordedFifo(Fifo):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                fifos.append(self)
+
+        monkeypatch.setattr(hopes_runtime, "Fifo", RecordedFifo)
+        app = CICApplication("bad_port")
+        app.add_task(CICTask("gen", f"""
+            int task_go() {{ write_port({index}, 7); return 0; }}
+            """, out_ports=["a", "b"]))
+        for sink in ("x", "y"):
+            app.add_task(CICTask(sink, """
+                int task_go() { emit(read_port(0)); return 0; }
+                """, in_ports=["in"]))
+        app.connect("gen", "a", "x", "in")
+        app.connect("gen", "b", "y", "in")
+        generated = CICTranslator(app, parse_arch_xml(SMP_XML)).translate()
+        with pytest.raises(RuntimeError,
+                           match=rf"gen: write_port\({index}\)"):
+            generated.run(iterations=1)
+        assert len(fifos) == 2
+        assert [fifo.total_puts for fifo in fifos] == [0, 0]
