@@ -235,9 +235,8 @@ class RuntimeSystem:
                 stats.busy_time += cost
         yield from run_task(
             sim, iterations, [fifos[c.name] for c in in_channels], processor,
-            0, fire, ledger,
-            (0.0, task.period) if task.period is not None else None,
-            fired, None if task.deadline is None else missed)
+            0, fire, ledger, (0.0, task.period), fired,
+            None if task.deadline is None else missed)
 
 
 __all__ = ["ExecutionReport", "OPS_PER_CYCLE", "RuntimeSystem", "Target",

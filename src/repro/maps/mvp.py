@@ -139,7 +139,7 @@ def run_task(sim: Simulator, iterations: int, inputs: List[Fifo],
     """
     offset, period = release or (0.0, None)
     for i in range(iterations):
-        if period is not None or (i == 0 and offset > sim.now):
+        if period is not None or i == 0:
             at = offset if period is None else offset + i * period
             if at > sim.now:
                 yield Delay(at - sim.now)
