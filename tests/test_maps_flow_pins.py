@@ -314,3 +314,73 @@ def test_pe_sources_are_pinned_and_leave_the_graph_alone():
                                   report.mapping)
         assert again == report.pe_sources
         assert _statement_view(report.expanded_graph) == before
+
+
+# -- the Figure-1 refine loop --------------------------------------------
+
+def _refine_platform(seed: int) -> PlatformSpec:
+    """2-5 PEs of random class, channel costs from cheap to dominant."""
+    rng = random.Random(f"{seed}:refine")
+    platform = PlatformSpec(
+        f"refine{seed}",
+        channel_setup_cost=rng.choice((0.5, 5.0, 20.0, 60.0)),
+        channel_word_cost=rng.choice((0.01, 0.05, 0.5, 2.0)))
+    for index in range(rng.randint(2, 5)):
+        platform.add_pe(f"pe{index}", rng.choice(list(PEClass)))
+    return platform
+
+
+def _refine_runs(seeds=range(60)):
+    """``MapsFlow.run(refine=True)`` over the ``main`` sources on seeded
+    platforms.  Yields ``(seed, report, heft, candidate)``: the HEFT and
+    the annealed assignments are read off the annealer's call."""
+    from repro.maps import MapsFlow
+    from repro.maps import annealing
+    cases = [case for case in _sources() if case[2] == "main"]
+    original = annealing.map_task_graph_annealing
+    seen = []
+
+    def traced(graph, platform, **kwargs):
+        result = original(graph, platform, **kwargs)
+        seen.append((dict(kwargs["initial"]), dict(result.best.assignment)))
+        return result
+
+    annealing.map_task_graph_annealing = traced
+    try:
+        for seed in seeds:
+            _label, source, entry = cases[seed % len(cases)]
+            report = MapsFlow(_refine_platform(seed)).run(
+                source, entry=entry, iterations=2, refine=True,
+                refine_iterations=600)
+            heft, candidate = seen.pop()
+            yield seed, report, heft, candidate
+    finally:
+        annealing.map_task_graph_annealing = original
+
+
+def _refine_view(report):
+    mvp = report.mvp
+    return (sorted(report.mapping.assignment.items()),
+            repr(report.mapping.makespan), repr(mvp.makespan),
+            mvp.iteration_spans, sorted(mvp.pe_busy.items()),
+            repr(mvp.comm_cycles), report.semantics_preserved)
+
+
+def test_refine_reports_are_pinned():
+    """Every report of the refine grid, and which way each candidate
+    went: the annealer found nothing better (unimproved), found a move
+    that MVP then rejected, or found one MVP kept."""
+    views, branches = [], {"unimproved": [], "rejected": [], "kept": []}
+    for seed, report, heft, candidate in _refine_runs():
+        views.append((seed, _refine_view(report)))
+        if candidate == heft:
+            branches["unimproved"].append(seed)
+        elif report.mapping.assignment == heft:
+            branches["rejected"].append(seed)
+        else:
+            branches["kept"].append(seed)
+    assert {name: len(seeds) for name, seeds in branches.items()} == {
+        "unimproved": 37, "rejected": 10, "kept": 13}
+    assert branches["kept"][:5] == [0, 1, 3, 9, 12]
+    digest = hashlib.sha256(repr(views).encode()).hexdigest()
+    assert digest[:16] == "07f0bc52430b1453"
