@@ -14,8 +14,9 @@ reference.  Asserted shapes:
 - cold and warm daemon sweeps reproduce the inline aggregate
   byte-for-byte (the portable claim, asserted unconditionally);
 - with >= 2 usable CPUs the warm daemon sweep is >= 2x faster than the
-  cold-start daemon sweep; on 1-CPU containers (CI) the ratio is
-  recorded and only parity-bounded, per the F1 precedent.
+  cold-start daemon sweep, in the median of three interleaved cold/warm
+  pairs; on 1-CPU containers (CI) the ratio is recorded and only
+  parity-bounded, per the F1 precedent.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from repro.vp import SoC, SoCConfig, assemble
 JOBS = 50
 WORKERS = 2
 LINES = 400
+PAIRS = 3  # odd: the gate reads the median cold/warm pair
 
 
 def build_source(seed: int) -> str:
@@ -68,28 +70,30 @@ def run_decode_sweep(name: str, **policy):
 
 
 def run_experiment():
-    shutdown_daemons()  # measure a true daemon cold start
-    _PROGRAMS.clear()   # the parent memo must not leak into new workers
-    daemon_cold, daemon_cold_seconds = run_decode_sweep(
-        "f2-daemon-cold", jobs=WORKERS, backend="daemon")
-    daemon_warm, daemon_warm_seconds = run_decode_sweep(
-        "f2-daemon-warm", jobs=WORKERS, backend="daemon")
-    serial, serial_seconds = run_decode_sweep("f2-serial")
-    return {
-        "daemon_cold": (daemon_cold, daemon_cold_seconds),
-        "daemon_warm": (daemon_warm, daemon_warm_seconds),
-        "serial": (serial, serial_seconds),
-    }
+    """``PAIRS`` cold/warm daemon sweep pairs back to back, then the
+    serial reference once."""
+    pairs = []
+    for _ in range(PAIRS):
+        shutdown_daemons()  # measure a true daemon cold start
+        _PROGRAMS.clear()   # the parent memo must not leak into new workers
+        pairs.append((
+            run_decode_sweep("f2-daemon-cold", jobs=WORKERS,
+                             backend="daemon"),
+            run_decode_sweep("f2-daemon-warm", jobs=WORKERS,
+                             backend="daemon")))
+    return {"pairs": pairs, "serial": run_decode_sweep("f2-serial")}
 
 
 def test_bench_f2_backend_dispatch(benchmark, show, record_bench):
     runs = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
     cpus = len(os.sched_getaffinity(0))
 
-    daemon_cold, daemon_cold_seconds = runs["daemon_cold"]
-    daemon_warm, daemon_warm_seconds = runs["daemon_warm"]
+    pairs = runs["pairs"]
     serial, serial_seconds = runs["serial"]
-
+    # The gate reads the pair with the median cold/warm ratio.
+    (_cold, daemon_cold_seconds), (_warm, daemon_warm_seconds) = sorted(
+        pairs, key=lambda pair: pair[0][1] / max(pair[1][1], 1e-9))[
+        PAIRS // 2]
     warm_ratio = daemon_cold_seconds / max(daemon_warm_seconds, 1e-9)
 
     show(f"F2: {JOBS}-job decode-heavy sweep, cold vs warm daemons",
@@ -103,8 +107,9 @@ def test_bench_f2_backend_dispatch(benchmark, show, record_bench):
     # Claim shape 1: the backend never changes the answer.  Cold and
     # warm daemon sweeps are byte-identical to the inline reference.
     reference = serial.aggregate_json()
-    assert daemon_cold.aggregate_json() == reference
-    assert daemon_warm.aggregate_json() == reference
+    for cold, warm in pairs:
+        assert cold[0].aggregate_json() == reference
+        assert warm[0].aggregate_json() == reference
 
     # Claim shape 2: warm daemons amortize dispatch + decode.  With real
     # parallelism available the warm pass must be >= 2x faster than the

@@ -26,6 +26,7 @@ _BODY_OPS = ["add r3, r1, r2", "xor r4, r3, r1", "sub r5, r4, r2",
              "or  r8, r7, r2", "addi r9, r8, -5", "sltu r3, r9, r1",
              "mul r4, r3, r2"]
 _TRIPS = 2000
+LANE_ROUNDS = 5  # odd: the P1c gate reads the median round
 
 WORKLOAD = ("    li r1, 3\n    li r2, 40\n    li r12, 0\n"
             f"    li r13, {_TRIPS}\nloop:\n"
@@ -98,23 +99,24 @@ def test_bench_p1_backend_sweep(benchmark, show, record_bench):
     """The backend tier ladder on a homogeneous manycore config: the
     lane-vectorized backend must buy >= 1.5x over the superblock-compiled
     backend, all bit-identically to the reference path."""
-    legs = [("reference", 1), ("compiled", DEFAULT_QUANTUM),
-            ("vector", DEFAULT_QUANTUM)]
-
     def measure():
-        # Best of two rounds per leg: one-shot timings of the fastest
-        # legs are noise-dominated at this workload size.
-        out = {}
-        for backend, quantum in legs:
-            runs = [run_backend(backend, quantum) for _ in range(2)]
-            out[backend] = max(runs, key=lambda r: r["instr_per_sec"])
-        return out
+        # One-shot timings of the fastest legs are noise-dominated at
+        # this workload size, so the gated ratio is the median over
+        # rounds that run compiled and vector back to back: host drift
+        # then hits both legs of a round alike.
+        return run_backend("reference", 1), [
+            (run_backend("compiled", DEFAULT_QUANTUM),
+             run_backend("vector", DEFAULT_QUANTUM))
+            for _ in range(LANE_ROUNDS)]
 
-    results = benchmark.pedantic(measure, rounds=1, iterations=1)
-    ref = results["reference"]
-    compiled = results["compiled"]
-    vector = results["vector"]
-    lane_speedup = vector["instr_per_sec"] / compiled["instr_per_sec"]
+    def lanes_over_compiled(pair):
+        return pair[1]["instr_per_sec"] / pair[0]["instr_per_sec"]
+
+    ref, rounds = benchmark.pedantic(measure, rounds=1, iterations=1)
+    compiled, vector = sorted(rounds, key=lanes_over_compiled)[
+        LANE_ROUNDS // 2]
+    lane_speedup = lanes_over_compiled((compiled, vector))
+    results = {"reference": ref, "compiled": compiled, "vector": vector}
     rows = [[backend, f"{r['instr_per_sec']:,.0f}",
              f"{r['instr_per_sec'] / ref['instr_per_sec']:.1f}x",
              f"{r['events']:,}"]
@@ -131,7 +133,7 @@ def test_bench_p1_backend_sweep(benchmark, show, record_bench):
     # either way)...
     assert lane_speedup >= 1.5
     # ...without perturbing a single architectural bit, on any core.
-    for r in (compiled, vector):
+    for r in (run for pair in rounds for run in pair):
         assert r["states"] == ref["states"]
         assert r["now"] == ref["now"]
     # The vector tier wins by sharing executions AND collapsing kernel

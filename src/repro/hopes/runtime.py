@@ -74,14 +74,17 @@ class ExecutionReport:
     transfer_cycles: float = 0.0
     proc_busy: Dict[str, float] = field(default_factory=dict)
     requested_iterations: int = 0
-    # Tasks that did not reach the requested firing count when the system
-    # went idle: the application deadlocked (e.g. a tokenless feedback
-    # cycle or an undersized channel loop).
+    # Tasks that did not reach the requested firing count when the run
+    # stopped, whether the system went idle or the horizon cut it.
     starved_tasks: List[str] = field(default_factory=list)
+    # The horizon stopped the run with events still queued.
+    horizon_cut: bool = False
 
     @property
     def deadlocked(self) -> bool:
-        return bool(self.starved_tasks)
+        """Tasks starved although the system went idle (e.g. a tokenless
+        feedback cycle or an undersized channel loop)."""
+        return bool(self.starved_tasks) and not self.horizon_cut
 
     def output_of(self, task: str) -> List[Any]:
         return self.sink_outputs.get(task, [])
@@ -149,6 +152,7 @@ class RuntimeSystem:
                       name=task_name)
         sim.run(until=horizon if horizon != float("inf") else None)
         report.end_time = sim.now
+        report.horizon_cut = sim.peek_time() is not None
         report.transfer_cycles = ledger.comm
         report.requested_iterations = iterations
         report.channel_occupancy = {name: fifo.max_occupancy

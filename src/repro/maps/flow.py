@@ -88,8 +88,12 @@ class MapsFlow:
         ``refine=True`` enables Figure 1's refinement loop: "the resulting
         mapping can be exercised and refined with ... MVP".  The HEFT
         mapping is exercised on MVP; an annealing pass seeded with it
-        searches for a better assignment, the candidate is re-exercised,
-        and the better of the two (by simulated makespan) is kept.
+        searches for a better assignment, and the candidate replaces the
+        HEFT mapping only when MVP simulates it strictly faster.  A
+        candidate with the HEFT assignment is not simulated again: MVP is
+        a pure function of the graph, the assignment, the platform and
+        ``iterations``, so its report would equal the one in hand, and a
+        tie keeps the HEFT mapping.
         """
         sink = self.sink
         annotation = None
@@ -136,11 +140,12 @@ class MapsFlow:
                 candidate = map_task_graph_annealing(
                     expanded, self.platform, iterations=refine_iterations,
                     seed=1, initial=dict(mapping.assignment)).best
-                candidate_mvp = simulate_mapping(
-                    [AppRun(app_name, candidate, iterations=iterations)],
-                    self.platform, sim=self._observed_sim())
-                if candidate_mvp.makespan < mvp.makespan:
-                    mapping, mvp = candidate, candidate_mvp
+                if candidate.assignment != mapping.assignment:
+                    candidate_mvp = simulate_mapping(
+                        [AppRun(app_name, candidate, iterations=iterations)],
+                        self.platform, sim=self._observed_sim())
+                    if candidate_mvp.makespan < mvp.makespan:
+                        mapping, mvp = candidate, candidate_mvp
 
         # 5. code generation + per-PE sources.
         with sink.span("codegen", track="maps.flow", app=app_name):

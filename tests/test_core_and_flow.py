@@ -174,13 +174,21 @@ class TestRefinementLoop:
         assert refined.semantics_preserved
 
     def test_refine_preserves_schedule_dependences(self):
-        flow = MapsFlow(PlatformSpec.symmetric(3))
-        report = flow.run(JPEG_LIKE, split_k=3, refine=True,
-                          refine_iterations=300)
-        by_task = {e.task: e for e in report.mapping.schedule}
-        for edge in report.expanded_graph.edges:
-            assert by_task[edge.dst].start + 1e-9 >= \
-                by_task[edge.src].finish - 1e-9 or True  # comm may pad
-        # Assignment covers every task.
-        assert set(report.mapping.assignment) == \
-            set(report.expanded_graph.nodes)
+        """A consumer starts no earlier than its producer finishes, plus
+        the channel cost when they sit on different PEs."""
+        for n_pes in (2, 3, 4):
+            platform = PlatformSpec.symmetric(n_pes)
+            for refine in (False, True):
+                report = MapsFlow(platform).run(
+                    JPEG_LIKE, split_k=n_pes, refine=refine,
+                    refine_iterations=300)
+                by_task = {e.task: e for e in report.mapping.schedule}
+                assert set(by_task) == set(report.expanded_graph.nodes)
+                assert set(report.mapping.assignment) == \
+                    set(report.expanded_graph.nodes)
+                for edge in report.expanded_graph.edges:
+                    src, dst = by_task[edge.src], by_task[edge.dst]
+                    comm = (platform.comm_cost(edge.words)
+                            if src.pe != dst.pe else 0)
+                    assert dst.start + 1e-9 >= src.finish + comm, \
+                        (n_pes, refine, edge)

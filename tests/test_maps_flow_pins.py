@@ -330,7 +330,7 @@ def _refine_platform(seed: int) -> PlatformSpec:
     return platform
 
 
-def _refine_runs(seeds=range(60)):
+def _refine_runs(monkeypatch):
     """``MapsFlow.run(refine=True)`` over the ``main`` sources on seeded
     platforms.  Yields ``(seed, report, heft, candidate)``: the HEFT and
     the annealed assignments are read off the annealer's call."""
@@ -345,17 +345,14 @@ def _refine_runs(seeds=range(60)):
         seen.append((dict(kwargs["initial"]), dict(result.best.assignment)))
         return result
 
-    annealing.map_task_graph_annealing = traced
-    try:
-        for seed in seeds:
-            _label, source, entry = cases[seed % len(cases)]
-            report = MapsFlow(_refine_platform(seed)).run(
-                source, entry=entry, iterations=2, refine=True,
-                refine_iterations=600)
-            heft, candidate = seen.pop()
-            yield seed, report, heft, candidate
-    finally:
-        annealing.map_task_graph_annealing = original
+    monkeypatch.setattr(annealing, "map_task_graph_annealing", traced)
+    for seed in range(60):
+        _label, source, entry = cases[seed % len(cases)]
+        report = MapsFlow(_refine_platform(seed)).run(
+            source, entry=entry, iterations=2, refine=True,
+            refine_iterations=600)
+        heft, candidate = seen.pop()
+        yield seed, report, heft, candidate
 
 
 def _refine_view(report):
@@ -366,12 +363,12 @@ def _refine_view(report):
             repr(mvp.comm_cycles), report.semantics_preserved)
 
 
-def test_refine_reports_are_pinned():
+def test_refine_reports_are_pinned(monkeypatch):
     """Every report of the refine grid, and which way each candidate
     went: the annealer found nothing better (unimproved), found a move
     that MVP then rejected, or found one MVP kept."""
     views, branches = [], {"unimproved": [], "rejected": [], "kept": []}
-    for seed, report, heft, candidate in _refine_runs():
+    for seed, report, heft, candidate in _refine_runs(monkeypatch):
         views.append((seed, _refine_view(report)))
         if candidate == heft:
             branches["unimproved"].append(seed)
@@ -384,3 +381,24 @@ def test_refine_reports_are_pinned():
     assert branches["kept"][:5] == [0, 1, 3, 9, 12]
     digest = hashlib.sha256(repr(views).encode()).hexdigest()
     assert digest[:16] == "07f0bc52430b1453"
+
+
+def test_refine_simulates_a_candidate_only_when_its_mapping_differs(
+        monkeypatch):
+    """MVP runs once on the HEFT mapping and again only on an annealed
+    candidate with another assignment.  The call goes through the
+    module-level ``flow.simulate_mapping``, which perfbench's traced
+    shim wraps."""
+    from repro.maps import flow
+    original = flow.simulate_mapping
+    calls = []
+
+    def counted(runs, *args, **kwargs):
+        calls.append(dict(runs[0].mapping.assignment))
+        return original(runs, *args, **kwargs)
+
+    monkeypatch.setattr(flow, "simulate_mapping", counted)
+    for seed, _report, heft, candidate in _refine_runs(monkeypatch):
+        expected = [heft] if candidate == heft else [heft, candidate]
+        assert calls == expected, seed
+        calls.clear()

@@ -415,4 +415,7 @@ def _hopes_digest(apps: int, seed: int = 0) -> str:
 
 
 def test_hopes_runtime_is_pinned():
-    assert _hopes_digest(200) == "2b070251a9e58382"
+    # Re-recorded when ``ExecutionReport.horizon_cut`` was added: with
+    # that key dropped from each report the digest is still
+    # 2b070251a9e58382.
+    assert _hopes_digest(200) == "c391a651eb8205e7"

@@ -48,6 +48,34 @@ class TestRuntimeDeadlockDetection:
         report = CICTranslator(app, parse_arch_xml(SMP)) \
             .translate().run(iterations=50, horizon=100.0)
         assert report.starved_tasks == ["t"]
+        assert report.horizon_cut
+        assert not report.deadlocked
+
+    def test_horizon_cut_pipeline_is_not_deadlocked(self):
+        from tests.test_hopes import SMP_XML, pipeline_app
+        system = CICTranslator(pipeline_app(), parse_arch_xml(SMP_XML)) \
+            .translate()
+        cut = system.run(iterations=5, horizon=10.0)
+        assert cut.horizon_cut and not cut.deadlocked
+        assert cut.starved_tasks == ["gen", "scale", "sink"]
+        full = system.run(iterations=5)
+        assert not full.horizon_cut and not full.starved_tasks
+        assert full.end_time == 182.5
+
+    def test_idle_before_the_horizon_is_a_deadlock(self):
+        report = CICTranslator(self._loop_app([]), parse_arch_xml(SMP)) \
+            .translate().run(iterations=3, horizon=1000.0)
+        assert not report.horizon_cut
+        assert report.deadlocked
+
+    def test_report_without_horizon_cut_key_loads(self):
+        from repro.hopes.runtime import ExecutionReport
+        report = CICTranslator(self._loop_app([0]), parse_arch_xml(SMP)) \
+            .translate().run(iterations=3)
+        data = report.to_dict()
+        assert data.pop("horizon_cut") is False
+        assert ExecutionReport.from_dict(data).horizon_cut is False
+        assert ExecutionReport.from_dict(data) == report
 
 
 class TestFlowAnnotations:
