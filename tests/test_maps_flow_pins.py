@@ -402,3 +402,65 @@ def test_refine_simulates_a_candidate_only_when_its_mapping_differs(
         expected = [heft] if candidate == heft else [heft, candidate]
         assert calls == expected, seed
         calls.clear()
+
+
+# -- loop verdicts -------------------------------------------------------
+
+def _bench_module(name: str):
+    path = REPO_ROOT / "benchmarks" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"_pin_{name}", path)
+    loaded = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(loaded)
+    return loaded
+
+
+def _verdict_programs():
+    """``(label, program)`` for the partition sources and the E10 recoder
+    kernels, before and after the E10 recoding chain."""
+    from repro.recoder import recode_pointers
+    for label, source, _entry in _sources():
+        yield label, parse(source)
+    e10 = _bench_module("test_bench_e10_recoder")
+    for n in e10.SIZES:
+        yield f"e10/kernel={n}", parse(e10.kernel(n))
+        yield f"e10/recoded={n}", e10.recoding_session(n).ast
+    session = _example_source("recoder_session", "SOURCE")
+    for stride, base in [(1, 0), (1, 4), (2, 0)]:
+        session += f"""
+        int P{stride}{base}[128];
+        int ptr{stride}{base}() {{
+          int i;
+          int *p = &P{stride}{base}[{base}];
+          for (i = 0; i < 32; i++) {{ *(p + {stride} * i) = i; }}
+          return P{stride}{base}[{base}];
+        }}
+        """
+    program = parse(session)
+    yield "e10/session", program
+    for func in program.functions:
+        recode_pointers(program, func.name)
+    yield "e10/session-recoded", program
+
+
+def _verdict_views():
+    from repro.cir.analysis.dependence import analyze_loop, find_loops
+    views = []
+    for label, program in _verdict_programs():
+        for func in program.functions:
+            for loop in find_loops(func.body):
+                info = analyze_loop(loop)
+                views.append((label, func.name, loop.line,
+                              info.classification.value,
+                              sorted(info.private_scalars),
+                              sorted(info.carried_scalars),
+                              sorted(info.reductions.items())))
+    return views
+
+
+def test_loop_verdicts_are_pinned():
+    """The verdict, private, carried and reduction scalars of
+    :func:`~repro.cir.analysis.dependence.analyze_loop` on every loop of
+    the partition sources and the E10 recoder kernels."""
+    views = _verdict_views()
+    digest = hashlib.sha256(repr(views).encode()).hexdigest()
+    assert (len(views), digest[:16]) == (172, "be70cb45bc5ebf34")
