@@ -31,7 +31,8 @@ def _results_file() -> str:
 # evict the history of the others.
 _MAX_RUNS_PER_BENCH = 50
 
-# nodeid -> call-phase duration / headline numbers, gathered per session.
+# nodeid -> (call-phase duration, passed) / headline numbers, gathered
+# per session.
 _DURATIONS = {}
 _HEADLINES = {}
 
@@ -66,8 +67,10 @@ def record_bench(request):
 
 
 def pytest_runtest_logreport(report):
-    if report.when == "call" and report.passed:
-        _DURATIONS[report.nodeid] = report.duration
+    # A failing call is recorded too, so a noisy gate's series keeps the
+    # samples that missed it.
+    if report.when == "call" and not report.skipped:
+        _DURATIONS[report.nodeid] = (report.duration, report.passed)
 
 
 def _load_series() -> dict:
@@ -103,15 +106,17 @@ def pytest_sessionfinish(session, exitstatus):
     """Append this run's bench timings + headlines to BENCH_RESULTS.json.
 
     The file holds the perf *trajectory*: one record per bench per run,
-    so a regression shows up as a kink in that bench's series.  Each
-    bench keeps its last ``_MAX_RUNS_PER_BENCH`` records.
+    passing or failing (``"passed"``), so a regression shows up as a
+    kink in that bench's series.  Each bench keeps its last
+    ``_MAX_RUNS_PER_BENCH`` records.
     """
     if not _DURATIONS:
         return
     series = _load_series()
     stamp = time.strftime("%Y-%m-%dT%H:%M:%S")
-    for nodeid, seconds in sorted(_DURATIONS.items()):
-        record = {"timestamp": stamp, "seconds": round(seconds, 4)}
+    for nodeid, (seconds, passed) in sorted(_DURATIONS.items()):
+        record = {"timestamp": stamp, "seconds": round(seconds, 4),
+                  "passed": passed}
         record.update(_HEADLINES.get(nodeid, {}))
         history = series.setdefault(nodeid, [])
         history.append(record)

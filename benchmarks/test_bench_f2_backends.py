@@ -104,6 +104,11 @@ def test_bench_f2_backend_dispatch(benchmark, show, record_bench):
            f"{daemon_cold_seconds / max(serial_seconds, 1e-9):.2f}x"]],
          ["backend", "wall", "vs cold daemon"])
 
+    record_bench(warm_ratio=warm_ratio, cpus=cpus,
+                 daemon_cold_seconds=daemon_cold_seconds,
+                 daemon_warm_seconds=daemon_warm_seconds,
+                 serial_seconds=serial_seconds)
+
     # Claim shape 1: the backend never changes the answer.  Cold and
     # warm daemon sweeps are byte-identical to the inline reference.
     reference = serial.aggregate_json()
@@ -119,8 +124,3 @@ def test_bench_f2_backend_dispatch(benchmark, show, record_bench):
         assert warm_ratio >= 2.0
     else:
         assert warm_ratio > 0.5
-
-    record_bench(warm_ratio=warm_ratio, cpus=cpus,
-                 daemon_cold_seconds=daemon_cold_seconds,
-                 daemon_warm_seconds=daemon_warm_seconds,
-                 serial_seconds=serial_seconds)

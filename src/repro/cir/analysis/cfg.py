@@ -3,12 +3,16 @@
 The CFG is built at statement granularity: each simple statement (Decl,
 Assign, ExprStmt, Return) and each branch test (If/While/For condition)
 becomes one node.  Entry and exit are synthetic nodes.
+
+A CFG is built for a function or for one iteration of a loop body; in
+the latter, ``break`` and ``continue`` leave the iteration, so they go to
+the exit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set, Union
 
 from repro.cir.nodes import (
     Assign, Block, Break, Continue, Decl, Expr, ExprStmt, For, FuncDef, If,
@@ -78,15 +82,17 @@ class CFG:
 
 
 class _Builder:
-    def __init__(self, func: FuncDef) -> None:
-        self.func = func
-        self.cfg = CFG(func.name)
+    def __init__(self, name: str) -> None:
+        self.cfg = CFG(name)
         # (break_target, continue_target) stacks for loop nesting.
         self.loop_stack: List[tuple] = []
 
-    def build(self) -> CFG:
-        tails = self._build_block(self.func.body, [self.cfg.entry])
-        for tail in tails:
+    def build(self, body: Block, iteration: bool) -> CFG:
+        leaves: List[CFGNode] = []
+        if iteration:
+            self.loop_stack.append((leaves, leaves))
+        tails = self._build_block(body, [self.cfg.entry])
+        for tail in tails + leaves:
             self.cfg.add_edge(tail, self.cfg.exit)
         return self.cfg
 
@@ -173,9 +179,12 @@ class _Builder:
         raise TypeError(f"cannot build CFG for {stmt!r}")
 
 
-def build_cfg(func: FuncDef) -> CFG:
-    """Build the control-flow graph of a function."""
-    return _Builder(func).build()
+def build_cfg(code: Union[FuncDef, Block]) -> CFG:
+    """Build the control-flow graph of a function, or of one iteration of
+    a loop body."""
+    if isinstance(code, FuncDef):
+        return _Builder(code.name).build(code.body, iteration=False)
+    return _Builder("loop body").build(code, iteration=True)
 
 
 __all__ = ["CFG", "CFGNode", "build_cfg"]

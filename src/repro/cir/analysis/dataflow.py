@@ -128,7 +128,8 @@ def _node_strong_defs(node: CFGNode) -> Set[str]:
     return set()
 
 
-def _node_uses(node: CFGNode) -> Set[str]:
+def node_uses(node: CFGNode) -> Set[str]:
+    """Names a CFG node reads; a branch node reads its test."""
     if node.kind == "stmt" and node.stmt is not None:
         return stmt_uses(node.stmt)
     if node.kind == "branch" and node.test is not None:
@@ -177,7 +178,7 @@ def analyze_dataflow(cfg: CFG) -> DataflowResult:
             outgoing |= live_in[succ]
         live_out[nid] = outgoing
         strong = _node_strong_defs(node)
-        incoming = _node_uses(node) | (outgoing - strong)
+        incoming = node_uses(node) | (outgoing - strong)
         if incoming != live_in[nid]:
             live_in[nid] = incoming
             worklist.extend(node.preds)
@@ -185,7 +186,7 @@ def analyze_dataflow(cfg: CFG) -> DataflowResult:
     # ---------------- def-use chains ----------------
     def_use: Dict[Tuple[int, str], Set[int]] = {}
     for node in nodes:
-        for var in _node_uses(node):
+        for var in node_uses(node):
             reaching = {site_nid for (site_nid, site_var) in reach_in[node.nid]
                         if site_var == var}
             if reaching:
@@ -200,4 +201,4 @@ def analyze_dataflow(cfg: CFG) -> DataflowResult:
 
 
 __all__ = ["DataflowResult", "DefSite", "analyze_dataflow", "expr_uses",
-           "stmt_defs", "stmt_strong_defs", "stmt_uses"]
+           "node_uses", "stmt_defs", "stmt_strong_defs", "stmt_uses"]

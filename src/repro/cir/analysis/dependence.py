@@ -13,9 +13,15 @@ The test suite is a classical single-index-variable (SIV) framework:
   tests;
 - anything non-affine is conservatively assumed dependent.
 
-Scalars are classified as private (defined before use in every iteration),
-reduction (``s = s op expr`` with an associative op), or carried (true
-cross-iteration dependence).
+Scalars written in the body are classified from one liveness pass over
+the control-flow graph of one iteration: a scalar is private when it is
+not live at the body's entry; a scalar that is live there is a reduction
+when its one write is ``s = s op expr`` (or ``s op= expr``) with an
+associative op and no other node reads it (branch tests count as reads),
+and carried (a true cross-iteration dependence) otherwise.
+
+Two accesses that name the same loop-invariant element every iteration,
+at least one of them a write, are carried at unknown distance.
 """
 
 from __future__ import annotations
@@ -24,7 +30,10 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.cir.analysis.dataflow import expr_uses, stmt_defs, stmt_strong_defs, stmt_uses
+from repro.cir.analysis.cfg import build_cfg
+from repro.cir.analysis.dataflow import (
+    analyze_dataflow, expr_uses, node_uses, stmt_defs, stmt_uses,
+)
 from repro.cir.nodes import (
     ArrayIndex, Assign, BinOp, Block, Call, Decl, Expr, ExprStmt, For, Ident,
     IntLit, Stmt, UnaryOp, )
@@ -194,6 +203,7 @@ def _test_pair(first: AccessInfo, second: AccessInfo, loop_var: str,
     if len(first.indices) != len(second.indices):
         return None, "rank mismatch treated as may-alias"
     distance: Optional[int] = 0
+    same_element = True
     for a_expr, b_expr in zip(first.indices, second.indices):
         a = affine_of(a_expr, loop_var, invariants)
         b = affine_of(b_expr, loop_var, invariants)
@@ -206,9 +216,9 @@ def _test_pair(first: AccessInfo, second: AccessInfo, loop_var: str,
             if a.coeff == 0:
                 # ZIV: both constant in i.
                 if a.const == b.const:
-                    distance = _combine_distance(distance, 0)
                     continue
                 return None  # proven independent in this dimension
+            same_element = False
             delta = b.const - a.const
             if delta % a.coeff != 0:
                 return None  # no integer solution -> independent
@@ -217,11 +227,11 @@ def _test_pair(first: AccessInfo, second: AccessInfo, loop_var: str,
         # coeff differs (weak SIV) -- a single crossing may exist; be
         # conservative but note it.
         return None, "weak-SIV (single crossing assumed dependent)"
+    if same_element:
+        # Every iteration touches this one element, and one side writes it.
+        return None, "same element every iteration"
     if distance == 0:
-        return 0, "same element every iteration" if any(
-            affine_of(e, loop_var, invariants) is not None and
-            affine_of(e, loop_var, invariants).coeff == 0
-            for e in first.indices) else "loop-independent"
+        return 0, "loop-independent"
     return distance, "constant dependence distance"
 
 
@@ -322,46 +332,44 @@ def _body_writes_var(body: Block, var: str) -> bool:
 
 def _scalar_analysis(body: Block, loop_var: str) \
         -> Tuple[Set[str], Dict[str, str], Set[str]]:
-    """Classify scalars written in the body: (private, reductions, carried)."""
-    private: Set[str] = set()
-    reductions: Dict[str, str] = {}
-    carried: Set[str] = set()
+    """Classify scalars written in the body: (private, reductions, carried).
 
-    written: List[Assign] = []
+    A name declared in the body is private.  Every other written scalar
+    but the loop variable is classified by liveness over the CFG of one
+    iteration, which is built only when there is such a scalar.
+    """
+    writes: Dict[str, List[Assign]] = {}
     declared: Set[str] = set()
     for stmt in body.stmts:
         for node in stmt.walk():
             if isinstance(node, Assign) and isinstance(node.target, Ident):
-                written.append(node)
+                writes.setdefault(node.target.name, []).append(node)
             if isinstance(node, Decl):
                 declared.add(node.name)
+    private = declared & writes.keys()
+    outer = [name for name in writes
+             if name not in declared and name != loop_var]
+    reductions: Dict[str, str] = {}
+    carried: Set[str] = set()
+    if not outer:
+        return private, reductions, carried
 
-    # Count reads of each scalar outside its own reduction statements.
-    for assign in written:
-        name = assign.target.name  # type: ignore[union-attr]
-        if name == loop_var:
-            continue
-        if name in declared:
+    cfg = build_cfg(body)
+    live = analyze_dataflow(cfg).live_in[cfg.entry.nid]
+    readers = {name: 0 for name in outer}  # CFG nodes reading each name
+    for node in cfg.nodes.values():
+        for name in node_uses(node) & readers.keys():
+            readers[name] += 1
+    for name in outer:
+        assign, *others = writes[name]
+        if name not in live:
             private.add(name)
-            continue
-        if _is_reduction_assign(assign, name):
-            other_reads = _reads_elsewhere(body, name, exclude=assign)
-            if not other_reads:
-                op = assign.op or assign.value.op  # type: ignore[union-attr]
-                existing = reductions.get(name)
-                if existing is None or existing == op:
-                    reductions[name] = op
-                    continue
-            carried.add(name)
-            reductions.pop(name, None)
-            continue
-        # Written before any read in straight-line top-level code -> private.
-        if _defined_before_use(body, name):
-            private.add(name)
+        elif not others and readers[name] == 1 \
+                and _is_reduction_assign(assign, name):
+            # The reduction statement itself is the one reader.
+            reductions[name] = assign.op or assign.value.op  # type: ignore[union-attr]
         else:
             carried.add(name)
-    for name in carried:
-        reductions.pop(name, None)
     return private, reductions, carried
 
 
@@ -381,41 +389,6 @@ def _is_reduction_assign(assign: Assign, name: str) -> bool:
 
 def _expr_reads(expr: Expr, name: str) -> bool:
     return name in expr_uses(expr)
-
-
-def _reads_elsewhere(body: Block, name: str, exclude: Assign) -> bool:
-    for stmt in body.stmts:
-        for node in stmt.walk():
-            if node is exclude:
-                continue
-            if isinstance(node, Assign):
-                if node is not exclude and name in stmt_uses(node):
-                    return True
-            elif isinstance(node, (Decl, ExprStmt)):
-                if name in stmt_uses(node):
-                    return True
-    return False
-
-
-def _defined_before_use(body: Block, name: str) -> bool:
-    """True if, scanning top-level statements, a strong def of ``name``
-    appears before any use."""
-    for stmt in body.stmts:
-        if name in stmt_uses(stmt):
-            return False
-        if name in stmt_strong_defs(stmt):
-            return True
-        # Conservative: a branch that uses it inside counts as a use.
-        for node in stmt.walk():
-            if node is stmt:
-                continue
-            if isinstance(node, (Assign, Decl, ExprStmt)) and \
-                    name in stmt_uses(node):
-                return False
-            if isinstance(node, (Assign, Decl)) and \
-                    name in stmt_strong_defs(node):
-                return True
-    return False
 
 
 def _has_calls(body: Block, pure: Set[str]) -> List[str]:
@@ -491,11 +464,9 @@ def analyze_loop(loop: For, invariants: Optional[Set[str]] = None,
             if verdict is None:
                 continue
             distance, reason = verdict
-            carried = distance is None or distance != 0
-            if first is second:
-                carried = distance is None or distance != 0
-                if distance == 0:
-                    continue
+            if first is second and distance == 0:
+                continue
+            carried = distance != 0
             kind = ("output" if first.is_write and second.is_write else
                     "flow" if first.is_write else "anti")
             dependences.append(Dependence(kind, first.array, first, second,

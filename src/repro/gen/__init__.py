@@ -18,7 +18,10 @@ generates the campaigns instead of hand-writing them:
 - :mod:`repro.gen.shrink` -- divergence minimization and pinned
   regression emission;
 - :mod:`repro.gen.sdf` -- seeded consistent SDF graphs for the
-  dataflow analysis oracles.
+  dataflow analysis oracles;
+- :mod:`repro.gen.loops` -- seeded counted-loop programs for the loop
+  verdict oracles (import it from there: this package does not, so
+  nothing that imports :mod:`repro.gen` loads it).
 
 Determinism contract: every artifact is a pure function of
 ``random.Random(f"{seed}:{stream}")`` -- same seed, same program, same

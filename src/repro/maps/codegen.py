@@ -9,9 +9,10 @@ Two generators:
 - :func:`generate_data_parallel_code` -- produces a *runnable* mini-C
   program in which a split loop executes as per-chunk partial loops plus a
   combine step.  Running it through the interpreter and comparing against
-  the sequential original is the semantic validation of the partitioning
-  (chunks of a DOALL loop commute, so sequential chunk execution is
-  observationally equivalent to parallel execution).
+  the sequential original is the semantic validation of the partitioning:
+  tasks run in source statement order with each split loop's chunks
+  last-first, so a dependence the loop verdict missed between chunks
+  changes the result (chunks of a DOALL loop commute).
 - :func:`generate_pipeline_code` -- emits the per-PE C sources for a
   pipeline partition: each stage becomes a function communicating through
   ``ch_read``/``ch_write`` runtime primitives (the OS-primitive glue the
@@ -45,10 +46,13 @@ def generate_data_parallel_code(result: PartitionResult,
                                 entry_name: str = "main_par") -> Tuple[Program, str]:
     """Assemble a runnable program from an expanded (split) task graph.
 
-    The generated entry executes every task's statements in topological
-    order: chunk loops run over their sub-ranges into per-chunk partials,
-    then combine tasks merge partials -- byte-for-byte the code a shared
-    memory PE would run, minus the thread-spawn boilerplate.
+    The generated entry executes every task's statements in source
+    statement order (``result.clusters``): a split loop's chunk loops run
+    over their sub-ranges into per-chunk partials, last chunk first, then
+    its combine task merges the partials -- byte-for-byte the code a
+    shared memory PE would run, minus the thread-spawn boilerplate.  The
+    task graph has flow edges only, so its topological order is not a
+    program order.
     """
     source_program = result.program
     if source_program is None:
@@ -67,9 +71,13 @@ def generate_data_parallel_code(result: PartitionResult,
     for name, op in sorted(_collect_partials(expanded).items()):
         body.append(Decl(type=INT, name=name,
                          init=IntLit(value=_NEUTRAL.get(op, 0))))
-    for task_name in expanded.topological_order():
-        node = expanded.nodes[task_name]
-        body.extend(clone_list(node.stmts))
+    for name in result.clusters:
+        combine = f"{name}.combine"
+        chunks = [task for task in expanded.nodes
+                  if task.rpartition(".")[0] == name and task != combine]
+        for task_name in [name, *chunks[::-1], combine]:
+            if task_name in expanded.nodes:
+                body.extend(clone_list(expanded.nodes[task_name].stmts))
 
     entry = FuncDef(return_type=original_entry.return_type,
                     name=entry_name,

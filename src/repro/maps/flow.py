@@ -162,7 +162,8 @@ class MapsFlow:
             sequential = run_program(program, entry=entry)
             parallel = run_program(generated, entry=gen_entry)
             preserved = (sequential.return_value == parallel.return_value
-                         and sequential.output == parallel.output)
+                         and sequential.output == parallel.output
+                         and sequential.globals == parallel.globals)
 
         sequential_cost = partition.task_graph.total_cost()
         estimated = sequential_cost / max(mapping.makespan, 1e-9)

@@ -274,3 +274,75 @@ def test_regression_pointer_keeps_its_shadowed_variable(source, output,
     require_clean(program)
     result = run_program(program)
     assert (result.output, result.return_value) == (output, expected)
+
+
+# Loop bodies the dependence analysis used to call parallel.  The first
+# two touch one element every iteration (``A[3]`` takes the last
+# iteration's value, ``H[0]`` a running sum); in the next two ``t`` is
+# read before any definition on some path, once in a branch test; in the
+# last the running sum ``s`` steers a branch, so it is no reduction.
+# Each is a loop-carried dependence: the verdict is now SEQUENTIAL and
+# its reasons name it.
+PINNED_LOOP_VERDICTS = [
+    ("H[0] += B[i];", "loop-carried flow dependence on 'H' "
+                      "(same element every iteration)"),
+    ("A[3] = B[i];", "loop-carried output dependence on 'A' "
+                     "(same element every iteration)"),
+    ("if (i % 3 == 0) { t = A[i]; } B[i] = t;", "loop-carried scalar 't'"),
+    ("if (t > 5) { B[i] = 1; } t = A[i];", "loop-carried scalar 't'"),
+    ("s += A[i]; if (s > 300) { B[i] = 1; }", "loop-carried scalar 's'"),
+]
+
+
+def _loop_info(body):
+    from repro.cir import parse
+    from repro.cir.analysis.dependence import analyze_loop, find_loops
+    program = parse(
+        "int A[48]; int B[48]; int H[4];\n"
+        "int main() { int i; int t; int s; int c; c = 1;"
+        f" for (i = 0; i < 48; i = i + 1) {{ {body} }} return 0; }}")
+    return analyze_loop(find_loops(program.function("main").body)[0])
+
+
+@pytest.mark.parametrize("body,reason", PINNED_LOOP_VERDICTS)
+def test_regression_loop_carried_dependence_is_sequential(body, reason):
+    from repro.cir.analysis.dependence import LoopClass
+    info = _loop_info(body)
+    assert info.classification is LoopClass.SEQUENTIAL
+    assert reason in info.reasons
+    assert not info.reductions
+
+
+def test_regression_scalar_defined_on_every_path_stays_private():
+    from repro.cir.analysis.dependence import LoopClass
+    info = _loop_info("if (c) { t = A[i]; } else { t = 1; } B[i] = t;")
+    assert info.classification is LoopClass.DOALL
+    assert info.private_scalars == {"t"}
+    assert not info.carried_scalars
+
+
+# ``A[3] = B[i]`` was called DOALL and split; the generated ``main_par``
+# emitted the tasks in the topological order of a graph with flow edges
+# only, ``int i; return 0; for ...``, so it did no work, and the flow
+# compared only the return value and the output.  Tasks now run in
+# program order (each split loop's chunks last-first) and the globals
+# are compared too.
+CONSTANT_RETURN = """int A[48];
+int B[48];
+int main() { int i;
+  for (i = 0; i < 48; i = i + 1) { B[i] = i * 5 + 2; }
+  for (i = 0; i < 48; i = i + 1) { A[3] = B[i]; }
+  return 0; }
+"""
+
+
+def test_regression_flow_validates_globals_in_program_order():
+    from repro.maps import MapsFlow, PEClass, PlatformSpec
+    platform = PlatformSpec("pair")
+    platform.add_pe("pe0", PEClass.RISC)
+    platform.add_pe("pe1", PEClass.RISC)
+    report = MapsFlow(platform).run(CONSTANT_RETURN)
+    sequential, parallel = report.sequential_result, report.parallel_result
+    assert sequential.globals["A"][3] == 47 * 5 + 2
+    assert parallel.globals == sequential.globals
+    assert report.semantics_preserved

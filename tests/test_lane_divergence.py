@@ -212,5 +212,5 @@ class TestSeededFaultOnOneLane:
         # The flip actually perturbed lane 1's accumulator.
         lanes = ref["ram"][80:84]
         assert lanes[0] == 0                    # id 0 accumulates zeros
-        assert lanes[1] != 2000 * 1 or True     # value is plan-dependent
+        assert lanes[1] == 2000 + (1 << 5)      # bit 5 flipped once
         assert lanes[2] == 2000 * 2 and lanes[3] == 2000 * 3
