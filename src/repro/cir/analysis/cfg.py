@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Set, Union
 
 from repro.cir.nodes import (
     Assign, Block, Break, Continue, Decl, Expr, ExprStmt, For, FuncDef, If,
-    Node, Return, Stmt, While,
+    Return, Stmt, While,
 )
 
 

@@ -39,12 +39,12 @@ def _verdicts(program):
             for loop in find_loops(program.function("main").body)]
 
 
-def _reordered(original, index, order, rng):
-    """A copy of the program with loop ``index`` run in ``order``."""
+def _reordered(original, index, info, order, rng):
+    """A copy of the program with loop ``index`` (analyzed as ``info``)
+    run in ``order``."""
     program = clone(original)
     main = program.function("main")
     loop = find_loops(main.body)[index]
-    info = analyze_loop(loop)
     var, low, high = info.loop_var, info.lower.value, info.upper.value
     if order == "reverse":
         loop.init = Assign(target=Ident(name=var),
@@ -88,7 +88,7 @@ def test_parallel_loops_are_order_independent():
             if not info.classification.parallelizable():
                 continue
             for order in ("reverse", "permuted"):
-                variant = _reordered(program, index, order, rng)
+                variant = _reordered(program, index, info, order, rng)
                 if _observed(run_program(variant)) != expected:
                     mismatches.append((seed, index, order))
     assert mismatches == []
