@@ -194,6 +194,34 @@ def test_partition_outputs_are_pinned():
                       "a36dd339326393dded20581fe8ae693c")
 
 
+def _main_par_views():
+    """``emit`` of the program :func:`generate_data_parallel_code` builds
+    after every parallelizable loop is split into k = 2, 3, 4 chunks, as
+    ``MapsFlow.run`` splits them."""
+    from dataclasses import replace
+    from repro.maps.codegen import generate_data_parallel_code
+    out = []
+    for label, source, entry in _sources():
+        result = partition_function(parse(source), entry)
+        for k in (2, 3, 4):
+            expanded = result.task_graph
+            for task in result.parallelizable_tasks:
+                expanded = partition_data_parallel(
+                    replace(result, task_graph=expanded), task, k)
+            generated, _entry = generate_data_parallel_code(
+                replace(result, task_graph=expanded), expanded)
+            out.append((label, k, emit(generated)))
+    return out
+
+
+def test_main_par_programs_are_pinned():
+    """The generated ``main_par`` text: chunk loops, partial
+    declarations with their neutral elements, and combine steps."""
+    views = _main_par_views()
+    digest = hashlib.sha256(repr(views).encode()).hexdigest()
+    assert (len(views), digest[:16]) == (30, "0b6e71a9e1d87888")
+
+
 def test_array_size_precedence():
     """The edge words the precedence cases pin, spelled out."""
     words = {}
