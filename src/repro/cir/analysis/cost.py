@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.cir.analysis.dependence import _extract_counted_header
+from repro.cir.analysis.dependence import counted_loop
 from repro.cir.nodes import (
     ArrayIndex, Assign, BinOp, Block, Break, Call, Cond, Continue, Decl,
     Expr, ExprStmt, FloatLit, For, FuncDef, Ident, If, IntLit, Program,
@@ -203,16 +203,14 @@ class _Estimator:
 
     def trip_count(self, loop: For) -> float:
         """Static trip count if bounds are integer literals / known names."""
-        header = _extract_counted_header(loop)
+        header = counted_loop(loop)
         if header is None:
             return DEFAULT_TRIP_COUNT
-        _, lower, upper, step = header
-        low = self._const_value(lower)
-        high = self._const_value(upper)
-        if low is None or high is None or step == 0:
+        low = self._const_value(header.lower)
+        high = self._const_value(header.upper)
+        if low is None or high is None:
             return DEFAULT_TRIP_COUNT
-        trips = (high - low) / step
-        return max(0.0, trips)
+        return max(0.0, (high - low) / abs(header.step))
 
     def _const_value(self, expr: Optional[Expr]) -> Optional[float]:
         if expr is None:

@@ -9,7 +9,7 @@ strong definitions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Optional, Set, Tuple
 
 from repro.cir.analysis.cfg import CFG, CFGNode
 from repro.cir.nodes import (
@@ -91,6 +91,19 @@ def stmt_uses(stmt: Stmt) -> Set[str]:
     if isinstance(stmt, Return):
         return expr_uses(stmt.value)
     return set()
+
+
+def defs_of(stmts: Iterable[Stmt]) -> Set[str]:
+    """Names the statements, or statements nested in them, define."""
+    return {name for stmt in stmts for node in stmt.walk()
+            if isinstance(node, Stmt) for name in stmt_defs(node)}
+
+
+def uses_of(stmts: Iterable[Stmt]) -> Set[str]:
+    """Names the statements, or statements nested in them, read (as
+    :func:`stmt_uses` counts them: branch tests are not reads)."""
+    return {name for stmt in stmts for node in stmt.walk()
+            if isinstance(node, Stmt) for name in stmt_uses(node)}
 
 
 # A definition site: (cfg node id, variable name).
@@ -200,5 +213,6 @@ def analyze_dataflow(cfg: CFG) -> DataflowResult:
     return result
 
 
-__all__ = ["DataflowResult", "DefSite", "analyze_dataflow", "expr_uses",
-           "node_uses", "stmt_defs", "stmt_strong_defs", "stmt_uses"]
+__all__ = ["DataflowResult", "DefSite", "analyze_dataflow", "defs_of",
+           "expr_uses", "node_uses", "stmt_defs", "stmt_strong_defs",
+           "stmt_uses", "uses_of"]

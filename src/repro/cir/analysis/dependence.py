@@ -22,6 +22,10 @@ and carried (a true cross-iteration dependence) otherwise.
 
 Two accesses that name the same loop-invariant element every iteration,
 at least one of them a write, are carried at unknown distance.
+
+:func:`counted_loop` is the one reader of a counted loop header, and
+:func:`chunk_loop` the one builder of chunk loops; the MAPS partitioner
+and the Source Recoder's loop split both use them.
 """
 
 from __future__ import annotations
@@ -31,8 +35,9 @@ from enum import Enum
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.cir.analysis.cfg import build_cfg
+from repro.cir.clone import clone
 from repro.cir.analysis.dataflow import (
-    analyze_dataflow, expr_uses, node_uses, stmt_defs, stmt_uses,
+    analyze_dataflow, defs_of, expr_uses, node_uses, stmt_uses,
 )
 from repro.cir.nodes import (
     ArrayIndex, Assign, BinOp, Block, Call, Decl, Expr, ExprStmt, For, Ident,
@@ -257,77 +262,149 @@ class LoopClass(Enum):
         return self is not LoopClass.SEQUENTIAL
 
 
+@dataclass(frozen=True)
+class CountedLoop:
+    """A counted loop header read as a half-open ascending range.
+
+    ``var`` takes values in ``[lower, upper)``, ``abs(step)`` apart:
+    upward from ``lower`` when ``step > 0``, downward from ``upper - 1``
+    when ``step < 0``.  ``declared`` marks ``for (int i = ...)``.  The
+    bounds may share nodes with the loop: clone them before inserting.
+    """
+
+    var: str
+    lower: Expr
+    upper: Expr
+    step: int
+    declared: bool = False
+
+
+_FLIPPED = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
+
+
+def counted_loop(loop: For) -> Optional[CountedLoop]:
+    """Read ``for (i = L; i < U; i += s)`` and its variants: ``<=``,
+    ``>``, ``>=``, the bound on either side of the test, ``i++``,
+    ``i--``, ``i -= s``, ``i = i + s``, ``i = i - s`` and ``int i = L``.
+    None for any other header, or one whose test and step disagree in
+    direction."""
+    init, test = loop.init, loop.test
+    if isinstance(init, Assign) and isinstance(init.target, Ident) \
+            and not init.op:
+        var, start = init.target.name, init.value
+    elif isinstance(init, Decl) and init.init is not None:
+        var, start = init.name, init.init
+    else:
+        return None
+    step = _step_of(loop.step, var)
+    if not step or not isinstance(test, BinOp) or test.op not in _FLIPPED:
+        return None
+    op, bound = test.op, test.right
+    if _is_var(test.right, var):
+        op, bound = _FLIPPED[op], test.left
+    elif not _is_var(test.left, var):
+        return None
+    if var in expr_uses(bound) or (step > 0) != (op in ("<", "<=")):
+        return None
+    declared = isinstance(init, Decl)
+    if step > 0:
+        upper = _plus_one(bound) if op == "<=" else bound
+        return CountedLoop(var, start, upper, step, declared)
+    lower = _plus_one(bound) if op == ">" else bound
+    return CountedLoop(var, lower, _plus_one(start), step, declared)
+
+
+def _is_var(expr: Expr, var: str) -> bool:
+    return isinstance(expr, Ident) and expr.name == var
+
+
+def _plus_one(expr: Expr) -> Expr:
+    if isinstance(expr, IntLit):
+        return IntLit(value=expr.value + 1)
+    return BinOp(op="+", left=expr, right=IntLit(value=1))
+
+
+def _step_of(stmt: Optional[Stmt], var: str) -> int:
+    """What a step statement adds to ``var`` each iteration (0: not a
+    constant step)."""
+    if not (isinstance(stmt, Assign) and _is_var(stmt.target, var)):
+        return 0
+    op, value = stmt.op, stmt.value
+    if not op and isinstance(value, BinOp) and _is_var(value.left, var):
+        op, value = value.op, value.right
+    if op in ("+", "-") and isinstance(value, IntLit):
+        return value.value if op == "+" else -value.value
+    return 0
+
+
+def chunk_refusal(loop: For) -> Optional[str]:
+    """Why :func:`chunk_loop` cannot reproduce ``loop`` exactly, or None.
+
+    Chunks are emitted as ``for (i = lo; i < hi; i += 1)``, so the loop
+    must count up by one over a range its body does not change."""
+    header = counted_loop(loop)
+    if header is None:
+        return "not a counted loop"
+    if header.var in defs_of(loop.body.stmts):
+        return f"loop variable {header.var!r} modified in body"
+    if header.step < 0:
+        return "a down-counting loop"
+    if header.step != 1:
+        return f"step {header.step}"
+    return None
+
+
+def chunk_loop(loop: For, k: int) -> List[For]:
+    """``k`` copies of ``loop`` over consecutive sub-ranges of its range,
+    in iteration order, each headed ``for (i = lo; i < hi; i += 1)``
+    (``int i`` stays declared).
+
+    Literal bounds give chunk sizes that differ by at most one, larger
+    chunks first; other bounds give ``L + (U - L) * c / k``.  Raises
+    ValueError with :func:`chunk_refusal`'s reason for any other loop.
+    """
+    why = chunk_refusal(loop)
+    if why is not None:
+        raise ValueError(why)
+    header = counted_loop(loop)
+    lower, upper, var = header.lower, header.upper, header.var
+    cuts: List[Expr] = []
+    if isinstance(lower, IntLit) and isinstance(upper, IntLit):
+        base, extra = divmod(max(0, upper.value - lower.value), k)
+        for c in range(k + 1):
+            cuts.append(IntLit(value=lower.value + c * base + min(c, extra)))
+    else:
+        span = BinOp(op="-", left=upper, right=lower)
+        for c in range(k + 1):
+            scaled = BinOp(op="*", left=span, right=IntLit(value=c))
+            cuts.append(BinOp(op="+", left=lower, right=BinOp(
+                op="/", left=scaled, right=IntLit(value=k))))
+    chunks: List[For] = []
+    for low, high in zip(cuts, cuts[1:]):
+        chunk = clone(loop)
+        if header.declared:
+            chunk.init.init = clone(low)
+        else:
+            chunk.init.value = clone(low)
+        chunk.test = BinOp(op="<", left=Ident(name=var), right=clone(high))
+        chunk.step = Assign(target=Ident(name=var), value=IntLit(value=1),
+                            op="+")
+        chunks.append(chunk)
+    return chunks
+
+
 @dataclass
 class LoopInfo:
-    """Full analysis result for one counted loop."""
+    """Full analysis result for one loop (``header`` None: not counted)."""
 
     loop: For
-    loop_var: str
-    lower: Optional[Expr]
-    upper: Optional[Expr]
-    step: int
+    header: Optional[CountedLoop]
     classification: LoopClass
     dependences: List[Dependence] = field(default_factory=list)
     reductions: Dict[str, str] = field(default_factory=dict)  # var -> op
     private_scalars: Set[str] = field(default_factory=set)
     carried_scalars: Set[str] = field(default_factory=set)
     reasons: List[str] = field(default_factory=list)
-
-
-def _extract_counted_header(loop: For) -> Optional[Tuple[str, Optional[Expr],
-                                                         Optional[Expr], int]]:
-    """Recognize ``for (i = L; i < U; i += s)`` shapes.
-
-    Returns (var, lower, upper, step) or None if the loop is not counted.
-    """
-    init = loop.init
-    var: Optional[str] = None
-    lower: Optional[Expr] = None
-    if isinstance(init, Assign) and isinstance(init.target, Ident) and not init.op:
-        var = init.target.name
-        lower = init.value
-    elif isinstance(init, Decl):
-        var = init.name
-        lower = init.init
-    if var is None:
-        return None
-    upper: Optional[Expr] = None
-    if isinstance(loop.test, BinOp) and loop.test.op in ("<", "<=", ">", ">="):
-        left, right = loop.test.left, loop.test.right
-        if isinstance(left, Ident) and left.name == var:
-            upper = right
-        elif isinstance(right, Ident) and right.name == var:
-            upper = left
-        else:
-            return None
-    step = 0
-    if isinstance(loop.step, Assign) and isinstance(loop.step.target, Ident) \
-            and loop.step.target.name == var:
-        if loop.step.op in ("+", "-") and isinstance(loop.step.value, IntLit):
-            step = loop.step.value.value
-            if loop.step.op == "-":
-                step = -step
-        elif not loop.step.op and isinstance(loop.step.value, BinOp):
-            # i = i + c / i = i - c
-            binop = loop.step.value
-            if (binop.op in ("+", "-") and isinstance(binop.left, Ident)
-                    and binop.left.name == var
-                    and isinstance(binop.right, IntLit)):
-                step = binop.right.value if binop.op == "+" else -binop.right.value
-    if step == 0:
-        return None
-    return var, lower, upper, step
-
-
-def _body_writes_var(body: Block, var: str) -> bool:
-    for stmt in body.stmts:
-        for node in stmt.walk():
-            if isinstance(node, (Assign,)) and isinstance(node.target, Ident) \
-                    and node.target.name == var:
-                return True
-            if isinstance(node, Decl) and node.name == var:
-                return True
-    return False
 
 
 def _scalar_analysis(body: Block, loop_var: str) \
@@ -407,16 +484,17 @@ PURE_INTRINSICS = {"abs", "min", "max", "sqrt", "floor", "ceil"}
 def analyze_loop(loop: For, invariants: Optional[Set[str]] = None,
                  pure_functions: Optional[Set[str]] = None) -> LoopInfo:
     """Analyze a counted for-loop for parallelizability."""
-    header = _extract_counted_header(loop)
+    header = counted_loop(loop)
     if header is None:
-        return LoopInfo(loop, "", None, None, 0, LoopClass.SEQUENTIAL,
+        return LoopInfo(loop, None, LoopClass.SEQUENTIAL,
                         reasons=["not a counted loop"])
-    var, lower, upper, step = header
+    var = header.var
     invariants = set(invariants or set())
     pure = PURE_INTRINSICS | set(pure_functions or set())
+    body_writes = defs_of(loop.body.stmts)
 
     reasons: List[str] = []
-    if _body_writes_var(loop.body, var):
+    if var in body_writes:
         reasons.append(f"loop variable {var!r} modified in body")
 
     impure_calls = _has_calls(loop.body, pure)
@@ -439,11 +517,6 @@ def analyze_loop(loop: For, invariants: Optional[Set[str]] = None,
         break
 
     # Loop-invariant names: anything used but never written in the body.
-    body_writes: Set[str] = set()
-    for stmt in loop.body.stmts:
-        for node in stmt.walk():
-            if isinstance(node, (Assign, Decl)):
-                body_writes |= stmt_defs(node)
     body_reads: Set[str] = set()
     for stmt in loop.body.stmts:
         for node in stmt.walk():
@@ -487,7 +560,7 @@ def analyze_loop(loop: For, invariants: Optional[Set[str]] = None,
     else:
         classification = LoopClass.DOALL
 
-    return LoopInfo(loop, var, lower, upper, step, classification,
+    return LoopInfo(loop, header, classification,
                     dependences, reductions, private, carried_scalars,
                     reasons)
 
@@ -502,6 +575,7 @@ def find_loops(body: Block) -> List[For]:
     return loops
 
 
-__all__ = ["AccessInfo", "Affine", "Dependence", "LoopClass", "LoopInfo",
-           "REDUCTION_OPS", "affine_of", "analyze_loop",
-           "collect_array_accesses", "find_loops"]
+__all__ = ["AccessInfo", "Affine", "CountedLoop", "Dependence", "LoopClass",
+           "LoopInfo", "REDUCTION_OPS", "affine_of", "analyze_loop",
+           "chunk_loop", "chunk_refusal", "collect_array_accesses",
+           "counted_loop", "find_loops"]

@@ -22,21 +22,19 @@ Two generators:
 
 from __future__ import annotations
 
-import re
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Tuple
 
 from repro.cir.clone import clone, clone_list
 from repro.cir.codegen import emit
 from repro.cir.nodes import (
-    Assign, Block, Call, Decl, ExprStmt, FuncDef, Ident, IntLit,
-    Program, Stmt,
+    Block, Call, Decl, ExprStmt, FuncDef, IntLit, Program, Stmt,
 )
 from repro.cir.typesys import INT, ScalarType
 from repro.maps.mapping import Mapping
-from repro.maps.partition import PartitionResult, PipelinePartition
+from repro.maps.partition import (
+    PartitionResult, PipelinePartition, _partial_name,
+)
 from repro.maps.taskgraph import TaskGraph
-
-_PARTIAL_RE = re.compile(r"^(?P<base>.+)__p(?P<index>\d+)$")
 
 _NEUTRAL = {"+": 0, "|": 0, "^": 0, "*": 1, "&": -1}
 
@@ -65,19 +63,24 @@ def generate_data_parallel_code(result: PartitionResult,
         if func.name != result.entry:
             generated.functions.append(clone(func))
 
-    body: List[Stmt] = []
-    # Declare reduction partials up front, initialized to the neutral
-    # element of their combine operator.
-    for name, op in sorted(_collect_partials(expanded).items()):
-        body.append(Decl(type=INT, name=name,
-                         init=IntLit(value=_NEUTRAL.get(op, 0))))
+    tasks: List[Stmt] = []
+    neutral: Dict[str, int] = {}  # reduction partial -> its initial value
     for name in result.clusters:
         combine = f"{name}.combine"
         chunks = [task for task in expanded.nodes
                   if task.rpartition(".")[0] == name and task != combine]
+        if combine in expanded.nodes:
+            for var, op in result.loop_infos[name].reductions.items():
+                for index in range(len(chunks)):
+                    neutral[_partial_name(var, index)] = _NEUTRAL[op]
         for task_name in [name, *chunks[::-1], combine]:
             if task_name in expanded.nodes:
-                body.extend(clone_list(expanded.nodes[task_name].stmts))
+                tasks.extend(clone_list(expanded.nodes[task_name].stmts))
+    # The partials are declared up front, at the neutral element of their
+    # combine operator.
+    body: List[Stmt] = [Decl(type=INT, name=name, init=IntLit(value=value))
+                        for name, value in sorted(neutral.items())]
+    body.extend(tasks)
 
     entry = FuncDef(return_type=original_entry.return_type,
                     name=entry_name,
@@ -85,23 +88,6 @@ def generate_data_parallel_code(result: PartitionResult,
                     body=Block(stmts=body))
     generated.functions.append(entry)
     return generated, entry_name
-
-
-def _collect_partials(graph: TaskGraph) -> Dict[str, str]:
-    """Partial-variable name -> combine operator, from the graph's code."""
-    ops: Dict[str, str] = {}
-    partial_names: Set[str] = set()
-    for node in graph.nodes.values():
-        for stmt in node.stmts:
-            for child in stmt.walk():
-                if isinstance(child, Ident) and _PARTIAL_RE.match(child.name):
-                    partial_names.add(child.name)
-        if node.kind == "combine":
-            for stmt in node.stmts:
-                if isinstance(stmt, Assign) and stmt.op and \
-                        isinstance(stmt.value, Ident):
-                    ops[stmt.value.name] = stmt.op
-    return {name: ops.get(name, "+") for name in partial_names}
 
 
 # ---------------------------------------------------------------------------

@@ -18,17 +18,16 @@ Three partitioners are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from repro.cir.analysis.cost import CostWeights, estimate_cost
-from repro.cir.analysis.dataflow import stmt_defs, stmt_uses
+from repro.cir.analysis.dataflow import defs_of, stmt_defs, stmt_uses, uses_of
 from repro.cir.analysis.dependence import (
-    LoopClass, LoopInfo, analyze_loop,
+    LoopClass, LoopInfo, analyze_loop, chunk_loop, chunk_refusal,
+    counted_loop,
 )
-from repro.cir.clone import clone
 from repro.cir.nodes import (
-    Assign, BinOp, Decl, Expr, For, FuncDef, Ident, IntLit, Program,
-    Stmt,
+    Assign, Decl, Expr, For, FuncDef, Ident, Program, Stmt,
 )
 from repro.cir.typesys import ArrayType
 from repro.maps.spec import PEClass
@@ -44,20 +43,10 @@ class Cluster:
     loop_info: Optional[LoopInfo] = None
 
     def defs(self) -> Set[str]:
-        names: Set[str] = set()
-        for stmt in self.stmts:
-            for node in stmt.walk():
-                if isinstance(node, (Assign, Decl)):
-                    names |= stmt_defs(node)
-        return names
+        return defs_of(self.stmts)
 
     def uses(self) -> Set[str]:
-        names: Set[str] = set()
-        for stmt in self.stmts:
-            for node in stmt.walk():
-                if isinstance(node, Stmt):
-                    names |= stmt_uses(node)
-        return names
+        return uses_of(self.stmts)
 
 
 @dataclass
@@ -100,6 +89,8 @@ def partition_function(program: Program, entry: str = "main",
     Top-level ``for`` loops become loop tasks (analyzed for
     parallelizability); maximal runs of other statements become block
     tasks.  Edges carry flow dependences with estimated transfer volumes.
+    A parallel loop that :func:`chunk_refusal` refuses stays unsplit,
+    with the refusal in its ``reasons``.
     """
     func = program.function(entry)
     sizes = _array_sizes(program, func)
@@ -137,10 +128,15 @@ def partition_function(program: Program, entry: str = "main",
                               stmts=cluster.stmts)
         node.class_factor = _class_factors(cluster, program)
         result.clusters[cluster.name] = cluster
-        if cluster.loop_info is not None:
-            result.loop_infos[cluster.name] = cluster.loop_info
-            if cluster.loop_info.classification.parallelizable():
-                result.parallelizable_tasks.append(cluster.name)
+        info = cluster.loop_info
+        if info is not None:
+            result.loop_infos[cluster.name] = info
+            if info.classification.parallelizable():
+                why = chunk_refusal(info.loop)
+                if why is None:
+                    result.parallelizable_tasks.append(cluster.name)
+                else:
+                    info.reasons.append(f"not split: {why}")
         decisions += 1
 
     # Flow-dependence edges between clusters (earlier -> later).
@@ -192,17 +188,18 @@ def partition_data_parallel(result: PartitionResult, task_name: str,
                             k: int) -> TaskGraph:
     """Split loop task ``task_name`` into ``k`` data-parallel chunks.
 
-    The loop must be classified DOALL or REDUCTION.  Returns a *new*
-    task graph; the original is not modified.  Chunk tasks carry cloned
-    loop statements with adjusted bounds so the code generator can emit
-    runnable per-PE code.
+    The loop must be one of ``result.parallelizable_tasks``.  Returns a
+    *new* task graph; the original is not modified.  Chunk tasks carry
+    :func:`chunk_loop`'s loops, with reduction targets renamed to
+    per-chunk partials, so the code generator can emit runnable per-PE
+    code.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     info = result.loop_infos.get(task_name)
     if info is None:
         raise KeyError(f"{task_name!r} is not a loop task")
-    if not info.classification.parallelizable():
+    if task_name not in result.parallelizable_tasks:
         raise ValueError(
             f"{task_name!r} is {info.classification.value}; reasons: "
             f"{info.reasons}")
@@ -216,12 +213,12 @@ def partition_data_parallel(result: PartitionResult, task_name: str,
                                     dict(node.class_factor)))
     original = old.nodes[task_name]
     chunk_names: List[str] = []
-    bounds = _chunk_bounds(info, k)
-    for index in range(k):
+    for index, chunk in enumerate(chunk_loop(info.loop, k)):
         chunk_name = f"{task_name}.c{index}"
         chunk_names.append(chunk_name)
-        chunk_loop = _make_chunk_loop(info, bounds[index], index)
-        node = TaskNode(chunk_name, original.cost / k, [chunk_loop],
+        for red_var in info.reductions:
+            _rename_ident(chunk.body, red_var, _partial_name(red_var, index))
+        node = TaskNode(chunk_name, original.cost / k, [chunk],
                         kind="compute",
                         preferred_pe=original.preferred_pe,
                         class_factor=dict(original.class_factor))
@@ -257,50 +254,6 @@ def partition_data_parallel(result: PartitionResult, task_name: str,
             graph.connect(chunk, combine_name, words=len(info.reductions),
                           label="partial")
     return graph
-
-
-def _chunk_bounds(info: LoopInfo, k: int) -> List[Tuple[Expr, Expr]]:
-    """Per-chunk (lower, upper) bound expressions."""
-    lower, upper = info.lower, info.upper
-    if isinstance(lower, IntLit) and isinstance(upper, IntLit) and \
-            info.step == 1:
-        low, high = lower.value, upper.value
-        span = high - low
-        base = span // k
-        remainder = span % k
-        bounds: List[Tuple[Expr, Expr]] = []
-        cursor = low
-        for index in range(k):
-            size = base + (1 if index < remainder else 0)
-            bounds.append((IntLit(value=cursor), IntLit(value=cursor + size)))
-            cursor += size
-        return bounds
-    # Symbolic bounds: lo + i*(up-lo)/k .. lo + (i+1)*(up-lo)/k.
-    bounds = []
-    for index in range(k):
-        def offset(which: int) -> Expr:
-            span = BinOp(op="-", left=clone(upper), right=clone(lower))
-            scaled = BinOp(op="/", left=BinOp(op="*", left=span,
-                                              right=IntLit(value=which)),
-                           right=IntLit(value=k))
-            return BinOp(op="+", left=clone(lower), right=scaled)
-        bounds.append((offset(index), offset(index + 1)))
-    return bounds
-
-
-def _make_chunk_loop(info: LoopInfo, bounds: Tuple[Expr, Expr],
-                     chunk_index: int) -> For:
-    """Clone the loop with chunk bounds; reduction targets are renamed to
-    per-chunk partials (``s`` -> ``s__p<i>``)."""
-    loop = clone(info.loop)
-    low, high = bounds
-    var = info.loop_var
-    loop.init = Assign(target=Ident(name=var), value=clone(low))
-    loop.test = BinOp(op="<", left=Ident(name=var), right=clone(high))
-    loop.step = Assign(target=Ident(name=var), value=IntLit(value=1), op="+")
-    for red_var in info.reductions:
-        _rename_ident(loop.body, red_var, _partial_name(red_var, chunk_index))
-    return loop
 
 
 def _partial_name(var: str, chunk_index: int) -> str:
@@ -359,7 +312,7 @@ def partition_pipeline(program: Program, entry: str = "main",
         raise ValueError(f"{entry!r} has no outer loop to pipeline")
     sizes = _array_sizes(program, func)
 
-    info = analyze_loop(outer)
+    header = counted_loop(outer)
     stages: List[List[Stmt]] = []
     for stmt in outer.body.stmts:
         stages.append([stmt])
@@ -398,7 +351,9 @@ def partition_pipeline(program: Program, entry: str = "main",
                 words = sum(sizes.get(name, 1) for name in shared)
                 graph.connect(names[earlier_index], names[later_index],
                               words=words, label=",".join(sorted(shared)))
-    return PipelinePartition(graph, info.upper, info.loop_var, names)
+    if header is None:
+        return PipelinePartition(graph, None, "", names)
+    return PipelinePartition(graph, header.upper, header.var, names)
 
 
 def _stage_produces_array(stmts: List[Stmt], sizes: Dict[str, int]) -> bool:

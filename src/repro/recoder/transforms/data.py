@@ -5,10 +5,10 @@ splitting, localization, and channel insertion (section VI).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Tuple
 
-from repro.cir.analysis.dataflow import stmt_defs, stmt_uses
-from repro.cir.analysis.dependence import _extract_counted_header
+from repro.cir.analysis.dataflow import defs_of, uses_of
+from repro.cir.analysis.dependence import chunk_refusal, counted_loop
 from repro.cir.clone import clone
 from repro.cir.codegen import emit_expression
 from repro.cir.nodes import (
@@ -45,12 +45,7 @@ def analyze_shared_accesses(program: Program,
     func = program.function(func_name)
     report = SharedAccessReport()
     for stmt in func.body.stmts:
-        defs: Set[str] = set()
-        uses: Set[str] = set()
-        for node in stmt.walk():
-            if isinstance(node, Stmt):
-                defs |= stmt_defs(node)
-                uses |= stmt_uses(node)
+        defs, uses = defs_of([stmt]), uses_of([stmt])
         for name in defs:
             report.writers.setdefault(name, []).append(stmt.line)
         for name in uses:
@@ -108,13 +103,14 @@ def split_shared_vector(program: Program, func_name: str, array: str,
     loops = _resolve_loops(func, loop_lines)
     ranges: List[Tuple[int, int]] = []
     for loop in loops:
-        header = _extract_counted_header(loop)
-        if header is None or header[3] != 1:
-            raise TransformError("vector split needs counted step-1 loops")
-        var, lower, upper, _step = header
+        why = chunk_refusal(loop)
+        if why is not None:
+            raise TransformError(f"vector split needs chunkable loops: {why}")
+        header = counted_loop(loop)
+        lower, upper = header.lower, header.upper
         if not isinstance(lower, IntLit) or not isinstance(upper, IntLit):
             raise TransformError("vector split needs literal bounds")
-        _check_only_loop_var_indexing(loop, array, var)
+        _check_only_loop_var_indexing(loop, array, header.var)
         ranges.append((lower.value, upper.value))
 
     # Which partitions read / write the array (decides copy-in/gather).
@@ -147,8 +143,7 @@ def split_shared_vector(program: Program, func_name: str, array: str,
         if reads:
             copy_ins.extend(_copy_loop(f"__s{index}_{array}", array,
                                        private, low, high, into_private=True))
-        var = _extract_counted_header(loop)[0]
-        changed += _rewrite_array_accesses(loop, array, private, low, var)
+        changed += _rewrite_array_accesses(loop, array, private, low)
 
     first_index = func.body.stmts.index(loops[0])
     func.body.stmts[first_index:first_index] = decls + copy_ins
@@ -217,7 +212,7 @@ def _check_only_loop_var_indexing(loop: For, array: str, var: str) -> None:
 
 
 def _rewrite_array_accesses(loop: For, array: str, private: str,
-                            low: int, var: str) -> int:
+                            low: int) -> int:
     changed = 0
     for node in loop.body.walk():
         if isinstance(node, ArrayIndex):
@@ -244,10 +239,7 @@ def localize_accesses(program: Program, func_name: str,
     (otherwise a read after the write would see a stale local)."""
     func = program.function(func_name)
     loop = find_loop(func, line)
-    written: Set[str] = set()
-    for node in loop.body.walk():
-        if isinstance(node, (Assign, Decl)):
-            written |= stmt_defs(node)
+    written = defs_of(loop.body.stmts)
 
     # Count reads per (array, rendered index) pair.
     reads: Dict[Tuple[str, str], List[ArrayIndex]] = {}
@@ -338,12 +330,7 @@ def insert_channel_sync(program: Program, func_name: str, var: str,
     consumer_index = top_level_index(func, consumer_line)
     if producer_index >= consumer_index:
         raise TransformError("producer must precede consumer")
-    producer = func.body.stmts[producer_index]
-    prod_defs: Set[str] = set()
-    for node in producer.walk():
-        if isinstance(node, (Assign, Decl)):
-            prod_defs |= stmt_defs(node)
-    if var not in prod_defs:
+    if var not in defs_of([func.body.stmts[producer_index]]):
         raise TransformError(
             f"{var!r} is not defined by the statement at line "
             f"{producer_line}")
@@ -385,12 +372,7 @@ def insert_array_channel_sync(program: Program, func_name: str, array: str,
     if producer_index >= consumer_index:
         raise TransformError("producer must precede consumer")
     _array_element_type(program, func, array)  # validates it is an array
-    producer = func.body.stmts[producer_index]
-    prod_defs: Set[str] = set()
-    for node in producer.walk():
-        if isinstance(node, (Assign, Decl)):
-            prod_defs |= stmt_defs(node)
-    if array not in prod_defs:
+    if array not in defs_of([func.body.stmts[producer_index]]):
         raise TransformError(
             f"{array!r} is not written by the statement at line "
             f"{producer_line}")

@@ -1,10 +1,12 @@
 """Loop partitioning transformations: chunk split and fission.
 
 - :func:`split_loop` -- "split loops into code partitions": one counted
-  loop becomes ``k`` consecutive sub-range loops.  Because the chunks
-  execute in original iteration order, this is semantics-preserving for
-  *any* counted step-1 loop (even sequential ones); the partitions become
-  units for mapping to cores.
+  loop becomes ``k`` consecutive sub-range loops, built by
+  :func:`~repro.cir.analysis.dependence.chunk_loop`.  The chunks run in
+  the original iteration order, so the split preserves the semantics of
+  every loop the chunker accepts, sequential ones included; it refuses
+  the rest with :class:`TransformError`.  The partitions become units
+  for mapping to cores.
 - :func:`split_loop_fission` -- "expose pipelined parallelism": the loop
   body is distributed over two loops at a statement boundary (classic
   loop distribution).  Legal when no value flows backward across the cut;
@@ -16,13 +18,10 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.cir.analysis.dataflow import stmt_defs, stmt_uses
-from repro.cir.analysis.dependence import (
-    _extract_counted_header, )
+from repro.cir.analysis.dataflow import defs_of, uses_of
+from repro.cir.analysis.dependence import chunk_loop, counted_loop
 from repro.cir.clone import clone, clone_list
-from repro.cir.nodes import (
-    Assign, BinOp, Block, For, Ident, IntLit, Program, Stmt,
-)
+from repro.cir.nodes import Block, IntLit, Program
 from repro.recoder.transforms.base import (
     TransformError, TransformReport, find_enclosing_block, find_loop,
 )
@@ -35,32 +34,16 @@ def split_loop(program: Program, func_name: str, line: int,
         raise TransformError("k must be >= 2")
     func = program.function(func_name)
     loop = find_loop(func, line)
-    header = _extract_counted_header(loop)
-    if header is None:
-        raise TransformError(f"loop at line {line} is not a counted loop")
-    var, lower, upper, step = header
-    if step != 1:
-        raise TransformError("only step-1 loops can be chunk-split")
-    if not isinstance(lower, IntLit) or not isinstance(upper, IntLit):
+    header = counted_loop(loop)
+    if header is not None and not (isinstance(header.lower, IntLit)
+                                   and isinstance(header.upper, IntLit)):
         raise TransformError("chunk split needs literal loop bounds")
-
-    low, high = lower.value, upper.value
-    span = max(0, high - low)
-    base = span // k
-    remainder = span % k
-    pieces: List[For] = []
-    cursor = low
-    for index in range(k):
-        size = base + (1 if index < remainder else 0)
-        piece = clone(loop)
-        piece.init = Assign(target=Ident(name=var),
-                            value=IntLit(value=cursor))
-        piece.test = BinOp(op="<", left=Ident(name=var),
-                           right=IntLit(value=cursor + size))
-        piece.step = Assign(target=Ident(name=var), value=IntLit(value=1),
-                            op="+")
-        pieces.append(piece)
-        cursor += size
+    try:
+        pieces = chunk_loop(loop, k)
+    except ValueError as error:
+        raise TransformError(f"loop at line {line} cannot be chunk-split: "
+                             f"{error}") from None
+    base = (header.upper.value - header.lower.value) // k
 
     block = find_enclosing_block(func, loop)
     position = block.stmts.index(loop)
@@ -91,20 +74,10 @@ def split_loop_fission(program: Program, func_name: str, line: int,
 
     warnings: List[str] = []
     # Backward flow check: second group defines something first group uses.
-    first_uses = set()
-    first_defs = set()
-    for stmt in first_stmts:
-        for node in stmt.walk():
-            if isinstance(node, Stmt):
-                first_uses |= stmt_uses(node)
-                first_defs |= stmt_defs(node)
-    second_defs = set()
-    for stmt in second_stmts:
-        for node in stmt.walk():
-            if isinstance(node, Stmt):
-                second_defs |= stmt_defs(node)
-    header = _extract_counted_header(loop)
-    loop_var = header[0] if header else None
+    first_uses, first_defs = uses_of(first_stmts), defs_of(first_stmts)
+    second_defs = defs_of(second_stmts)
+    header = counted_loop(loop)
+    loop_var = header.var if header else None
     backward = (second_defs & first_uses) - {loop_var}
     if backward:
         warnings.append(
@@ -114,7 +87,7 @@ def split_loop_fission(program: Program, func_name: str, line: int,
     # Scalars defined in group 1 and used in group 2 must be arrays or
     # per-iteration temporaries; a scalar carried between the loops only
     # keeps its last-iteration value.
-    carried_scalars = sorted((first_defs & _group_uses(second_stmts))
+    carried_scalars = sorted((first_defs & uses_of(second_stmts))
                              - {loop_var})
     if carried_scalars:
         warnings.append(
@@ -133,15 +106,6 @@ def split_loop_fission(program: Program, func_name: str, line: int,
         "split_loop_fission",
         f"loop at line {line} distributed at body index {cut}",
         warnings=warnings, nodes_changed=2)
-
-
-def _group_uses(stmts: List[Stmt]) -> set:
-    uses = set()
-    for stmt in stmts:
-        for node in stmt.walk():
-            if isinstance(node, Stmt):
-                uses |= stmt_uses(node)
-    return uses
 
 
 __all__ = ["split_loop", "split_loop_fission"]

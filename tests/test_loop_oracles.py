@@ -21,7 +21,9 @@ import random
 from collections import Counter
 
 from repro.cir import parse
-from repro.cir.analysis.dependence import analyze_loop, find_loops
+from repro.cir.analysis.dependence import (
+    analyze_loop, counted_loop, find_loops,
+)
 from repro.cir.clone import clone
 from repro.cir.interp import run_program
 from repro.cir.nodes import ArrayIndex, Assign, BinOp, Ident, IntLit
@@ -39,23 +41,21 @@ def _verdicts(program):
             for loop in find_loops(program.function("main").body)]
 
 
-def _reordered(original, index, info, order, rng):
-    """A copy of the program with loop ``index`` (analyzed as ``info``)
-    run in ``order``."""
+def _reordered(original, index, order, rng):
+    """A copy of the program with loop ``index`` run in ``order``: its
+    iterations, read off :func:`counted_loop`, reversed or shuffled into
+    a global ``P`` that ``for (pj ...) { i = P[pj]; ... }`` walks."""
     program = clone(original)
     main = program.function("main")
     loop = find_loops(main.body)[index]
-    var, low, high = info.loop_var, info.lower.value, info.upper.value
+    header = counted_loop(loop)
+    low, high, step = header.lower.value, header.upper.value, header.step
+    values = list(range(low, high, step) if step > 0
+                  else range(high - 1, low - 1, step))
     if order == "reverse":
-        loop.init = Assign(target=Ident(name=var),
-                           value=IntLit(value=high - 1))
-        loop.test = BinOp(op=">=", left=Ident(name=var),
-                          right=IntLit(value=low))
-        loop.step = Assign(target=Ident(name=var), value=IntLit(value=1),
-                           op="-")
-        return program
-    values = list(range(low, high))
-    rng.shuffle(values)
+        values.reverse()
+    else:
+        rng.shuffle(values)
     main.body.stmts[:0] = [
         Assign(target=ArrayIndex(base=Ident(name="P"),
                                  index=IntLit(value=slot)),
@@ -67,7 +67,7 @@ def _reordered(original, index, info, order, rng):
     loop.step = Assign(target=Ident(name="pj"), value=IntLit(value=1),
                        op="+")
     loop.body.stmts.insert(0, Assign(
-        target=Ident(name=var),
+        target=Ident(name=header.var),
         value=ArrayIndex(base=Ident(name="P"), index=Ident(name="pj"))))
     return program
 
@@ -88,7 +88,7 @@ def test_parallel_loops_are_order_independent():
             if not info.classification.parallelizable():
                 continue
             for order in ("reverse", "permuted"):
-                variant = _reordered(program, index, info, order, rng)
+                variant = _reordered(program, index, order, rng)
                 if _observed(run_program(variant)) != expected:
                     mismatches.append((seed, index, order))
     assert mismatches == []
