@@ -21,7 +21,9 @@ associative op and no other node reads it (branch tests count as reads),
 and carried (a true cross-iteration dependence) otherwise.
 
 Two accesses that name the same loop-invariant element every iteration,
-at least one of them a write, are carried at unknown distance.
+at least one of them a write, are carried at unknown distance.  A loop
+that a ``break`` of its own or a ``return`` can leave early, or whose body
+writes a name its test reads, is sequential.
 
 :func:`counted_loop` is the one reader of a counted loop header, and
 :func:`chunk_loop` the one builder of chunk loops; the MAPS partitioner
@@ -40,8 +42,9 @@ from repro.cir.analysis.dataflow import (
     analyze_dataflow, defs_of, expr_uses, node_uses, stmt_uses,
 )
 from repro.cir.nodes import (
-    ArrayIndex, Assign, BinOp, Block, Call, Decl, Expr, ExprStmt, For, Ident,
-    IntLit, Stmt, UnaryOp, )
+    ArrayIndex, Assign, BinOp, Block, Break, Call, Continue, Decl, Expr,
+    ExprStmt, For, Ident, IntLit, Return, Stmt, UnaryOp, While,
+)
 
 REDUCTION_OPS = {"+", "*", "|", "&", "^"}
 
@@ -337,16 +340,44 @@ def _step_of(stmt: Optional[Stmt], var: str) -> int:
     return 0
 
 
+def loop_exits(loop: For) -> List[Stmt]:
+    """Every ``return`` in the body of ``loop``, and every ``break`` and
+    ``continue`` of this loop (not of a loop nested in it)."""
+    exits: List[Stmt] = []
+
+    def visit(stmt: Stmt, own: bool) -> None:
+        if isinstance(stmt, Return) or \
+                (own and isinstance(stmt, (Break, Continue))):
+            exits.append(stmt)
+        for child in stmt.children():
+            if isinstance(child, Stmt):
+                visit(child, own and not isinstance(stmt, (For, While)))
+
+    visit(loop.body, True)
+    return exits
+
+
+def _early_exits(loop: For) -> List[str]:
+    """The kinds of statement that can end ``loop`` before its range."""
+    return sorted({type(stmt).__name__.lower() for stmt in loop_exits(loop)
+                   if not isinstance(stmt, Continue)})
+
+
 def chunk_refusal(loop: For) -> Optional[str]:
     """Why :func:`chunk_loop` cannot reproduce ``loop`` exactly, or None.
 
     Chunks are emitted as ``for (i = lo; i < hi; i += 1)``, so the loop
-    must count up by one over a range its body does not change."""
+    must count up by one over a range its body neither changes nor
+    leaves early."""
     header = counted_loop(loop)
     if header is None:
         return "not a counted loop"
-    if header.var in defs_of(loop.body.stmts):
-        return f"loop variable {header.var!r} modified in body"
+    written = expr_uses(loop.test) & defs_of(loop.body.stmts)
+    if written:
+        return f"{', '.join(sorted(written))} modified in body"
+    exits = _early_exits(loop)
+    if exits:
+        return f"a {exits[0]} leaves the loop early"
     if header.step < 0:
         return "a down-counting loop"
     if header.step != 1:
@@ -496,6 +527,11 @@ def analyze_loop(loop: For, invariants: Optional[Set[str]] = None,
     reasons: List[str] = []
     if var in body_writes:
         reasons.append(f"loop variable {var!r} modified in body")
+    bounds = sorted((expr_uses(loop.test) - {var}) & body_writes)
+    if bounds:
+        reasons.append(f"loop bound names {bounds} modified in body")
+    for kind in _early_exits(loop):
+        reasons.append(f"a {kind} leaves the loop early")
 
     impure_calls = _has_calls(loop.body, pure)
     if impure_calls:
@@ -578,4 +614,4 @@ def find_loops(body: Block) -> List[For]:
 __all__ = ["AccessInfo", "Affine", "CountedLoop", "Dependence", "LoopClass",
            "LoopInfo", "REDUCTION_OPS", "affine_of", "analyze_loop",
            "chunk_loop", "chunk_refusal", "collect_array_accesses",
-           "counted_loop", "find_loops"]
+           "counted_loop", "find_loops", "loop_exits"]

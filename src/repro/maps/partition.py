@@ -18,10 +18,13 @@ Three partitioners are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, FrozenSet, List, Optional, Set
 
+from repro.cir.analysis.cfg import CFG, build_cfg
 from repro.cir.analysis.cost import CostWeights, estimate_cost
-from repro.cir.analysis.dataflow import defs_of, stmt_defs, stmt_uses, uses_of
+from repro.cir.analysis.dataflow import (
+    analyze_dataflow, defs_of, stmt_defs, stmt_uses, uses_of,
+)
 from repro.cir.analysis.dependence import (
     LoopClass, LoopInfo, analyze_loop, chunk_loop, chunk_refusal,
     counted_loop,
@@ -89,14 +92,19 @@ def partition_function(program: Program, entry: str = "main",
     Top-level ``for`` loops become loop tasks (analyzed for
     parallelizability); maximal runs of other statements become block
     tasks.  Edges carry flow dependences with estimated transfer volumes.
-    A parallel loop that :func:`chunk_refusal` refuses stays unsplit,
-    with the refusal in its ``reasons``.
+    A parallel loop stays unsplit, with the reason in its ``reasons``,
+    when :func:`chunk_refusal` refuses it or when its loop variable or a
+    private scalar it writes is live after it: the chunks run last-first,
+    so such a scalar would keep the first chunk's value.
     """
     func = program.function(entry)
     sizes = _array_sizes(program, func)
     weights = weights or CostWeights()
     pure = {f.name for f in program.functions
             if _function_is_pure(program, f)}
+    cfg = build_cfg(func)
+    live_in = analyze_dataflow(cfg).live_in
+    globals_ = {decl.name for decl in program.globals}  # live at exit
 
     clusters: List[Cluster] = []
     run: List[Stmt] = []
@@ -133,6 +141,10 @@ def partition_function(program: Program, entry: str = "main",
             result.loop_infos[cluster.name] = info
             if info.classification.parallelizable():
                 why = chunk_refusal(info.loop)
+                live = (info.private_scalars | {info.header.var}) & (
+                    _live_after(cfg, live_in, info.loop) | globals_)
+                if why is None and live:
+                    why = f"{', '.join(sorted(live))} live after the loop"
                 if why is None:
                     result.parallelizable_tasks.append(cluster.name)
                 else:
@@ -151,6 +163,22 @@ def partition_function(program: Program, entry: str = "main",
                 decisions += 1
     result.tool_decisions = decisions
     return result
+
+
+def _live_after(cfg: CFG, live_in: Dict[int, FrozenSet[str]],
+                loop: For) -> Set[str]:
+    """Names live once ``loop`` is done: live into a successor of its
+    test that lies outside the loop."""
+    inside = {id(node) for node in loop.walk()}
+    test = next(node for node in cfg.nodes.values()
+                if node.kind == "branch" and node.test is loop.test)
+    after: Set[str] = set()
+    for nid in test.succs:
+        succ = cfg.nodes[nid]
+        if id(succ.stmt if succ.stmt is not None else succ.test) \
+                not in inside:
+            after |= live_in[nid]
+    return after
 
 
 def _function_is_pure(program: Program, func: FuncDef) -> bool:

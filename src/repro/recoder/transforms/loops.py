@@ -18,8 +18,10 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.cir.analysis.dataflow import defs_of, uses_of
-from repro.cir.analysis.dependence import chunk_loop, counted_loop
+from repro.cir.analysis.dataflow import defs_of, expr_uses, uses_of
+from repro.cir.analysis.dependence import (
+    chunk_loop, counted_loop, loop_exits,
+)
 from repro.cir.clone import clone, clone_list
 from repro.cir.nodes import Block, IntLit, Program
 from repro.recoder.transforms.base import (
@@ -62,7 +64,10 @@ def split_loop_fission(program: Program, func_name: str, line: int,
     The first loop runs body statements ``[0, cut)`` for all iterations,
     then the second runs ``[cut, ...)`` for all iterations.  Warnings are
     produced when a value may flow from the second group back into the
-    first across iterations (designer decides)."""
+    first across iterations (designer decides).  A loop whose iterations
+    are not fixed by its header (not counted, left early by ``break``,
+    ``continue`` or ``return``, or its test's names written in the body)
+    is refused."""
     func = program.function(func_name)
     loop = find_loop(func, line)
     if not 0 < cut < len(loop.body.stmts):
@@ -77,8 +82,12 @@ def split_loop_fission(program: Program, func_name: str, line: int,
     first_uses, first_defs = uses_of(first_stmts), defs_of(first_stmts)
     second_defs = defs_of(second_stmts)
     header = counted_loop(loop)
-    loop_var = header.var if header else None
-    backward = (second_defs & first_uses) - {loop_var}
+    if header is None or loop_exits(loop) or \
+            expr_uses(loop.test) & (first_defs | second_defs):
+        raise TransformError(
+            f"loop at line {line} has no fixed iteration range to "
+            f"distribute")
+    backward = (second_defs & first_uses) - {header.var}
     if backward:
         warnings.append(
             f"possible backward flow across the cut via "
@@ -88,7 +97,7 @@ def split_loop_fission(program: Program, func_name: str, line: int,
     # per-iteration temporaries; a scalar carried between the loops only
     # keeps its last-iteration value.
     carried_scalars = sorted((first_defs & uses_of(second_stmts))
-                             - {loop_var})
+                             - {header.var})
     if carried_scalars:
         warnings.append(
             f"values {carried_scalars} flow from group 1 to group 2; after "
