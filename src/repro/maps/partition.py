@@ -23,7 +23,7 @@ from typing import Dict, FrozenSet, List, Optional, Set
 from repro.cir.analysis.cfg import CFG, build_cfg
 from repro.cir.analysis.cost import CostWeights, estimate_cost
 from repro.cir.analysis.dataflow import (
-    analyze_dataflow, defs_of, stmt_defs, stmt_uses, uses_of,
+    analyze_dataflow, defs_of, stmt_defs, uses_of,
 )
 from repro.cir.analysis.dependence import (
     LoopClass, LoopInfo, analyze_loop, chunk_loop, chunk_refusal,
@@ -151,7 +151,15 @@ def partition_function(program: Program, entry: str = "main",
                     info.reasons.append(f"not split: {why}")
         decisions += 1
 
-    # Flow-dependence edges between clusters (earlier -> later).
+    result.tool_decisions = decisions + _connect_flow(graph, clusters, sizes)
+    return result
+
+
+def _connect_flow(graph: TaskGraph, clusters: List[Cluster],
+                  sizes: Dict[str, int]) -> int:
+    """Add a flow edge from each cluster to every later one that reads a
+    name it defines; returns the number of edges."""
+    edges = 0
     for i, earlier in enumerate(clusters):
         produced = earlier.defs()
         for later in clusters[i + 1:]:
@@ -160,9 +168,8 @@ def partition_function(program: Program, entry: str = "main",
                 words = sum(sizes.get(name, 1) for name in shared)
                 graph.connect(earlier.name, later.name, words=words,
                               label=",".join(sorted(shared)))
-                decisions += 1
-    result.tool_decisions = decisions
-    return result
+                edges += 1
+    return edges
 
 
 def _live_after(cfg: CFG, live_in: Dict[int, FrozenSet[str]],
@@ -341,44 +348,26 @@ def partition_pipeline(program: Program, entry: str = "main",
     sizes = _array_sizes(program, func)
 
     header = counted_loop(outer)
-    stages: List[List[Stmt]] = []
-    for stmt in outer.body.stmts:
-        stages.append([stmt])
-    # Merge adjacent stages that share no array traffic (cheap stages).
+    # One stage per body statement; adjacent stages that share no array
+    # traffic merge (cheap stages).
     merged: List[List[Stmt]] = []
-    for stage in stages:
+    for stmt in outer.body.stmts:
         if merged and not _stage_produces_array(merged[-1], sizes) \
-                and not _stage_produces_array(stage, sizes):
-            merged[-1].extend(stage)
+                and not _stage_produces_array([stmt], sizes):
+            merged[-1].append(stmt)
         else:
-            merged.append(stage)
+            merged.append([stmt])
 
     graph = TaskGraph(f"{entry}.pipeline")
-    names: List[str] = []
-    for index, stage_stmts in enumerate(merged):
+    stages = [Cluster(f"stage{index}", stmts)
+              for index, stmts in enumerate(merged)]
+    for stage in stages:
         cost = sum(estimate_cost(s, weights, program).total
-                   for s in stage_stmts)
-        name = f"stage{index}"
-        graph.add_task(name, cost=max(cost, 1.0), stmts=stage_stmts,
+                   for s in stage.stmts)
+        graph.add_task(stage.name, cost=max(cost, 1.0), stmts=stage.stmts,
                        kind="stage")
-        names.append(name)
-    for earlier_index in range(len(merged)):
-        produced: Set[str] = set()
-        for stmt in merged[earlier_index]:
-            for node in stmt.walk():
-                if isinstance(node, (Assign, Decl)):
-                    produced |= stmt_defs(node)
-        for later_index in range(earlier_index + 1, len(merged)):
-            used: Set[str] = set()
-            for stmt in merged[later_index]:
-                for node in stmt.walk():
-                    if isinstance(node, Stmt):
-                        used |= stmt_uses(node)
-            shared = produced & used
-            if shared:
-                words = sum(sizes.get(name, 1) for name in shared)
-                graph.connect(names[earlier_index], names[later_index],
-                              words=words, label=",".join(sorted(shared)))
+    _connect_flow(graph, stages, sizes)
+    names = [stage.name for stage in stages]
     if header is None:
         return PipelinePartition(graph, None, "", names)
     return PipelinePartition(graph, header.upper, header.var, names)
