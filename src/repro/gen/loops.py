@@ -18,8 +18,16 @@ nested loop has its own), and nothing reads them after the loop: the
 value a private scalar leaves behind is not part of a loop verdict.
 Accumulators are only ever reduced, never assigned outright.
 
+Each loop header takes one of the forms
+:func:`~repro.cir.analysis.dependence.counted_loop` reads (``<``, ``<=``
+or the bound on the left; ``i = i + 1``, ``i++`` or ``i += 1``; an
+``int`` declaration in the init), some loops count in steps of 2, and
+some bodies leave their loop through a guarded ``break``.
+
 Like every generator in :mod:`repro.gen`, the program is a pure function
-of ``random.Random(f"{seed}:loops")``.
+of ``random.Random(f"{seed}:loops")``; the header forms and the breaks
+are drawn from ``random.Random(f"{seed}:headers")``, so they leave the
+loop bodies as they are.
 """
 
 from __future__ import annotations
@@ -46,8 +54,9 @@ class _Scope:
 def generate_loops(seed: int) -> str:
     """A random counted-loop program; ``main`` returns ``s0 ^ s1``."""
     rng = random.Random(f"{seed}:loops")
+    headers = random.Random(f"{seed}:headers")
     temps: List[str] = []
-    loops = [_loop(rng, number, temps)
+    loops = [_loop(rng, headers, number, temps)
              for number in range(rng.randint(2, 4))]
     fill = " ".join(
         f"{name}[i] = (i * {rng.randint(1, 13)} + {rng.randint(0, 9)}) "
@@ -63,7 +72,8 @@ def generate_loops(seed: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _loop(rng: random.Random, number: int, temps: List[str]) -> str:
+def _loop(rng: random.Random, headers: random.Random, number: int,
+          temps: List[str]) -> str:
     low = rng.randint(0, 8)
     scope = _Scope({"i": (low, low + rng.randint(6, 16))},
                    [f"t{number}"])
@@ -79,8 +89,8 @@ def _loop(rng: random.Random, number: int, temps: List[str]) -> str:
         temps += inner.temps
         inner_body = [_stmt(rng, inner) for _ in range(rng.randint(1, 3))]
         body.insert(rng.randint(0, len(body)),
-                    _for("j", inner.ranges["j"], inner_body))
-    return _for("i", scope.ranges["i"], body)
+                    _for(headers, "j", inner, inner_body))
+    return _for(headers, "i", scope, body)
 
 
 def _homes(rng: random.Random, scope: _Scope) -> Dict[str, str]:
@@ -90,10 +100,25 @@ def _homes(rng: random.Random, scope: _Scope) -> Dict[str, str]:
             for name in rng.sample(ARRAYS, rng.randint(1, 2))}
 
 
-def _for(var: str, bounds: Tuple[int, int], body: List[str]) -> str:
-    low, high = bounds
-    return (f"for ({var} = {low}; {var} < {high}; {var} = {var} + 1) "
-            f"{{ {' '.join(body)} }}")
+def _for(rng: random.Random, var: str, scope: _Scope,
+         body: List[str]) -> str:
+    """A loop of ``var`` over ``scope.ranges[var]``; ``rng`` draws the
+    header form, the step and a guarded ``break``."""
+    low, high = scope.ranges[var]
+    init = f"{var} = {low}"
+    if rng.random() < 0.25:
+        init = f"int {init}"
+    test = rng.choice((f"{var} < {high}", f"{var} <= {high - 1}",
+                       f"{high} > {var}"))
+    step = rng.choice((f"{var} = {var} + 1", f"{var}++", f"{var} += 1"))
+    if rng.random() < 0.15:
+        step = f"{var} = {var} + 2"
+    if rng.random() < 0.15:
+        body = list(body)
+        body.insert(rng.randint(0, len(body)),
+                    f"if ({_element(rng, scope)} > {rng.randint(10, 30)}) "
+                    f"{{ break; }}")
+    return f"for ({init}; {test}; {step}) {{ {' '.join(body)} }}"
 
 
 def _stmt(rng: random.Random, scope: _Scope) -> str:

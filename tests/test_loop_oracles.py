@@ -102,23 +102,30 @@ def _platform():
 
 
 def test_maps_flow_preserves_split_loops():
-    split = 0
+    """Parallel loops the partitioner splits keep the program's results;
+    the ones it leaves unsplit (a step of 2) are counted too."""
+    split = unsplit = 0
     failures = []
     for seed in FLOW_SEEDS:
         source = generate_loops(seed)
         for k in (2, 3, 4):
             report = MapsFlow(_platform()).run(source, split_k=k)
             split += len(report.partition.parallelizable_tasks)
+            unsplit += sum(
+                reason.startswith("not split")
+                for info in report.partition.loop_infos.values()
+                for reason in info.reasons)
             if not report.semantics_preserved:
                 failures.append((seed, k))
     assert failures == []
-    assert split == 156
+    assert (split, unsplit) == (135, 6)
 
 
 def test_verdict_census_is_pinned():
     """The verdicts the oracles above check: some parallel loops
-    privatize a scalar, some sequential ones are so only for a
-    same-element access or only for a carried scalar."""
+    privatize a scalar or count in steps of 2, some sequential ones are
+    so only for a same-element access, only for a carried scalar or
+    only for a ``break``."""
     seen = Counter()
     for seed in SEEDS:
         for info in _verdicts(parse(generate_loops(seed))):
@@ -126,12 +133,16 @@ def test_verdict_census_is_pinned():
             parallel = info.classification.parallelizable()
             if parallel and info.private_scalars:
                 seen["private"] += 1
+            if parallel and info.header.step == 2:
+                seen["step 2"] += 1
             if not parallel and len(info.reasons) == 1:
                 reason = info.reasons[0]
                 if "same element" in reason:
                     seen["same element only"] += 1
                 if reason.startswith("loop-carried scalar"):
                     seen["carried scalar only"] += 1
-    assert seen == {"doall": 179, "reduction": 25, "sequential": 323,
-                    "private": 64, "same element only": 23,
-                    "carried scalar only": 66}
+                if reason == "a break leaves the loop early":
+                    seen["break only"] += 1
+    assert seen == {"doall": 166, "reduction": 19, "sequential": 342,
+                    "private": 52, "step 2": 15, "same element only": 20,
+                    "carried scalar only": 56, "break only": 19}
