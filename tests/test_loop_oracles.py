@@ -10,6 +10,11 @@ counted-loop programs from :func:`repro.gen.loops.generate_loops`.
   top-level loop into k = 2, 3 and 4 chunks and validates the generated
   code, chunks last-first, against the sequential run; it must report
   ``semantics_preserved``.
+- **recoder**: :func:`~repro.recoder.split_loop` at k = 2, 3, 4 and
+  :func:`~repro.recoder.split_loop_fission` at every cut, on every
+  top-level loop, either refuse with ``TransformError`` or keep the
+  return value, the output and the globals; a fission that warns is
+  left to the designer, one that does not must keep them too.
 
 Each program's verdict census is pinned too, so that a generator change
 that stops producing a shape shows.
@@ -26,12 +31,14 @@ from repro.cir.analysis.dependence import (
 )
 from repro.cir.clone import clone
 from repro.cir.interp import run_program
-from repro.cir.nodes import ArrayIndex, Assign, BinOp, Ident, IntLit
+from repro.cir.nodes import ArrayIndex, Assign, BinOp, For, Ident, IntLit
 from repro.gen.loops import generate_loops
 from repro.maps import MapsFlow, PEClass, PlatformSpec
+from repro.recoder import TransformError, split_loop, split_loop_fission
 
 SEEDS = range(100)
 FLOW_SEEDS = range(30)
+RECODER_SEEDS = range(12)
 PERMUTATION = "int P[48];\nint pj;\n"
 
 
@@ -119,6 +126,37 @@ def test_maps_flow_preserves_split_loops():
                 failures.append((seed, k))
     assert failures == []
     assert (split, unsplit) == (135, 6)
+
+
+def test_recoder_loop_transforms_refuse_or_preserve():
+    outcomes = Counter()
+    mismatches = []
+    for seed in RECODER_SEEDS:
+        source = generate_loops(seed)
+        program = parse(source)
+        expected = _observed(run_program(program))
+        for loop in program.function("main").body.stmts:
+            if not isinstance(loop, For):
+                continue
+            cases = [(split_loop, k) for k in (2, 3, 4)]
+            cases += [(split_loop_fission, cut)
+                      for cut in range(1, len(loop.body.stmts))]
+            for transform, arg in cases:
+                variant = parse(source)
+                try:
+                    report = transform(variant, "main", loop.line, arg)
+                except TransformError:
+                    outcomes["refused"] += 1
+                    continue
+                if report.warnings:
+                    outcomes["warned"] += 1
+                    continue
+                outcomes["checked"] += 1
+                if _observed(run_program(variant)) != expected:
+                    mismatches.append((seed, loop.line, transform.__name__,
+                                       arg))
+    assert mismatches == []
+    assert outcomes == {"refused": 44, "warned": 50, "checked": 143}
 
 
 def test_verdict_census_is_pinned():
