@@ -321,6 +321,29 @@ def test_regression_scalar_defined_on_every_path_stays_private():
     assert not info.carried_scalars
 
 
+# A ``break`` of the loop itself, or a ``return`` anywhere in it, ends
+# the loop early: both were ignored, so such a loop was DOALL and split.
+@pytest.mark.parametrize("body,reason", [
+    ("if (A[i] == 20) { break; } B[i] = 1;",
+     "a break leaves the loop early"),
+    ("if (A[i] == 20) { return i; } B[i] = 1;",
+     "a return leaves the loop early"),
+])
+def test_regression_early_exit_is_sequential(body, reason):
+    from repro.cir.analysis.dependence import LoopClass
+    info = _loop_info(body)
+    assert info.classification is LoopClass.SEQUENTIAL
+    assert info.reasons == [reason]
+
+
+def test_regression_nested_break_and_continue_keep_the_loop_parallel():
+    from repro.cir.analysis.dependence import LoopClass
+    info = _loop_info("for (c = 0; c < 4; c = c + 1) "
+                      "{ if (H[c] > 3) { break; } } "
+                      "if (A[i] > 2) { continue; } B[i] = A[i];")
+    assert info.classification is LoopClass.DOALL, info.reasons
+
+
 # ``A[3] = B[i]`` was called DOALL and split; the generated ``main_par``
 # emitted the tasks in the topological order of a graph with flow edges
 # only, ``int i; return 0; for ...``, so it did no work, and the flow
@@ -346,3 +369,102 @@ def test_regression_flow_validates_globals_in_program_order():
     assert sequential.globals["A"][3] == 47 * 5 + 2
     assert parallel.globals == sequential.globals
     assert report.semantics_preserved
+
+
+# Loop shapes the chunk split got wrong, each run on two RISC PEs
+# (sequential result vs ``main_par``): ``<=`` lost its last iteration
+# (1128 vs 1081); a down-counting loop was split into chunks that did
+# nothing (1176 vs 0); a step of 2 became a step of 1 (24 vs 48); a
+# private ``t`` and the loop variable read after the loop took the first
+# chunk's value (141 vs 69, 48 vs 24); a ``break`` or a ``return`` did
+# not stop the other chunks (20 vs 44, and the ``return`` loop was
+# split); ``for (int i ...)`` chunks lost the declaration ("undefined
+# variable 'i'").  The loop header is now read once (``counted_loop``),
+# the chunks are built once (``chunk_loop``), early exits are
+# sequential and a loop whose scalars are live after it stays unsplit.
+# The value is how many loops MAPS splits.  Only the ``decl`` shape has
+# no ``int i`` outside its loops.
+PINNED_SPLIT_SHAPES = {
+    "le": ("int i;\n"
+           "for (i = 0; i < 48; i = i + 1) { B[i] = i; }\n"
+           "for (i = 0; i <= 46; i = i + 1) { A[i] = B[i] + 1; }\n"
+           "for (i = 0; i < 48; i = i + 1) { s += A[i]; }\n"
+           "return s;", 3),
+    "down": ("int i;\n"
+             "for (i = 47; i >= 0; i = i - 1) { A[i] = i + 1; }\n"
+             "for (i = 0; i < 48; i = i + 1) { s += A[i]; }\n"
+             "return s;", 1),
+    "step2": ("int i;\n"
+              "for (i = 0; i < 48; i = i + 2) { A[i] = 1; }\n"
+              "for (i = 0; i < 48; i = i + 1) { s += A[i]; }\n"
+              "return s;", 1),
+    "last-private": ("int i;\n"
+                     "for (i = 0; i < 48; i = i + 1) "
+                     "{ t = i * 3; A[i] = t; }\n"
+                     "return t;", 0),
+    "var-after": ("int i;\n"
+                  "for (i = 0; i < 48; i = i + 1) { A[i] = 1; }\n"
+                  "return i;", 0),
+    "break": ("int i;\n"
+              "for (i = 0; i < 48; i = i + 1) { B[i] = i; }\n"
+              "for (i = 0; i < 48; i = i + 1) "
+              "{ if (B[i] == 20) { break; } A[i] = 1; }\n"
+              "for (i = 0; i < 48; i = i + 1) { s += A[i]; }\n"
+              "return s;", 2),
+    "return": ("int i;\n"
+               "for (i = 0; i < 48; i = i + 1) { B[i] = i; }\n"
+               "for (i = 0; i < 48; i = i + 1) "
+               "{ if (B[i] == 20) { return i; } A[i] = 1; }\n"
+               "return 0;", 1),
+    "decl": ("for (int i = 0; i < 48; i++) { A[i] = i; }\n"
+             "for (int i = 0; i < 48; i++) { s += A[i]; }\n"
+             "return s;", 2),
+}
+
+
+def _split_shape(name):
+    body, _split = PINNED_SPLIT_SHAPES[name]
+    return ("int A[48];\nint B[48];\n"
+            "int main() {\n int t;\n int s = 0;\n" + body + "\n}\n")
+
+
+def _results(program):
+    from repro.cir.interp import run_program
+    result = run_program(program)
+    return result.return_value, result.output, result.globals
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SPLIT_SHAPES))
+def test_regression_maps_split_keeps_the_results(name):
+    from repro.maps import MapsFlow, PEClass, PlatformSpec
+    platform = PlatformSpec("pair")
+    platform.add_pe("pe0", PEClass.RISC)
+    platform.add_pe("pe1", PEClass.RISC)
+    report = MapsFlow(platform).run(_split_shape(name))
+    assert report.semantics_preserved
+    assert len(report.partition.parallelizable_tasks) == \
+        PINNED_SPLIT_SHAPES[name][1]
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SPLIT_SHAPES))
+def test_regression_recoder_split_refuses_or_keeps_the_results(name):
+    from repro.cir import parse
+    from repro.recoder import (
+        TransformError, split_loop, split_shared_vector,
+    )
+    source = _split_shape(name)
+    expected = _results(parse(source))
+    lines = [line for line, text in enumerate(source.splitlines(), 1)
+             if text.startswith("for")]
+    for line in lines:
+        for transform, arg in [(split_loop, 2), (split_loop, 3),
+                               (split_shared_vector, "A")]:
+            program = parse(source)
+            try:
+                if transform is split_loop:
+                    split_loop(program, "main", line, arg)
+                else:
+                    split_shared_vector(program, "main", arg, [line])
+            except TransformError:
+                continue
+            assert _results(program) == expected, (line, transform, arg)
