@@ -150,6 +150,27 @@ def node_uses(node: CFGNode) -> Set[str]:
     return set()
 
 
+def liveness(cfg: CFG) -> Tuple[Dict[int, Set[str]], Dict[int, Set[str]]]:
+    """The names live into and out of every node (backward, may)."""
+    nodes = list(cfg.nodes.values())
+    live_in: Dict[int, Set[str]] = {n.nid: set() for n in nodes}
+    live_out: Dict[int, Set[str]] = {n.nid: set() for n in nodes}
+    worklist = [n.nid for n in nodes]
+    while worklist:
+        nid = worklist.pop()
+        node = cfg.node(nid)
+        outgoing = set()
+        for succ in node.succs:
+            outgoing |= live_in[succ]
+        live_out[nid] = outgoing
+        strong = _node_strong_defs(node)
+        incoming = node_uses(node) | (outgoing - strong)
+        if incoming != live_in[nid]:
+            live_in[nid] = incoming
+            worklist.extend(node.preds)
+    return live_in, live_out
+
+
 def analyze_dataflow(cfg: CFG) -> DataflowResult:
     """Run reaching-definitions and liveness to a fixed point."""
     result = DataflowResult(cfg)
@@ -179,22 +200,7 @@ def analyze_dataflow(cfg: CFG) -> DataflowResult:
             reach_out[nid] = outgoing
             worklist.extend(node.succs)
 
-    # ---------------- liveness (backward, may) ----------------
-    live_in: Dict[int, Set[str]] = {n.nid: set() for n in nodes}
-    live_out: Dict[int, Set[str]] = {n.nid: set() for n in nodes}
-    worklist = [n.nid for n in nodes]
-    while worklist:
-        nid = worklist.pop()
-        node = cfg.node(nid)
-        outgoing = set()
-        for succ in node.succs:
-            outgoing |= live_in[succ]
-        live_out[nid] = outgoing
-        strong = _node_strong_defs(node)
-        incoming = node_uses(node) | (outgoing - strong)
-        if incoming != live_in[nid]:
-            live_in[nid] = incoming
-            worklist.extend(node.preds)
+    live_in, live_out = liveness(cfg)
 
     # ---------------- def-use chains ----------------
     def_use: Dict[Tuple[int, str], Set[int]] = {}
@@ -214,5 +220,5 @@ def analyze_dataflow(cfg: CFG) -> DataflowResult:
 
 
 __all__ = ["DataflowResult", "DefSite", "analyze_dataflow", "defs_of",
-           "expr_uses", "node_uses", "stmt_defs", "stmt_strong_defs",
-           "stmt_uses", "uses_of"]
+           "expr_uses", "liveness", "node_uses", "stmt_defs",
+           "stmt_strong_defs", "stmt_uses", "uses_of"]

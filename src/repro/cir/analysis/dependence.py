@@ -39,7 +39,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.cir.analysis.cfg import build_cfg
 from repro.cir.clone import clone
 from repro.cir.analysis.dataflow import (
-    analyze_dataflow, defs_of, expr_uses, node_uses, stmt_uses,
+    defs_of, expr_uses, liveness, node_uses, stmt_uses,
 )
 from repro.cir.nodes import (
     ArrayIndex, Assign, BinOp, Block, Break, Call, Continue, Decl, Expr,
@@ -463,7 +463,7 @@ def _scalar_analysis(body: Block, loop_var: str) \
         return private, reductions, carried
 
     cfg = build_cfg(body)
-    live = analyze_dataflow(cfg).live_in[cfg.entry.nid]
+    live = liveness(cfg)[0][cfg.entry.nid]
     readers = {name: 0 for name in outer}  # CFG nodes reading each name
     for node in cfg.nodes.values():
         for name in node_uses(node) & readers.keys():

@@ -18,12 +18,12 @@ Three partitioners are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set
+from typing import Dict, List, Optional, Set
 
 from repro.cir.analysis.cfg import CFG, build_cfg
 from repro.cir.analysis.cost import CostWeights, estimate_cost
 from repro.cir.analysis.dataflow import (
-    analyze_dataflow, defs_of, stmt_defs, uses_of,
+    defs_of, liveness, stmt_defs, uses_of,
 )
 from repro.cir.analysis.dependence import (
     LoopClass, LoopInfo, analyze_loop, chunk_loop, chunk_refusal,
@@ -103,7 +103,7 @@ def partition_function(program: Program, entry: str = "main",
     pure = {f.name for f in program.functions
             if _function_is_pure(program, f)}
     cfg = build_cfg(func)
-    live_in = analyze_dataflow(cfg).live_in
+    live_in = liveness(cfg)[0]
     globals_ = {decl.name for decl in program.globals}  # live at exit
 
     clusters: List[Cluster] = []
@@ -172,7 +172,7 @@ def _connect_flow(graph: TaskGraph, clusters: List[Cluster],
     return edges
 
 
-def _live_after(cfg: CFG, live_in: Dict[int, FrozenSet[str]],
+def _live_after(cfg: CFG, live_in: Dict[int, Set[str]],
                 loop: For) -> Set[str]:
     """Names live once ``loop`` is done: live into a successor of its
     test that lies outside the loop."""
