@@ -372,18 +372,19 @@ def test_regression_flow_validates_globals_in_program_order():
 
 
 # Loop shapes the chunk split got wrong, each run on two RISC PEs
-# (sequential result vs ``main_par``): ``<=`` lost its last iteration
-# (1128 vs 1081); a down-counting loop was split into chunks that did
-# nothing (1176 vs 0); a step of 2 became a step of 1 (24 vs 48); a
-# private ``t`` and the loop variable read after the loop took the first
+# (sequential vs ``main_par``): ``<=`` lost its last iteration (1128 vs
+# 1081); a down-counting loop was split into chunks that did nothing
+# (1176 vs 0); a step of 2 became a step of 1 (24 vs 48); a private
+# ``t`` and the loop variable read after the loop took the first
 # chunk's value (141 vs 69, 48 vs 24); a ``break`` or a ``return`` did
-# not stop the other chunks (20 vs 44, and the ``return`` loop was
-# split); ``for (int i ...)`` chunks lost the declaration ("undefined
-# variable 'i'").  The loop header is now read once (``counted_loop``),
-# the chunks are built once (``chunk_loop``), early exits are
-# sequential and a loop whose scalars are live after it stays unsplit.
-# The value is how many loops MAPS splits.  Only the ``decl`` shape has
-# no ``int i`` outside its loops.
+# not stop the other chunks (``A`` summed to 20 vs 44); ``for (int i
+# ...)`` chunks lost the declaration ("undefined variable 'i'"); a body
+# that wrote its loop's bound ``n`` was split at the bound's first value
+# (``A`` summed to 10 vs 6).  The loop header is now read once
+# (``counted_loop``), the chunks are built once (``chunk_loop``), early
+# exits and written bounds are sequential, and a loop whose scalars are
+# live after it stays unsplit.  The value is how many loops MAPS splits.
+# Only the ``decl`` shape has no ``int i`` outside its loops.
 PINNED_SPLIT_SHAPES = {
     "le": ("int i;\n"
            "for (i = 0; i < 48; i = i + 1) { B[i] = i; }\n"
@@ -419,6 +420,9 @@ PINNED_SPLIT_SHAPES = {
     "decl": ("for (int i = 0; i < 48; i++) { A[i] = i; }\n"
              "for (int i = 0; i < 48; i++) { s += A[i]; }\n"
              "return s;", 2),
+    "bound-written": ("int i;\nint n = 48;\n"
+                      "for (i = 0; i < n; i = i + 1) { A[i] = 1; n = 10; }\n"
+                      "return 0;", 0),
 }
 
 
