@@ -91,13 +91,15 @@ def split_shared_vector(program: Program, func_name: str, array: str,
                         copy_back: bool = True) -> TransformReport:
     """"split vectors of shared data": privatize ``array`` per partition.
 
-    Each loop in ``loop_lines`` must be a counted step-1 loop with literal
-    bounds accessing ``array`` only at index expressions equal to the loop
-    variable.  The transformation declares one private sub-array per
-    partition, rewrites indices to partition-local offsets, and (with
-    ``copy_back``) gathers the pieces back so downstream readers are
-    unaffected -- making the transformation unconditionally
-    semantics-preserving."""
+    Each loop in ``loop_lines`` must be one
+    :func:`~repro.cir.analysis.dependence.chunk_refusal` accepts, with
+    literal bounds, accessing ``array`` only at index expressions equal
+    to the loop variable.  The transformation declares one private
+    sub-array per partition, rewrites indices to partition-local
+    offsets, and (with ``copy_back``) gathers the pieces back so
+    downstream readers are unaffected.  A partition that writes the
+    array without reading it is not copied in, so one that writes only
+    some of its elements gathers zeros back over the others."""
     func = program.function(func_name)
     element = _array_element_type(program, func, array)
     loops = _resolve_loops(func, loop_lines)
