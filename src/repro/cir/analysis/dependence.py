@@ -37,10 +37,10 @@ from enum import Enum
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.cir.analysis.cfg import build_cfg
-from repro.cir.clone import clone
 from repro.cir.analysis.dataflow import (
     defs_of, expr_uses, liveness, node_uses, stmt_uses,
 )
+from repro.cir.clone import clone
 from repro.cir.nodes import (
     ArrayIndex, Assign, BinOp, Block, Break, Call, Continue, Decl, Expr,
     ExprStmt, For, Ident, IntLit, Return, Stmt, UnaryOp, While,
@@ -357,10 +357,16 @@ def loop_exits(loop: For) -> List[Stmt]:
     return exits
 
 
-def _early_exits(loop: For) -> List[str]:
-    """The kinds of statement that can end ``loop`` before its range."""
-    return sorted({type(stmt).__name__.lower() for stmt in loop_exits(loop)
-                   if not isinstance(stmt, Continue)})
+def _unfixed_range(loop: For, body_writes: Set[str]) -> List[str]:
+    """Why ``loop`` may not run every iteration its header names: its
+    body writes a name the test reads, or a ``break`` of its own or a
+    ``return`` can leave it early."""
+    reasons = [f"{name!r} read by the loop test is modified in body"
+               for name in sorted(expr_uses(loop.test) & body_writes)]
+    kinds = {type(stmt).__name__.lower() for stmt in loop_exits(loop)
+             if not isinstance(stmt, Continue)}
+    return reasons + [f"a {kind} leaves the loop early"
+                      for kind in sorted(kinds)]
 
 
 def chunk_refusal(loop: For) -> Optional[str]:
@@ -372,12 +378,9 @@ def chunk_refusal(loop: For) -> Optional[str]:
     header = counted_loop(loop)
     if header is None:
         return "not a counted loop"
-    written = expr_uses(loop.test) & defs_of(loop.body.stmts)
-    if written:
-        return f"{', '.join(sorted(written))} modified in body"
-    exits = _early_exits(loop)
-    if exits:
-        return f"a {exits[0]} leaves the loop early"
+    unfixed = _unfixed_range(loop, defs_of(loop.body.stmts))
+    if unfixed:
+        return unfixed[0]
     if header.step < 0:
         return "a down-counting loop"
     if header.step != 1:
@@ -523,15 +526,7 @@ def analyze_loop(loop: For, invariants: Optional[Set[str]] = None,
     invariants = set(invariants or set())
     pure = PURE_INTRINSICS | set(pure_functions or set())
     body_writes = defs_of(loop.body.stmts)
-
-    reasons: List[str] = []
-    if var in body_writes:
-        reasons.append(f"loop variable {var!r} modified in body")
-    bounds = sorted((expr_uses(loop.test) - {var}) & body_writes)
-    if bounds:
-        reasons.append(f"loop bound names {bounds} modified in body")
-    for kind in _early_exits(loop):
-        reasons.append(f"a {kind} leaves the loop early")
+    reasons = _unfixed_range(loop, body_writes)
 
     impure_calls = _has_calls(loop.body, pure)
     if impure_calls:
