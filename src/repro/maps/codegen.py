@@ -72,7 +72,7 @@ def generate_data_parallel_code(result: PartitionResult,
         if combine in expanded.nodes:
             for var, op in result.loop_infos[name].reductions.items():
                 for index in range(len(chunks)):
-                    neutral[_partial_name(var, index)] = _NEUTRAL[op]
+                    neutral[_partial_name(var, name, index)] = _NEUTRAL[op]
         for task_name in [name, *chunks[::-1], combine]:
             if task_name in expanded.nodes:
                 tasks.extend(clone_list(expanded.nodes[task_name].stmts))

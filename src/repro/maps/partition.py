@@ -252,7 +252,8 @@ def partition_data_parallel(result: PartitionResult, task_name: str,
         chunk_name = f"{task_name}.c{index}"
         chunk_names.append(chunk_name)
         for red_var in info.reductions:
-            _rename_ident(chunk.body, red_var, _partial_name(red_var, index))
+            _rename_ident(chunk.body, red_var,
+                          _partial_name(red_var, task_name, index))
         node = TaskNode(chunk_name, original.cost / k, [chunk],
                         kind="compute",
                         preferred_pe=original.preferred_pe,
@@ -291,18 +292,23 @@ def partition_data_parallel(result: PartitionResult, task_name: str,
     return graph
 
 
-def _partial_name(var: str, chunk_index: int) -> str:
-    return f"{var}__p{chunk_index}"
+def _partial_name(var: str, task_name: str, chunk_index: int) -> str:
+    """Chunk ``chunk_index``'s partial of ``var`` in loop task
+    ``task_name``: each split loop owns its partials, so two reductions
+    into one scalar do not share them."""
+    return f"{var}__{task_name}_p{chunk_index}"
 
 
 def _make_combine_stmts(info: LoopInfo, k: int, task_name: str) -> List[Stmt]:
-    """``s = s op s__p0 op s__p1 ...`` for every reduction variable."""
+    """``s = s op s__<task>_p0 op s__<task>_p1 ...`` for every reduction
+    variable."""
     stmts: List[Stmt] = []
     for var, op in sorted(info.reductions.items()):
         for index in range(k):
-            stmts.append(Assign(target=Ident(name=var),
-                                value=Ident(name=_partial_name(var, index)),
-                                op=op))
+            stmts.append(Assign(
+                target=Ident(name=var),
+                value=Ident(name=_partial_name(var, task_name, index)),
+                op=op))
     return stmts
 
 

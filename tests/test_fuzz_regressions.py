@@ -380,10 +380,13 @@ def test_regression_flow_validates_globals_in_program_order():
 # not stop the other chunks (``A`` summed to 20 vs 44); ``for (int i
 # ...)`` chunks lost the declaration ("undefined variable 'i'"); a body
 # that wrote its loop's bound ``n`` was split at the bound's first value
-# (``A`` summed to 10 vs 6).  The loop header is now read once
+# (``A`` summed to 10 vs 6); two reduction loops into one ``s`` shared
+# their partials, so the second started from the first's (72 vs 66).
+# The loop header is now read once
 # (``counted_loop``), the chunks are built once (``chunk_loop``), early
 # exits and written bounds are sequential, and a loop whose scalars are
-# live after it stays unsplit.  The value is how many loops MAPS splits.
+# live after it stays unsplit; each split loop names its own partials.
+# The value is how many loops MAPS splits.
 # Only the ``decl`` shape has no ``int i`` outside its loops.
 PINNED_SPLIT_SHAPES = {
     "le": ("int i;\n"
@@ -423,6 +426,10 @@ PINNED_SPLIT_SHAPES = {
     "bound-written": ("int i;\nint n = 48;\n"
                       "for (i = 0; i < n; i = i + 1) { A[i] = 1; n = 10; }\n"
                       "return 0;", 0),
+    "two-reductions": ("int i;\n"
+                       "for (i = 0; i < 4; i = i + 1) { s += i; }\n"
+                       "for (i = 0; i < 4; i = i + 1) { s += i * 10; }\n"
+                       "return s;", 2),
 }
 
 

@@ -397,6 +397,7 @@ def test_refine_reports_are_pinned(monkeypatch):
     that MVP then rejected, or found one MVP kept."""
     views, branches = [], {"unimproved": [], "rejected": [], "kept": []}
     for seed, report, heft, candidate in _refine_runs(monkeypatch):
+        assert report.semantics_preserved, seed
         views.append((seed, _refine_view(report)))
         if candidate == heft:
             branches["unimproved"].append(seed)
