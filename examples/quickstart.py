@@ -1,17 +1,21 @@
 #!/usr/bin/env python3
-"""Quickstart: one platform description, three application styles.
+"""Quickstart: three application styles, three tool flows, one 4-PE SMP.
 
 The paper surveys three ways MPSoC software gets written -- sequential C
 (fed to MAPS), target-independent task graphs (HOPES/CIC), and real-time
-stream pipelines (time-triggered or data-driven executives).  The unified
-API routes each through the right flow on the same platform description.
+stream pipelines (time-triggered or data-driven executives).  Each style
+keeps its own flow; this script runs one small application through each.
 
 Run:  python examples/quickstart.py
 """
 
-from repro.core import Application, DesignFlow, PlatformDescription
-from repro.hopes import CICApplication, CICTask
-from repro.rt import PipelineSpec
+from repro.hopes import (
+    ArchInfo, CICApplication, CICTask, CICTranslator, ProcessorInfo,
+)
+from repro.maps import MapsFlow, PlatformSpec
+from repro.rt import PipelineSpec, run_data_driven, run_time_triggered
+
+N_PES = 4
 
 SEQUENTIAL_C = """
 int samples[128];
@@ -41,29 +45,28 @@ def make_cic():
 
 
 def main() -> None:
-    platform = PlatformDescription.symmetric(4)
-    flow = DesignFlow(platform)
-
     print("=" * 64)
     print("1. Sequential C through the MAPS flow (section IV)")
     print("=" * 64)
-    report = flow.run(Application.from_c("dsp_kernel", SEQUENTIAL_C))
-    maps = report.maps_report
+    maps = MapsFlow(PlatformSpec.symmetric(N_PES)).run(
+        SEQUENTIAL_C, app_name="dsp_kernel")
     print(f"   tasks found:          {len(maps.partition.task_graph)}")
     print(f"   parallelizable loops: "
           f"{len(maps.partition.parallelizable_tasks)}")
     print(f"   semantics preserved:  {maps.semantics_preserved}")
     print(f"   measured speedup:     {maps.measured_speedup:.2f}x "
-          f"on {platform.n_processors} PEs")
+          f"on {N_PES} PEs")
 
     print()
     print("=" * 64)
     print("2. A CIC task graph through the HOPES flow (section V)")
     print("=" * 64)
-    report = flow.run(Application.from_cic(make_cic()), iterations=6)
-    execution = report.hopes_execution
-    print(f"   target:       {report.hopes_target.target_name}")
-    print(f"   mapping:      {report.hopes_target.mapping}")
+    arch = ArchInfo(f"smp{N_PES}", model="shared", processors=[
+        ProcessorInfo(f"pe{index}", "smp") for index in range(N_PES)])
+    target = CICTranslator(make_cic(), arch).translate()
+    execution = target.run(6)
+    print(f"   target:       {target.target_name}")
+    print(f"   mapping:      {target.mapping}")
     print(f"   sink output:  {execution.output_of('consumer')}")
 
     print()
@@ -73,10 +76,8 @@ def main() -> None:
     pipeline = PipelineSpec(period=10.0)
     for stage in ("sample", "filter", "output"):
         pipeline.add_stage(stage, 2.0)
-    report = flow.run(Application.from_pipeline("radio", pipeline),
-                      iterations=50)
-    dd = report.stream_data_driven
-    tt = report.stream_time_triggered
+    tt = run_time_triggered(pipeline, jobs=50)
+    dd = run_data_driven(pipeline, jobs=50)
     print(f"   time-triggered: {tt.delivered_ok}/50 delivered, "
           f"{tt.internal_corruptions} internal corruptions")
     print(f"   data-driven:    {dd.delivered_ok}/50 delivered, "

@@ -16,7 +16,6 @@ substrate:
 - :mod:`repro.recoder` -- the designer-controlled Source Recoder (section VI).
 - :mod:`repro.snap` -- exact whole-SoC checkpoint/restore: time-travel
   debugging and runs resumed from a snapshot.
-- :mod:`repro.core` -- a unified design-flow API over all of the above.
 """
 
 __version__ = "1.0.0"

@@ -2,18 +2,7 @@
 
 from __future__ import annotations
 
-import math
-from typing import Dict, Iterable, Sequence
-
-
-def geometric_mean(values: Iterable[float]) -> float:
-    """Geometric mean (the right average for speedup ratios)."""
-    values = [v for v in values]
-    if not values:
-        raise ValueError("no values")
-    if any(v <= 0 for v in values):
-        raise ValueError("geometric mean needs positive values")
-    return math.exp(sum(math.log(v) for v in values) / len(values))
+from typing import Dict, Sequence
 
 
 def speedup_curve(baseline: float,
@@ -66,5 +55,5 @@ def table(rows: Sequence[Sequence], headers: Sequence[str]) -> str:
     return "\n".join(lines)
 
 
-__all__ = ["crossover_point", "geometric_mean", "speedup_curve",
-           "summarize_speedups", "table"]
+__all__ = ["crossover_point", "speedup_curve", "summarize_speedups",
+           "table"]

@@ -1,15 +1,11 @@
-"""Tests for the unified core API and the end-to-end MAPS flow."""
+"""Tests for the end-to-end MAPS flow and the shared metrics helpers."""
 
 import pytest
 
-from repro.core import (
-    Application, ApplicationKind, DesignFlow, PlatformDescription,
-    geometric_mean, speedup_curve, summarize_speedups,
+from repro.core.metrics import (
+    crossover_point, speedup_curve, summarize_speedups, table,
 )
-from repro.core.metrics import crossover_point, table
-from repro.hopes import CICApplication, CICTask
 from repro.maps import MapsFlow, PlatformSpec
-from repro.rt import PipelineSpec
 
 JPEG_LIKE = """
 int input[256];
@@ -25,77 +21,6 @@ int main() {
   return bits;
 }
 """
-
-
-class TestPlatformDescription:
-    def test_projections_agree_on_size(self):
-        description = PlatformDescription.symmetric(4)
-        assert description.as_maps_platform().pes[2].name == "pe2"
-        assert description.as_machine().n_cores == 4
-        assert len(description.as_arch_info().processors) == 4
-        assert description.as_soc_config().n_cores == 4
-
-    def test_duplicate_processor_rejected(self):
-        description = PlatformDescription()
-        description.add_processor("a")
-        with pytest.raises(ValueError):
-            description.add_processor("a")
-
-    def test_distributed_arch_model(self):
-        description = PlatformDescription(shared_memory=False)
-        description.add_processor("host")
-        description.add_processor("acc", local_store=256)
-        info = description.as_arch_info()
-        assert info.model == "distributed"
-        assert info.processor("acc").proc_type == "accel"
-        assert info.processor("acc").local_store == 256
-
-    def test_arch_xml_roundtrips(self):
-        from repro.hopes import parse_arch_xml
-        description = PlatformDescription.symmetric(3)
-        info = parse_arch_xml(description.as_arch_xml())
-        assert len(info.processors) == 3
-
-
-class TestUnifiedFlow:
-    def test_sequential_c_route(self):
-        platform = PlatformDescription.symmetric(4)
-        app = Application.from_c("jpeg", JPEG_LIKE)
-        report = DesignFlow(platform).run(app)
-        assert report.kind == ApplicationKind.SEQUENTIAL_C
-        assert report.ok
-        assert report.maps_report.measured_speedup > 1.5
-
-    def test_cic_route(self):
-        cic = CICApplication("pipe")
-        cic.add_task(CICTask("src", """
-            int n;
-            int task_go() { write_port(0, n); n += 1; return 0; }
-            """, out_ports=["o"]))
-        cic.add_task(CICTask("dst", """
-            int task_go() { emit(read_port(0)); return 0; }
-            """, in_ports=["i"]))
-        cic.connect("src", "o", "dst", "i")
-        platform = PlatformDescription.symmetric(2)
-        report = DesignFlow(platform).run(Application.from_cic(cic),
-                                          iterations=5)
-        assert report.ok
-        assert report.hopes_execution.output_of("dst") == [0, 1, 2, 3, 4]
-
-    def test_stream_route(self):
-        pipeline = PipelineSpec(period=10.0)
-        for name in ("in", "proc", "out"):
-            pipeline.add_stage(name, 2.0)
-        app = Application.from_pipeline("radio", pipeline)
-        report = DesignFlow(PlatformDescription.symmetric(3)).run(
-            app, iterations=20)
-        assert report.ok
-        assert report.stream_data_driven.internal_corruptions == 0
-        assert report.stream_time_triggered.delivered_ok == 20
-
-    def test_validation_routes(self):
-        with pytest.raises(ValueError):
-            Application("x", ApplicationKind.CIC).validate()
 
 
 class TestMapsFlowEndToEnd:
@@ -131,13 +56,6 @@ class TestMapsFlowEndToEnd:
 
 
 class TestMetrics:
-    def test_geometric_mean(self):
-        assert geometric_mean([1, 4]) == pytest.approx(2.0)
-        with pytest.raises(ValueError):
-            geometric_mean([])
-        with pytest.raises(ValueError):
-            geometric_mean([1.0, -2.0])
-
     def test_speedup_curve_and_summary(self):
         curve = speedup_curve(100.0, {1: 100.0, 2: 50.0, 4: 30.0})
         assert curve[2] == pytest.approx(2.0)

@@ -6,7 +6,8 @@ from repro.desim import Fifo
 from repro.hopes import runtime as hopes_runtime
 from repro.hopes import (
     ArchInfo, CICApplication, CICTask, CICTranslator, CellTarget,
-    MPCoreTarget, TranslationError, parse_arch_xml, to_arch_xml,
+    MPCoreTarget, ProcessorInfo, TranslationError, parse_arch_xml,
+    to_arch_xml,
 )
 
 SMP_XML = """
@@ -211,6 +212,23 @@ class TestRuntimeSemantics:
         translator = CICTranslator(app, parse_arch_xml(SMP_XML))
         report = translator.translate().run(iterations=3)
         assert report.output_of("sink") == [1, 4, 7]
+
+    def test_task_state_without_task_init_starts_at_zero(self):
+        """A task's globals start at zero when it has no ``task_init``,
+        on an architecture built in code (default interconnect)."""
+        app = CICApplication("counter")
+        app.add_task(CICTask("src", """
+            int n;
+            int task_go() { write_port(0, n); n += 1; return 0; }
+            """, out_ports=["o"]))
+        app.add_task(CICTask("dst", """
+            int task_go() { emit(read_port(0)); return 0; }
+            """, in_ports=["i"]))
+        app.connect("src", "o", "dst", "i")
+        arch = ArchInfo("smp2", processors=[ProcessorInfo("pe0", "smp"),
+                                            ProcessorInfo("pe1", "smp")])
+        report = CICTranslator(app, arch).translate().run(iterations=5)
+        assert report.output_of("dst") == [0, 1, 2, 3, 4]
 
     def test_faster_processor_shortens_execution(self):
         slow_xml = SMP_XML.replace('freq="1.0"', 'freq="0.5"')

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core import Application, DesignFlow, PlatformDescription
 from repro.desim import Delay, Event, Interrupted, Simulator, WaitEvent
 from repro.hopes import ArchInfo, parse_arch_xml, to_arch_xml
 from repro.hopes.archfile import InterconnectInfo, ProcessorInfo
@@ -10,7 +9,6 @@ from repro.manycore import ActorSystem, Machine
 from repro.maps import ApplicationSpec
 from repro.recoder import TransformError, split_loop_fission
 from repro.cir import parse
-from repro.rt import PipelineSpec
 from repro.vp import Debugger, SoC, SoCConfig
 
 
@@ -173,18 +171,3 @@ class TestSpecValidation:
         with pytest.raises(TransformError, match="out of range"):
             split_loop_fission(program, "main", 4, 5)
 
-
-class TestUnifiedFlowEdges:
-    def test_stream_route_with_infeasible_tt(self):
-        """A pipeline whose estimates exceed the period cannot get a
-        time-triggered schedule; the unified flow reports it as None and
-        still runs data-driven."""
-        pipeline = PipelineSpec(period=3.0)
-        for name in ("a", "b", "c"):
-            pipeline.add_stage(name, 2.0)  # 6 > 3: TT infeasible
-        app = Application.from_pipeline("tight", pipeline)
-        report = DesignFlow(PlatformDescription.symmetric(3)).run(
-            app, iterations=10)
-        assert report.stream_time_triggered is None
-        assert report.stream_data_driven is not None
-        assert report.stream_data_driven.internal_corruptions == 0

@@ -136,6 +136,20 @@ class TestDataDriven:
         assert [item.received_seq for item in result.delivered] == \
             list(range(100))
 
+    def test_runs_a_pipeline_time_triggering_cannot_schedule(self):
+        """Stage estimates that sum past the period (6 > 3) leave no
+        time-triggered schedule, but each stage keeps up with the period,
+        so the data-driven executive delivers every job in order."""
+        spec = PipelineSpec(period=3.0)
+        for name in ("a", "b", "c"):
+            spec.add_stage(name, 2.0)
+        with pytest.raises(ValueError, match="infeasible"):
+            run_time_triggered(spec, jobs=10)
+        result = run_data_driven(spec, jobs=10)
+        assert result.internal_corruptions == 0
+        assert [item.received_seq for item in result.delivered] == \
+            list(range(10))
+
     def test_overruns_never_corrupt_internally(self):
         result = run_data_driven(build_pipeline(0.3), jobs=200)
         assert result.internal_corruptions == 0
