@@ -62,9 +62,6 @@ class CFG:
     def node(self, nid: int) -> CFGNode:
         return self.nodes[nid]
 
-    def stmt_nodes(self) -> List[CFGNode]:
-        return [n for n in self.nodes.values() if n.kind == "stmt"]
-
     def reachable(self) -> Set[int]:
         """Node ids reachable from entry."""
         seen: Set[int] = set()

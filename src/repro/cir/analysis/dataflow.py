@@ -122,12 +122,6 @@ class DataflowResult:
     # (use node id, var) -> def node ids reaching that use.
     def_use: Dict[Tuple[int, str], FrozenSet[int]] = field(default_factory=dict)
 
-    def reaching_defs_of(self, nid: int, var: str) -> FrozenSet[int]:
-        return self.def_use.get((nid, var), frozenset())
-
-    def is_live_out(self, nid: int, var: str) -> bool:
-        return var in self.live_out.get(nid, frozenset())
-
 
 def _node_defs(node: CFGNode) -> Set[str]:
     if node.kind == "stmt" and node.stmt is not None:

@@ -159,13 +159,6 @@ class Machine:
             assigned += count
         return machine
 
-    def cores_with_isa(self, isa: str) -> List[Core]:
-        return [core for core in self.cores if core.isa == isa]
-
-    @property
-    def is_homogeneous(self) -> bool:
-        return len({core.isa for core in self.cores}) == 1
-
     @property
     def total_frequency(self) -> float:
         return sum(core.freq for core in self.cores)

@@ -64,9 +64,6 @@ class PartitionResult:
     entry: str = "main"
     tool_decisions: int = 0  # automation metric used by the E6 bench
 
-    def loop_task_names(self) -> List[str]:
-        return list(self.loop_infos)
-
 
 def _array_sizes(program: Program, func: FuncDef) -> Dict[str, int]:
     """Name -> size in words of every array ``func`` sees (a name not

@@ -34,9 +34,6 @@ class SharedAccessReport:
     writers: Dict[str, List[int]] = field(default_factory=dict)
     readers: Dict[str, List[int]] = field(default_factory=dict)
 
-    def is_shared(self, name: str) -> bool:
-        return len(self.shared.get(name, [])) > 1
-
 
 def analyze_shared_accesses(program: Program,
                             func_name: str) -> SharedAccessReport:

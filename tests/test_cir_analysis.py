@@ -26,7 +26,7 @@ class TestCFG:
     def test_straight_line(self):
         func = main_func("int main() { int a; a = 1; a = 2; return a; }")
         cfg = build_cfg(func)
-        stmt_nodes = cfg.stmt_nodes()
+        stmt_nodes = [n for n in cfg.nodes.values() if n.kind == "stmt"]
         assert len(stmt_nodes) == 4  # decl + 2 assigns + return
         assert cfg.reachable() >= {n.nid for n in stmt_nodes}
 
@@ -82,7 +82,7 @@ class TestDataflow:
         cfg = build_cfg(func)
         result = analyze_dataflow(cfg)
         ret = [n for n in cfg.nodes.values() if n.label == "Return"][0]
-        defs = result.reaching_defs_of(ret.nid, "x")
+        defs = result.def_use[(ret.nid, "x")]
         # Only the second assignment reaches the return.
         labels = {cfg.node(d).stmt.value.value for d in defs
                   if cfg.node(d).label == "Assign"}
@@ -94,7 +94,7 @@ class TestDataflow:
         cfg = build_cfg(func)
         result = analyze_dataflow(cfg)
         ret = [n for n in cfg.nodes.values() if n.label == "Return"][0]
-        defs = result.reaching_defs_of(ret.nid, "x")
+        defs = result.def_use[(ret.nid, "x")]
         assign_values = {cfg.node(d).stmt.value.value for d in defs
                          if cfg.node(d).label == "Assign"}
         assert assign_values == {1, 2}
@@ -107,11 +107,11 @@ class TestDataflow:
         assign_a = [n for n in cfg.nodes.values()
                     if n.label == "Assign" and
                     n.stmt.target.name == "a"][0]
-        assert result.is_live_out(assign_a.nid, "a")
+        assert "a" in result.live_out[assign_a.nid]
         assign_b = [n for n in cfg.nodes.values()
                     if n.label == "Assign" and
                     n.stmt.target.name == "b"][0]
-        assert not result.is_live_out(assign_b.nid, "b")
+        assert "b" not in result.live_out[assign_b.nid]
 
     def test_array_writes_are_weak(self):
         func = main_func("""
@@ -119,7 +119,7 @@ class TestDataflow:
         cfg = build_cfg(func)
         result = analyze_dataflow(cfg)
         ret = [n for n in cfg.nodes.values() if n.label == "Return"][0]
-        defs = result.reaching_defs_of(ret.nid, "a")
+        defs = result.def_use[(ret.nid, "a")]
         assert len(defs) >= 2  # both writes may reach
 
 

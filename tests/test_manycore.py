@@ -14,13 +14,13 @@ from repro.manycore.memory import locality_sweep
 class TestMachine:
     def test_homogeneous(self):
         machine = Machine.homogeneous(8)
-        assert machine.is_homogeneous
+        assert {core.isa for core in machine.cores} == {"isa0"}
         assert machine.total_frequency == pytest.approx(8.0)
 
     def test_heterogeneous_split(self):
         machine = Machine.heterogeneous(8, {"isaA": 0.5, "isaB": 0.5})
-        assert len(machine.cores_with_isa("isaA")) == 4
-        assert not machine.is_homogeneous
+        isas = [core.isa for core in machine.cores]
+        assert isas.count("isaA") == isas.count("isaB") == 4
 
     def test_bad_split_rejected(self):
         with pytest.raises(ValueError):

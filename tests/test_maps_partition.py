@@ -169,7 +169,7 @@ class TestPartitionFunction:
         graph = result.task_graph
         # block(decls) + 3 loops + return block.
         assert len(graph) == 5
-        loops = result.loop_task_names()
+        loops = list(result.loop_infos)
         assert len(loops) == 3
         # Producer/consumer chain via A then B.
         labels = {(e.src, e.dst): e.label for e in graph.edges}
@@ -201,7 +201,7 @@ class TestPartitionFunction:
         result = partition_function(parse(SOURCE))
         costs = {n: t.cost for n, t in result.task_graph.nodes.items()}
         assert all(c > 0 for c in costs.values())
-        loop_costs = [costs[n] for n in result.loop_task_names()]
+        loop_costs = [costs[n] for n in result.loop_infos]
         block_cost = costs["block0"]
         assert min(loop_costs) > block_cost  # loops dwarf the decls
 
@@ -259,7 +259,7 @@ class TestDataParallelExpansion:
         """
         program = parse(source)
         result = partition_function(program)
-        loop_name = result.loop_task_names()[0]
+        loop_name = next(iter(result.loop_infos))
         with pytest.raises(ValueError, match="sequential"):
             partition_data_parallel(result, loop_name, 2)
 

@@ -329,8 +329,8 @@ class TestTransformations:
 
     def test_shared_access_analysis(self):
         report = analyze_shared_accesses(parse(KERNEL), "main")
-        assert report.is_shared("A")
-        assert report.is_shared("B")
+        assert len(report.shared["A"]) > 1
+        assert len(report.shared["B"]) > 1
         assert len(report.writers["A"]) == 1
 
     @given(st.integers(min_value=2, max_value=8),
