@@ -22,7 +22,7 @@ The partition digest was recorded before the per-call array-size table,
 the per-class clone field cache and the partial scan were introduced.
 It, the ``main_par``, per-PE source and refine-report pins were
 re-recorded when each split loop's reduction partials took the loop
-task's name (``s__loop3_L12_p0``, was ``s__p0``).
+task's name (``s__loop3_L12_p0``).
 """
 
 from __future__ import annotations
